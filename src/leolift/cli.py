@@ -136,6 +136,9 @@ def _parse_train_range(spec: str) -> tuple[float, float, float]:
 
 
 def _params_for(scenario: Scenario) -> SizingParams:
+    if not scenario.vehicles:
+        raise ScenarioError(f"scenario {scenario.name!r} has no vehicles; "
+                            "the surrogate sizes a vehicle, so at least one is needed")
     v = scenario.vehicles[0]
     return SizingParams(alpha=v.alpha, isp=v.isp, burn_time=v.burn_time,
                         m_ub=v.m_ub)

@@ -5,7 +5,11 @@ the basis inverse is kept explicitly, updated in product form each pivot and
 rebuilt from an LU factorization every `REFACTOR_EVERY` pivots. Phase 1 uses
 artificial columns; Dantzig pricing switches to Bland's rule when the
 objective stalls. Branch-and-bound explores nodes best-bound-first and warm
-starts each child from the parent basis through a bounded dual simplex.
+starts each child from the parent basis through a bounded dual simplex, which
+guards against cycling the same way: after `STALL_LIMIT` pivots in a row that
+leave the dual objective flat it takes the dual Bland rule (lowest-index
+infeasible basic variable leaves, lowest-index min-ratio column enters) until
+a pivot makes progress.
 """
 
 from __future__ import annotations
@@ -155,11 +159,13 @@ class _Simplex:
             return self.ub[j]
         return 0.0
 
+    def nonbasic_values(self) -> np.ndarray:
+        """`nonbasic_value` of every column; basic columns read 0."""
+        return np.where(self.status == AT_LO, self.lb,
+                        np.where(self.status == AT_UP, self.ub, 0.0))
+
     def recompute_x(self):
-        xn = np.zeros(self.n)
-        for j in range(self.n):
-            if self.status[j] != BASIC:
-                xn[j] = self.nonbasic_value(j)
+        xn = self.nonbasic_values()
         self.x = xn
         if self.m:
             self.x[self.basis] = self.Binv @ (self.b - self.A @ xn)
@@ -263,6 +269,8 @@ class _Simplex:
         """Restore primal feasibility from a dual-feasible basis."""
         if self.m == 0:
             return "feasible"
+        bland = False
+        stall = 0
         for _ in range(max_iter):
             self.recompute_x()
             xb = self.x[self.basis]
@@ -272,6 +280,9 @@ class _Simplex:
             r = int(np.argmax(viol))
             if viol[r] <= FEAS_TOL:
                 return "feasible"
+            if bland:  # infeasible row whose basic variable has the lowest index
+                rows = np.nonzero(viol > FEAS_TOL)[0]
+                r = int(rows[np.argmin(self.basis[rows])])
             self.iterations += 1
             below = viol_lo[r] >= viol_hi[r]
 
@@ -290,7 +301,15 @@ class _Simplex:
                 return "infeasible"
             theta = np.abs(d[cand]) / np.abs(w[cand])
             near = cand[theta <= theta.min() + 1e-9]
-            e = int(near[np.argmax(np.abs(w[near]))])
+            e = int(near[0]) if bland else int(near[np.argmax(np.abs(w[near]))])
+
+            if theta.min() * viol[r] <= 1e-10:
+                stall += 1
+                if stall >= STALL_LIMIT:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
 
             alpha = self.Binv @ self.A[:, e]
             leave = self.basis[r]
@@ -313,7 +332,7 @@ def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
             state.status[j] = AT_UP
         else:
             state.status[j] = NB_FREE
-    xn = np.array([state.nonbasic_value(j) for j in range(state.n)])
+    xn = state.nonbasic_values()
     resid = state.b - state.A @ xn if m else np.zeros(0)
 
     art_cols, art_ids = [], []
@@ -547,6 +566,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                 st = state.primal(cost_full)
                 state.recompute_x()
         except SolverBreakdown:
+            total_iters += state.iterations  # pivots of the abandoned attempt
             state = _Simplex(A_ext, prob.b, node.lb, node.ub)
             st = _two_phase(state, prob.c, n_struct)
             state_cost = np.concatenate([cost_full,

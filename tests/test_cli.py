@@ -35,6 +35,18 @@ class TestArgumentHandling:
         assert code == 1
         assert "error:" in err
 
+    def test_scenario_without_vehicles_exits_1(self, tmp_path, capsys, lunar_text):
+        doc = json.loads(lunar_text)
+        doc["vehicles"] = []
+        doc["demands"] = [d for d in doc["demands"] if d["commodity"] != "spacecraft"]
+        path = tmp_path / "no_vehicles.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, ["--scenario", str(path),
+                                           "--surrogate", "linreg"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "no vehicles" in err
+
     def test_parse_train_range(self):
         assert _parse_train_range("0:50000:1000") == (0.0, 50000.0, 1000.0)
         for bad in ("1:2", "2:1:1", "0:10:0", "a:b:c"):

@@ -1,11 +1,18 @@
 """Simplex and branch-and-bound checks against brute-force oracles."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import leolift
+from leolift import solver
 from leolift.milp_ir import MilpModel
 from leolift.solver import BnbConfig, dual_bound, solve_lp, solve_milp
 
@@ -122,6 +129,18 @@ class TestSimplexRandom:
             assert (A @ x <= b + 1e-7).all()
             assert (x >= lb - 1e-9).all() and (x <= ub + 1e-9).all()
 
+    def test_nonbasic_values_match_per_column_loop(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        lb = np.where(rng.random(n) < 0.2, -INF, rng.normal(size=n))
+        ub = np.where(rng.random(n) < 0.2, INF, lb + rng.uniform(0.0, 3.0, n))
+        state = solver._Simplex(np.zeros((3, n)), np.zeros(3), lb, ub)
+        state.status = rng.choice(np.array([solver.BASIC, solver.AT_LO, solver.AT_UP,
+                                            solver.NB_FREE], dtype=np.int8), n)
+        loop = [0.0 if state.status[j] == solver.BASIC else state.nonbasic_value(j)
+                for j in range(n)]
+        np.testing.assert_array_equal(state.nonbasic_values(), loop)
+
     def test_dual_bound_weak_duality(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -146,6 +165,23 @@ class TestBranchAndBound:
         assert sol.objective == pytest.approx(-9.0, abs=1e-9)
         assert sol.values[0] == pytest.approx(1.0, abs=1e-6)
         assert sol.values[1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_breakdown_restart_counts_abandoned_pivots(self, monkeypatch):
+        A = np.array([[2.0, 3.0, 1.0]])
+        m = model_from_dense(A, ["<="], np.array([5.0]),
+                             np.array([-5.0, -4.0, -3.0]),
+                             [0.0] * 3, [1.0] * 3, ["binary"] * 3)
+        clean = solve_milp(m)
+
+        def broken_dual(state, cost, max_iter=50000):
+            state.iterations += 1000
+            raise solver.SolverBreakdown("forced")
+
+        monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
+        sol = solve_milp(m)
+        # every node falls back to a cold two-phase solve
+        assert sol.objective == pytest.approx(clean.objective, abs=1e-9)
+        assert sol.iterations >= 1000 * sol.nodes
 
     def test_rounding_is_not_assumed(self):
         # LP relaxation wants x = 2.5; the integer optimum moves to a
@@ -286,3 +322,55 @@ class TestNodeLogAndLimits:
             BnbConfig(time_limit=0.0)
         with pytest.raises(ValueError):
             BnbConfig(branching="strong")
+
+
+# Runs the bundled campaign with the NN closure trained on seed 12, capturing
+# the assembled model so HiGHS can solve the same one.
+DUAL_CYCLING_CHILD = """
+import json
+from scipy.optimize import Bounds, LinearConstraint, milp
+from leolift import cli
+
+models = []
+solve = cli.solve_milp
+def capture(model, cfg=None, node_log=None):
+    models.append(model)
+    return solve(model, cfg, node_log)
+cli.solve_milp = capture
+rep = cli.run_pipeline(cli.build_parser().parse_args(
+    ["--surrogate", "nn", "--seed", "12"]))
+sf = models[0].to_standard_form()
+ref = milp(c=sf.c, constraints=LinearConstraint(sf.A, -float("inf"), sf.b),
+           integrality=sf.is_int.astype(int), bounds=Bounds(sf.lb, sf.ub),
+           options={"mip_rel_gap": 1e-9})
+sol = rep.solution
+print(json.dumps({"status": sol.status, "objective": sol.objective,
+                  "iterations": sol.iterations, "highs_status": int(ref.status),
+                  "highs_objective": float(ref.fun)}))
+"""
+
+
+class TestDualCycling:
+    def test_nn_seed_12_warm_dual_does_not_cycle(self):
+        """NN training seed 12's B&B nodes drive the warm-started dual simplex
+        into a dual-degenerate cycle of about 31 pivots. Without an
+        anti-cycling rule two nodes spend 50,000 pivots each before falling
+        back to a cold solve; the whole tree needs about 1,150.
+
+        The cycle reproduces only with one BLAS thread, so the solve runs in
+        a child interpreter with the thread count pinned before numpy loads.
+        """
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        src = str(Path(leolift.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", DUAL_CYCLING_CHILD],
+                              capture_output=True, text=True, timeout=600, env=env)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["status"] == "optimal", got
+        assert got["highs_status"] == 0, got
+        assert got["objective"] == pytest.approx(got["highs_objective"], rel=1e-6)
+        assert got["iterations"] < 5000, got
