@@ -9,7 +9,7 @@ oracle.
 
 __version__ = "0.1.0"
 
-from .formulation import LinearEpsilon, assemble, assemble_model
+from .formulation import LinearEpsilon, assemble
 from .milp_ir import MilpModel, Solution
 from .scenario import Scenario, load_scenario, expand_time_network
 from .spacecraft import SizingParams, OracleResult, evaluate_sizing, solve_exact_oracle
@@ -20,7 +20,7 @@ __all__ = [
     "MilpModel", "Solution", "Scenario", "load_scenario", "expand_time_network",
     "SizingParams", "OracleResult", "evaluate_sizing", "solve_exact_oracle",
     "BnbConfig", "solve_lp", "solve_milp",
-    "LinearEpsilon", "assemble", "assemble_model",
+    "LinearEpsilon", "assemble",
     "ReluNetwork", "TrainConfig", "train_relu_network", "fit_linear_regression",
     "__version__",
 ]

@@ -26,8 +26,8 @@ from .solver import BnbConfig, solve_milp
 from .spacecraft import OracleResult, SizingParams, generate_dataset, \
     solve_exact_oracle, surrogate_target
 from .surrogate import LinearSurrogate, ReluNetwork, TrainConfig, \
-    TrainingDivergence, fit_linear_regression, forward, load_surrogate, \
-    train_relu_network
+    TrainingDivergence, _r_squared, fit_linear_regression, forward, \
+    load_surrogate, train_relu_network
 
 # held-out fit below this is treated as a poorly trained instance in studies
 R2_EXCLUSION = 0.98
@@ -174,8 +174,7 @@ def _holdout_r2(sur, target, seed: int, box: tuple[float, float]) -> float:
         pred = xs * float(sur.beta[0]) + sur.intercept
     else:
         pred = forward(sur, xs)
-    sst = float(np.sum((truth - truth.mean()) ** 2))
-    return float("nan") if sst == 0 else 1.0 - float(np.sum((pred - truth) ** 2)) / sst
+    return _r_squared(pred, truth)
 
 
 def _oracle_for(scenario: Scenario, params: SizingParams) -> OracleResult | None:

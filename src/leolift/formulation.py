@@ -342,10 +342,6 @@ def assemble(scenario: Scenario, closure) -> tuple[MilpModel, FlowVariables]:
     return model, fv
 
 
-def assemble_model(scenario: Scenario, closure) -> MilpModel:
-    return assemble(scenario, closure)[0]
-
-
 def net_inflow(fv: FlowVariables, sol: Solution, label: str, node: str,
                t: int) -> float:
     """Delivered amount of a label at (node, t): inflow minus outflow."""

@@ -1,18 +1,19 @@
 """MILP intermediate representation: variables, linear rows, objective.
 
 All formulation and surrogate-embedding passes accumulate into a `MilpModel`.
-The model converts to an all-inequality standard form for the solver, checks
-candidate assignments row by row, and exports fixed-format MPS (plus a small
-reader so exported files can be round-tripped and handed to other solvers).
+The model compiles to one ranged-row sparse form that the solver, the row
+audit and the fixed-format MPS writer all read (plus a small reader so
+exported files can be round-tripped and handed to other solvers).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 VAR_KINDS = ("continuous", "integer", "binary")
 SENSES = ("<=", "=", ">=")
@@ -67,20 +68,20 @@ class Solution:
 
 @dataclass
 class StandardForm:
-    """minimize c@x  s.t.  A@x <= b,  lb <= x <= ub, integrality mask.
+    """minimize c@x  s.t.  row_lo <= A@x <= row_hi,  lb <= x <= ub, integrality mask.
 
-    row_origin maps each standard-form row back to (constraint index, sign)
-    where sign is +1 for the as-is row and -1 for the negated half of an
-    equality or >= row.
+    Row i of the CSR matrix `A` is constraint i of the model: a `<=` row has
+    row_lo = -inf, a `>=` row has row_hi = +inf and an equality row has
+    row_lo == row_hi.
     """
 
-    A: np.ndarray
-    b: np.ndarray
+    A: csr_array
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     is_int: np.ndarray
-    row_origin: list[tuple[int, int]] = field(default_factory=list)
 
 
 class MilpModel:
@@ -164,66 +165,37 @@ class MilpModel:
                 values[v.id] = assignment[v.id]
             except (KeyError, IndexError):
                 raise ModelError(f"assignment misses variable {v.name!r} (id {v.id})")
-        out = []
-        for idx, con in enumerate(self.constraints):
-            lhs = sum(c * values[v] for v, c in con.terms)
-            if con.sense == "<=":
-                viol = lhs - con.rhs
-            elif con.sense == ">=":
-                viol = con.rhs - lhs
-            else:
-                viol = abs(lhs - con.rhs)
-            if viol > tol:
-                out.append(Violation(idx, con.tag, viol))
-        return out
+        sf = self.to_standard_form()
+        lhs = sf.A @ values
+        viol = np.maximum(lhs - sf.row_hi, sf.row_lo - lhs)
+        return [Violation(int(i), self.constraints[i].tag, float(viol[i]))
+                for i in np.nonzero(viol > tol)[0]]
 
     # -- conversions -------------------------------------------------------
 
     def to_standard_form(self) -> StandardForm:
-        """Rewrite every row as <=; equalities become a <= / >= pair."""
-        n = len(self.variables)
-        rows, rhs, origin = [], [], []
-        for idx, con in enumerate(self.constraints):
-            dense = np.zeros(n)
-            for v, c in con.terms:
-                dense[v] = c
-            if con.sense in ("<=", "="):
-                rows.append(dense)
-                rhs.append(con.rhs)
-                origin.append((idx, 1))
-            if con.sense in (">=", "="):
-                rows.append(-dense)
-                rhs.append(-con.rhs)
-                origin.append((idx, -1))
-        A = np.array(rows) if rows else np.zeros((0, n))
+        """Compile the model: one CSR row per constraint, ranged row bounds."""
+        n, m = len(self.variables), len(self.constraints)
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.fromiter((len(con.terms) for con in self.constraints),
+                              dtype=np.intp, count=m), out=indptr[1:])
+        flat = [t for con in self.constraints for t in con.terms]
+        cols = np.fromiter((v for v, _ in flat), dtype=np.intp, count=len(flat))
+        vals = np.fromiter((c for _, c in flat), dtype=float, count=len(flat))
+        A = csr_array((vals, cols, indptr), shape=(m, n))
+        row_lo = np.array([-INF if con.sense == "<=" else con.rhs
+                           for con in self.constraints], dtype=float)
+        row_hi = np.array([INF if con.sense == ">=" else con.rhs
+                           for con in self.constraints], dtype=float)
         c = np.zeros(n)
         for v, coeff in self.objective.items():
             c[v] = coeff
-        lb = np.array([v.lower for v in self.variables]) if n else np.zeros(0)
-        ub = np.array([v.upper for v in self.variables]) if n else np.zeros(0)
+        lb = np.fromiter((v.lower for v in self.variables), dtype=float, count=n)
+        ub = np.fromiter((v.upper for v in self.variables), dtype=float, count=n)
         is_int = np.array([v.kind != "continuous" for v in self.variables], dtype=bool)
-        return StandardForm(A, np.array(rhs), c, lb, ub, is_int, origin)
+        return StandardForm(A, row_lo, row_hi, c, lb, ub, is_int)
 
     # -- export ------------------------------------------------------------
-
-    def write_lp(self) -> str:
-        """Human-readable dump for debugging; not a parseable LP file."""
-        def term_str(terms):
-            parts = []
-            for v, c in terms:
-                name = self.variables[v].name
-                parts.append(f"{'+' if c >= 0 else '-'} {abs(c):g} {name}")
-            return " ".join(parts) if parts else "0"
-
-        lines = [f"\\ model {self.name}", "minimize:"]
-        lines.append("  " + term_str(sorted(self.objective.items())))
-        lines.append("subject to:")
-        for con in self.constraints:
-            lines.append(f"  [{con.tag}] {term_str(con.terms)} {con.sense} {con.rhs:g}")
-        lines.append("bounds:")
-        for v in self.variables:
-            lines.append(f"  {v.lower:g} <= {v.name} <= {v.upper:g}  ({v.kind})")
-        return "\n".join(lines) + "\n"
 
     def export_mps(self, path: str):
         """Write fixed-format MPS plus a `<path>.names` truncation map.
@@ -235,6 +207,9 @@ class MilpModel:
         """
         short_rows = _shorten([f"C{i}_{c.tag}" for i, c in enumerate(self.constraints)])
         short_cols = _shorten([v.name for v in self.variables])
+        sf = self.to_standard_form()
+        cols = sf.A.tocsc()
+        cols.sort_indices()
 
         def num(x: float) -> str:
             if x == INF:
@@ -260,12 +235,12 @@ class MilpModel:
                 marker_n += 1
                 in_int = False
             entries = []
-            if v.id in self.objective and self.objective[v.id] != 0.0:
-                entries.append(("OBJ", self.objective[v.id]))
-            for i, con in enumerate(self.constraints):
-                for vid, coeff in con.terms:
-                    if vid == v.id and coeff != 0.0:
-                        entries.append((short_rows[i], coeff))
+            if sf.c[v.id] != 0.0:
+                entries.append(("OBJ", sf.c[v.id]))
+            span = slice(cols.indptr[v.id], cols.indptr[v.id + 1])
+            for i, coeff in zip(cols.indices[span], cols.data[span]):
+                if coeff != 0.0:
+                    entries.append((short_rows[i], coeff))
             if not entries:
                 entries.append(("OBJ", 0.0))  # keep empty columns visible
             for row_name, coeff in entries:
@@ -336,7 +311,7 @@ def read_mps(path: str) -> MilpModel:
     model = MilpModel()
     section = None
     row_sense: dict[str, str] = {}
-    row_order: list[str] = []
+    row_terms: dict[str, list[tuple[int, float]]] = {}
     obj_row = None
     col_ids: dict[str, int] = {}
     col_kind: dict[str, str] = {}
@@ -363,7 +338,7 @@ def read_mps(path: str) -> MilpModel:
                     obj_row = rname
                 else:
                     row_sense[rname] = {"L": "<=", "G": ">=", "E": "="}[code]
-                    row_order.append(rname)
+                    row_terms[rname] = []
             elif section == "COLUMNS":
                 if len(tok) >= 3 and tok[1] == "'MARKER'":
                     integer_mode = tok[2] == "'INTORG'"
@@ -410,13 +385,10 @@ def read_mps(path: str) -> MilpModel:
             if rname == obj_row:
                 if coeff != 0.0:
                     model.add_objective_term(vid, coeff)
+            elif rname in row_terms:
+                row_terms[rname].append((vid, coeff))
 
-    for rname in row_order:
-        terms = []
-        for cname, cid in col_ids.items():
-            for ename, coeff in entries[cname]:
-                if ename == rname:
-                    terms.append((cid, coeff))
+    for rname, terms in row_terms.items():
         model.add_constraint(terms, row_sense[rname], rhs.get(rname, 0.0),
                              tag=name_map["rows"].get(rname, rname))
     return model

@@ -21,15 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import eye_array, hstack
 
-from .milp_ir import MilpModel, Solution, StandardForm
+from .milp_ir import FEAS_TOL, INT_TOL, MilpModel, Solution, StandardForm
 
 INF = math.inf
 
-FEAS_TOL = 1e-7
 DJ_TOL = 1e-7
 PIVOT_TOL = 1e-9
-INT_TOL = 1e-6
 GAP_TOL = 1e-6
 REFACTOR_EVERY = 50
 STALL_LIMIT = 50
@@ -84,36 +83,22 @@ class _Problem:
     int_mask: np.ndarray  # over structural columns
 
 
-def _problem_from_standard(sf: StandardForm) -> _Problem:
+def _problem_from_form(sf: StandardForm) -> _Problem:
+    """Ranged rows become equality rows over slacks in [0, row_hi - row_lo].
+
+    A row with a finite upper end keeps its sign and b = row_hi; any other row
+    is negated, with b = -row_lo. An equality row's slack is fixed at 0.
+    """
     m, n = sf.A.shape
-    A = np.hstack([sf.A, np.eye(m)]) if m else np.zeros((0, n))
+    keep = np.isfinite(sf.row_hi)
+    folded = sf.A.copy()
+    folded.data *= np.repeat(np.where(keep, 1.0, -1.0), np.diff(folded.indptr))
+    A = hstack([folded, eye_array(m)]).toarray()
+    b = np.where(keep, sf.row_hi, -sf.row_lo)
     c = np.concatenate([sf.c, np.zeros(m)])
     lb = np.concatenate([sf.lb, np.zeros(m)])
-    ub = np.concatenate([sf.ub, np.full(m, INF)])
-    return _Problem(A, sf.b.astype(float), c, lb, ub, n, sf.is_int.copy())
-
-
-def _problem_from_model(model: MilpModel) -> _Problem:
-    """Mixed-sense rows become equality rows with sense-shaped slack bounds."""
-    n = model.num_variables()
-    m = model.num_constraints()
-    A = np.zeros((m, n + m))
-    b = np.zeros(m)
-    slack_ub = np.zeros(m)
-    for i, con in enumerate(model.constraints):
-        sign = -1.0 if con.sense == ">=" else 1.0  # fold >= into <=
-        for v, coeff in con.terms:
-            A[i, v] = sign * coeff
-        b[i] = sign * con.rhs
-        A[i, n + i] = 1.0
-        slack_ub[i] = 0.0 if con.sense == "=" else INF
-    c = np.zeros(n + m)
-    for v, coeff in model.objective.items():
-        c[v] = coeff
-    lb = np.concatenate([np.array([v.lower for v in model.variables]), np.zeros(m)])
-    ub = np.concatenate([np.array([v.upper for v in model.variables]), slack_ub])
-    int_mask = np.array([v.kind != "continuous" for v in model.variables], dtype=bool)
-    return _Problem(A, b, c, lb, ub, n, int_mask)
+    ub = np.concatenate([sf.ub, sf.row_hi - sf.row_lo])
+    return _Problem(A, b, c, lb, ub, n, sf.is_int.copy())
 
 
 class _Simplex:
@@ -441,30 +426,26 @@ def _solve_unconstrained(prob: _Problem) -> LpResult:
 
 
 def solve_lp(sf: StandardForm) -> LpResult:
-    """Solve min c@x s.t. A@x <= b, lb <= x <= ub exactly."""
-    result, _ = _solve_lp_problem(_problem_from_standard(sf))
+    """Solve min c@x s.t. row_lo <= A@x <= row_hi, lb <= x <= ub exactly."""
+    result, _ = _solve_lp_problem(_problem_from_form(sf))
     return result
 
 
 def dual_bound(result: LpResult, sf: StandardForm) -> float:
-    """Lagrangian bound from the final duals; never exceeds the optimum."""
-    m = sf.A.shape[0]
+    """Lagrangian bound from the final duals; never exceeds the optimum.
+
+    Duals are those of the folded rows of `_problem_from_form`. A slack's
+    reduced cost is minus its row's dual, so an inequality row's dual must
+    be nonpositive, while an equality row (slack fixed at 0) takes either sign.
+    """
+    prob = _problem_from_form(sf)
+    m = prob.A.shape[0]
     y = result.duals[:m] if result.duals is not None else np.zeros(m)
-    for i in range(m):
-        if -y[i] < -DJ_TOL:  # slack reduced cost must be nonnegative
-            return -INF
-    d = sf.c - y @ sf.A
-    bound = float(y @ sf.b)
-    for j in range(len(sf.c)):
-        if d[j] > DJ_TOL:
-            if sf.lb[j] == -INF:
-                return -INF
-            bound += d[j] * sf.lb[j]
-        elif d[j] < -DJ_TOL:
-            if sf.ub[j] == INF:
-                return -INF
-            bound += d[j] * sf.ub[j]
-    return bound
+    d = prob.c - y @ prob.A
+    at_lo, at_up = d > DJ_TOL, d < -DJ_TOL
+    if np.any(prob.lb[at_lo] == -INF) or np.any(prob.ub[at_up] == INF):
+        return -INF
+    return float(y @ prob.b + d[at_lo] @ prob.lb[at_lo] + d[at_up] @ prob.ub[at_up])
 
 
 @dataclass(order=True)
@@ -487,7 +468,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     """
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
-    prob = _problem_from_model(model)
+    prob = _problem_from_form(model.to_standard_form())
     n_struct = prob.n_struct
 
     root, root_state = _solve_lp_problem(prob)
@@ -513,21 +494,6 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     pc_sum = np.zeros((2, n_struct))
     pc_cnt = np.zeros((2, n_struct), dtype=int)
 
-    heap: list[_Node] = []
-    if root_state is not None:
-        heapq.heappush(heap, _Node(root.objective, seq, lb_ext.copy(), ub_ext.copy(),
-                                   root.basis.copy(), root.vstatus.copy(), 0))
-        seq += 1
-    else:
-        # unconstrained model: the LP solution is already integral or there
-        # is nothing to branch on row-wise; fall through with the root point
-        x = np.zeros(A_ext.shape[1])
-        x[:n_struct] = root.x
-        if _first_fractional(x, int_ids, cfg.integrality_tol) < 0:
-            return Solution(root.x, root.objective, "optimal", nodes=1,
-                            iterations=total_iters, seconds=time.monotonic() - t0)
-        raise SolverBreakdown("cannot branch without constraint rows")
-
     def pick_branch(x):
         f = x[int_ids] - np.floor(x[int_ids])
         dist = np.minimum(f, 1.0 - f)
@@ -543,6 +509,19 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                 score[k] = max(dn * f[ci], 1e-9) * max(up * (1.0 - f[ci]), 1e-9)
             return int(int_ids[cand[np.argmax(score)]])
         return int(int_ids[cand[np.argmin(np.abs(dist[cand] - 0.5))]])
+
+    heap: list[_Node] = []
+    if root_state is not None:
+        heapq.heappush(heap, _Node(root.objective, seq, lb_ext.copy(), ub_ext.copy(),
+                                   root.basis.copy(), root.vstatus.copy(), 0))
+        seq += 1
+    else:
+        # unconstrained model: the LP solution is already integral or there
+        # is nothing to branch on row-wise; fall through with the root point
+        if pick_branch(root.x) < 0:
+            return Solution(root.x, root.objective, "optimal", nodes=1,
+                            iterations=total_iters, seconds=time.monotonic() - t0)
+        raise SolverBreakdown("cannot branch without constraint rows")
 
     status = "optimal"
     while heap:
@@ -625,14 +604,6 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                         iterations=total_iters, seconds=elapsed)
     return Solution(incumbent, float(incumbent_obj), status, nodes=nodes_done,
                     iterations=total_iters, seconds=elapsed)
-
-
-def _first_fractional(x, int_ids, tol) -> int:
-    for j in int_ids:
-        f = x[j] - math.floor(x[j])
-        if min(f, 1.0 - f) > tol:
-            return int(j)
-    return -1
 
 
 def _rel_gap(incumbent: float, bound: float) -> float:

@@ -229,7 +229,7 @@ def test_criterion_9_cross_solver_check(verdict, tmp_path, lunar, linreg51):
     model.export_mps(str(path))
     sf = read_mps(str(path)).to_standard_form()
     res = scipy_milp(c=sf.c,
-                     constraints=LinearConstraint(sf.A, -np.inf, sf.b),
+                     constraints=LinearConstraint(sf.A, sf.row_lo, sf.row_hi),
                      integrality=sf.is_int.astype(int),
                      bounds=Bounds(sf.lb, sf.ub))
     rel = abs(res.fun - ours.objective) / max(1.0, abs(ours.objective))

@@ -101,21 +101,21 @@ class TestEvaluate:
 
 
 class TestStandardForm:
-    def test_ge_row_negated(self):
+    def test_ge_row_is_open_above(self):
         m = MilpModel()
         x = m.add_variable("x")
         m.add_constraint([(x, 1.0)], ">=", 2.0)
         sf = m.to_standard_form()
-        assert sf.A.tolist() == [[-1.0]] and sf.b.tolist() == [-2.0]
+        assert sf.A.toarray().tolist() == [[1.0]]
+        assert (sf.row_lo[0], sf.row_hi[0]) == (2.0, math.inf)
 
-    def test_equality_becomes_two_rows(self):
+    def test_equality_is_one_closed_row(self):
         m = MilpModel()
         x = m.add_variable("x")
         m.add_constraint([(x, 1.0)], "=", 3.0)
         sf = m.to_standard_form()
-        assert sf.A.tolist() == [[1.0], [-1.0]]
-        assert sf.b.tolist() == [3.0, -3.0]
-        assert sf.row_origin == [(0, 1), (0, -1)]
+        assert sf.A.toarray().tolist() == [[1.0]]
+        assert sf.row_lo.tolist() == [3.0] and sf.row_hi.tolist() == [3.0]
 
     def test_shapes_track_model(self):
         m = MilpModel()
@@ -124,7 +124,9 @@ class TestStandardForm:
         m.add_constraint([(ids[2], 1.0)], ">=", 0.5)
         m.add_constraint([(ids[3], 1.0), (ids[0], -1.0)], "=", 0.0)
         sf = m.to_standard_form()
-        assert sf.A.shape == (4, 4)  # <=1, >=1, = gives 2
+        assert sf.A.shape == (3, 4)  # one row per constraint
+        assert sf.row_lo.tolist() == [-math.inf, 0.5, 0.0]
+        assert sf.row_hi.tolist() == [1.0, math.inf, 0.0]
         assert sf.c.shape == (4,) and sf.is_int.shape == (4,)
 
     def test_feasibility_agrees_with_evaluate(self):
@@ -141,7 +143,9 @@ class TestStandardForm:
             for _ in range(10):
                 x = rng.uniform(-5, 5, n)
                 via_model = m.evaluate(x, tol=1e-9) == []
-                via_sf = bool((sf.A @ x <= sf.b + 1e-9).all())
+                lhs = sf.A @ x
+                via_sf = bool(((sf.row_lo - 1e-9 <= lhs)
+                               & (lhs <= sf.row_hi + 1e-9)).all())
                 assert via_model == via_sf
 
 
@@ -165,7 +169,7 @@ class TestMpsExport:
         text = path.read_text()
         assert text.count("'INTORG'") == 1 and text.count("'INTEND'") == 1
 
-    def test_roundtrip_reproduces_model_exactly(self, tmp_path):
+    def test_roundtrip_reproduces_model_exactly(self, tmp_path, lunar, linreg51):
         rng = np.random.default_rng(11)
         m = MilpModel("rt")
         kinds = ["continuous", "integer", "binary", "continuous", "integer"]
@@ -182,18 +186,27 @@ class TestMpsExport:
             m.add_constraint(terms, sense, round(float(rng.normal()), 6), tag=f"t{i}")
         m.add_objective_term(ids[0], 1.25)
         m.add_objective_term(ids[3], -2.5)
-        path = tmp_path / "rt.mps"
-        m.export_mps(str(path))
-        m2 = read_mps(str(path))
+        campaign, _ = assemble(lunar, linreg51)
 
-        assert m2.num_variables() == m.num_variables()
-        for v, v2 in zip(m.variables, m2.variables):
-            assert (v.kind, v.lower, v.upper) == (v2.kind, v2.lower, v2.upper)
-        assert m2.num_constraints() == m.num_constraints()
-        for c, c2 in zip(m.constraints, m2.constraints):
-            assert c.sense == c2.sense and c.rhs == c2.rhs
-            assert dict(c.terms) == dict(c2.terms)
-        assert m2.objective == m.objective
+        def kind(v):  # MPS has no binary kind: a 0/1 integer reads back binary
+            if v.kind == "integer" and (v.lower, v.upper) == (0.0, 1.0):
+                return "binary"
+            return v.kind
+
+        for model in (m, campaign):
+            path = tmp_path / f"{model.name}.mps"
+            model.export_mps(str(path))
+            m2 = read_mps(str(path))
+
+            assert m2.num_variables() == model.num_variables()
+            for v, v2 in zip(model.variables, m2.variables):
+                assert (v.name, kind(v), v.lower, v.upper) == \
+                    (v2.name, v2.kind, v2.lower, v2.upper)
+            assert m2.num_constraints() == model.num_constraints()
+            for c, c2 in zip(model.constraints, m2.constraints):
+                assert (c.sense, c.rhs, c.tag) == (c2.sense, c2.rhs, c2.tag)
+                assert dict(c.terms) == dict(c2.terms)
+            assert m2.objective == model.objective
 
     def test_name_sidecar_restores_tags(self, tmp_path):
         m = MilpModel()

@@ -152,6 +152,28 @@ class TestSimplexRandom:
             # at a simplex optimum the bound is tight
             assert bound == pytest.approx(res.objective, abs=1e-6)
 
+    def test_dual_bound_mixed_senses(self):
+        """Equality rows carry duals of either sign; the bound stays valid
+        and tight when rows mix <=, >= and =."""
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            A, _, c, lb, ub = random_box_lp(rng)
+            x0 = rng.uniform(lb, ub)
+            senses = [("<=", ">=", "=")[int(rng.integers(3))] for _ in A]
+            sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses])
+            b = A @ x0 + sign * rng.uniform(0.0, 2.0, len(A))
+            sf = lp_from_dense(A, senses, b, c, lb, ub).to_standard_form()
+            res = solve_lp(sf)
+            ineq, eq = sign != 0.0, sign == 0.0
+            ref = linprog(c, A_ub=sign[ineq, None] * A[ineq], b_ub=sign[ineq] * b[ineq],
+                          A_eq=A[eq], b_eq=b[eq], bounds=list(zip(lb, ub)),
+                          method="highs")
+            assert res.status == "optimal" and ref.status == 0
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+            bound = dual_bound(res, sf)
+            assert bound <= res.objective + 1e-7
+            assert bound == pytest.approx(res.objective, abs=1e-6)
+
 
 class TestBranchAndBound:
     def test_knapsack_toy(self):
@@ -340,7 +362,7 @@ cli.solve_milp = capture
 rep = cli.run_pipeline(cli.build_parser().parse_args(
     ["--surrogate", "nn", "--seed", "12"]))
 sf = models[0].to_standard_form()
-ref = milp(c=sf.c, constraints=LinearConstraint(sf.A, -float("inf"), sf.b),
+ref = milp(c=sf.c, constraints=LinearConstraint(sf.A, sf.row_lo, sf.row_hi),
            integrality=sf.is_int.astype(int), bounds=Bounds(sf.lb, sf.ub),
            options={"mip_rel_gap": 1e-9})
 sol = rep.solution
@@ -374,3 +396,31 @@ class TestDualCycling:
         assert got["highs_status"] == 0, got
         assert got["objective"] == pytest.approx(got["highs_objective"], rel=1e-6)
         assert got["iterations"] < 5000, got
+
+
+class TestRootLp:
+    def test_nn_seed_5_root_lp_matches_highs(self, monkeypatch):
+        """The root relaxation of the bundled campaign with the NN closure
+        trained on seed 5. The all-`<=` form that wrote each equality row
+        twice drove phase 1 onto a singular basis and reported this LP
+        infeasible; the ranged-row form solves it."""
+        from scipy.optimize import Bounds, LinearConstraint, milp
+        from leolift import cli
+
+        models = []
+        solve = cli.solve_milp
+
+        def capture(model, cfg=None, node_log=None):
+            models.append(model)
+            return solve(model, cfg, node_log)
+
+        monkeypatch.setattr(cli, "solve_milp", capture)
+        cli.run_pipeline(cli.build_parser().parse_args(
+            ["--surrogate", "nn", "--seed", "5"]))
+        sf = models[0].to_standard_form()
+        res = solve_lp(sf)
+        assert res.status == "optimal", res.status
+        ref = milp(c=sf.c, constraints=LinearConstraint(sf.A, sf.row_lo, sf.row_hi),
+                   bounds=Bounds(sf.lb, sf.ub))
+        assert ref.status == 0, ref.message
+        assert res.objective == pytest.approx(ref.fun, rel=1e-9)
