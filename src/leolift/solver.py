@@ -1,15 +1,17 @@
 """Exact MILP solving at desk scale.
 
-LP relaxations are solved by a dense revised simplex over bounded variables:
-the basis inverse is kept explicitly, updated in product form each pivot and
-rebuilt from an LU factorization every `REFACTOR_EVERY` pivots. Phase 1 uses
-artificial columns; Dantzig pricing switches to Bland's rule when the
-objective stalls. Branch-and-bound explores nodes best-bound-first and warm
-starts each child from the parent basis through a bounded dual simplex, which
-guards against cycling the same way: after `STALL_LIMIT` pivots in a row that
-leave the dual objective flat it takes the dual Bland rule (lowest-index
-infeasible basic variable leaves, lowest-index min-ratio column enters) until
-a pivot makes progress.
+LP relaxations are solved by a revised simplex over bounded variables on a
+sparse constraint matrix. The basis is never inverted: it is held as a sparse
+LU factorization (SuperLU, through `scipy.sparse.linalg.splu`) plus a
+product-form eta file with one column per pivot, and refactored from scratch
+every `REFACTOR_EVERY` pivots. `ftran` and `btran` solve with B and its
+transpose through both. Phase 1 uses artificial columns; Dantzig pricing
+switches to Bland's rule when the objective stalls. Branch-and-bound
+explores nodes best-bound-first and warm starts each child from the parent
+basis through a bounded dual simplex, which guards against cycling the same
+way: after `STALL_LIMIT` pivots in a row that leave the dual objective flat
+it takes the dual Bland rule (lowest-index infeasible basic variable leaves,
+lowest-index min-ratio column enters) until a pivot makes progress.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import eye_array, hstack
+from scipy.sparse import csc_array, eye_array, hstack
+from scipy.sparse.linalg import splu
 
 from .milp_ir import FEAS_TOL, INT_TOL, MilpModel, Solution, StandardForm
 
@@ -70,11 +72,12 @@ class BnbConfig:
 class _Problem:
     """Equality form A@x == b over structural + slack columns.
 
-    Slack of row i sits at column n_struct + i. Artificial columns, when
-    phase 1 needs them, are appended after the slacks.
+    `A` is a CSC array. Slack of row i sits at column n_struct + i.
+    Artificial columns, when phase 1 needs them, are appended after the
+    slacks.
     """
 
-    A: np.ndarray
+    A: csc_array
     b: np.ndarray
     c: np.ndarray
     lb: np.ndarray
@@ -93,7 +96,7 @@ def _problem_from_form(sf: StandardForm) -> _Problem:
     keep = np.isfinite(sf.row_hi)
     folded = sf.A.copy()
     folded.data *= np.repeat(np.where(keep, 1.0, -1.0), np.diff(folded.indptr))
-    A = hstack([folded, eye_array(m)]).toarray()
+    A = hstack([folded, eye_array(m)], format="csc")
     b = np.where(keep, sf.row_hi, -sf.row_lo)
     c = np.concatenate([sf.c, np.zeros(m)])
     lb = np.concatenate([sf.lb, np.zeros(m)])
@@ -102,39 +105,74 @@ def _problem_from_form(sf: StandardForm) -> _Problem:
 
 
 class _Simplex:
-    """Revised simplex state: basis, bound statuses, explicit basis inverse.
+    """Revised simplex state: basis, bound statuses, factored basis.
 
-    Bounds are per-instance so branch-and-bound nodes can tighten them while
-    sharing the constraint matrix.
+    The basis matrix B = A[:, basis] is kept as a sparse LU factorization of
+    the basis at the last refactor plus an eta file: each pivot since then
+    appends the entering column in the old basis, alpha = B⁻¹a, and its pivot
+    row r, so B⁻¹ is the product of one elementary matrix per pivot and the
+    LU solve. Bounds are per-instance so branch-and-bound nodes can tighten
+    them while sharing the constraint matrix.
     """
 
     def __init__(self, A, b, lb, ub):
         self.A = A
+        self.AT = A.T  # CSR view of the CSC matrix, for pricing
         self.b = b
         self.lb = lb.copy()
         self.ub = ub.copy()
         self.m, self.n = A.shape
         self.basis = np.zeros(self.m, dtype=int)
         self.status = np.full(self.n, AT_LO, dtype=np.int8)
-        self.Binv = np.eye(self.m)
         self.x = np.zeros(self.n)
         self.iterations = 0
-        self._pivots_since_refactor = 0
+        self._lu = None
+        self._etas = []  # (row r, pivot alpha[r], other nonzero rows, their alpha)
 
     # -- linear algebra ----------------------------------------------------
 
     def refactor(self):
+        self._etas = []
         if self.m == 0:
             return
-        B = self.A[:, self.basis]
         try:
-            lu, piv = lu_factor(B)
-            self.Binv = lu_solve((lu, piv), np.eye(self.m))
-        except Exception as exc:
+            lu = splu(self.A[:, self.basis])
+        except RuntimeError as exc:
             raise SolverBreakdown(f"singular basis: {exc}") from exc
-        if not np.all(np.isfinite(self.Binv)):
-            raise SolverBreakdown("singular basis (non-finite inverse)")
-        self._pivots_since_refactor = 0
+        pivots = lu.U.diagonal()
+        if not np.all(np.isfinite(pivots)) or np.any(pivots == 0.0):
+            raise SolverBreakdown("singular basis (zero or non-finite pivot)")
+        self._lu = lu
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """B⁻¹v: the LU solve, then the eta file oldest first."""
+        x = self._lu.solve(v)
+        for r, pe, idx, vals in self._etas:
+            xr = x[r] / pe
+            if xr != 0.0:
+                x[idx] -= xr * vals
+            x[r] = xr
+        return x
+
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        """B⁻ᵀv: the eta file newest first, then the transposed LU solve."""
+        w = np.array(v, dtype=float)
+        for r, pe, idx, vals in reversed(self._etas):
+            w[r] = (w[r] - w[idx] @ vals) / pe
+        return self._lu.solve(w, trans="T")
+
+    def tableau_row(self, r: int) -> np.ndarray:
+        """Row r of B⁻¹A over every column."""
+        unit = np.zeros(self.m)
+        unit[r] = 1.0
+        return self.AT @ self.btran(unit)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of A, dense."""
+        col = np.zeros(self.m)
+        lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
+        col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
+        return col
 
     def nonbasic_value(self, j: int) -> float:
         s = self.status[j]
@@ -153,17 +191,17 @@ class _Simplex:
         xn = self.nonbasic_values()
         self.x = xn
         if self.m:
-            self.x[self.basis] = self.Binv @ (self.b - self.A @ xn)
+            self.x[self.basis] = self.ftran(self.b - self.A @ xn)
 
     def _pivot_update(self, r: int, alpha: np.ndarray):
+        """Record the pivot that put the column with B⁻¹a = alpha in row r."""
         pe = alpha[r]
         if abs(pe) < PIVOT_TOL:
             raise SolverBreakdown(f"pivot element {pe:.2e} below tolerance")
-        row = self.Binv[r, :] / pe
-        self.Binv -= np.outer(alpha, row)
-        self.Binv[r, :] = row
-        self._pivots_since_refactor += 1
-        if self._pivots_since_refactor >= REFACTOR_EVERY:
+        idx = np.flatnonzero(alpha)
+        idx = idx[idx != r]
+        self._etas.append((r, pe, idx, alpha[idx]))
+        if len(self._etas) >= REFACTOR_EVERY:
             self.refactor()
             self.recompute_x()
 
@@ -176,8 +214,8 @@ class _Simplex:
         self.recompute_x()
         for _ in range(max_iter):
             self.iterations += 1
-            y = cost[self.basis] @ self.Binv if self.m else np.zeros(0)
-            d = cost - y @ self.A if self.m else cost.copy()
+            y = self.btran(cost[self.basis]) if self.m else np.zeros(0)
+            d = cost - self.AT @ y if self.m else cost.copy()
             movable = self.ub > self.lb
             elig = movable & (
                 ((self.status == AT_LO) & (d < -DJ_TOL))
@@ -195,32 +233,10 @@ class _Simplex:
             if self.status[j] == AT_UP or (self.status[j] == NB_FREE and d[j] > 0):
                 direction = -1.0
 
-            alpha = self.Binv @ self.A[:, j] if self.m else np.zeros(0)
-            # ratio test: nearest blocking basic bound, or the entering
-            # variable's own opposite bound (a bound flip)
-            t_best = self.ub[j] - self.lb[j]
-            block = -1
-            for i in range(self.m):
-                a = direction * alpha[i]
-                bi = self.basis[i]
-                if a > PIVOT_TOL:
-                    if self.lb[bi] == -INF:
-                        continue
-                    lim = (self.x[bi] - self.lb[bi]) / a
-                elif a < -PIVOT_TOL:
-                    if self.ub[bi] == INF:
-                        continue
-                    lim = (self.x[bi] - self.ub[bi]) / a
-                else:
-                    continue
-                lim = max(lim, 0.0)
-                if lim < t_best - 1e-12 or (
-                    block >= 0
-                    and lim < t_best + 1e-9
-                    and abs(alpha[i]) > abs(alpha[block])
-                ):
-                    t_best = lim
-                    block = i
+            alpha = self.ftran(self.column(j)) if self.m else np.zeros(0)
+            block, t_best = _ratio_test(direction * alpha, self.x[self.basis],
+                                        self.lb[self.basis], self.ub[self.basis],
+                                        self.ub[j] - self.lb[j])
             if block < 0 and t_best == INF:
                 return "unbounded"
 
@@ -271,9 +287,9 @@ class _Simplex:
             self.iterations += 1
             below = viol_lo[r] >= viol_hi[r]
 
-            y = cost[self.basis] @ self.Binv
-            d = cost - y @ self.A
-            w = self.Binv[r, :] @ self.A
+            y = self.btran(cost[self.basis])
+            d = cost - self.AT @ y
+            w = self.tableau_row(r)
             movable = (self.status != BASIC) & (self.ub > self.lb)
             at_lo = movable & ((self.status == AT_LO) | (self.status == NB_FREE))
             at_up = movable & ((self.status == AT_UP) | (self.status == NB_FREE))
@@ -296,13 +312,37 @@ class _Simplex:
                 stall = 0
                 bland = False
 
-            alpha = self.Binv @ self.A[:, e]
+            alpha = self.ftran(self.column(e))
             leave = self.basis[r]
             self.status[leave] = AT_LO if below else AT_UP
             self.basis[r] = e
             self.status[e] = BASIC
             self._pivot_update(r, alpha)
         raise SolverBreakdown(f"dual simplex exceeded {max_iter} iterations")
+
+
+def _ratio_test(a: np.ndarray, xb: np.ndarray, lb_b: np.ndarray,
+                ub_b: np.ndarray, t_best: float) -> tuple[int, float]:
+    """Primal ratio test along the basic step -a per unit of entering move.
+
+    Returns the blocking row and step: the nearest basic bound, or (-1,
+    t_best) when none is nearer than the entering variable's own opposite
+    bound at distance `t_best` (a bound flip, or unbounded if that is inf).
+    Rows whose limits tie within 1e-9 go to the largest |a|, scanning rows in
+    index order.
+    """
+    up = a > PIVOT_TOL
+    down = a < -PIVOT_TOL
+    rows = np.flatnonzero((up & (lb_b != -INF)) | (down & (ub_b != INF)))
+    ar = a[rows]
+    bound = np.where(up[rows], lb_b[rows], ub_b[rows])
+    lims = np.maximum((xb[rows] - bound) / ar, 0.0)
+    block, block_abs = -1, 0.0
+    for i, lim, abs_a in zip(rows.tolist(), lims.tolist(), np.abs(ar).tolist()):
+        if lim < t_best - 1e-12 or (
+                block >= 0 and lim < t_best + 1e-9 and abs_a > block_abs):
+            t_best, block, block_abs = lim, i, abs_a
+    return block, t_best
 
 
 def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
@@ -320,7 +360,7 @@ def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
     xn = state.nonbasic_values()
     resid = state.b - state.A @ xn if m else np.zeros(0)
 
-    art_cols, art_ids = [], []
+    art_rows, art_signs, art_ids = [], [], []
     for i in range(m):
         slack = slack_offset + i
         lo_ok = resid[i] >= state.lb[slack] - FEAS_TOL
@@ -329,39 +369,46 @@ def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
             state.basis[i] = slack
             state.status[slack] = BASIC
         else:
-            col = np.zeros(m)
-            col[i] = 1.0 if not hi_ok else -1.0
-            art_cols.append(col)
+            art_rows.append(i)
+            art_signs.append(1.0 if not hi_ok else -1.0)
             art_ids.append(state.n + len(art_ids))
             state.basis[i] = art_ids[-1]
 
-    if art_cols:
-        state.A = np.hstack([state.A, np.array(art_cols).T])
-        state.lb = np.concatenate([state.lb, np.zeros(len(art_cols))])
-        state.ub = np.concatenate([state.ub, np.full(len(art_cols), INF)])
+    if art_ids:
+        k = len(art_ids)
+        art = csc_array((art_signs, (art_rows, np.arange(k))), shape=(m, k))
+        state.A = hstack([state.A, art], format="csc")
+        state.AT = state.A.T
+        state.lb = np.concatenate([state.lb, np.zeros(k)])
+        state.ub = np.concatenate([state.ub, np.full(k, INF)])
         state.status = np.concatenate(
-            [state.status, np.full(len(art_cols), BASIC, dtype=np.int8)])
+            [state.status, np.full(k, BASIC, dtype=np.int8)])
         state.n = state.A.shape[1]
     state.refactor()
     return art_ids
 
 
+def _drive_out_column(row: np.ndarray, status: np.ndarray,
+                      is_art: np.ndarray) -> int:
+    """Lowest-index nonbasic, non-artificial column with |row| > 1e-7 in the
+    tableau row of a basic artificial; -1 if there is none."""
+    cand = np.flatnonzero((np.abs(row) > 1e-7) & (status != BASIC) & ~is_art)
+    return int(cand[0]) if cand.size else -1
+
+
 def _drive_out_artificials(state: _Simplex, art_ids: list[int]):
-    art_set = set(art_ids)
+    is_art = np.zeros(state.n, dtype=bool)
+    is_art[art_ids] = True
     for i in range(state.m):
-        if state.basis[i] in art_set:
-            row = state.Binv[i, :] @ state.A
-            for j in range(state.n):
-                if j in art_set or state.status[j] == BASIC:
-                    continue
-                if abs(row[j]) > 1e-7:
-                    alpha = state.Binv @ state.A[:, j]
-                    old = state.basis[i]
-                    state.status[old] = AT_LO
-                    state.basis[i] = j
-                    state.status[j] = BASIC
-                    state._pivot_update(i, alpha)
-                    break
+        if is_art[state.basis[i]]:
+            j = _drive_out_column(state.tableau_row(i), state.status, is_art)
+            if j >= 0:
+                alpha = state.ftran(state.column(j))
+                old = state.basis[i]
+                state.status[old] = AT_LO
+                state.basis[i] = j
+                state.status[j] = BASIC
+                state._pivot_update(i, alpha)
     # artificials may never move again, basic (redundant row) or not
     for a in art_ids:
         state.lb[a] = state.ub[a] = 0.0
@@ -398,7 +445,7 @@ def _solve_lp_problem(prob: _Problem):
     if status == "unbounded":
         return LpResult("unbounded", np.zeros(n_struct), -INF, state.iterations), state
     cost_full = np.concatenate([prob.c, np.zeros(state.n - len(prob.c))])
-    duals = cost_full[state.basis] @ state.Binv
+    duals = state.btran(cost_full[state.basis])
     result = LpResult("optimal", state.x[:n_struct].copy(),
                       float(cost_full @ state.x), state.iterations,
                       duals=duals, basis=state.basis.copy(),
@@ -441,7 +488,7 @@ def dual_bound(result: LpResult, sf: StandardForm) -> float:
     prob = _problem_from_form(sf)
     m = prob.A.shape[0]
     y = result.duals[:m] if result.duals is not None else np.zeros(m)
-    d = prob.c - y @ prob.A
+    d = prob.c - prob.A.T @ y
     at_lo, at_up = d > DJ_TOL, d < -DJ_TOL
     if np.any(prob.lb[at_lo] == -INF) or np.any(prob.ub[at_up] == INF):
         return -INF

@@ -47,6 +47,20 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error:") and "no vehicles" in err
 
+    def test_vehicles_with_different_sizing_exit_1(self, tmp_path, capsys, lunar_text):
+        doc = json.loads(lunar_text)
+        tug = dict(doc["vehicles"][0], id="tug", isp_s=450.0)
+        doc["vehicles"].append(tug)
+        doc["demands"].append({"commodity": "tug", "node": "Earth", "time": 0,
+                               "amount": 1})
+        path = tmp_path / "two_vehicles.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, ["--scenario", str(path),
+                                           "--surrogate", "linreg"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "differ" in err
+
     def test_parse_train_range(self):
         assert _parse_train_range("0:50000:1000") == (0.0, 50000.0, 1000.0)
         for bad in ("1:2", "2:1:1", "0:10:0", "a:b:c"):
