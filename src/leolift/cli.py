@@ -334,7 +334,7 @@ def _render_study(summary: SeedStudySummary, fmt: str) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.trials > 1:
+        if args.trials != 1:
             summary = run_seed_study(args)
             print(_render_study(summary, args.report))
             solved = any(r["status"] == "optimal" for r in summary.rows)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .milp_ir import MilpModel, Solution
 from .scenario import Scenario, TimeExpandedNetwork, expand_time_network
+from .spacecraft import SizingParams
 from .surrogate import (LinearSurrogate, ReluNetwork, embed_network,
                         propagate_bounds)
 
@@ -29,7 +30,7 @@ PROPELLANT = "propellant"
 STRUCT = "structure"
 
 # dry-mass contribution per kg of payload capacity in the sizing closure
-PAYLOAD_SIZING_COEFF = 2.3931
+PAYLOAD_SIZING_COEFF = SizingParams.payload_coeff
 
 
 class FormulationError(ValueError):

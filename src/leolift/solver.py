@@ -48,24 +48,18 @@ class LpResult:
     x: np.ndarray  # structural variable values
     objective: float
     iterations: int
-    duals: np.ndarray | None = None
     basis: np.ndarray | None = None
     vstatus: np.ndarray | None = None
 
 
 @dataclass
 class BnbConfig:
-    integrality_tol: float = INT_TOL
-    gap_tol: float = GAP_TOL
     node_limit: int = 100000
     time_limit: float = INF
-    branching: str = "most-fractional"  # or "pseudo-cost"
 
     def __post_init__(self):
         if self.node_limit <= 0 or self.time_limit <= 0:
             raise ValueError("BnbConfig limits must be positive")
-        if self.branching not in ("most-fractional", "pseudo-cost"):
-            raise ValueError(f"unknown branching rule {self.branching!r}")
 
 
 @dataclass
@@ -156,6 +150,8 @@ class _Simplex:
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         """B⁻ᵀv: the eta file newest first, then the transposed LU solve."""
+        if self.m == 0:
+            return np.zeros(0)
         w = np.array(v, dtype=float)
         for r, pe, idx, vals in reversed(self._etas):
             w[r] = (w[r] - w[idx] @ vals) / pe
@@ -214,8 +210,8 @@ class _Simplex:
         self.recompute_x()
         for _ in range(max_iter):
             self.iterations += 1
-            y = self.btran(cost[self.basis]) if self.m else np.zeros(0)
-            d = cost - self.AT @ y if self.m else cost.copy()
+            y = self.btran(cost[self.basis])
+            d = cost - self.AT @ y
             movable = self.ub > self.lb
             elig = movable & (
                 ((self.status == AT_LO) & (d < -DJ_TOL))
@@ -358,7 +354,7 @@ def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
         else:
             state.status[j] = NB_FREE
     xn = state.nonbasic_values()
-    resid = state.b - state.A @ xn if m else np.zeros(0)
+    resid = state.b - state.A @ xn
 
     art_rows, art_signs, art_ids = [], [], []
     for i in range(m):
@@ -434,10 +430,12 @@ def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
 
 
 def _solve_lp_problem(prob: _Problem):
-    """Two-phase solve; returns (LpResult, final state or None)."""
+    """Two-phase solve; returns (LpResult, final state).
+
+    A problem without rows takes the same path: its basis is empty, so the
+    primal simplex only moves variables between their bounds.
+    """
     n_struct = prob.n_struct
-    if prob.A.shape[0] == 0:
-        return _solve_unconstrained(prob), None
     state = _Simplex(prob.A, prob.b, prob.lb, prob.ub)
     status = _two_phase(state, prob.c, n_struct)
     if status == "infeasible":
@@ -445,54 +443,16 @@ def _solve_lp_problem(prob: _Problem):
     if status == "unbounded":
         return LpResult("unbounded", np.zeros(n_struct), -INF, state.iterations), state
     cost_full = np.concatenate([prob.c, np.zeros(state.n - len(prob.c))])
-    duals = state.btran(cost_full[state.basis])
     result = LpResult("optimal", state.x[:n_struct].copy(),
                       float(cost_full @ state.x), state.iterations,
-                      duals=duals, basis=state.basis.copy(),
-                      vstatus=state.status.copy())
+                      basis=state.basis.copy(), vstatus=state.status.copy())
     return result, state
-
-
-def _solve_unconstrained(prob: _Problem) -> LpResult:
-    n = prob.A.shape[1]
-    x = np.zeros(n)
-    for j in range(n):
-        if prob.c[j] > 0:
-            if prob.lb[j] == -INF:
-                return LpResult("unbounded", x[: prob.n_struct], -INF, 0)
-            x[j] = prob.lb[j]
-        elif prob.c[j] < 0:
-            if prob.ub[j] == INF:
-                return LpResult("unbounded", x[: prob.n_struct], -INF, 0)
-            x[j] = prob.ub[j]
-        else:
-            x[j] = min(max(0.0, prob.lb[j]), prob.ub[j])
-    return LpResult("optimal", x[: prob.n_struct].copy(), float(prob.c @ x), 0,
-                    duals=np.zeros(0), basis=np.zeros(0, dtype=int),
-                    vstatus=np.full(n, AT_LO, dtype=np.int8))
 
 
 def solve_lp(sf: StandardForm) -> LpResult:
     """Solve min c@x s.t. row_lo <= A@x <= row_hi, lb <= x <= ub exactly."""
     result, _ = _solve_lp_problem(_problem_from_form(sf))
     return result
-
-
-def dual_bound(result: LpResult, sf: StandardForm) -> float:
-    """Lagrangian bound from the final duals; never exceeds the optimum.
-
-    Duals are those of the folded rows of `_problem_from_form`. A slack's
-    reduced cost is minus its row's dual, so an inequality row's dual must
-    be nonpositive, while an equality row (slack fixed at 0) takes either sign.
-    """
-    prob = _problem_from_form(sf)
-    m = prob.A.shape[0]
-    y = result.duals[:m] if result.duals is not None else np.zeros(m)
-    d = prob.c - prob.A.T @ y
-    at_lo, at_up = d > DJ_TOL, d < -DJ_TOL
-    if np.any(prob.lb[at_lo] == -INF) or np.any(prob.ub[at_up] == INF):
-        return -INF
-    return float(y @ prob.b + d[at_lo] @ prob.lb[at_lo] + d[at_up] @ prob.ub[at_up])
 
 
 @dataclass(order=True)
@@ -510,8 +470,9 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                node_log=None) -> Solution:
     """Best-bound branch-and-bound over the model's integer variables.
 
-    Branches on the most fractional variable (ties to the lowest index) or,
-    when configured, by pseudo-cost scores learned from bound degradations.
+    Branches on the most fractional variable, ties to the lowest index. A
+    node is pruned when its bound is within `GAP_TOL` (relative) of the
+    incumbent; a variable within `INT_TOL` of an integer counts as integral.
     """
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
@@ -526,10 +487,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                         iterations=total_iters, seconds=time.monotonic() - t0)
 
     # reuse the (possibly artificial-extended) arrays from the root solve
-    if root_state is not None:
-        A_ext, lb_ext, ub_ext = root_state.A, root_state.lb, root_state.ub
-    else:
-        A_ext, lb_ext, ub_ext = prob.A, prob.lb, prob.ub
+    A_ext = root_state.A
     cost_full = np.concatenate([prob.c, np.zeros(A_ext.shape[1] - len(prob.c))])
     int_ids = np.nonzero(prob.int_mask)[0]
 
@@ -537,38 +495,18 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     incumbent_obj = INF
     best_bound = root.objective
     nodes_done = 0
-    seq = 0
-    pc_sum = np.zeros((2, n_struct))
-    pc_cnt = np.zeros((2, n_struct), dtype=int)
+    seq = 1
 
     def pick_branch(x):
         f = x[int_ids] - np.floor(x[int_ids])
         dist = np.minimum(f, 1.0 - f)
-        cand = np.nonzero(dist > cfg.integrality_tol)[0]
+        cand = np.nonzero(dist > INT_TOL)[0]
         if cand.size == 0:
             return -1
-        if cfg.branching == "pseudo-cost":
-            score = np.empty(cand.size)
-            for k, ci in enumerate(cand):
-                j = int_ids[ci]
-                dn = pc_sum[0, j] / pc_cnt[0, j] if pc_cnt[0, j] else 1.0
-                up = pc_sum[1, j] / pc_cnt[1, j] if pc_cnt[1, j] else 1.0
-                score[k] = max(dn * f[ci], 1e-9) * max(up * (1.0 - f[ci]), 1e-9)
-            return int(int_ids[cand[np.argmax(score)]])
         return int(int_ids[cand[np.argmin(np.abs(dist[cand] - 0.5))]])
 
-    heap: list[_Node] = []
-    if root_state is not None:
-        heapq.heappush(heap, _Node(root.objective, seq, lb_ext.copy(), ub_ext.copy(),
-                                   root.basis.copy(), root.vstatus.copy(), 0))
-        seq += 1
-    else:
-        # unconstrained model: the LP solution is already integral or there
-        # is nothing to branch on row-wise; fall through with the root point
-        if pick_branch(root.x) < 0:
-            return Solution(root.x, root.objective, "optimal", nodes=1,
-                            iterations=total_iters, seconds=time.monotonic() - t0)
-        raise SolverBreakdown("cannot branch without constraint rows")
+    heap = [_Node(root.objective, 0, root_state.lb.copy(), root_state.ub.copy(),
+                  root.basis.copy(), root.vstatus.copy(), 0)]
 
     status = "optimal"
     while heap:
@@ -577,7 +515,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             break
         node = heapq.heappop(heap)
         best_bound = max(best_bound, min(node.bound, incumbent_obj))
-        if incumbent is not None and node.bound >= incumbent_obj - cfg.gap_tol * max(
+        if incumbent is not None and node.bound >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
             continue
         nodes_done += 1
@@ -609,7 +547,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                      f"{_rel_gap(incumbent_obj, best_bound):.3e}")
         if st in ("infeasible", "unbounded"):
             continue
-        if incumbent is not None and lp_obj >= incumbent_obj - cfg.gap_tol * max(
+        if incumbent is not None and lp_obj >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
             continue
 
@@ -625,7 +563,6 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             child_basis, child_vstatus = state.basis, state.status
         else:
             child_basis, child_vstatus = root.basis, root.vstatus
-        frac = state.x[j] - math.floor(state.x[j])
         for side, bound_val in enumerate((math.floor(state.x[j]),
                                           math.ceil(state.x[j]))):
             lb2, ub2 = node.lb.copy(), node.ub.copy()
@@ -640,9 +577,6 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                                        child_vstatus.copy(),
                                        node.depth + 1))
             seq += 1
-            step = frac if side == 0 else 1.0 - frac
-            pc_sum[side, j] += max(lp_obj - node.bound, 0.0) / max(step, 1e-6)
-            pc_cnt[side, j] += 1
 
     elapsed = time.monotonic() - t0
     if incumbent is None:

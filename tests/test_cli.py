@@ -213,6 +213,12 @@ class TestSeedStudy:
             run_seed_study(build_parser().parse_args(
                 ["--surrogate", "linreg", "--trials", "0"]))
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_nonpositive_trials_exit_1(self, capsys, trials):
+        code, _, err = run_main(capsys, ["--surrogate", "linreg", "--trials", trials])
+        assert code == 1
+        assert "error: --trials must be >= 1" in err
+
     def test_exclusion_threshold_is_strict(self):
         assert R2_EXCLUSION == 0.98
 

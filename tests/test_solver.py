@@ -17,7 +17,7 @@ from scipy.sparse import random_array as sparse_random
 import leolift
 from leolift import solver
 from leolift.milp_ir import MilpModel
-from leolift.solver import BnbConfig, dual_bound, solve_lp, solve_milp
+from leolift.solver import BnbConfig, solve_lp, solve_milp
 
 from helpers import (exhaustive_milp_min, model_from_dense, random_box_lp,
                      vertex_enumeration_min)
@@ -144,20 +144,9 @@ class TestSimplexRandom:
                 for j in range(n)]
         np.testing.assert_array_equal(state.nonbasic_values(), loop)
 
-    def test_dual_bound_weak_duality(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            A, b, c, lb, ub = random_box_lp(rng)
-            sf = lp_from_dense(A, ["<="] * len(b), b, c, lb, ub).to_standard_form()
-            res = solve_lp(sf)
-            bound = dual_bound(res, sf)
-            assert bound <= res.objective + 1e-7
-            # at a simplex optimum the bound is tight
-            assert bound == pytest.approx(res.objective, abs=1e-6)
-
-    def test_dual_bound_mixed_senses(self):
-        """Equality rows carry duals of either sign; the bound stays valid
-        and tight when rows mix <=, >= and =."""
+    def test_mixed_senses_match_linprog(self):
+        """Rows mixing <=, >= and = fold to one sign convention; the optimum
+        matches HiGHS."""
         rng = np.random.default_rng(31)
         for _ in range(30):
             A, _, c, lb, ub = random_box_lp(rng)
@@ -173,9 +162,6 @@ class TestSimplexRandom:
                           method="highs")
             assert res.status == "optimal" and ref.status == 0
             assert res.objective == pytest.approx(ref.fun, abs=1e-7)
-            bound = dual_bound(res, sf)
-            assert bound <= res.objective + 1e-7
-            assert bound == pytest.approx(res.objective, abs=1e-6)
 
 
 def ratio_test_loop(a, xb, lb_b, ub_b, t_best):
@@ -364,6 +350,17 @@ class TestBranchAndBound:
         sol = solve_milp(m)
         assert sol.status == "unbounded"
 
+    def test_no_rows_fractional_bound_branches(self):
+        # min x over the integers in [0.5, 3]: the relaxation stops at 0.5,
+        # so a model without rows must branch too
+        m = MilpModel()
+        x = m.add_variable("x", "integer", 0.5, 3.0)
+        m.add_objective_term(x, 1.0)
+        sol = solve_milp(m)
+        assert sol.status == "optimal"
+        assert sol.values[x] == pytest.approx(1.0, abs=1e-9)
+        assert sol.objective == pytest.approx(1.0, abs=1e-9)
+
     def test_agrees_with_exhaustive_enumeration(self):
         rng = np.random.default_rng(5)
         for trial in range(25):
@@ -380,21 +377,6 @@ class TestBranchAndBound:
             else:
                 assert sol.status == "optimal", f"trial {trial}"
                 assert sol.objective == pytest.approx(ref, abs=1e-7), f"trial {trial}"
-
-    def test_pseudo_cost_branching_same_optimum(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            A, b, c, lb, ub = random_box_lp(rng, max_vars=5, max_rows=4)
-            n = len(c)
-            kinds = ["integer" if j % 2 == 0 else "continuous" for j in range(n)]
-            ub_i = np.array([math.floor(u) if kinds[j] == "integer" else u
-                             for j, u in enumerate(ub)])
-            m = model_from_dense(A, ["<="] * len(b), b, c, lb, ub_i, kinds)
-            base = solve_milp(m)
-            alt = solve_milp(m, BnbConfig(branching="pseudo-cost"))
-            assert alt.status == base.status
-            if base.status == "optimal":
-                assert alt.objective == pytest.approx(base.objective, abs=1e-7)
 
     def test_integral_solution_values(self):
         rng = np.random.default_rng(29)
@@ -469,8 +451,6 @@ class TestNodeLogAndLimits:
             BnbConfig(node_limit=0)
         with pytest.raises(ValueError):
             BnbConfig(time_limit=0.0)
-        with pytest.raises(ValueError):
-            BnbConfig(branching="strong")
 
 
 # Runs the bundled campaign with the NN closure trained on seed 12, capturing
@@ -526,6 +506,32 @@ class TestDualCycling:
         assert got["highs_status"] == 0, got
         assert got["objective"] == pytest.approx(got["highs_objective"], rel=1e-6)
         assert got["iterations"] < 5000, got
+
+    # The LP dual of a 2-row, 4-column example after Hall & McKinnon (2004),
+    # on which the primal simplex cycles under Dantzig's rule: every cost is 0,
+    # so every dual ratio is 0, and from the slack basis the leaving row of
+    # maximum infeasibility and the largest-|w| entering column walk a cycle
+    # of six bases. HiGHS calls it infeasible.
+    HM_A = np.array([[-0.4, 7.8], [-0.2, 1.4], [1.4, -7.8], [0.2, -0.4]])
+    HM_B = np.array([-2.3, -2.15, 13.55, 0.4])
+
+    def _hm_dual(self):
+        m, n = self.HM_A.shape
+        state = solver._Simplex(csc_array(np.hstack([self.HM_A, np.eye(m)])),
+                                self.HM_B, np.zeros(n + m), np.full(n + m, INF))
+        state.basis = np.arange(n, n + m)  # slacks: dual feasible at y = 0
+        state.status[state.basis] = solver.BASIC
+        state.refactor()
+        return state.dual(np.zeros(n + m), max_iter=1000)
+
+    def test_dual_bland_switch_ends_degenerate_cycle(self, monkeypatch):
+        ref = linprog(np.zeros(2), A_ub=self.HM_A, b_ub=self.HM_B,
+                      bounds=[(0, None)] * 2, method="highs")
+        assert ref.status == 2
+        assert self._hm_dual() == "infeasible"
+        monkeypatch.setattr(solver, "STALL_LIMIT", 10**9)
+        with pytest.raises(solver.SolverBreakdown, match="exceeded"):
+            self._hm_dual()
 
 
 class TestRootLp:
