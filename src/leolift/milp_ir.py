@@ -60,7 +60,7 @@ class Solution:
 
     values: np.ndarray
     objective: float
-    status: str  # optimal | infeasible | unbounded | limit
+    status: str  # optimal | infeasible | unbounded | limit | numerical
     nodes: int = 0
     iterations: int = 0
     seconds: float = 0.0

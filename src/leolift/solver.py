@@ -6,12 +6,23 @@ LU factorization (SuperLU, through `scipy.sparse.linalg.splu`) plus a
 product-form eta file with one column per pivot, and refactored from scratch
 every `REFACTOR_EVERY` pivots. `ftran` and `btran` solve with B and its
 transpose through both. Phase 1 uses artificial columns; Dantzig pricing
-switches to Bland's rule when the objective stalls. Branch-and-bound
-explores nodes best-bound-first and warm starts each child from the parent
-basis through a bounded dual simplex, which guards against cycling the same
-way: after `STALL_LIMIT` pivots in a row that leave the dual objective flat
-it takes the dual Bland rule (lowest-index infeasible basic variable leaves,
-lowest-index min-ratio column enters) until a pivot makes progress.
+switches to Bland's rule when the objective stalls.
+
+Branch-and-bound explores nodes best-bound-first and warm starts each child
+from the parent basis through a bounded dual simplex. The dual keeps the
+basic values x_B and the reduced costs d across pivots, updating them from
+the pivot row and column, so an iteration makes one `btran` and one `ftran`;
+both are recomputed from the factorization at every refactor. The entering
+column comes from a Harris two-pass ratio test, and a pivot whose row and
+column disagree, or whose element is tiny, triggers a refactor instead; on a
+fresh factorization it is a `SolverBreakdown`, and the node falls back to a
+cold two-phase solve. The dual guards against cycling like the primal: after
+`STALL_LIMIT` pivots in a row that leave the dual objective flat it takes
+the dual Bland rule (lowest-index infeasible basic variable leaves,
+lowest-index min-ratio column enters) until a pivot makes progress. A
+breakdown the cold solve cannot recover, or an incumbent that fails the
+final check against the model's rows, bounds and integrality, ends the solve
+with the `numerical` status.
 """
 
 from __future__ import annotations
@@ -31,6 +42,9 @@ INF = math.inf
 
 DJ_TOL = 1e-7
 PIVOT_TOL = 1e-9
+# a dual pivot needs |w_e| at least this, and its row (w_e) and column
+# (alpha_r) to agree to this relative tolerance
+STABLE_PIVOT = 1e-7
 GAP_TOL = 1e-6
 REFACTOR_EVERY = 50
 STALL_LIMIT = 50
@@ -119,6 +133,7 @@ class _Simplex:
         self.basis = np.zeros(self.m, dtype=int)
         self.status = np.full(self.n, AT_LO, dtype=np.int8)
         self.x = np.zeros(self.n)
+        self.d = np.zeros(self.n)  # reduced costs, kept by the dual simplex
         self.iterations = 0
         self._lu = None
         self._etas = []  # (row r, pivot alpha[r], other nonzero rows, their alpha)
@@ -183,23 +198,42 @@ class _Simplex:
         return np.where(self.status == AT_LO, self.lb,
                         np.where(self.status == AT_UP, self.ub, 0.0))
 
+    def price(self, cost: np.ndarray) -> np.ndarray:
+        """Reduced costs cost - Aᵀy, with y = B⁻ᵀcost_B, over every column."""
+        return cost - self.AT @ self.btran(cost[self.basis])
+
+    def improving(self, d: np.ndarray) -> np.ndarray:
+        """Mask of the nonbasic columns whose reduced cost d lets the
+        objective fall: the ones the primal simplex may enter."""
+        movable = self.ub > self.lb
+        return movable & (
+            ((self.status == AT_LO) & (d < -DJ_TOL))
+            | ((self.status == AT_UP) & (d > DJ_TOL))
+            | ((self.status == NB_FREE) & (np.abs(d) > DJ_TOL))
+        )
+
     def recompute_x(self):
         xn = self.nonbasic_values()
         self.x = xn
         if self.m:
             self.x[self.basis] = self.ftran(self.b - self.A @ xn)
 
-    def _pivot_update(self, r: int, alpha: np.ndarray):
-        """Record the pivot that put the column with B⁻¹a = alpha in row r."""
+    def _pivot_update(self, r: int, alpha: np.ndarray) -> bool:
+        """Record the pivot that put the column with B⁻¹a = alpha in row r.
+
+        Every `REFACTOR_EVERY` pivots this refactors and recomputes x; it
+        returns whether it did."""
         pe = alpha[r]
         if abs(pe) < PIVOT_TOL:
             raise SolverBreakdown(f"pivot element {pe:.2e} below tolerance")
         idx = np.flatnonzero(alpha)
         idx = idx[idx != r]
         self._etas.append((r, pe, idx, alpha[idx]))
-        if len(self._etas) >= REFACTOR_EVERY:
-            self.refactor()
-            self.recompute_x()
+        if len(self._etas) < REFACTOR_EVERY:
+            return False
+        self.refactor()
+        self.recompute_x()
+        return True
 
     # -- primal simplex ----------------------------------------------------
 
@@ -210,15 +244,8 @@ class _Simplex:
         self.recompute_x()
         for _ in range(max_iter):
             self.iterations += 1
-            y = self.btran(cost[self.basis])
-            d = cost - self.AT @ y
-            movable = self.ub > self.lb
-            elig = movable & (
-                ((self.status == AT_LO) & (d < -DJ_TOL))
-                | ((self.status == AT_UP) & (d > DJ_TOL))
-                | ((self.status == NB_FREE) & (np.abs(d) > DJ_TOL))
-            )
-            idx = np.nonzero(elig)[0]
+            d = self.price(cost)
+            idx = np.nonzero(self.improving(d))[0]
             if idx.size == 0:
                 return "optimal"
             if bland:
@@ -263,28 +290,50 @@ class _Simplex:
     # -- dual simplex ------------------------------------------------------
 
     def dual(self, cost: np.ndarray, max_iter: int = 50000) -> str:
-        """Restore primal feasibility from a dual-feasible basis."""
+        """Restore primal feasibility from a dual-feasible basis.
+
+        Returns "feasible" or "infeasible". Both verdicts are read from an x
+        freshly recomputed from the factorization. Between them the basic
+        values `x` and the reduced costs `d` are updated at each pivot:
+        x_B -= t·alpha along the entering column alpha = B⁻¹a_e, and
+        d -= (d_e / w_e)·w along the pivot row w = e_rᵀB⁻¹A. Each iteration
+        makes one `btran` (the row) and one `ftran` (the column); both x and
+        d are recomputed on entry and after every refactor.
+
+        The entering column comes from a Harris two-pass ratio test: the
+        largest |w| among the columns whose ratio |d|/|w| lies within the
+        widest step that keeps every d inside `DJ_TOL` of its sign. A pivot
+        with |w_e| below `STABLE_PIVOT`, or whose alpha_r and w_e disagree by
+        more than `STABLE_PIVOT` relative, is not taken: the basis is
+        refactored and priced again. On a fresh factorization that is a
+        `SolverBreakdown`.
+        """
+        self.recompute_x()
+        self.d = self.price(cost)
         if self.m == 0:
             return "feasible"
         bland = False
         stall = 0
+        fresh = True  # x was just recomputed, not updated
         for _ in range(max_iter):
-            self.recompute_x()
             xb = self.x[self.basis]
             viol_lo = self.lb[self.basis] - xb
             viol_hi = xb - self.ub[self.basis]
             viol = np.maximum(viol_lo, viol_hi)
             r = int(np.argmax(viol))
             if viol[r] <= FEAS_TOL:
-                return "feasible"
+                if fresh:
+                    return "feasible"
+                self.recompute_x()
+                fresh = True
+                continue
             if bland:  # infeasible row whose basic variable has the lowest index
                 rows = np.nonzero(viol > FEAS_TOL)[0]
                 r = int(rows[np.argmin(self.basis[rows])])
             self.iterations += 1
             below = viol_lo[r] >= viol_hi[r]
 
-            y = self.btran(cost[self.basis])
-            d = cost - self.AT @ y
+            d = self.d
             w = self.tableau_row(r)
             movable = (self.status != BASIC) & (self.ub > self.lb)
             at_lo = movable & ((self.status == AT_LO) | (self.status == NB_FREE))
@@ -295,12 +344,33 @@ class _Simplex:
                 elig = (at_lo & (w > PIVOT_TOL)) | (at_up & (w < -PIVOT_TOL))
             cand = np.nonzero(elig)[0]
             if cand.size == 0:
-                return "infeasible"
-            theta = np.abs(d[cand]) / np.abs(w[cand])
-            near = cand[theta <= theta.min() + 1e-9]
-            e = int(near[0]) if bland else int(near[np.argmax(np.abs(w[near]))])
+                if fresh:
+                    return "infeasible"
+                self.recompute_x()
+                fresh = True
+                continue
+            abs_w = np.abs(w[cand])
+            theta = np.abs(d[cand]) / abs_w
+            if bland:
+                e = int(cand[theta <= theta.min() + 1e-9][0])
+            else:  # Harris: widest step within DJ_TOL, then the largest |w|
+                near = theta <= ((np.abs(d[cand]) + DJ_TOL) / abs_w).min()
+                e = int(cand[near][np.argmax(abs_w[near])])
 
-            if theta.min() * viol[r] <= 1e-10:
+            alpha = self.ftran(self.column(e))
+            if abs(w[e]) < STABLE_PIVOT or \
+                    abs(alpha[r] - w[e]) > STABLE_PIVOT * abs(w[e]):
+                if not self._etas:
+                    raise SolverBreakdown(
+                        f"unstable pivot: row {w[e]:.3e}, column {alpha[r]:.3e}")
+                self.refactor()
+                self.recompute_x()
+                self.d = self.price(cost)
+                fresh = True
+                continue
+
+            step = d[e] / w[e]
+            if abs(step) * viol[r] <= 1e-10:
                 stall += 1
                 if stall >= STALL_LIMIT:
                     bland = True
@@ -308,12 +378,20 @@ class _Simplex:
                 stall = 0
                 bland = False
 
-            alpha = self.ftran(self.column(e))
             leave = self.basis[r]
+            target = self.lb[leave] if below else self.ub[leave]
+            t = (xb[r] - target) / alpha[r]
+            self.x[self.basis] -= t * alpha
+            self.x[e] += t
+            self.x[leave] = target
+            d -= step * w
+            d[e] = 0.0
             self.status[leave] = AT_LO if below else AT_UP
             self.basis[r] = e
             self.status[e] = BASIC
-            self._pivot_update(r, alpha)
+            fresh = self._pivot_update(r, alpha)
+            if fresh:
+                self.d = self.price(cost)
         raise SolverBreakdown(f"dual simplex exceeded {max_iter} iterations")
 
 
@@ -473,13 +551,22 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     Branches on the most fractional variable, ties to the lowest index. A
     node is pruned when its bound is within `GAP_TOL` (relative) of the
     incumbent; a variable within `INT_TOL` of an integer counts as integral.
+    Node 0 is the root LP itself. A `SolverBreakdown` that the cold
+    two-phase solve cannot recover ends the search with status `numerical`,
+    as does an incumbent that fails `_certified`; the values are then the
+    incumbent's, if there is one.
     """
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
-    prob = _problem_from_form(model.to_standard_form())
+    sf = model.to_standard_form()
+    prob = _problem_from_form(sf)
     n_struct = prob.n_struct
 
-    root, root_state = _solve_lp_problem(prob)
+    try:
+        root, root_state = _solve_lp_problem(prob)
+    except SolverBreakdown:
+        return Solution(np.zeros(n_struct), INF, "numerical", nodes=1,
+                        seconds=time.monotonic() - t0)
     total_iters = root.iterations
     if root.status in ("infeasible", "unbounded"):
         obj = INF if root.status == "infeasible" else -INF
@@ -520,26 +607,36 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             continue
         nodes_done += 1
 
-        state = _Simplex(A_ext, prob.b, node.lb, node.ub)
-        state.basis = node.basis.copy()
-        state.status = node.vstatus.copy()
-        try:
-            state.refactor()
-            st = state.dual(cost_full)
-            if st == "feasible":
-                st = state.primal(cost_full)
-                state.recompute_x()
-        except SolverBreakdown:
-            total_iters += state.iterations  # pivots of the abandoned attempt
-            state = _Simplex(A_ext, prob.b, node.lb, node.ub)
-            st = _two_phase(state, prob.c, n_struct)
-            state_cost = np.concatenate([cost_full,
-                                         np.zeros(state.n - len(cost_full))])
+        if node.seq == 0:  # the root LP, solved above
+            state, st, state_cost = root_state, "optimal", cost_full
         else:
-            state_cost = cost_full
-        total_iters += state.iterations
+            state = _Simplex(A_ext, prob.b, node.lb, node.ub)
+            state.basis = node.basis.copy()
+            state.status = node.vstatus.copy()
+            try:
+                state.refactor()
+                st = state.dual(cost_full)
+                if st == "feasible":
+                    st = "optimal"
+                    if state.improving(state.d).any():
+                        st = state.primal(cost_full)
+                        state.recompute_x()
+            except SolverBreakdown:
+                total_iters += state.iterations  # pivots of the abandoned attempt
+                state = _Simplex(A_ext, prob.b, node.lb, node.ub)
+                try:
+                    st = _two_phase(state, prob.c, n_struct)
+                except SolverBreakdown:
+                    total_iters += state.iterations
+                    status = "numerical"
+                    break
+                state_cost = np.concatenate([cost_full,
+                                             np.zeros(state.n - len(cost_full))])
+            else:
+                state_cost = cost_full
+            total_iters += state.iterations
 
-        lp_obj = float(state_cost[: state.n] @ state.x) if st in ("optimal", "feasible") else INF
+        lp_obj = float(state_cost[: state.n] @ state.x) if st == "optimal" else INF
         if node_log is not None:
             inc_str = incumbent_obj if incumbent is not None else INF
             node_log(f"{nodes_done - 1}, {node.depth}, {lp_obj:.6f}, "
@@ -580,11 +677,23 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
 
     elapsed = time.monotonic() - t0
     if incumbent is None:
-        final = "infeasible" if status == "optimal" else "limit"
+        final = "infeasible" if status == "optimal" else status
         return Solution(np.zeros(n_struct), INF, final, nodes=nodes_done,
                         iterations=total_iters, seconds=elapsed)
+    if status == "optimal" and not _certified(sf, incumbent):
+        status = "numerical"
     return Solution(incumbent, float(incumbent_obj), status, nodes=nodes_done,
                     iterations=total_iters, seconds=elapsed)
+
+
+def _certified(sf: StandardForm, x: np.ndarray) -> bool:
+    """Whether x meets the rows and bounds of `sf` to `FEAS_TOL` and its
+    integrality to `INT_TOL`."""
+    ax = sf.A @ x
+    xi = x[sf.is_int]
+    return bool(np.all(ax >= sf.row_lo - FEAS_TOL) and np.all(ax <= sf.row_hi + FEAS_TOL)
+                and np.all(x >= sf.lb - FEAS_TOL) and np.all(x <= sf.ub + FEAS_TOL)
+                and np.all(np.abs(xi - np.round(xi)) <= INT_TOL))
 
 
 def _rel_gap(incumbent: float, bound: float) -> float:

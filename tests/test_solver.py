@@ -288,6 +288,106 @@ class TestFactoredBasis:
             state.refactor()
 
 
+class TestWarmDualState:
+    """The warm dual simplex updates x and the reduced costs d at each pivot
+    instead of recomputing them; these compare them with fresh solves."""
+
+    M, N = 12, 20
+
+    def _node(self, seed):
+        """A random bounded LP solved to optimality, and node bounds that
+        cut every basic structural variable off its optimal value, as
+        branching does: the basis stays dual feasible but turns primal
+        infeasible."""
+        rng = np.random.default_rng(seed)
+        A = np.where(rng.random((self.M, self.N)) < 0.4,
+                     rng.normal(size=(self.M, self.N)).round(3), 0.0)
+        b = A @ rng.uniform(0.0, 2.0, self.N) + rng.uniform(0.0, 2.0, self.M)
+        c = rng.normal(size=self.N).round(3)
+        m = lp_from_dense(A, ["<="] * self.M, b, c, np.zeros(self.N),
+                          rng.uniform(2.0, 6.0, self.N).round(3))
+        prob = solver._problem_from_form(m.to_standard_form())
+        _, root = solver._solve_lp_problem(prob)
+        lb, ub = root.lb.copy(), root.ub.copy()
+        for j in root.basis[root.basis < self.N]:
+            if rng.random() < 0.5:
+                ub[j] = (lb[j] + root.x[j]) / 2
+            else:
+                lb[j] = (root.x[j] + ub[j]) / 2
+        cost = np.concatenate([prob.c, np.zeros(root.n - len(prob.c))])
+        return prob, root, lb, ub, cost
+
+    def test_x_and_d_match_fresh_solves(self, monkeypatch):
+        """At every pricing, x equals B⁻¹(b - A_N x_N) and d equals c - Aᵀy
+        to 1e-9 relative, and exactly when the factorization has just been
+        refactored (which happens every third pivot here)."""
+        monkeypatch.setattr(solver, "REFACTOR_EVERY", 3)
+        nodes = [self._node(seed) for seed in range(12)]
+        counts = {"pivots": 0, "refactors": 0, "exact": 0}
+
+        def compare(state):
+            x = state.nonbasic_values()
+            x[state.basis] = state.ftran(state.b - state.A @ x)
+            d = state.price(cost)
+            if not state._etas:
+                counts["exact"] += 1
+                np.testing.assert_array_equal(state.x, x)
+                np.testing.assert_array_equal(state.d, d)
+                return
+            nb = state.status != solver.BASIC
+            np.testing.assert_allclose(state.x, x, rtol=1e-9,
+                                       atol=1e-9 * max(1.0, np.abs(x).max()))
+            np.testing.assert_allclose(state.d[nb], d[nb], rtol=1e-9,
+                                       atol=1e-9 * max(1.0, np.abs(cost).max()))
+
+        tableau_row = solver._Simplex.tableau_row
+        pivot_update = solver._Simplex._pivot_update
+
+        def checked_row(state, r):
+            compare(state)
+            return tableau_row(state, r)
+
+        def counted_pivot(state, r, alpha):
+            refactored = pivot_update(state, r, alpha)
+            counts["pivots"] += 1
+            counts["refactors"] += refactored
+            return refactored
+
+        monkeypatch.setattr(solver._Simplex, "tableau_row", checked_row)
+        monkeypatch.setattr(solver._Simplex, "_pivot_update", counted_pivot)
+        for prob, root, lb, ub, cost in nodes:
+            state = solver._Simplex(root.A, prob.b, lb, ub)
+            state.basis = root.basis.copy()
+            state.status = root.status.copy()
+            state.refactor()
+            state.dual(cost)
+            compare(state)
+        assert counts["pivots"] >= 40 and counts["refactors"] >= 10, counts
+        assert counts["exact"] > counts["refactors"], counts
+
+    def test_tiny_pivot_on_updated_basis_refactors_first(self, monkeypatch):
+        """A pivot element below `STABLE_PIVOT` is never taken: on a basis
+        with an eta file the dual refactors and prices again; on the fresh
+        factorization it raises."""
+        prob, root, lb, ub, cost = self._node(0)
+        assert root._etas  # the root solve pivoted since its last refactor
+        root.lb, root.ub = lb, ub
+        basis = root.basis.copy()
+        etas_at_refactor = []
+        refactor = solver._Simplex.refactor
+
+        def counted(state):
+            etas_at_refactor.append(len(state._etas))
+            refactor(state)
+
+        monkeypatch.setattr(solver._Simplex, "refactor", counted)
+        monkeypatch.setattr(solver, "STABLE_PIVOT", 1e9)  # every pivot is tiny
+        with pytest.raises(solver.SolverBreakdown, match="unstable pivot"):
+            root.dual(cost)
+        assert len(etas_at_refactor) == 1 and etas_at_refactor[0] > 0
+        np.testing.assert_array_equal(root.basis, basis)
+
+
 class TestBranchAndBound:
     def test_knapsack_toy(self):
         # max 5a + 4b + 3c  s.t. 2a + 3b + c <= 5, binary  -> take a and b
@@ -314,9 +414,91 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
         sol = solve_milp(m)
-        # every node falls back to a cold two-phase solve
+        # every node but the root LP (node 0, which runs no dual) falls back
+        # to a cold two-phase solve
         assert sol.objective == pytest.approx(clean.objective, abs=1e-9)
-        assert sol.iterations >= 1000 * sol.nodes
+        assert sol.nodes > 1
+        assert sol.iterations >= 1000 * (sol.nodes - 1)
+
+    def test_unrecovered_breakdown_ends_numerical(self, monkeypatch):
+        A = np.array([[2.0, 3.0, 1.0]])
+        m = model_from_dense(A, ["<="], np.array([5.0]),
+                             np.array([-5.0, -4.0, -3.0]),
+                             [0.0] * 3, [1.0] * 3, ["binary"] * 3)
+        two_phase = solver._two_phase
+        cold = []
+
+        def broken_dual(state, cost, max_iter=50000):
+            raise solver.SolverBreakdown("forced")
+
+        def broken_after_root(state, cost, slack_offset):
+            cold.append(1)
+            if len(cold) > 1:
+                raise solver.SolverBreakdown("forced")
+            return two_phase(state, cost, slack_offset)
+
+        monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
+        monkeypatch.setattr(solver, "_two_phase", broken_after_root)
+        sol = solve_milp(m)  # the first child's cold restart breaks down
+        assert sol.status == "numerical"
+        assert len(cold) == 2
+        sol = solve_milp(m)  # now the root LP breaks down too
+        assert sol.status == "numerical"
+        assert sol.objective == INF
+
+    @staticmethod
+    def _integral_root_model():
+        # min -2x - y  s.t.  x + y <= 1.5, x binary, y in [0, 1]: the root LP
+        # already has x = 1, y = 0.5
+        m = MilpModel()
+        x = m.add_variable("x", "binary")
+        y = m.add_variable("y", "continuous", 0.0, 1.0)
+        m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.5)
+        m.add_objective_term(x, -2.0)
+        m.add_objective_term(y, -1.0)
+        return m
+
+    def test_root_lp_is_node_zero(self, monkeypatch):
+        """The root LP's basis is factored only inside the root solve; node
+        0 branches from it without solving it again."""
+        solve_root = solver._solve_lp_problem
+        refactor = solver._Simplex.refactor
+        in_root = [False]
+        outside = []
+
+        def root(prob):
+            in_root[0] = True
+            try:
+                return solve_root(prob)
+            finally:
+                in_root[0] = False
+
+        def counted(state):
+            if not in_root[0]:
+                outside.append(1)
+            refactor(state)
+
+        monkeypatch.setattr(solver, "_solve_lp_problem", root)
+        monkeypatch.setattr(solver._Simplex, "refactor", counted)
+        sol = solve_milp(self._integral_root_model())
+        assert sol.status == "optimal" and sol.nodes == 1
+        assert sol.objective == pytest.approx(-2.5, abs=1e-9)
+        assert not outside
+
+    def test_corrupted_incumbent_is_not_optimal(self, monkeypatch):
+        m = self._integral_root_model()
+        assert solve_milp(m).status == "optimal"
+        two_phase = solver._two_phase
+
+        def corrupting(state, cost, slack_offset):
+            st = two_phase(state, cost, slack_offset)
+            state.x[1] += 1.0  # y leaves its box and breaks the row
+            return st
+
+        monkeypatch.setattr(solver, "_two_phase", corrupting)
+        sol = solve_milp(m)
+        assert sol.status == "numerical"
+        assert sol.values[1] == pytest.approx(1.5, abs=1e-9)
 
     def test_rounding_is_not_assumed(self):
         # LP relaxation wants x = 2.5; the integer optimum moves to a
