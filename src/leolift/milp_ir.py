@@ -62,7 +62,7 @@ class Solution:
     objective: float
     status: str  # optimal | infeasible | unbounded | limit | numerical
     nodes: int = 0
-    iterations: int = 0
+    iterations: int = 0  # simplex pivots and bound flips
     seconds: float = 0.0
 
 

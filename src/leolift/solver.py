@@ -5,8 +5,11 @@ sparse constraint matrix. The basis is never inverted: it is held as a sparse
 LU factorization (SuperLU, through `scipy.sparse.linalg.splu`) plus a
 product-form eta file with one column per pivot, and refactored from scratch
 every `REFACTOR_EVERY` pivots. `ftran` and `btran` solve with B and its
-transpose through both. Phase 1 uses artificial columns; Dantzig pricing
-switches to Bland's rule when the objective stalls.
+transpose through both. Artificial columns exist only inside phase 1: any
+still basic at its optimum gives its place to its row's slack, and they are
+cut off before phase 2, so every simplex state and branch-and-bound node works
+on the problem's own columns. Dantzig pricing switches to Bland's rule when
+the objective stalls. An iteration is a pivot or a bound flip.
 
 Branch-and-bound explores nodes best-bound-first and warm starts each child
 from the parent basis through a bounded dual simplex. The dual keeps the
@@ -16,13 +19,13 @@ both are recomputed from the factorization at every refactor. The entering
 column comes from a Harris two-pass ratio test, and a pivot whose row and
 column disagree, or whose element is tiny, triggers a refactor instead; on a
 fresh factorization it is a `SolverBreakdown`, and the node falls back to a
-cold two-phase solve. The dual guards against cycling like the primal: after
-`STALL_LIMIT` pivots in a row that leave the dual objective flat it takes
-the dual Bland rule (lowest-index infeasible basic variable leaves,
-lowest-index min-ratio column enters) until a pivot makes progress. A
-breakdown the cold solve cannot recover, or an incumbent that fails the
-final check against the model's rows, bounds and integrality, ends the solve
-with the `numerical` status.
+cold two-phase solve, whose basis its children inherit. The dual guards
+against cycling like the primal: after `STALL_LIMIT` pivots in a row that
+leave the dual objective flat it takes the dual Bland rule (lowest-index
+infeasible basic variable leaves, lowest-index min-ratio column enters) until
+a pivot makes progress. A breakdown the cold solve cannot recover, or an
+incumbent that fails the final check against the model's rows, bounds and
+integrality, ends the solve with the `numerical` status.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ class LpResult:
     x: np.ndarray  # structural variable values
     objective: float
     iterations: int
-    basis: np.ndarray | None = None
-    vstatus: np.ndarray | None = None
 
 
 @dataclass
@@ -81,8 +82,6 @@ class _Problem:
     """Equality form A@x == b over structural + slack columns.
 
     `A` is a CSC array. Slack of row i sits at column n_struct + i.
-    Artificial columns, when phase 1 needs them, are appended after the
-    slacks.
     """
 
     A: csc_array
@@ -243,7 +242,6 @@ class _Simplex:
         stall = 0
         self.recompute_x()
         for _ in range(max_iter):
-            self.iterations += 1
             d = self.price(cost)
             idx = np.nonzero(self.improving(d))[0]
             if idx.size == 0:
@@ -262,6 +260,7 @@ class _Simplex:
                                         self.ub[j] - self.lb[j])
             if block < 0 and t_best == INF:
                 return "unbounded"
+            self.iterations += 1  # a pivot or a bound flip
 
             if abs(d[j]) * t_best <= 1e-10:
                 stall += 1
@@ -330,7 +329,6 @@ class _Simplex:
             if bland:  # infeasible row whose basic variable has the lowest index
                 rows = np.nonzero(viol > FEAS_TOL)[0]
                 r = int(rows[np.argmin(self.basis[rows])])
-            self.iterations += 1
             below = viol_lo[r] >= viol_hi[r]
 
             d = self.d
@@ -369,6 +367,7 @@ class _Simplex:
                 fresh = True
                 continue
 
+            self.iterations += 1
             step = d[e] / w[e]
             if abs(step) * viol[r] <= 1e-10:
                 stall += 1
@@ -419,11 +418,11 @@ def _ratio_test(a: np.ndarray, xb: np.ndarray, lb_b: np.ndarray,
     return block, t_best
 
 
-def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
-    """Slack-or-artificial starting basis; appends artificial columns for
-    rows whose slack cannot sit inside its bounds at the all-nonbasic point.
-    Returns the ids of the appended artificials."""
-    m = state.m
+def _initial_basis(state: _Simplex,
+                   slack_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slack starting basis: every column on a bound (or free at 0), and each
+    row's slack basic where it fits its bounds at that point. Returns the rows
+    where it does not, and the sign of the artificial column each needs."""
     for j in range(state.n):
         if state.lb[j] > -INF:
             state.status[j] = AT_LO
@@ -434,8 +433,8 @@ def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
     xn = state.nonbasic_values()
     resid = state.b - state.A @ xn
 
-    art_rows, art_signs, art_ids = [], [], []
-    for i in range(m):
+    art_rows, art_signs = [], []
+    for i in range(state.m):
         slack = slack_offset + i
         lo_ok = resid[i] >= state.lb[slack] - FEAS_TOL
         hi_ok = resid[i] <= state.ub[slack] + FEAS_TOL
@@ -445,64 +444,52 @@ def _initial_basis(state: _Simplex, slack_offset: int) -> list[int]:
         else:
             art_rows.append(i)
             art_signs.append(1.0 if not hi_ok else -1.0)
-            art_ids.append(state.n + len(art_ids))
-            state.basis[i] = art_ids[-1]
+    return np.array(art_rows, dtype=int), np.array(art_signs)
 
-    if art_ids:
-        k = len(art_ids)
-        art = csc_array((art_signs, (art_rows, np.arange(k))), shape=(m, k))
-        state.A = hstack([state.A, art], format="csc")
+
+def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
+    """Two-phase primal simplex from the slack basis of `_initial_basis`.
+
+    Phase 1 appends an artificial column ±e_i for each row i whose slack
+    cannot start basic and minimizes their sum. At its optimum an artificial
+    still in the basis sits at 0, and row i's slack is nonbasic (the two
+    columns are parallel), so the slack takes its place: that flips the sign
+    of one basis column and moves no value, and one refactor covers every
+    such swap. The artificial columns are then cut off, so phase 2 and the
+    caller see only the problem's own columns; only an "infeasible" state
+    keeps them.
+    """
+    A, AT, n = state.A, state.AT, state.n
+    rows, signs = _initial_basis(state, slack_offset)
+    k = rows.size
+    if k:
+        art = csc_array((signs, (rows, np.arange(k))), shape=(state.m, k))
+        state.A = hstack([A, art], format="csc")
         state.AT = state.A.T
         state.lb = np.concatenate([state.lb, np.zeros(k)])
         state.ub = np.concatenate([state.ub, np.full(k, INF)])
         state.status = np.concatenate(
             [state.status, np.full(k, BASIC, dtype=np.int8)])
-        state.n = state.A.shape[1]
+        state.n += k
+        state.basis[rows] = n + np.arange(k)
     state.refactor()
-    return art_ids
-
-
-def _drive_out_column(row: np.ndarray, status: np.ndarray,
-                      is_art: np.ndarray) -> int:
-    """Lowest-index nonbasic, non-artificial column with |row| > 1e-7 in the
-    tableau row of a basic artificial; -1 if there is none."""
-    cand = np.flatnonzero((np.abs(row) > 1e-7) & (status != BASIC) & ~is_art)
-    return int(cand[0]) if cand.size else -1
-
-
-def _drive_out_artificials(state: _Simplex, art_ids: list[int]):
-    is_art = np.zeros(state.n, dtype=bool)
-    is_art[art_ids] = True
-    for i in range(state.m):
-        if is_art[state.basis[i]]:
-            j = _drive_out_column(state.tableau_row(i), state.status, is_art)
-            if j >= 0:
-                alpha = state.ftran(state.column(j))
-                old = state.basis[i]
-                state.status[old] = AT_LO
-                state.basis[i] = j
-                state.status[j] = BASIC
-                state._pivot_update(i, alpha)
-    # artificials may never move again, basic (redundant row) or not
-    for a in art_ids:
-        state.lb[a] = state.ub[a] = 0.0
-
-
-def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
-    art_ids = _initial_basis(state, slack_offset)
-    if art_ids:
+    if k:
         phase1 = np.zeros(state.n)
-        for a in art_ids:
-            phase1[a] = 1.0
-        st = state.primal(phase1)
-        if st == "unbounded":
+        phase1[n:] = 1.0
+        if state.primal(phase1) == "unbounded":
             raise SolverBreakdown("phase 1 reported unbounded")
         state.recompute_x()
         if phase1 @ state.x > 1e-7:
             return "infeasible"
-        _drive_out_artificials(state, art_ids)
-    full_cost = np.concatenate([cost, np.zeros(state.n - len(cost))])
-    st = state.primal(full_cost)
+        stuck = np.flatnonzero(state.basis >= n)
+        state.basis[stuck] = slack_offset + rows[state.basis[stuck] - n]
+        state.A, state.AT, state.n = A, AT, n
+        state.lb, state.ub = state.lb[:n], state.ub[:n]
+        state.status, state.x = state.status[:n], state.x[:n]
+        state.status[state.basis[stuck]] = BASIC
+        if stuck.size:
+            state.refactor()
+    st = state.primal(cost)
     state.recompute_x()
     return st
 
@@ -520,11 +507,8 @@ def _solve_lp_problem(prob: _Problem):
         return LpResult("infeasible", np.zeros(n_struct), INF, state.iterations), state
     if status == "unbounded":
         return LpResult("unbounded", np.zeros(n_struct), -INF, state.iterations), state
-    cost_full = np.concatenate([prob.c, np.zeros(state.n - len(prob.c))])
-    result = LpResult("optimal", state.x[:n_struct].copy(),
-                      float(cost_full @ state.x), state.iterations,
-                      basis=state.basis.copy(), vstatus=state.status.copy())
-    return result, state
+    return LpResult("optimal", state.x[:n_struct].copy(), float(prob.c @ state.x),
+                    state.iterations), state
 
 
 def solve_lp(sf: StandardForm) -> LpResult:
@@ -573,9 +557,6 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         return Solution(np.zeros(n_struct), obj, root.status, nodes=1,
                         iterations=total_iters, seconds=time.monotonic() - t0)
 
-    # reuse the (possibly artificial-extended) arrays from the root solve
-    A_ext = root_state.A
-    cost_full = np.concatenate([prob.c, np.zeros(A_ext.shape[1] - len(prob.c))])
     int_ids = np.nonzero(prob.int_mask)[0]
 
     incumbent = None
@@ -593,7 +574,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         return int(int_ids[cand[np.argmin(np.abs(dist[cand] - 0.5))]])
 
     heap = [_Node(root.objective, 0, root_state.lb.copy(), root_state.ub.copy(),
-                  root.basis.copy(), root.vstatus.copy(), 0)]
+                  root_state.basis.copy(), root_state.status.copy(), 0)]
 
     status = "optimal"
     while heap:
@@ -608,35 +589,31 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         nodes_done += 1
 
         if node.seq == 0:  # the root LP, solved above
-            state, st, state_cost = root_state, "optimal", cost_full
+            state, st = root_state, "optimal"
         else:
-            state = _Simplex(A_ext, prob.b, node.lb, node.ub)
+            state = _Simplex(prob.A, prob.b, node.lb, node.ub)
             state.basis = node.basis.copy()
             state.status = node.vstatus.copy()
             try:
                 state.refactor()
-                st = state.dual(cost_full)
+                st = state.dual(prob.c)
                 if st == "feasible":
                     st = "optimal"
                     if state.improving(state.d).any():
-                        st = state.primal(cost_full)
+                        st = state.primal(prob.c)
                         state.recompute_x()
             except SolverBreakdown:
                 total_iters += state.iterations  # pivots of the abandoned attempt
-                state = _Simplex(A_ext, prob.b, node.lb, node.ub)
+                state = _Simplex(prob.A, prob.b, node.lb, node.ub)
                 try:
                     st = _two_phase(state, prob.c, n_struct)
                 except SolverBreakdown:
                     total_iters += state.iterations
                     status = "numerical"
                     break
-                state_cost = np.concatenate([cost_full,
-                                             np.zeros(state.n - len(cost_full))])
-            else:
-                state_cost = cost_full
             total_iters += state.iterations
 
-        lp_obj = float(state_cost[: state.n] @ state.x) if st == "optimal" else INF
+        lp_obj = float(prob.c @ state.x) if st == "optimal" else INF
         if node_log is not None:
             inc_str = incumbent_obj if incumbent is not None else INF
             node_log(f"{nodes_done - 1}, {node.depth}, {lp_obj:.6f}, "
@@ -654,12 +631,6 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             incumbent = state.x[:n_struct].copy()
             continue
 
-        # a breakdown-recovery state can carry extra artificial columns the
-        # shared arrays do not have; fall back to the root basis for children
-        if state.n == A_ext.shape[1]:
-            child_basis, child_vstatus = state.basis, state.status
-        else:
-            child_basis, child_vstatus = root.basis, root.vstatus
         for side, bound_val in enumerate((math.floor(state.x[j]),
                                           math.ceil(state.x[j]))):
             lb2, ub2 = node.lb.copy(), node.ub.copy()
@@ -670,8 +641,8 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             if lb2[j] > ub2[j]:
                 continue
             heapq.heappush(heap, _Node(lp_obj, seq, lb2, ub2,
-                                       child_basis.copy(),
-                                       child_vstatus.copy(),
+                                       state.basis.copy(),
+                                       state.status.copy(),
                                        node.depth + 1))
             seq += 1
 

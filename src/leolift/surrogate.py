@@ -84,17 +84,11 @@ class LinearSurrogate:
     beta: np.ndarray
     intercept: float
 
-    def predict(self, x):
-        return np.asarray(x, dtype=float) @ self.beta + self.intercept if np.ndim(x) == 2 \
-            else float(np.dot(np.atleast_1d(np.asarray(x, dtype=float)), self.beta) + self.intercept)
-
 
 @dataclass
 class EmbeddingInfo:
-    omega_ids: list[int] = field(default_factory=list)
     y_ids: list[int] = field(default_factory=list)
     binary_ids: list[int] = field(default_factory=list)
-    raw_output_id: int | None = None
 
 
 def forward(net: ReluNetwork, x):
@@ -301,23 +295,9 @@ def embed_network(model: MilpModel, net: ReluNetwork, bounds: NeuronBounds,
             terms = [(w_id, 1.0)] + [(prev[j], -float(W[k, j]))
                                      for j in range(W.shape[1]) if W[k, j] != 0.0]
             model.add_constraint(terms, "=", float(b[k]), tag=f"{tag}:aff{s}_{k}")
-            info.omega_ids.append(w_id)
-            if mhi <= 0.0:  # provably inactive
-                y_id = model.add_variable(f"{tag}:y{s}_{k}", lower=0.0, upper=0.0)
-            elif mlo >= 0.0:  # provably active
-                y_id = model.add_variable(f"{tag}:y{s}_{k}", lower=mlo, upper=mhi)
-                model.add_constraint([(y_id, 1.0), (w_id, -1.0)], "=", 0.0,
-                                     tag=f"{tag}:act{s}_{k}")
-            else:
-                y_id = model.add_variable(f"{tag}:y{s}_{k}", lower=0.0, upper=mhi)
-                z_id = model.add_variable(f"{tag}:z{s}_{k}", "binary")
-                model.add_constraint([(y_id, 1.0), (w_id, -1.0)], ">=", 0.0,
-                                     tag=f"{tag}:relu{s}_{k}_a")
-                model.add_constraint([(y_id, 1.0), (w_id, -1.0), (z_id, -mlo)],
-                                     "<=", -mlo, tag=f"{tag}:relu{s}_{k}_b")
-                model.add_constraint([(y_id, 1.0), (z_id, -mhi)], "<=", 0.0,
-                                     tag=f"{tag}:relu{s}_{k}_c")
-                info.binary_ids.append(z_id)
+            y_id = model.add_variable(f"{tag}:y{s}_{k}")
+            _encode_relu(model, info, w_id, y_id, mlo, mhi, f"{tag}:z{s}_{k}",
+                         f"{tag}:act{s}_{k}", f"{tag}:relu{s}_{k}")
             info.y_ids.append(y_id)
             nxt.append(y_id)
         prev = nxt
@@ -335,23 +315,32 @@ def embed_network(model: MilpModel, net: ReluNetwork, bounds: NeuronBounds,
     raw_id = model.add_variable(f"{tag}:raw_out", lower=out_lo, upper=out_hi)
     model.add_constraint([(raw_id, 1.0)] + out_terms, "=", float(b[0]),
                          tag=f"{tag}:out")
-    info.raw_output_id = raw_id
-    _tighten(model, output_var, max(0.0, out_lo), max(0.0, out_hi))
-    if out_lo >= 0.0:
-        model.add_constraint([(output_var, 1.0), (raw_id, -1.0)], "=", 0.0,
-                             tag=f"{tag}:clamp")
-    elif out_hi <= 0.0:
-        _tighten(model, output_var, 0.0, 0.0)
-    else:
-        zc = model.add_variable(f"{tag}:z_clamp", "binary")
-        model.add_constraint([(output_var, 1.0), (raw_id, -1.0)], ">=", 0.0,
-                             tag=f"{tag}:clamp_a")
-        model.add_constraint([(output_var, 1.0), (raw_id, -1.0), (zc, -out_lo)],
-                             "<=", -out_lo, tag=f"{tag}:clamp_b")
-        model.add_constraint([(output_var, 1.0), (zc, -out_hi)], "<=", 0.0,
-                             tag=f"{tag}:clamp_c")
-        info.binary_ids.append(zc)
+    _encode_relu(model, info, raw_id, output_var, out_lo, out_hi,
+                 f"{tag}:z_clamp", f"{tag}:clamp", f"{tag}:clamp")
     return info
+
+
+def _encode_relu(model: MilpModel, info: EmbeddingInfo, x_id: int, y_id: int,
+                 lo: float, hi: float, z_name: str, act_tag: str, relu_tag: str):
+    """y = max(0, x) for x in [lo, hi].
+
+    y is tightened to [max(0, lo), max(0, hi)], which settles a neuron that
+    is never active (hi <= 0). One that is always active (lo >= 0) gets the
+    row y = x; any other gets a binary z, recorded in `info`, and the big-M
+    rows y >= x, y <= x - lo*(1-z) and y <= hi*z.
+    """
+    _tighten(model, y_id, max(0.0, lo), max(0.0, hi))
+    if hi <= 0.0:
+        return
+    if lo >= 0.0:
+        model.add_constraint([(y_id, 1.0), (x_id, -1.0)], "=", 0.0, tag=act_tag)
+        return
+    z_id = model.add_variable(z_name, "binary")
+    info.binary_ids.append(z_id)
+    model.add_constraint([(y_id, 1.0), (x_id, -1.0)], ">=", 0.0, tag=f"{relu_tag}_a")
+    model.add_constraint([(y_id, 1.0), (x_id, -1.0), (z_id, -lo)], "<=", -lo,
+                         tag=f"{relu_tag}_b")
+    model.add_constraint([(y_id, 1.0), (z_id, -hi)], "<=", 0.0, tag=f"{relu_tag}_c")
 
 
 def _tighten(model: MilpModel, vid: int, lo: float, hi: float):

@@ -97,6 +97,17 @@ class TestSimplexToy:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-7.0, abs=1e-9)
 
+    @pytest.mark.parametrize("row_rhs", [1.0, 10.0])
+    def test_iterations_count_pivots_and_bound_flips(self, row_rhs):
+        # min -x s.t. x <= row_rhs (a row), 0 <= x <= 5: the row at 1 blocks
+        # x, which takes one pivot; at 10 it does not, and x flips to its
+        # upper bound. The pricing pass that finds the optimum is no iteration.
+        m = lp_from_dense([[1.0]], ["<="], [row_rhs], [-1.0], [0.0], [5.0])
+        res = solve_lp(m.to_standard_form())
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(-min(row_rhs, 5.0), abs=1e-9)
+        assert res.iterations == 1
+
     def test_beale_cycling_example_terminates(self):
         # the classic degenerate LP that cycles under a naive pivot rule
         A = np.array([[0.25, -60.0, -1.0 / 25.0, 9.0],
@@ -190,16 +201,6 @@ def ratio_test_loop(a, xb, lb_b, ub_b, t_best):
     return block, t_best
 
 
-def drive_out_column_loop(row, status, is_art):
-    """The per-column scan `_drive_out_column` replaces, kept as its reference."""
-    for j in range(len(row)):
-        if is_art[j] or status[j] == solver.BASIC:
-            continue
-        if abs(row[j]) > 1e-7:
-            return j
-    return -1
-
-
 class TestVectorizedScans:
     def test_ratio_test_matches_row_loop(self):
         rng = np.random.default_rng(13)
@@ -217,17 +218,6 @@ class TestVectorizedScans:
             t0 = [INF, 0.0, 1.0, float(rng.uniform(0.0, 3.0))][trial % 4]
             got = solver._ratio_test(a, xb, lb_b, ub_b, t0)
             assert got == ratio_test_loop(a, xb, lb_b, ub_b, t0), f"trial {trial}"
-
-    def test_drive_out_column_matches_column_loop(self):
-        rng = np.random.default_rng(19)
-        for trial in range(300):
-            n = int(rng.integers(1, 40))
-            row = rng.choice([0.0, 1e-8, -1e-8, 0.5, -3.0], n)
-            status = rng.choice(np.array([solver.BASIC, solver.AT_LO, solver.AT_UP,
-                                          solver.NB_FREE], dtype=np.int8), n)
-            is_art = rng.random(n) < 0.3
-            assert solver._drive_out_column(row, status, is_art) == \
-                drive_out_column_loop(row, status, is_art), f"trial {trial}"
 
 
 class TestFactoredBasis:
@@ -314,8 +304,7 @@ class TestWarmDualState:
                 ub[j] = (lb[j] + root.x[j]) / 2
             else:
                 lb[j] = (root.x[j] + ub[j]) / 2
-        cost = np.concatenate([prob.c, np.zeros(root.n - len(prob.c))])
-        return prob, root, lb, ub, cost
+        return prob, root, lb, ub, prob.c
 
     def test_x_and_d_match_fresh_solves(self, monkeypatch):
         """At every pricing, x equals B⁻¹(b - A_N x_N) and d equals c - Aᵀy
@@ -445,6 +434,54 @@ class TestBranchAndBound:
         sol = solve_milp(m)  # now the root LP breaks down too
         assert sol.status == "numerical"
         assert sol.objective == INF
+
+    def test_rescued_node_passes_its_basis_to_children(self, monkeypatch):
+        """A node whose warm dual breaks down is solved cold; its children
+        warm start from that cold basis, not from the root's. Here the root
+        LP needs no artificial column and the rescued node (an up branch)
+        does."""
+        A = np.array([[3.0, -2.0, 2.0], [3.0, -3.0, -1.0]])
+        m = model_from_dense(A, ["<=", "<="], np.array([8.0, 2.0]),
+                             np.array([-2.0, -2.0, -3.0]), [0.0] * 3, [6.0] * 3,
+                             ["integer"] * 3)
+        clean = solve_milp(m)
+        dual, two_phase, node = solver._Simplex.dual, solver._two_phase, solver._Node
+        events = []
+
+        def broken_once(state, cost, max_iter=50000):
+            events.append(("dual", None))
+            # the first up branch's dual, while only the root LP was solved cold
+            if np.any(state.lb[:3] > 0) and sum(e[0] == "cold" for e in events) == 1:
+                raise solver.SolverBreakdown("forced")
+            return dual(state, cost, max_iter)
+
+        def cold(state, cost, slack_offset):
+            st = two_phase(state, cost, slack_offset)
+            events.append(("cold", state.basis.copy()))
+            return st
+
+        def pushed(*args):
+            events.append(("node", args[4].copy()))  # the node's basis
+            return node(*args)
+
+        monkeypatch.setattr(solver._Simplex, "dual", broken_once)
+        monkeypatch.setattr(solver, "_two_phase", cold)
+        monkeypatch.setattr(solver, "_Node", pushed)
+        sol = solve_milp(m)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(clean.objective, abs=1e-9)
+        colds = [i for i, e in enumerate(events) if e[0] == "cold"]
+        assert len(colds) == 2  # the root LP and the rescued node
+        root_basis, rescued_basis = events[colds[0]][1], events[colds[1]][1]
+        assert not np.array_equal(rescued_basis, root_basis)
+        children = []
+        for kind, basis in events[colds[1] + 1:]:
+            if kind != "node":
+                break
+            children.append(basis)
+        assert children
+        for basis in children:
+            np.testing.assert_array_equal(basis, rescued_basis)
 
     @staticmethod
     def _integral_root_model():
@@ -742,6 +779,48 @@ class TestRootLp:
                    bounds=Bounds(sf.lb, sf.ub))
         assert ref.status == 0, ref.message
         assert res.objective == pytest.approx(ref.fun, rel=1e-9)
+
+
+class TestPhaseOne:
+    def test_redundant_row_leaves_the_problem_columns(self):
+        """x + y = 1 and 2x + 2y = 2 each start on an artificial column; the
+        second row is redundant, so one artificial is still basic (at 0)
+        at the phase-1 optimum. It gives its place to its row's slack, and
+        the final state has only the 2 structural and 2 slack columns."""
+        A = np.array([[1.0, 1.0], [2.0, 2.0]])
+        m = lp_from_dense(A, ["=", "="], [1.0, 2.0], [1.0, 0.0], [0.0, 0.0],
+                          [INF, INF])
+        prob = solver._problem_from_form(m.to_standard_form())
+        res, state = solver._solve_lp_problem(prob)
+        assert state.n == prob.A.shape[1] == 4
+        assert state.status.size == state.x.size == state.lb.size == 4
+        assert np.all(state.basis < 4)
+        # the equality rows' slacks are fixed at 0, so no pivot enters one:
+        # a basic slack is the one the swap put there
+        assert np.any(state.basis >= 2)
+        ref = linprog([1.0, 0.0], A_eq=A, b_eq=[1.0, 2.0], method="highs")
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+        np.testing.assert_allclose(res.x, ref.x, atol=1e-9)
+
+    def test_degenerate_artificial_swap_refactors(self):
+        """min -y s.t. x + y = 1, x >= 1: phase 1 raises x to 1, where both
+        artificials reach 0 together; row 1's leaves and row 2's, the column
+        -e_2, stays basic at 0 on a row that is not redundant. Its slack
+        e_2 takes its place, which flips the sign of that basis column, so
+        the basis must be refactored: on the stale factorization phase 2
+        moves the slack the wrong way and reports y = 1 with x = 0."""
+        A = np.array([[1.0, 1.0], [1.0, 0.0]])
+        m = lp_from_dense(A, ["=", ">="], [1.0, 1.0], [0.0, -1.0], [0.0, 0.0],
+                          [INF, INF])
+        prob = solver._problem_from_form(m.to_standard_form())
+        res, state = solver._solve_lp_problem(prob)
+        assert state.n == prob.A.shape[1] == 4
+        ref = linprog([0.0, -1.0], A_ub=[[-1.0, 0.0]], b_ub=[-1.0], A_eq=[[1.0, 1.0]],
+                      b_eq=[1.0], method="highs")
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+        np.testing.assert_allclose(res.x, ref.x, atol=1e-9)
 
 
 class TestLadderTarget:
