@@ -25,12 +25,15 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .solver import BnbConfig, solve_milp
 from .spacecraft import OracleResult, SizingParams, generate_dataset, \
     solve_exact_oracle, surrogate_target
-from .surrogate import LinearSurrogate, ReluNetwork, TrainConfig, \
-    TrainingDivergence, _r_squared, fit_linear_regression, forward, \
-    load_surrogate, train_relu_network
+from .surrogate import ReluNetwork, TrainConfig, TrainingDivergence, \
+    fit_linear_regression, holdout_r2, load_surrogate, train_relu_network
 
 # held-out fit below this is treated as a poorly trained instance in studies
 R2_EXCLUSION = 0.98
+
+
+class ScenarioNotFound(FileNotFoundError):
+    """The scenario is neither a readable file nor a bundled one (exit 2)."""
 
 
 @dataclass
@@ -153,33 +156,18 @@ def _prepare_surrogate(args, params: SizingParams, seed: int):
     """Returns (closure object, kind, seed-or-None, test_r2)."""
     target = lambda v: surrogate_target(params, v)
     if args.model:
-        sur = load_surrogate(args.model)
-        if isinstance(sur, ReluNetwork):
-            if args.no_clamp:
-                sur.clamp_output = False
-            return sur, "nn", sur.seed, sur.test_r2
-        return sur, "linreg", None, _holdout_r2(sur, target, seed,
-                                                (0.0, 50000.0))
-    lo, hi, step = _parse_train_range(args.train_range)
-    data = generate_dataset(params, lo, hi, step)
-    if args.surrogate == "linreg":
-        sur = fit_linear_regression(data)
-        return sur, "linreg", None, _holdout_r2(sur, target, seed, (lo, hi))
-    net = train_relu_network(data, TrainConfig(seed=seed), target_fn=target)
-    if args.no_clamp:
-        net.clamp_output = False
-    return net, "nn", seed, net.test_r2
-
-
-def _holdout_r2(sur, target, seed: int, box: tuple[float, float]) -> float:
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(box[0], box[1], 100)
-    truth = np.array([target(v) for v in xs])
-    if isinstance(sur, LinearSurrogate):
-        pred = xs * float(sur.beta[0]) + sur.intercept
+        sur, box = load_surrogate(args.model), (0.0, 50000.0)
     else:
-        pred = forward(sur, xs)
-    return _r_squared(pred, truth)
+        lo, hi, step = _parse_train_range(args.train_range)
+        box, data = (lo, hi), generate_dataset(params, lo, hi, step)
+        sur = (fit_linear_regression(data) if args.surrogate == "linreg" else
+               train_relu_network(data, TrainConfig(seed=seed), target_fn=target))
+    if isinstance(sur, ReluNetwork):
+        if args.no_clamp:
+            sur.clamp_output = False
+        return sur, "nn", sur.seed, sur.test_r2
+    return sur, "linreg", None, holdout_r2(sur, target, box,
+                                           np.random.default_rng(seed))
 
 
 def _oracle_for(scenario: Scenario, params: SizingParams) -> OracleResult | None:
@@ -200,7 +188,7 @@ def _oracle_for(scenario: Scenario, params: SizingParams) -> OracleResult | None
 def run_pipeline(args, seed: int | None = None) -> RunReport:
     text = _resolve_scenario(args.scenario)
     if text is None:
-        raise FileNotFoundError(f"scenario not found: {args.scenario}")
+        raise ScenarioNotFound(f"scenario not found: {args.scenario}")
     scenario = load_scenario(text)
     params = _params_for(scenario)
     seed = args.seed if seed is None else seed
@@ -342,10 +330,10 @@ def main(argv=None) -> int:
         rep = run_pipeline(args)
         print(_render_report(rep, args.report))
         return 0 if rep.solution.status == "optimal" else 1
-    except FileNotFoundError as exc:
+    except ScenarioNotFound as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ScenarioError, ValueError, TrainingDivergence, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # incl. ScenarioError, TrainingDivergence
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,17 @@
 """Campaign MILP assembly on a time-expanded network.
 
 Every vehicle-flown arc (launch or transport) carries per-commodity outflow
-and inflow variables, a binary use indicator, and three auxiliaries tying
-flow capacity to the vehicle's design masses. The bilinear products
+variables, a binary use indicator, and three auxiliaries tying flow capacity
+to the vehicle's design masses. The bilinear products
 design_mass * indicator are linearized exactly with big-M rows, propellant
 burn is a constant-fraction transformation per arc, and the design triple
 (m_d, m_p, m_f) is closed either by a linear structural ratio or by an
 embedded sizing surrogate.
 
 Constraint tags follow a fixed grammar so solutions can be audited row by
-row: `eq2:<node>:<t>:<commodity>` mass balance, `eq3:<v>:<arc>:<c>`
-transformation, `eq4:<v>:<arc>` / `eq5:<v>:<arc>` payload and propellant
-capacity, `bigM:<z>:<1..4>` linearization, `sizing:<v>` design closure.
+row: `eq2:<node>:<t>:<commodity>` mass balance, `eq3:<v>:<arc>:propellant`
+burn, `eq4:<v>:<arc>` / `eq5:<v>:<arc>` payload and propellant capacity,
+`bigM:<z>:<1..3>` linearization, `sizing:<v>` design closure.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ class FixedDesign:
 class FlowVariables:
     """Variable ids for one assembled model, keyed by expanded-arc index.
 
-    Powered arcs (kind launch/transport) get x_plus/x_minus per commodity,
-    a binary `use`, and the three z auxiliaries. Holdover arcs get a single
-    variable per label in `hold` (outflow and inflow are the same quantity,
-    so the identity transformation holds by construction); labels are the
-    commodity ids, the vehicle ids (integer count), and "structure".
+    Powered arcs (kind launch/transport) get x_plus per commodity, a binary
+    `use`, and the three z auxiliaries. x_minus is the x_plus id, as in
+    `hold`, except for propellant on an arc in `burn`, which burns some of
+    it. Holdover arcs get a single variable per label in `hold`; labels are
+    the commodity ids, the vehicle ids (integer count), and "structure".
     """
 
     network: TimeExpandedNetwork
@@ -75,6 +75,7 @@ class FlowVariables:
     z_payload: dict = field(default_factory=dict)  # arc_idx -> vid
     z_propellant: dict = field(default_factory=dict)
     z_struct: dict = field(default_factory=dict)
+    burn: dict = field(default_factory=dict)       # arc_idx -> burn fraction phi
     hold: dict = field(default_factory=dict)       # (arc_idx, label) -> vid
     design: dict = field(default_factory=dict)     # (vehicle_id, field) -> vid
     omitted_rows: set = field(default_factory=set)  # (node, t, label)
@@ -134,9 +135,14 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
             fv.hold[(idx, STRUCT)] = model.add_variable(f"h[{STRUCT}][{hkey}]")
             continue
         v = arc.vehicle
+        phi = (compute_propellant_fraction(arc.delta_v, scenario.vehicle(v).isp)
+               if arc.kind == "transport" else 0.0)
+        if phi > 0.0 and PROPELLANT in commodities:  # one test for xm and eq3
+            fv.burn[idx] = phi
         for c in commodities:
-            fv.x_plus[(idx, c)] = model.add_variable(f"xp[{c}][{v}][{key}]")
-            fv.x_minus[(idx, c)] = model.add_variable(f"xm[{c}][{v}][{key}]")
+            vid = fv.x_plus[(idx, c)] = model.add_variable(f"xp[{c}][{v}][{key}]")
+            fv.x_minus[(idx, c)] = (model.add_variable(f"xm[{c}][{v}][{key}]")
+                                    if c == PROPELLANT and idx in fv.burn else vid)
         fv.use[idx] = model.add_variable(f"y[{v}][{key}]", "binary")
         fv.z_payload[idx] = model.add_variable(f"z_pay[{v}][{key}]")
         fv.z_propellant[idx] = model.add_variable(f"z_prop[{v}][{key}]")
@@ -148,9 +154,10 @@ def build_mass_balance(model: MilpModel, fv: FlowVariables, demands):
     """One row per (node, time, label): outflow - inflow <= d.
 
     Labels are commodities, vehicle counts, and structure mass (carried by
-    z_struct on powered arcs). Rows whose supply is unbounded are omitted;
-    the structure row is omitted wherever a vehicle is supplied, since the
-    vehicle arrives with its structure.
+    z_struct on powered arcs). Omitted, and recorded in `fv.omitted_rows`:
+    rows with unbounded supply, rows with no departure and d >= 0 (any
+    arrivals meet them), and the structure row wherever a vehicle is
+    supplied, since the vehicle arrives with its structure.
     """
     net = fv.network
     supply = {}
@@ -171,20 +178,17 @@ def build_mass_balance(model: MilpModel, fv: FlowVariables, demands):
         for t in range(net.horizon):
             for label in labels:
                 d = supply.get((node, t, label), 0.0)
-                if math.isinf(d):
-                    if d < 0:
-                        raise FormulationError(
-                            f"demand at {node},{t},{label} is -inf")
-                    fv.omitted_rows.add((node, t, label))
-                    continue
-                if label == STRUCT and (node, t) in vehicle_supply_points:
-                    fv.omitted_rows.add((node, t, label))
-                    continue
+                if d == -math.inf:
+                    raise FormulationError(f"demand at {node},{t},{label} is -inf")
                 terms = []
                 for idx in out_at.get((node, t), []):
                     vid = _arc_amount_var(fv, idx, label, departing=True)
                     if vid is not None:
                         terms.append((vid, 1.0))
+                if (d == math.inf or not terms and d >= 0.0
+                        or label == STRUCT and (node, t) in vehicle_supply_points):
+                    fv.omitted_rows.add((node, t, label))
+                    continue
                 for idx in in_at.get((node, t), []):
                     vid = _arc_amount_var(fv, idx, label, departing=False)
                     if vid is not None:
@@ -203,42 +207,33 @@ def _arc_amount_var(fv: FlowVariables, idx: int, label: str, departing: bool):
     return fv.use[idx] if label == arc.vehicle else None
 
 
-def build_transformation(model: MilpModel, fv: FlowVariables, scenario: Scenario):
-    """Arrival composition per powered arc.
-
-    Transport arcs burn a constant fraction of the departing wet mass
-    (commodities plus structure) out of the propellant stream; every other
-    commodity arrives unchanged. Launch arcs are flown by boosters outside
-    the model, so the whole composition passes through unchanged.
+def build_transformation(model: MilpModel, fv: FlowVariables):
+    """Burn row per arc in `fv.burn`: a constant fraction phi of the departing
+    wet mass (commodities plus structure) leaves the propellant stream. Every
+    other commodity, and all of a launch arc's (flown by boosters outside the
+    model), arrives unchanged as its own outflow variable.
     """
-    for idx, arc in fv.powered():
-        veh = scenario.vehicle(arc.vehicle)
+    for idx, phi in fv.burn.items():
+        arc = fv.network.arcs[idx]
         key = f"{arc.src}>{arc.dst}@{arc.depart}"
-        burn = arc.kind == "transport"
-        phi = compute_propellant_fraction(arc.delta_v, veh.isp) if burn else 0.0
         if phi >= 1.0:
             warnings.warn(
                 f"arc {key} burns its entire wet mass (phi={phi}); "
                 f"model is infeasible for any positive flow", stacklevel=2)
-        for c in fv.commodities:
-            xm = fv.x_minus[(idx, c)]
-            xp = fv.x_plus[(idx, c)]
-            if c == PROPELLANT and phi > 0.0:
-                terms = [(xm, 1.0), (xp, phi - 1.0)]
-                terms += [(fv.x_plus[(idx, o)], phi)
-                          for o in fv.commodities if o != PROPELLANT]
-                terms.append((fv.z_struct[idx], phi))
-            else:
-                terms = [(xm, 1.0), (xp, -1.0)]
-            model.add_constraint(terms, "=", 0.0,
-                                 tag=f"eq3:{arc.vehicle}:{key}:{c}")
+        terms = [(fv.x_minus[(idx, PROPELLANT)], 1.0),
+                 (fv.x_plus[(idx, PROPELLANT)], phi - 1.0)]
+        terms += [(fv.x_plus[(idx, o)], phi)
+                  for o in fv.commodities if o != PROPELLANT]
+        terms.append((fv.z_struct[idx], phi))
+        model.add_constraint(terms, "=", 0.0,
+                             tag=f"eq3:{arc.vehicle}:{key}:{PROPELLANT}")
 
 
 def build_concurrency(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     """Capacity rows plus exact big-M linearization of z = m * y.
 
     Payload-like flow (every commodity except propellant) is limited by
-    z_payload, propellant by z_propellant; four rows per auxiliary force
+    z_payload, propellant by z_propellant; three rows and z >= 0 force
     z = m*y at integral points, with M the design upper bound of m.
     """
     for idx, arc in fv.powered():
@@ -272,7 +267,6 @@ def _link_product(model: MilpModel, z_id: int, m_id: int, y_id: int, big_m: floa
                          tag=f"bigM:{zname}:2")
     model.add_constraint([(z_id, 1.0), (m_id, -1.0), (y_id, -big_m)], ">=", -big_m,
                          tag=f"bigM:{zname}:3")
-    model.add_constraint([(z_id, 1.0)], ">=", 0.0, tag=f"bigM:{zname}:4")
     model.variables[z_id].upper = min(model.variables[z_id].upper, big_m)
 
 
@@ -335,7 +329,7 @@ def assemble(scenario: Scenario, closure) -> tuple[MilpModel, FlowVariables]:
     model = MilpModel(scenario.name)
     fv = create_flow_variables(model, scenario, network)
     build_mass_balance(model, fv, scenario.demands)
-    build_transformation(model, fv, scenario)
+    build_transformation(model, fv)
     build_concurrency(model, fv, scenario)
     build_sizing(model, fv, closure)
     build_objective(model, fv, scenario)

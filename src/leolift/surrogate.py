@@ -63,6 +63,8 @@ class ReluNetwork:
     test_r2: float = float("nan")
 
     def __post_init__(self):
+        if len(self.layer_sizes) < 2 or len(self.weights) != len(self.layer_sizes) - 1:
+            raise ValueError(f"layer_sizes {self.layer_sizes} need one weight per layer")
         for s, W in enumerate(self.weights):
             want = (self.layer_sizes[s + 1], self.layer_sizes[s])
             if W.shape != want:
@@ -161,9 +163,9 @@ def train_relu_network(data, cfg: TrainConfig, target_fn=None) -> ReluNetwork:
     """Fit a ReLU MLP to (input, target) pairs by full-batch Adam.
 
     Deterministic per cfg.seed: Glorot-uniform init, fixed iteration budget.
-    When `target_fn` is given, a held-out R^2 over 100 uniform points in the
-    input range is stored on the returned network; training R^2 is always
-    stored (NaN when the target is constant, where R^2 is undefined).
+    When `target_fn` is given, `holdout_r2` over the input range (drawn from
+    the same generator) is stored on the returned network; training R^2 is
+    always stored (NaN when the target is constant, where R^2 is undefined).
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -205,10 +207,17 @@ def train_relu_network(data, cfg: TrainConfig, target_fn=None) -> ReluNetwork:
                       seed=cfg.seed)
     net.train_r2 = _r_squared(forward(net, x[:, 0]), yv[:, 0])
     if target_fn is not None:
-        xt = rng.uniform(lo, hi, 100)
-        yt = np.array([target_fn(v) for v in xt])
-        net.test_r2 = _r_squared(forward(net, xt), yt)
+        net.test_r2 = holdout_r2(net, target_fn, (lo, hi), rng)
     return net
+
+
+def holdout_r2(sur, target_fn, box: tuple[float, float], rng) -> float:
+    """R^2 against `target_fn` on 100 points drawn from `box` by `rng`."""
+    xs = rng.uniform(box[0], box[1], 100)
+    truth = np.array([target_fn(v) for v in xs])
+    pred = (xs * float(sur.beta[0]) + sur.intercept if isinstance(sur, LinearSurrogate)
+            else forward(sur, xs))
+    return _r_squared(pred, truth)
 
 
 def _r_squared(pred, truth) -> float:
@@ -262,11 +271,11 @@ def embed_network(model: MilpModel, net: ReluNetwork, bounds: NeuronBounds,
 
     Per hidden neuron with pre-activation interval [Mlo, Mhi] straddling 0:
     continuous Y in [0, Mhi], binary Z, and rows Y >= w, Y <= w - Mlo*(1-Z),
-    Y <= Mhi*Z, where w is an explicit pre-activation variable tied to the
-    previous layer by an equality row. Provably inactive neurons (Mhi <= 0)
-    are fixed to 0 and provably active ones (Mlo >= 0) become Y = w, both
-    without a binary. The output layer is pure affine; when the network
-    clamps its output one extra ReLU stage is appended.
+    Y <= Mhi*Z, where the pre-activation w is written into each row over the
+    previous layer's variables. Provably inactive neurons (Mhi <= 0) are
+    fixed to 0 and provably active ones (Mlo >= 0) become Y = w, both
+    without a binary. The output layer is pure affine; a clamp is one more
+    ReLU stage with `output_var` as its Y.
     """
     if net.layer_sizes[-1] != 1:
         raise ValueError("embedding supports single-output networks")
@@ -289,40 +298,32 @@ def embed_network(model: MilpModel, net: ReluNetwork, bounds: NeuronBounds,
         W, b = net.weights[s], net.biases[s]
         nxt = []
         for k in range(W.shape[0]):
-            mlo = float(bounds.pre_lo[s][k])
-            mhi = float(bounds.pre_hi[s][k])
-            w_id = model.add_variable(f"{tag}:w{s}_{k}", lower=mlo, upper=mhi)
-            terms = [(w_id, 1.0)] + [(prev[j], -float(W[k, j]))
-                                     for j in range(W.shape[1]) if W[k, j] != 0.0]
-            model.add_constraint(terms, "=", float(b[k]), tag=f"{tag}:aff{s}_{k}")
             y_id = model.add_variable(f"{tag}:y{s}_{k}")
-            _encode_relu(model, info, w_id, y_id, mlo, mhi, f"{tag}:z{s}_{k}",
-                         f"{tag}:act{s}_{k}", f"{tag}:relu{s}_{k}")
+            terms = [(v, float(c)) for v, c in zip(prev, W[k]) if c != 0.0]
+            _encode_relu(model, info, y_id, terms, float(b[k]),
+                         float(bounds.pre_lo[s][k]), float(bounds.pre_hi[s][k]),
+                         f"{tag}:z{s}_{k}", f"{tag}:act{s}_{k}", f"{tag}:relu{s}_{k}")
             info.y_ids.append(y_id)
             nxt.append(y_id)
         prev = nxt
 
-    W, b = net.weights[-1], net.biases[-1]
+    W, b = net.weights[-1], float(net.biases[-1][0])
+    terms = [(v, float(c)) for v, c in zip(prev, W[0]) if c != 0.0]
     out_lo = float(bounds.pre_lo[-1][0])
     out_hi = float(bounds.pre_hi[-1][0])
-    out_terms = [(prev[j], -float(W[0, j])) for j in range(W.shape[1]) if W[0, j] != 0.0]
     if not net.clamp_output:
         _tighten(model, output_var, out_lo, out_hi)
-        model.add_constraint([(output_var, 1.0)] + out_terms, "=", float(b[0]),
-                             tag=f"{tag}:out")
+        model.add_constraint([(output_var, 1.0)] + [(v, -c) for v, c in terms], "=",
+                             b, tag=f"{tag}:out")
         return info
-
-    raw_id = model.add_variable(f"{tag}:raw_out", lower=out_lo, upper=out_hi)
-    model.add_constraint([(raw_id, 1.0)] + out_terms, "=", float(b[0]),
-                         tag=f"{tag}:out")
-    _encode_relu(model, info, raw_id, output_var, out_lo, out_hi,
+    _encode_relu(model, info, output_var, terms, b, out_lo, out_hi,
                  f"{tag}:z_clamp", f"{tag}:clamp", f"{tag}:clamp")
     return info
 
 
-def _encode_relu(model: MilpModel, info: EmbeddingInfo, x_id: int, y_id: int,
+def _encode_relu(model: MilpModel, info: EmbeddingInfo, y_id: int, terms, const: float,
                  lo: float, hi: float, z_name: str, act_tag: str, relu_tag: str):
-    """y = max(0, x) for x in [lo, hi].
+    """y = max(0, x) for x = sum(c * v for v, c in terms) + const in [lo, hi].
 
     y is tightened to [max(0, lo), max(0, hi)], which settles a neuron that
     is never active (hi <= 0). One that is always active (lo >= 0) gets the
@@ -332,13 +333,14 @@ def _encode_relu(model: MilpModel, info: EmbeddingInfo, x_id: int, y_id: int,
     _tighten(model, y_id, max(0.0, lo), max(0.0, hi))
     if hi <= 0.0:
         return
+    y_minus_x = [(y_id, 1.0)] + [(v, -c) for v, c in terms]
     if lo >= 0.0:
-        model.add_constraint([(y_id, 1.0), (x_id, -1.0)], "=", 0.0, tag=act_tag)
+        model.add_constraint(y_minus_x, "=", const, tag=act_tag)
         return
     z_id = model.add_variable(z_name, "binary")
     info.binary_ids.append(z_id)
-    model.add_constraint([(y_id, 1.0), (x_id, -1.0)], ">=", 0.0, tag=f"{relu_tag}_a")
-    model.add_constraint([(y_id, 1.0), (x_id, -1.0), (z_id, -lo)], "<=", -lo,
+    model.add_constraint(y_minus_x, ">=", const, tag=f"{relu_tag}_a")
+    model.add_constraint(y_minus_x + [(z_id, -lo)], "<=", const - lo,
                          tag=f"{relu_tag}_b")
     model.add_constraint([(y_id, 1.0), (z_id, -hi)], "<=", 0.0, tag=f"{relu_tag}_c")
 
@@ -370,21 +372,36 @@ def surrogate_to_dict(net) -> dict:
 
 
 def surrogate_from_dict(doc: dict):
+    """Inverse of `surrogate_to_dict`; a missing or ill-typed field raises
+    ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a surrogate must be a JSON object, not {type(doc).__name__}")
+
+    def get(name, convert, *default):
+        try:
+            return convert(doc[name]) if name in doc or not default else default[0]
+        except KeyError:
+            raise ValueError(f"surrogate field {name!r} is missing") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"surrogate field {name!r} is ill-typed: {exc}") from None
+
     if "layer_sizes" not in doc:
-        return LinearSurrogate(beta=np.asarray(doc["beta"], dtype=float),
-                               intercept=float(doc["intercept"]))
-    sizes = tuple(int(v) for v in doc["layer_sizes"])
-    weights = []
-    for s, flat in enumerate(doc["weights"]):
-        weights.append(np.asarray(flat, dtype=float).reshape(sizes[s + 1], sizes[s]))
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+        # reshape rejects an empty or nested list: the CLI predicts with beta[0]
+        beta = get("beta", lambda v: np.asarray(v, dtype=float).reshape(max(1, len(v))))
+        return LinearSurrogate(beta=beta, intercept=get("intercept", float))
+    sizes = get("layer_sizes", lambda v: tuple(int(n) for n in v))
+    shapes = list(zip(sizes[1:], sizes[:-1]))
     return ReluNetwork(
-        sizes, weights, biases,
-        tuple((float(lo), float(hi)) for lo, hi in doc["input_box"]),
-        clamp_output=bool(doc.get("clamp_output", True)),
+        sizes,
+        get("weights", lambda v: [np.asarray(a, dtype=float).reshape(shape)
+                                  for shape, a in zip(shapes, v, strict=True)]),
+        get("biases", lambda v: [np.asarray(a, dtype=float).reshape(shape[0])
+                                 for shape, a in zip(shapes, v, strict=True)]),
+        get("input_box", lambda v: tuple((float(lo), float(hi)) for lo, hi in v)),
+        clamp_output=get("clamp_output", bool, True),
         seed=doc.get("seed"),
-        train_r2=float(doc.get("train_r2", float("nan"))),
-        test_r2=float(doc.get("test_r2", float("nan"))),
+        train_r2=get("train_r2", float, math.nan),
+        test_r2=get("test_r2", float, math.nan),
     )
 
 

@@ -30,6 +30,28 @@ class TestArgumentHandling:
         assert code == 2
         assert "scenario not found" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--surrogate", "linreg", "--export-mps", "{tmp}/no/such/dir/x.mps"],
+        ["--model", "{tmp}/no_such_model.json"],
+    ])
+    def test_other_missing_files_exit_1(self, tmp_path, capsys, argv):
+        code, out, err = run_main(capsys, [a.format(tmp=tmp_path) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "No such file" in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"layer_sizes": [1, 2, 1]}, "'weights'"),
+        ([1, 2, 1], "JSON object"),
+    ])
+    def test_malformed_model_exits_1(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, ["--model", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and field in err
+
     def test_bad_train_range_exits_1(self, capsys):
         code, _, err = run_main(capsys, LINREG_JSON + ["--train-range", "5:1:100"])
         assert code == 1

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from leolift.formulation import (FixedDesign, FormulationError, LinearEpsilon,
@@ -16,7 +17,8 @@ from leolift.scenario import (Arc, Commodity, DemandEntry, Node,
                               ObjectiveEntry, Scenario, VehicleSpec,
                               expand_time_network)
 from leolift.solver import solve_milp
-from leolift.spacecraft import SizingParams, solve_exact_oracle
+from leolift.spacecraft import SizingParams, solve_exact_oracle, surrogate_target
+from leolift.surrogate import TrainConfig, train_relu_network
 
 INF = math.inf
 
@@ -45,6 +47,33 @@ def constraint_by_tag(model, tag):
         if con.tag == tag:
             return con
     raise AssertionError(f"no constraint tagged {tag!r}")
+
+
+def redundant_rows(model):
+    """Tags of rows the variable bounds alone imply (their activity range
+    over the box lies inside the row's range), and of copy rows (`=` rows
+    with rhs 0 and just the coefficients +1 and -1)."""
+    sf = model.to_standard_form()
+    implied, copies = [], []
+    for i, con in enumerate(model.constraints):
+        span = slice(sf.A.indptr[i], sf.A.indptr[i + 1])
+        a, j = sf.A.data[span], sf.A.indices[span]
+        act_lo = np.where(a > 0, a * sf.lb[j], a * sf.ub[j]).sum()
+        act_hi = np.where(a > 0, a * sf.ub[j], a * sf.lb[j]).sum()
+        if act_lo >= sf.row_lo[i] and act_hi <= sf.row_hi[i]:
+            implied.append(con.tag)
+        if (con.sense == "=" and con.rhs == 0.0
+                and sorted(c for _, c in con.terms) == [-1.0, 1.0]):
+            copies.append(con.tag)
+    return implied, copies
+
+
+@pytest.fixture(scope="module")
+def net19(params, dataset51):
+    """Training seed 19's raw output is positive over the whole box, so its
+    clamp is an always-active ReLU written as one `=` row."""
+    return train_relu_network(dataset51, TrainConfig(seed=19),
+                              target_fn=lambda v: surrogate_target(params, v))
 
 
 class TestPropellantFraction:
@@ -94,13 +123,14 @@ class TestMassBalance:
         assert "eq2:LEO:1:structure" in tags
 
     def test_isolated_node_has_empty_row(self):
+        # the row would read 0 <= 0: it is omitted and recorded as such
         sc = make_scenario(horizon=1, arcs=(), vehicles=(), demands=())
         net = expand_time_network(sc)
         model = MilpModel()
         fv = create_flow_variables(model, sc, net)
         build_mass_balance(model, fv, sc.demands)
-        con = constraint_by_tag(model, "eq2:A:0:water")
-        assert con.terms == [] and con.rhs == 0.0
+        assert not any(c.tag == "eq2:A:0:water" for c in model.constraints)
+        assert ("A", 0, "water") in fv.omitted_rows
 
     def test_unsatisfiable_demand_infeasible(self):
         # nothing can reach B, so a strict demand there cannot be met
@@ -148,19 +178,31 @@ class TestTransformation:
     def test_zero_delta_v_is_identity(self):
         sc = make_scenario()
         model, fv = assemble(sc, FixedDesign(100.0))
-        con = constraint_by_tag(model, "eq3:tug:A>B@0:water")
         (idx, _), = fv.powered()
-        assert con.sense == "=" and con.rhs == 0.0
-        assert dict(con.terms) == {fv.x_minus[(idx, "water")]: 1.0,
-                                   fv.x_plus[(idx, "water")]: -1.0}
+        assert fv.x_minus[(idx, "water")] == fv.x_plus[(idx, "water")]
+        assert not any(c.tag == "eq3:tug:A>B@0:water" for c in model.constraints)
 
     def test_launch_arc_is_identity_despite_delta_v(self):
         sc = make_scenario(arcs=(Arc("A", "B", 9000.0, 1, (0,), is_launch=True),))
         model, fv = assemble(sc, FixedDesign(100.0))
         (idx, _), = fv.powered()
-        con = constraint_by_tag(model, "eq3:tug:A>B@0:water")
-        assert dict(con.terms) == {fv.x_minus[(idx, "water")]: 1.0,
-                                   fv.x_plus[(idx, "water")]: -1.0}
+        assert fv.x_minus[(idx, "water")] == fv.x_plus[(idx, "water")]
+        assert not any(c.tag == "eq3:tug:A>B@0:water" for c in model.constraints)
+
+    @pytest.mark.parametrize("delta_v, commodities", [
+        (3000.0, ("water",)),                  # burns, but carries no propellant
+        (1e-300, ("water", "propellant")),     # phi rounds to 0.0
+    ])
+    def test_arc_without_burn_row_keeps_no_inflow_copy(self, delta_v, commodities):
+        sc = make_scenario(arcs=(Arc("A", "B", delta_v, 1, (0,)),),
+                           commodities=tuple(Commodity(c) for c in commodities))
+        model, fv = assemble(sc, FixedDesign(100.0))
+        (idx, _), = fv.powered()
+        assert fv.burn == {}
+        assert not any(c.tag.startswith("eq3:") for c in model.constraints)
+        for c in commodities:
+            assert fv.x_minus[(idx, c)] == fv.x_plus[(idx, c)]
+        assert solve_milp(model).status == "optimal"
 
     def test_burn_consumes_constant_fraction(self, lunar):
         orc = solve_exact_oracle(SizingParams(), 1000.0, [4040.0, 1870.0])
@@ -195,7 +237,7 @@ class TestConcurrency:
         model = MilpModel("cap")
         fv = create_flow_variables(model, sc, net)
         build_mass_balance(model, fv, sc.demands)
-        build_transformation(model, fv, sc)
+        build_transformation(model, fv)
         build_concurrency(model, fv, sc)
         build_sizing(model, fv, FixedDesign(100.0))
         (idx, _), = fv.powered()
@@ -334,6 +376,14 @@ class TestAssembledCampaigns:
         assert all(r["amount_kg"] > 0 for r in rows)
         launched = {r["commodity"] for r in rows if r["from"] == "Earth"}
         assert {"payload", "propellant", "structure"} <= launched
+
+    @pytest.mark.parametrize("closure", ["linreg51", "epsilon", "net0", "net19"])
+    def test_no_row_implied_by_bounds_or_copying_a_variable(self, request,
+                                                            lunar, closure):
+        cl = (LinearEpsilon(0.08) if closure == "epsilon"
+              else request.getfixturevalue(closure))
+        model, _ = assemble(lunar, cl)
+        assert redundant_rows(model) == ([], [])
 
 
 class TestIdentifierRules:

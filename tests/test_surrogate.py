@@ -306,6 +306,24 @@ class TestSerialization:
         again = load_surrogate(str(path))
         assert forward(again, 12345.0) == forward(net0, 12345.0)
 
+    @pytest.mark.parametrize("doc, match", [
+        ({"layer_sizes": [1, 2, 1]}, "'weights' is missing"),
+        ([1, 2, 1], "JSON object"),
+        ({"layer_sizes": [1, 2, 1], "weights": [[1.0, 2.0], [3.0]],
+          "biases": [[0.0, 0.0], [0.0]], "input_box": [[0.0, 1.0]]},
+         "'weights' is ill-typed"),
+        ({"layer_sizes": [1, 2, 1], "weights": [[1.0, 2.0], [3.0, 4.0]],
+          "biases": [[0.0, 0.0]], "input_box": [[0.0, 1.0]]},
+         "'biases' is ill-typed"),
+        ({"layer_sizes": [1], "weights": [], "biases": [], "input_box": [[0.0, 1.0]]},
+         "one weight per layer"),
+        ({"beta": [], "intercept": 1.0}, "'beta' is ill-typed"),
+        ({"beta": [1.0]}, "'intercept' is missing"),
+    ])
+    def test_malformed_dict_names_the_field(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            surrogate_from_dict(doc)
+
     def test_linear_surrogate_roundtrip(self, tmp_path, linreg51):
         path = tmp_path / "lin.json"
         save_surrogate(linreg51, str(path))
