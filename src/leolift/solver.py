@@ -12,7 +12,11 @@ on the problem's own columns. Dantzig pricing switches to Bland's rule when
 the objective stalls. An iteration is a pivot or a bound flip.
 
 Branch-and-bound explores nodes best-bound-first and warm starts each child
-from the parent basis through a bounded dual simplex. The dual keeps the
+from the parent basis through a bounded dual simplex. The two children of a
+branched node share that basis and its factorization: whichever is solved
+first factors it, and the other starts from the same factor with an empty
+eta file. Aᵀ, which pricing multiplies by, is built once per problem and
+shared by every node. The dual keeps the
 basic values x_B and the reduced costs d across pivots, updating them from
 the pivot row and column, so an iteration makes one `btran` and one `ftran`;
 both are recomputed from the factorization at every refactor. The entering
@@ -36,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array, eye_array, hstack
+from scipy.sparse import csc_array, csr_array, eye_array, hstack
 from scipy.sparse.linalg import splu
 
 from .milp_ir import FEAS_TOL, INT_TOL, MilpModel, Solution, StandardForm
@@ -81,10 +85,12 @@ class BnbConfig:
 class _Problem:
     """Equality form A@x == b over structural + slack columns.
 
-    `A` is a CSC array. Slack of row i sits at column n_struct + i.
+    `A` is a CSC array and `AT` its transpose, built once for every simplex
+    state on the problem. Slack of row i sits at column n_struct + i.
     """
 
     A: csc_array
+    AT: csr_array
     b: np.ndarray
     c: np.ndarray
     lb: np.ndarray
@@ -108,7 +114,7 @@ def _problem_from_form(sf: StandardForm) -> _Problem:
     c = np.concatenate([sf.c, np.zeros(m)])
     lb = np.concatenate([sf.lb, np.zeros(m)])
     ub = np.concatenate([sf.ub, sf.row_hi - sf.row_lo])
-    return _Problem(A, b, c, lb, ub, n, sf.is_int.copy())
+    return _Problem(A, A.T, b, c, lb, ub, n, sf.is_int.copy())
 
 
 class _Simplex:
@@ -122,9 +128,9 @@ class _Simplex:
     them while sharing the constraint matrix.
     """
 
-    def __init__(self, A, b, lb, ub):
+    def __init__(self, A, AT, b, lb, ub):
         self.A = A
-        self.AT = A.T  # CSR view of the CSC matrix, for pricing
+        self.AT = AT  # A's transpose (CSR), for pricing
         self.b = b
         self.lb = lb.copy()
         self.ub = ub.copy()
@@ -501,7 +507,7 @@ def _solve_lp_problem(prob: _Problem):
     primal simplex only moves variables between their bounds.
     """
     n_struct = prob.n_struct
-    state = _Simplex(prob.A, prob.b, prob.lb, prob.ub)
+    state = _Simplex(prob.A, prob.AT, prob.b, prob.lb, prob.ub)
     status = _two_phase(state, prob.c, n_struct)
     if status == "infeasible":
         return LpResult("infeasible", np.zeros(n_struct), INF, state.iterations), state
@@ -575,6 +581,11 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
 
     heap = [_Node(root.objective, 0, root_state.lb.copy(), root_state.ub.copy(),
                   root_state.basis.copy(), root_state.status.copy(), 0)]
+    # both children of a branched node share one basis array. Keyed by its
+    # id, this holds (that array, its factor once the first child has made
+    # it) until the second child is popped, so the basis is factored once;
+    # holding the array keeps the id from being reused meanwhile
+    siblings = {}
 
     status = "optimal"
     while heap:
@@ -582,6 +593,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             status = "limit"
             break
         node = heapq.heappop(heap)
+        sibling = siblings.pop(id(node.basis), None)
         best_bound = max(best_bound, min(node.bound, incumbent_obj))
         if incumbent is not None and node.bound >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
@@ -591,11 +603,16 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         if node.seq == 0:  # the root LP, solved above
             state, st = root_state, "optimal"
         else:
-            state = _Simplex(prob.A, prob.b, node.lb, node.ub)
+            state = _Simplex(prob.A, prob.AT, prob.b, node.lb, node.ub)
             state.basis = node.basis.copy()
             state.status = node.vstatus.copy()
             try:
-                state.refactor()
+                if sibling is not None and sibling[1] is not None:
+                    state._lu = sibling[1]  # a refactor replaces, never mutates it
+                else:
+                    state.refactor()
+                    if sibling is not None:
+                        siblings[id(node.basis)] = (node.basis, state._lu)
                 st = state.dual(prob.c)
                 if st == "feasible":
                     st = "optimal"
@@ -604,7 +621,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                         state.recompute_x()
             except SolverBreakdown:
                 total_iters += state.iterations  # pivots of the abandoned attempt
-                state = _Simplex(prob.A, prob.b, node.lb, node.ub)
+                state = _Simplex(prob.A, prob.AT, prob.b, node.lb, node.ub)
                 try:
                     st = _two_phase(state, prob.c, n_struct)
                 except SolverBreakdown:
@@ -631,6 +648,8 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             incumbent = state.x[:n_struct].copy()
             continue
 
+        basis, vstatus = state.basis.copy(), state.status.copy()
+        first_seq = seq
         for side, bound_val in enumerate((math.floor(state.x[j]),
                                           math.ceil(state.x[j]))):
             lb2, ub2 = node.lb.copy(), node.ub.copy()
@@ -640,11 +659,11 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                 lb2[j] = bound_val
             if lb2[j] > ub2[j]:
                 continue
-            heapq.heappush(heap, _Node(lp_obj, seq, lb2, ub2,
-                                       state.basis.copy(),
-                                       state.status.copy(),
+            heapq.heappush(heap, _Node(lp_obj, seq, lb2, ub2, basis, vstatus,
                                        node.depth + 1))
             seq += 1
+        if seq - first_seq == 2:
+            siblings[id(basis)] = (basis, None)
 
     elapsed = time.monotonic() - t0
     if incumbent is None:

@@ -115,25 +115,35 @@ def forward(net: ReluNetwork, x):
 
 
 def _adam_loop(Ws, bs, Xs, Ys, cfg: TrainConfig):
-    """Full-batch Adam updates in place for cfg.max_iter iterations."""
-    mW = [np.zeros_like(W) for W in Ws]
-    vW = [np.zeros_like(W) for W in Ws]
-    mb = [np.zeros_like(b) for b in bs]
-    vb = [np.zeros_like(b) for b in bs]
+    """Full-batch Adam updates in place for cfg.max_iter iterations.
+
+    The loop trains views into one flat parameter vector, with one flat
+    first and second moment, and copies the result back into `Ws` and `bs`;
+    the update is elementwise, so each parameter rounds as it would in a
+    per-array update.
+    """
+    params = Ws + bs
+    theta = np.concatenate(params, axis=None)
+    views, start = [], 0
+    for p in params:
+        views.append(theta[start:start + p.size].reshape(p.shape))
+        start += p.size
+    tWs, tbs = views[:len(Ws)], views[len(Ws):]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for it in range(1, cfg.max_iter + 1):
-        loss, gWs, gbs = _mse_and_grads(Ws, bs, Xs, Ys)
+        loss, gWs, gbs = _mse_and_grads(tWs, tbs, Xs, Ys)
         if not math.isfinite(loss):
             raise TrainingDivergence(f"loss non-finite at iteration {it}")
         c1 = 1.0 - beta1 ** it
         c2 = 1.0 - beta2 ** it
-        for s in range(len(Ws)):
-            mW[s] = beta1 * mW[s] + (1 - beta1) * gWs[s]
-            vW[s] = beta2 * vW[s] + (1 - beta2) * gWs[s] ** 2
-            Ws[s] -= cfg.learning_rate * (mW[s] / c1) / (np.sqrt(vW[s] / c2) + eps)
-            mb[s] = beta1 * mb[s] + (1 - beta1) * gbs[s]
-            vb[s] = beta2 * vb[s] + (1 - beta2) * gbs[s] ** 2
-            bs[s] -= cfg.learning_rate * (mb[s] / c1) / (np.sqrt(vb[s] / c2) + eps)
+        g = np.concatenate(gWs + gbs, axis=None)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g ** 2
+        theta -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+    for p, view in zip(params, views):
+        p[...] = view
 
 
 def _mse_and_grads(Ws, bs, X, Y):
@@ -147,8 +157,9 @@ def _mse_and_grads(Ws, bs, X, Y):
         pres.append(z)
         a = np.maximum(z, 0.0) if s < len(Ws) - 1 else z
         acts.append(a)
-    loss = float(np.mean((acts[-1] - Y) ** 2))
-    delta = 2.0 * (acts[-1] - Y) / n
+    resid = acts[-1] - Y
+    loss = float(np.square(resid).sum()) / n
+    delta = 2.0 * resid / n
     gWs = [None] * len(Ws)
     gbs = [None] * len(Ws)
     for s in range(len(Ws) - 1, -1, -1):
@@ -385,6 +396,16 @@ def surrogate_from_dict(doc: dict):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"surrogate field {name!r} is ill-typed: {exc}") from None
 
+    def boolean(v):
+        if not isinstance(v, bool):
+            raise TypeError(f"expected true or false, got {v!r}")
+        return v
+
+    def int_or_null(v):
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+            raise TypeError(f"expected an integer or null, got {v!r}")
+        return v
+
     if "layer_sizes" not in doc:
         # reshape rejects an empty or nested list: the CLI predicts with beta[0]
         beta = get("beta", lambda v: np.asarray(v, dtype=float).reshape(max(1, len(v))))
@@ -398,8 +419,8 @@ def surrogate_from_dict(doc: dict):
         get("biases", lambda v: [np.asarray(a, dtype=float).reshape(shape[0])
                                  for shape, a in zip(shapes, v, strict=True)]),
         get("input_box", lambda v: tuple((float(lo), float(hi)) for lo, hi in v)),
-        clamp_output=get("clamp_output", bool, True),
-        seed=doc.get("seed"),
+        clamp_output=get("clamp_output", boolean, True),
+        seed=get("seed", int_or_null, None),
         train_r2=get("train_r2", float, math.nan),
         test_r2=get("test_r2", float, math.nan),
     )

@@ -16,6 +16,9 @@ from leolift.cli import (R2_EXCLUSION, _parse_train_range, build_parser, main,
 from leolift.surrogate import save_surrogate
 
 LINREG_JSON = ["--surrogate", "linreg", "--report", "json"]
+# a loadable network over the CLI's default training box
+TINY_MODEL = {"layer_sizes": [1, 2, 1], "weights": [[1.0, 2.0], [3.0, 4.0]],
+              "biases": [[0.0, 0.0], [0.0]], "input_box": [[0.0, 50000.0]]}
 
 
 def run_main(capsys, argv):
@@ -43,6 +46,8 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("doc, field", [
         ({"layer_sizes": [1, 2, 1]}, "'weights'"),
         ([1, 2, 1], "JSON object"),
+        ({**TINY_MODEL, "clamp_output": "false"}, "'clamp_output'"),
+        ({**TINY_MODEL, "seed": "abc"}, "'seed'"),
     ])
     def test_malformed_model_exits_1(self, tmp_path, capsys, doc, field):
         path = tmp_path / "bad_model.json"

@@ -148,7 +148,8 @@ class TestSimplexRandom:
         n = 40
         lb = np.where(rng.random(n) < 0.2, -INF, rng.normal(size=n))
         ub = np.where(rng.random(n) < 0.2, INF, lb + rng.uniform(0.0, 3.0, n))
-        state = solver._Simplex(csc_array((3, n)), np.zeros(3), lb, ub)
+        A = csc_array((3, n))
+        state = solver._Simplex(A, A.T, np.zeros(3), lb, ub)
         state.status = rng.choice(np.array([solver.BASIC, solver.AT_LO, solver.AT_UP,
                                             solver.NB_FREE], dtype=np.int8), n)
         loop = [0.0 if state.status[j] == solver.BASIC else state.nonbasic_value(j)
@@ -228,7 +229,7 @@ class TestFactoredBasis:
         S = sparse_random((self.M, self.N), density=0.15, rng=rng,
                           data_sampler=lambda size: rng.uniform(-2.0, 2.0, size))
         A = hstack([S, eye_array(self.M)], format="csc")
-        state = solver._Simplex(A, np.zeros(self.M), np.zeros(A.shape[1]),
+        state = solver._Simplex(A, A.T, np.zeros(self.M), np.zeros(A.shape[1]),
                                 np.ones(A.shape[1]))
         state.basis = np.arange(self.N, self.N + self.M)  # slacks: B = I
         state.status[state.basis] = solver.BASIC
@@ -272,7 +273,7 @@ class TestFactoredBasis:
         A = csc_array(np.array([[1.0, second[0], 0.0],
                                 [2.0, second[1], 0.0],
                                 [0.0, second[2], 1.0]]))
-        state = solver._Simplex(A, np.zeros(3), np.zeros(3), np.ones(3))
+        state = solver._Simplex(A, A.T, np.zeros(3), np.zeros(3), np.ones(3))
         state.basis = np.array([0, 1, 2])
         with pytest.raises(solver.SolverBreakdown):
             state.refactor()
@@ -345,7 +346,7 @@ class TestWarmDualState:
         monkeypatch.setattr(solver._Simplex, "tableau_row", checked_row)
         monkeypatch.setattr(solver._Simplex, "_pivot_update", counted_pivot)
         for prob, root, lb, ub, cost in nodes:
-            state = solver._Simplex(root.A, prob.b, lb, ub)
+            state = solver._Simplex(prob.A, prob.AT, prob.b, lb, ub)
             state.basis = root.basis.copy()
             state.status = root.status.copy()
             state.refactor()
@@ -736,8 +737,8 @@ class TestDualCycling:
 
     def _hm_dual(self):
         m, n = self.HM_A.shape
-        state = solver._Simplex(csc_array(np.hstack([self.HM_A, np.eye(m)])),
-                                self.HM_B, np.zeros(n + m), np.full(n + m, INF))
+        A = csc_array(np.hstack([self.HM_A, np.eye(m)]))
+        state = solver._Simplex(A, A.T, self.HM_B, np.zeros(n + m), np.full(n + m, INF))
         state.basis = np.arange(n, n + m)  # slacks: dual feasible at y = 0
         state.status[state.basis] = solver.BASIC
         state.refactor()
@@ -823,22 +824,28 @@ class TestPhaseOne:
         np.testing.assert_allclose(res.x, ref.x, atol=1e-9)
 
 
+def ladder_scenario(tmp_path, horizon: int, width: int) -> Path:
+    """Write the ROADMAP ladder rung H/W, built by the benchmark's own
+    generator from the bundled campaign; returns its path."""
+    gen_path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", gen_path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    scenario = tmp_path / f"lunar_H{horizon}_W{width}.json"
+    scenario.write_text(json.dumps(
+        gen.ladder_rung(json.loads(gen.BUNDLED.read_text()), horizon, width)))
+    return scenario
+
+
 class TestLadderTarget:
     def test_h14_w9_solves_to_optimal(self, tmp_path, monkeypatch):
-        """Ladder rung H14/W9 (427 vars, 654 rows, linreg closure), the
+        """Ladder rung H14/W9 (391 vars, 522 rows, linreg closure), the
         ROADMAP's solver target: optimal well inside 30 s, equal to HiGHS.
         With an explicitly inverted basis it needed about 64 s."""
         from scipy.optimize import Bounds, LinearConstraint, milp
         from leolift import cli
 
-        gen_path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-        spec = importlib.util.spec_from_file_location("perfbench_generate", gen_path)
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
-        scenario = tmp_path / "lunar_H14_W9.json"
-        scenario.write_text(json.dumps(
-            gen.ladder_rung(json.loads(gen.BUNDLED.read_text()), 14, 9)))
-
+        scenario = ladder_scenario(tmp_path, 14, 9)
         models = []
         solve = cli.solve_milp
 
@@ -857,3 +864,32 @@ class TestLadderTarget:
                    options={"mip_rel_gap": 1e-9})
         assert ref.status == 0, ref.message
         assert rep.solution.objective == pytest.approx(ref.fun, rel=1e-6)
+
+
+class TestFactorSharing:
+    @pytest.mark.parametrize("rung, nodes, iterations, objective", [
+        (None, 7, 47, "0x1.4d34a9215cb46p+15"),
+        ((8, 3), 75, 451, "0x1.4d34a9215cad6p+15"),
+    ])
+    def test_siblings_share_one_factorization(self, tmp_path, monkeypatch, rung,
+                                              nodes, iterations, objective):
+        """Both children of a branched node start from its basis, factored
+        once: fewer `splu` calls than nodes, on the same tree to the bit
+        (bundled campaign and ladder rung H8/W3, linreg closure)."""
+        from leolift import cli
+
+        calls = []
+        splu = solver.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        argv = ["--surrogate", "linreg"]
+        if rung is not None:
+            argv += ["--scenario", str(ladder_scenario(tmp_path, *rung))]
+        monkeypatch.setattr(solver, "splu", counted)
+        sol = cli.run_pipeline(cli.build_parser().parse_args(argv)).solution
+        assert (sol.status, sol.nodes, sol.iterations, float.hex(sol.objective)) == \
+            ("optimal", nodes, iterations, objective)
+        assert len(calls) < sol.nodes

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from leolift import surrogate
 from leolift.milp_ir import MilpModel
 from leolift.solver import BnbConfig, solve_milp
 from leolift.surrogate import (DegenerateDataError, RankDeficiencyError,
@@ -35,6 +36,29 @@ def embedded_extremum(net, x0: float, maximize: bool) -> float:
     return float(sol.values[out])
 
 
+def per_layer_adam_loop(Ws, bs, Xs, Ys, cfg: TrainConfig):
+    """Reference Adam loop: one first and second moment per weight and bias
+    array, each array updated on its own."""
+    mW = [np.zeros_like(W) for W in Ws]
+    vW = [np.zeros_like(W) for W in Ws]
+    mb = [np.zeros_like(b) for b in bs]
+    vb = [np.zeros_like(b) for b in bs]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for it in range(1, cfg.max_iter + 1):
+        loss, gWs, gbs = _mse_and_grads(Ws, bs, Xs, Ys)
+        if not math.isfinite(loss):
+            raise TrainingDivergence(f"loss non-finite at iteration {it}")
+        c1 = 1.0 - beta1 ** it
+        c2 = 1.0 - beta2 ** it
+        for s in range(len(Ws)):
+            mW[s] = beta1 * mW[s] + (1 - beta1) * gWs[s]
+            vW[s] = beta2 * vW[s] + (1 - beta2) * gWs[s] ** 2
+            Ws[s] -= cfg.learning_rate * (mW[s] / c1) / (np.sqrt(vW[s] / c2) + eps)
+            mb[s] = beta1 * mb[s] + (1 - beta1) * gbs[s]
+            vb[s] = beta2 * vb[s] + (1 - beta2) * gbs[s] ** 2
+            bs[s] -= cfg.learning_rate * (mb[s] / c1) / (np.sqrt(vb[s] / c2) + eps)
+
+
 class TestTraining:
     def test_linear_target_is_learned(self):
         data = [(float(x), 2.0 * x) for x in range(0, 11)]
@@ -64,6 +88,22 @@ class TestTraining:
             assert np.array_equal(Wa, Wb)
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
+
+    @pytest.mark.parametrize("seed", [0, 12])
+    @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
+    def test_flat_adam_matches_per_layer_loop(self, monkeypatch, dataset51,
+                                              hidden_layers, seed):
+        """Training on one flat parameter vector gives every weight and bias
+        bitwise equal to the per-array loop, in arrays of their own."""
+        cfg = TrainConfig(hidden_layers=hidden_layers, seed=seed)
+        net = train_relu_network(dataset51, cfg)
+        monkeypatch.setattr(surrogate, "_adam_loop", per_layer_adam_loop)
+        ref = train_relu_network(dataset51, cfg)
+        arrays = net.weights + net.biases
+        for got, want in zip(arrays, ref.weights + ref.biases, strict=True):
+            assert np.array_equal(got, want)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
     def test_sizing_fit_quality(self, net0):
         assert net0.train_r2 >= 0.98
@@ -289,6 +329,11 @@ class TestEmbedding:
         assert embedded_extremum(net, 8.0, maximize=True) == pytest.approx(3.0, abs=1e-9)
 
 
+# a valid serialized network, for one field at a time to be spoiled
+TINY_DOC = {"layer_sizes": [1, 2, 1], "weights": [[1.0, 2.0], [3.0, 4.0]],
+            "biases": [[0.0, 0.0], [0.0]], "input_box": [[0.0, 1.0]]}
+
+
 class TestSerialization:
     def test_dict_roundtrip_identity(self, net0):
         again = surrogate_from_dict(surrogate_to_dict(net0))
@@ -319,10 +364,21 @@ class TestSerialization:
          "one weight per layer"),
         ({"beta": [], "intercept": 1.0}, "'beta' is ill-typed"),
         ({"beta": [1.0]}, "'intercept' is missing"),
+        ({**TINY_DOC, "clamp_output": "false"}, "'clamp_output' is ill-typed"),
+        ({**TINY_DOC, "clamp_output": 0}, "'clamp_output' is ill-typed"),
+        ({**TINY_DOC, "seed": "abc"}, "'seed' is ill-typed"),
+        ({**TINY_DOC, "seed": 1.5}, "'seed' is ill-typed"),
+        ({**TINY_DOC, "seed": True}, "'seed' is ill-typed"),
     ])
     def test_malformed_dict_names_the_field(self, doc, match):
         with pytest.raises(ValueError, match=match):
             surrogate_from_dict(doc)
+
+    def test_clamp_and_seed_read_as_given(self):
+        net = surrogate_from_dict({**TINY_DOC, "clamp_output": False, "seed": 3})
+        assert net.clamp_output is False and net.seed == 3
+        net = surrogate_from_dict({**TINY_DOC, "seed": None})
+        assert net.clamp_output is True and net.seed is None
 
     def test_linear_surrogate_roundtrip(self, tmp_path, linreg51):
         path = tmp_path / "lin.json"
