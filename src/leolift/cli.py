@@ -60,7 +60,10 @@ class RunReport:
             "milp": {
                 "objective_kg": _num(obj),
                 "status": self.solution.status,
+                "best_bound": _num(self.solution.best_bound),
+                "gap": _num(self.solution.gap),
                 "nodes": self.solution.nodes,
+                "iterations": self.solution.iterations,
                 "seconds": round(self.solution.seconds, 6),
             },
             "oracle": None if self.oracle is None else {

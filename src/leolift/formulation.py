@@ -11,7 +11,10 @@ embedded sizing surrogate.
 Constraint tags follow a fixed grammar so solutions can be audited row by
 row: `eq2:<node>:<t>:<commodity>` mass balance, `eq3:<v>:<arc>:propellant`
 burn, `eq4:<v>:<arc>` / `eq5:<v>:<arc>` payload and propellant capacity,
-`bigM:<z>:<1..3>` linearization, `sizing:<v>` design closure.
+`bigM:<z>:<1..3>` linearization, `sizing:<v>` design closure,
+`cut:cover:<node>:<t>:<commodity>` demand cover and
+`cut:leg:<v>:<src>><dst>:<m_p|m_f|m_d>:<lo|hi>` leg aggregation (rows the
+network implies, which tighten the relaxation; see `build_network_cuts`).
 """
 
 from __future__ import annotations
@@ -115,14 +118,7 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
             fv.design[(veh.id, which)] = model.add_variable(
                 f"{which}[{veh.id}]", lower=lo, upper=hi)
 
-    fleet_ub = {}
-    for veh in scenario.vehicles:
-        total = 0.0
-        for d in scenario.demands:
-            if d.commodity == veh.id and d.amount > 0:
-                total += d.amount
-        fleet_ub[veh.id] = total
-
+    fleet_ub = {vid: _fleet_supply(scenario, vid) for vid in vehicle_ids}
     for idx, arc in enumerate(network.arcs):
         key = f"{arc.src}>{arc.dst}@{arc.depart}"
         if arc.kind == "holdover":
@@ -148,6 +144,12 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
         fv.z_propellant[idx] = model.add_variable(f"z_prop[{v}][{key}]")
         fv.z_struct[idx] = model.add_variable(f"z_str[{v}][{key}]")
     return fv
+
+
+def _fleet_supply(scenario: Scenario, vid: str) -> float:
+    """Total supply of vehicle vid: the sum of its positive amounts."""
+    return sum((d.amount for d in scenario.demands
+                if d.commodity == vid and d.amount > 0), 0.0)
 
 
 def build_mass_balance(model: MilpModel, fv: FlowVariables, demands):
@@ -307,6 +309,99 @@ def build_sizing(model: MilpModel, fv: FlowVariables, closure):
             raise FormulationError(f"unknown sizing closure {cl!r}")
 
 
+def build_network_cuts(model: MilpModel, fv: FlowVariables, scenario: Scenario):
+    """Rows the network structure implies; each holds at every integer point.
+
+    Demand cover (a cut-set inequality): a net finite demand of D kg of a
+    commodity at a node by day t must arrive on the powered arcs into the node
+    that arrive by then, and arc a carries at most cap_a·y_a of it (cap_a the
+    m_f bound for propellant, the m_p bound otherwise), so those arcs' y sum
+    to at least ⌈D / max cap_a⌉. Emitted on the days the node's entries for
+    the commodity change D, when no entry up to then is unbounded, and only
+    when it raises the count an earlier day's row already asks for.
+
+    Leg aggregation (McCormick on m·Y): on a vehicle's static leg, Σ_t z_t =
+    m·Y at integer points, with Y = Σ_t y_t. If the vehicle's legs form an
+    acyclic graph, no vehicle flies a leg twice, so Y <= U, its total fleet
+    supply; then (M - m)(U - Y) >= 0 and (m - L)(U - Y) >= 0, with m in
+    [L, M], bound Σ z_t from below and above. The per-arc big-M rows summed
+    over the leg give the same two rows with the leg's arc count for U, so
+    they are emitted only when U is smaller.
+    """
+    in_arcs = {}
+    for idx, arc in fv.powered():
+        in_arcs.setdefault(arc.dst, []).append(idx)
+
+    entries = {}
+    for d in scenario.demands:
+        if d.commodity in fv.commodities:
+            entries.setdefault((d.node, d.commodity), []).append((d.time, d.amount))
+    for (node, c), days in entries.items():
+        days.sort()
+        need, asked = 0.0, 0
+        for i, (t, amount) in enumerate(days):
+            if amount == math.inf:
+                break
+            need -= amount
+            if (i + 1 < len(days) and days[i + 1][0] == t) or need <= 0.0:
+                continue
+            caps = {}
+            for idx in in_arcs.get(node, []):
+                arc = fv.network.arcs[idx]
+                if arc.arrive <= t:
+                    m_id = fv.design[(arc.vehicle, "m_f" if c == PROPELLANT else "m_p")]
+                    caps[idx] = model.variables[m_id].upper
+            if not caps or max(caps.values()) <= 0.0:
+                continue
+            k = math.ceil(need / max(caps.values()) - 1e-9)
+            if k > asked:
+                asked = k
+                model.add_constraint([(fv.use[idx], 1.0) for idx in caps], ">=", k,
+                                     tag=f"cut:cover:{node}:{t}:{c}")
+
+    for v in fv.vehicle_ids:
+        fleet = _fleet_supply(scenario, v)
+        legs = {}
+        for idx, arc in fv.powered():
+            if arc.vehicle == v:
+                legs.setdefault((arc.src, arc.dst), []).append(idx)
+        if not 0.0 < fleet < math.inf or _has_cycle(legs):
+            continue
+        for (src, dst), arcs in legs.items():
+            if fleet >= len(arcs):
+                continue
+            for zs, which in ((fv.z_payload, "m_p"), (fv.z_propellant, "m_f"),
+                              (fv.z_struct, "m_d")):
+                m_id = fv.design[(v, which)]
+                tag = f"cut:leg:{v}:{src}>{dst}:{which}"
+                head = [(zs[idx], 1.0) for idx in arcs] + [(m_id, -fleet)]
+                for bound, sense, side in ((model.variables[m_id].upper, ">=", "lo"),
+                                           (model.variables[m_id].lower, "<=", "hi")):
+                    ys = [(fv.use[idx], -bound) for idx in arcs] if bound else []
+                    model.add_constraint(head + ys, sense, -bound * fleet,
+                                         tag=f"{tag}:{side}")
+
+
+def _has_cycle(legs) -> bool:
+    """Whether the directed graph with edges `legs` (src, dst) has a cycle
+    (Kahn's algorithm: some node never reaches in-degree 0)."""
+    indeg, succ = {}, {}
+    for src, dst in legs:
+        succ.setdefault(src, []).append(dst)
+        indeg[dst] = indeg.get(dst, 0) + 1
+        indeg.setdefault(src, 0)
+    ready = [n for n, k in indeg.items() if k == 0]
+    seen = 0
+    while ready:
+        n = ready.pop()
+        seen += 1
+        for m in succ.get(n, []):
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+    return seen < len(indeg)
+
+
 def build_objective(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     for entry in scenario.objective:
         costs = dict(entry.commodity_cost)
@@ -332,6 +427,7 @@ def assemble(scenario: Scenario, closure) -> tuple[MilpModel, FlowVariables]:
     build_transformation(model, fv)
     build_concurrency(model, fv, scenario)
     build_sizing(model, fv, closure)
+    build_network_cuts(model, fv, scenario)
     build_objective(model, fv, scenario)
     model.freeze()
     return model, fv

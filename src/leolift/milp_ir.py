@@ -56,7 +56,12 @@ class Violation:
 
 @dataclass
 class Solution:
-    """Solver output: values by dense variable id plus run statistics."""
+    """Solver output: values by dense variable id plus run statistics.
+
+    `best_bound` is a proven lower bound on the optimum (+inf when the model
+    is infeasible, -inf when none is known) and `gap` the relative distance
+    from the objective to it (inf without an incumbent).
+    """
 
     values: np.ndarray
     objective: float
@@ -64,6 +69,8 @@ class Solution:
     nodes: int = 0
     iterations: int = 0  # simplex pivots and bound flips
     seconds: float = 0.0
+    best_bound: float = -INF
+    gap: float = INF
 
 
 @dataclass

@@ -544,7 +544,9 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     Node 0 is the root LP itself. A `SolverBreakdown` that the cold
     two-phase solve cannot recover ends the search with status `numerical`,
     as does an incumbent that fails `_certified`; the values are then the
-    incumbent's, if there is one.
+    incumbent's, if there is one. Every stop reports `best_bound`, the
+    smallest of the incumbent and the bounds of the open nodes and of the
+    nodes the gap test dropped, and the `gap` to it.
     """
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
@@ -561,13 +563,15 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     if root.status in ("infeasible", "unbounded"):
         obj = INF if root.status == "infeasible" else -INF
         return Solution(np.zeros(n_struct), obj, root.status, nodes=1,
-                        iterations=total_iters, seconds=time.monotonic() - t0)
+                        iterations=total_iters, seconds=time.monotonic() - t0,
+                        best_bound=obj)
 
     int_ids = np.nonzero(prob.int_mask)[0]
 
     incumbent = None
     incumbent_obj = INF
     best_bound = root.objective
+    closed = INF  # smallest bound of a node the gap test dropped
     nodes_done = 0
     seq = 1
 
@@ -597,6 +601,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         best_bound = max(best_bound, min(node.bound, incumbent_obj))
         if incumbent is not None and node.bound >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
+            closed = min(closed, node.bound)
             continue
         nodes_done += 1
 
@@ -627,6 +632,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                 except SolverBreakdown:
                     total_iters += state.iterations
                     status = "numerical"
+                    heapq.heappush(heap, node)  # still open: its bound counts
                     break
             total_iters += state.iterations
 
@@ -640,6 +646,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             continue
         if incumbent is not None and lp_obj >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
+            closed = min(closed, lp_obj)
             continue
 
         j = pick_branch(state.x)
@@ -666,14 +673,19 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             siblings[id(basis)] = (basis, None)
 
     elapsed = time.monotonic() - t0
+    # every point better than the incumbent lies under an open node or under
+    # one the gap test dropped
+    bound = float(min([incumbent_obj, closed] + [n.bound for n in heap]))
     if incumbent is None:
         final = "infeasible" if status == "optimal" else status
         return Solution(np.zeros(n_struct), INF, final, nodes=nodes_done,
-                        iterations=total_iters, seconds=elapsed)
+                        iterations=total_iters, seconds=elapsed,
+                        best_bound=bound)
     if status == "optimal" and not _certified(sf, incumbent):
         status = "numerical"
     return Solution(incumbent, float(incumbent_obj), status, nodes=nodes_done,
-                    iterations=total_iters, seconds=elapsed)
+                    iterations=total_iters, seconds=elapsed, best_bound=bound,
+                    gap=_rel_gap(incumbent_obj, bound))
 
 
 def _certified(sf: StandardForm, x: np.ndarray) -> bool:

@@ -1,12 +1,53 @@
-"""Independent brute-force oracles the solver tests compare against."""
+"""Independent oracles the tests compare against, and shared model builders."""
 
+import importlib.util
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from leolift.formulation import (build_concurrency, build_mass_balance,
+                                 build_objective, build_sizing,
+                                 build_transformation, create_flow_variables)
 from leolift.milp_ir import MilpModel
+from leolift.scenario import expand_time_network
+
+_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+_spec = importlib.util.spec_from_file_location("perfbench_generate", _GEN_PATH)
+_generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_generate)
+
+
+def ladder_doc(horizon: int, width: int) -> dict:
+    """The ROADMAP ladder rung H/W as a scenario document, built by the
+    benchmark's own generator from the bundled campaign."""
+    return _generate.ladder_rung(json.loads(_generate.BUNDLED.read_text()),
+                                 horizon, width)
+
+
+def assemble_without_cuts(scenario, closure):
+    """`assemble` minus `build_network_cuts`: the campaign MILP without the
+    rows the network implies. The variables and their ids are the same."""
+    model = MilpModel(scenario.name)
+    fv = create_flow_variables(model, scenario, expand_time_network(scenario))
+    build_mass_balance(model, fv, scenario.demands)
+    build_transformation(model, fv)
+    build_concurrency(model, fv, scenario)
+    build_sizing(model, fv, closure)
+    build_objective(model, fv, scenario)
+    model.freeze()
+    return model, fv
+
+
+def highs_milp(model):
+    """HiGHS (through `scipy.optimize.milp`) on the model, to a 1e-9 gap."""
+    sf = model.to_standard_form()
+    return milp(c=sf.c, constraints=LinearConstraint(sf.A, sf.row_lo, sf.row_hi),
+                integrality=sf.is_int.astype(int), bounds=Bounds(sf.lb, sf.ub),
+                options={"mip_rel_gap": 1e-9})
 
 
 def random_box_lp(rng, max_vars=6, max_rows=6):

@@ -109,7 +109,8 @@ class TestSingleRunReports:
         assert set(rep) == {"scenario", "surrogate", "milp", "oracle",
                             "gap_pct", "flows"}
         assert set(rep["surrogate"]) == {"kind", "seed", "test_r2"}
-        assert set(rep["milp"]) == {"objective_kg", "status", "nodes", "seconds"}
+        assert set(rep["milp"]) == {"objective_kg", "status", "best_bound", "gap",
+                                    "nodes", "iterations", "seconds"}
         assert set(rep["oracle"]) == {"imleo_kg", "m_d", "m_p", "m_f"}
         assert rep["surrogate"]["kind"] == "linreg"
         assert rep["surrogate"]["seed"] is None

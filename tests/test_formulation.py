@@ -1,5 +1,6 @@
 """Formulation tests: balance rows, burn arithmetic, linearization, assembly."""
 
+import json
 import math
 
 import numpy as np
@@ -12,13 +13,15 @@ from leolift.formulation import (FixedDesign, FormulationError, LinearEpsilon,
                                  compute_propellant_fraction,
                                  create_flow_variables, net_inflow,
                                  solution_flows)
-from leolift.milp_ir import MilpModel
+from leolift.milp_ir import FEAS_TOL, MilpModel
 from leolift.scenario import (Arc, Commodity, DemandEntry, Node,
                               ObjectiveEntry, Scenario, VehicleSpec,
-                              expand_time_network)
-from leolift.solver import solve_milp
+                              expand_time_network, load_scenario)
+from leolift.solver import solve_lp, solve_milp
 from leolift.spacecraft import SizingParams, solve_exact_oracle, surrogate_target
 from leolift.surrogate import TrainConfig, train_relu_network
+
+from helpers import assemble_without_cuts, highs_milp, ladder_doc
 
 INF = math.inf
 
@@ -419,3 +422,163 @@ class TestObjective:
                 assert fv.z_struct[idx] not in costed
                 for c in fv.commodities:
                     assert fv.x_plus[(idx, c)] not in costed
+
+
+def ladder(horizon=8, width=3, demands=(), arcs=(), **vehicle_fields):
+    """Ladder rung H/W with extra demand entries and arc families appended
+    and fields of its vehicle replaced."""
+    doc = ladder_doc(horizon, width)
+    doc["demands"] += list(demands)
+    doc["arcs"] += list(arcs)
+    doc["vehicles"][0].update(vehicle_fields)
+    return load_scenario(json.dumps(doc))
+
+
+def cut_rows(model, family=""):
+    return {c.tag: c for c in model.constraints
+            if c.tag.startswith(f"cut:{family}")}
+
+
+def payload(node, t, amount):
+    return {"commodity": "payload", "node": node, "time": t, "amount": amount}
+
+
+class TestNetworkCuts:
+    def test_ladder_rung_gets_both_families(self, linreg51):
+        model, fv = assemble(ladder(), linreg51)
+        cover = cut_rows(model, "cover")
+        assert list(cover) == ["cut:cover:LS:7:payload"]
+        con = cover["cut:cover:LS:7:payload"]
+        into_ls = {fv.use[i] for i, a in fv.powered() if a.dst == "LS"}
+        assert len(into_ls) == 3
+        assert (con.sense, con.rhs) == (">=", 1.0)
+        assert dict(con.terms) == {y: 1.0 for y in into_ls}
+
+        legs = cut_rows(model, "leg")
+        assert len(legs) == 3 * 3 * 2  # legs x (m_p, m_f, m_d) x (lo, hi)
+        lo = legs["cut:leg:spacecraft:LEO>LLO:m_f:lo"]
+        hi = legs["cut:leg:spacecraft:LEO>LLO:m_f:hi"]
+        flown = [i for i, a in fv.powered() if (a.src, a.dst) == ("LEO", "LLO")]
+        m_f = fv.design[("spacecraft", "m_f")]
+        expect = {fv.z_propellant[i]: 1.0 for i in flown} | {m_f: -1.0}
+        assert (lo.sense, lo.rhs) == (">=", -50000.0)
+        assert dict(lo.terms) == expect | {fv.use[i]: -50000.0 for i in flown}
+        # m_f's lower bound is 0, so the upper facet has no y term
+        assert (hi.sense, hi.rhs) == ("<=", 0.0)
+        assert dict(hi.terms) == expect
+        assert redundant_rows(model) == ([], [])
+
+    def test_positive_lower_bound_takes_the_general_facet(self, linreg51):
+        sc = ladder(design_bounds={"m_p": [100, 50000], "m_f": [0, 50000]})
+        model, fv = assemble(sc, linreg51)
+        hi = cut_rows(model, "leg")["cut:leg:spacecraft:Earth>LEO:m_p:hi"]
+        flown = [i for i, a in fv.powered() if a.src == "Earth"]
+        # sum z <= U*m + L*Y - U*L with U = 1, L = 100
+        assert (hi.sense, hi.rhs) == ("<=", -100.0)
+        assert dict(hi.terms) == ({fv.z_payload[i]: 1.0 for i in flown}
+                                  | {fv.use[i]: -100.0 for i in flown}
+                                  | {fv.design[("spacecraft", "m_p")]: -1.0})
+
+    def test_bundled_campaign_gets_the_cover_row(self, lunar, linreg51):
+        """Each leg of the bundled campaign flies on one day, so with a fleet
+        of one the leg rows would be its arc's `bigM:2` and `bigM:3` rows
+        again; only the cover row is new."""
+        model, fv = assemble(lunar, linreg51)
+        (idx, _), = [(i, a) for i, a in fv.powered() if a.dst == "LS"]
+        cuts = cut_rows(model)
+        assert list(cuts) == ["cut:cover:LS:5:payload"]
+        con = cuts["cut:cover:LS:5:payload"]
+        assert (con.terms, con.sense, con.rhs) == ([(fv.use[idx], 1.0)], ">=", 1.0)
+
+    def test_no_leg_rows_for_a_return_leg(self, linreg51):
+        back = {"from": "LLO", "to": "LEO", "delta_v_mps": 4040.0,
+                "tof_days": 1, "window": [5]}
+        model, _ = assemble(ladder(arcs=[back]), linreg51)
+        assert cut_rows(model, "leg") == {}
+        assert list(cut_rows(model, "cover")) == ["cut:cover:LS:7:payload"]
+
+    def test_no_leg_rows_for_an_unbounded_fleet(self, linreg51):
+        doc = ladder_doc(8, 3)
+        for d in doc["demands"]:
+            if d["commodity"] == "spacecraft":
+                d["amount"] = "inf"
+        model, _ = assemble(load_scenario(json.dumps(doc)), linreg51)
+        assert cut_rows(model, "leg") == {}
+
+    def test_fleet_as_large_as_a_leg_adds_no_leg_row(self, linreg51):
+        # three spacecraft can fly all three departures of every leg: the
+        # rows would be sums of the per-arc big-M rows
+        sc = ladder(demands=[{"commodity": "spacecraft", "node": "Earth",
+                              "time": 0, "amount": 2}])
+        model, _ = assemble(sc, linreg51)
+        assert cut_rows(model, "leg") == {}
+
+    @pytest.mark.parametrize("supply", [1000.0, 1500.0, "inf"])
+    def test_no_cover_row_for_supply_at_the_delivery_node(self, linreg51, supply):
+        model, _ = assemble(ladder(demands=[payload("LS", 0, supply)]), linreg51)
+        assert cut_rows(model, "cover") == {}
+
+    def test_supply_at_the_delivery_node_lowers_the_count(self, linreg51):
+        # 300 kg per flight: 1000 kg need 4 flights, 1000 - 400 kg need 2
+        caps = {"m_p": [0, 300], "m_f": [0, 50000]}
+        model, _ = assemble(ladder(design_bounds=caps), linreg51)
+        assert cut_rows(model, "cover")["cut:cover:LS:7:payload"].rhs == 4.0
+        model, _ = assemble(ladder(demands=[payload("LS", 0, 400.0)],
+                                   design_bounds=caps), linreg51)
+        assert cut_rows(model, "cover")["cut:cover:LS:7:payload"].rhs == 2.0
+
+    def test_no_cover_row_where_no_arc_arrives_in_time(self, linreg51):
+        # the first arrival at LS is on day 5; the balance rows alone make
+        # the delivery on day 4 infeasible
+        model, _ = assemble(ladder(demands=[payload("LS", 4, -10.0)]), linreg51)
+        assert list(cut_rows(model, "cover")) == ["cut:cover:LS:7:payload"]
+        assert solve_milp(model).status == "infeasible"
+
+    def test_a_second_delivery_gets_a_row_when_it_needs_more_flights(self, linreg51):
+        caps = {"m_p": [0, 300], "m_f": [0, 50000]}
+        model, _ = assemble(ladder(demands=[payload("LS", 5, -500.0)],
+                                   design_bounds=caps), linreg51)
+        assert {t: c.rhs for t, c in cut_rows(model, "cover").items()} == {
+            "cut:cover:LS:5:payload": 2.0, "cut:cover:LS:7:payload": 5.0}
+        # at the default capacity one flight serves both: the day-7 row
+        # would repeat the day-5 one over more arcs
+        model, _ = assemble(ladder(demands=[payload("LS", 5, -500.0)]), linreg51)
+        assert list(cut_rows(model, "cover")) == ["cut:cover:LS:5:payload"]
+
+    @pytest.mark.parametrize("demand, count", [
+        (-1000.0, 4.0), (-750.0, 3.0), (-1000.5, 5.0), (-250.0, 1.0), (-0.5, 1.0)])
+    def test_cover_count_at_and_past_a_multiple(self, linreg51, demand, count):
+        doc = ladder_doc(8, 3)
+        doc["vehicles"][0]["design_bounds"]["m_p"] = [0, 250]
+        for d in doc["demands"]:
+            if d["node"] == "LS":
+                d["amount"] = demand
+        model, _ = assemble(load_scenario(json.dumps(doc)), linreg51)
+        assert cut_rows(model, "cover")["cut:cover:LS:7:payload"].rhs == count
+
+    @pytest.mark.parametrize("rung", [None, (8, 3)])
+    @pytest.mark.parametrize("closure", ["linreg51", "epsilon"])
+    def test_cuts_separate_the_root_lp_and_keep_the_optimum(self, request, lunar,
+                                                            rung, closure):
+        """The root LP point of the model without the rows violates the cover
+        row (and, on the rung, a leg row); HiGHS's optimum of that model
+        meets every one of them."""
+        cl = (LinearEpsilon(0.08) if closure == "epsilon"
+              else request.getfixturevalue(closure))
+        sc = lunar if rung is None else ladder(*rung)
+        model, _ = assemble(sc, cl)
+        bare, _ = assemble_without_cuts(sc, cl)
+        assert model.num_variables() == bare.num_variables()
+        assert model.num_constraints() > bare.num_constraints()
+
+        root = solve_lp(bare.to_standard_form())
+        assert root.status == "optimal"
+        cut_viol = {v.tag for v in model.evaluate(root.x)}
+        assert cut_viol <= set(cut_rows(model))
+        assert any(t.startswith("cut:cover:") for t in cut_viol)
+        if rung is not None:
+            assert any(t.startswith("cut:leg:") for t in cut_viol)
+
+        ref = highs_milp(bare)
+        assert ref.status == 0, ref.message
+        assert model.evaluate(ref.x, tol=FEAS_TOL) == []

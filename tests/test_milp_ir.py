@@ -233,7 +233,8 @@ class TestFreezeAndTags:
 
     def test_assembled_model_tags_partition(self, lunar, net0):
         model, _ = assemble(lunar, net0)
-        families = ("eq2:", "eq3:", "eq4:", "eq5:", "bigM:", "sizing:", "ml[")
+        families = ("eq2:", "eq3:", "eq4:", "eq5:", "bigM:", "sizing:", "ml[",
+                    "cut:")
         seen = set()
         for con in model.constraints:
             assert con.tag, "every row must carry a tag"

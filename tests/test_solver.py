@@ -1,6 +1,5 @@
 """Simplex and branch-and-bound checks against brute-force oracles."""
 
-import importlib.util
 import json
 import math
 import os
@@ -19,8 +18,8 @@ from leolift import solver
 from leolift.milp_ir import MilpModel
 from leolift.solver import BnbConfig, solve_lp, solve_milp
 
-from helpers import (exhaustive_milp_min, model_from_dense, random_box_lp,
-                     vertex_enumeration_min)
+from helpers import (exhaustive_milp_min, highs_milp, ladder_doc,
+                     model_from_dense, random_box_lp, vertex_enumeration_min)
 
 INF = math.inf
 
@@ -673,6 +672,43 @@ class TestNodeLogAndLimits:
             BnbConfig(time_limit=0.0)
 
 
+class TestBoundAndGap:
+    def _h8_w3_nn(self, net0):
+        from leolift.formulation import assemble
+        from leolift.scenario import load_scenario
+
+        return assemble(load_scenario(json.dumps(ladder_doc(8, 3))), net0)[0]
+
+    @pytest.mark.parametrize("node_limit", [1, 10, 40])
+    def test_node_limited_solve_reports_a_valid_bound(self, net0, node_limit):
+        model = self._h8_w3_nn(net0)
+        sol = solve_milp(model, BnbConfig(node_limit=node_limit))
+        assert sol.status == "limit" and sol.nodes == node_limit
+        ref = highs_milp(model)
+        assert ref.status == 0, ref.message
+        assert math.isfinite(sol.best_bound)
+        assert sol.best_bound <= ref.fun + 1e-6 * abs(ref.fun)
+        assert sol.best_bound <= sol.objective
+        assert sol.gap == solver._rel_gap(sol.objective, sol.best_bound)
+
+    def test_optimal_solve_closes_the_gap(self, net0):
+        for model in (self._h8_w3_nn(net0), TestNodeLogAndLimits()._logged_model()):
+            sol = solve_milp(model)
+            assert sol.status == "optimal"
+            assert sol.best_bound <= sol.objective
+            assert sol.gap <= solver.GAP_TOL
+
+    def test_infeasible_and_rootless_stops(self):
+        m = MilpModel()
+        x = m.add_variable("x", "integer", 0.0, 1.0)
+        m.add_constraint([(x, 2.0)], "=", 1.0, tag="odd")
+        sol = solve_milp(m)
+        assert (sol.status, sol.best_bound, sol.gap) == ("infeasible", INF, INF)
+        sol = solve_milp(m, BnbConfig(time_limit=1e-9))
+        assert sol.status == "limit" and sol.gap == INF
+        assert sol.best_bound == pytest.approx(0.0)
+
+
 # Runs the bundled campaign with the NN closure trained on seed 12, capturing
 # the assembled model so HiGHS can solve the same one.
 DUAL_CYCLING_CHILD = """
@@ -825,57 +861,93 @@ class TestPhaseOne:
 
 
 def ladder_scenario(tmp_path, horizon: int, width: int) -> Path:
-    """Write the ROADMAP ladder rung H/W, built by the benchmark's own
-    generator from the bundled campaign; returns its path."""
-    gen_path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generate", gen_path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    """Write the ROADMAP ladder rung H/W (see `helpers.ladder_doc`); returns
+    its path."""
     scenario = tmp_path / f"lunar_H{horizon}_W{width}.json"
-    scenario.write_text(json.dumps(
-        gen.ladder_rung(json.loads(gen.BUNDLED.read_text()), horizon, width)))
+    scenario.write_text(json.dumps(ladder_doc(horizon, width)))
     return scenario
+
+
+def solve_captured(monkeypatch, argv):
+    """Run the CLI pipeline on argv; returns its report and the model it
+    solved."""
+    from leolift import cli
+
+    models = []
+    solve = cli.solve_milp
+
+    def capture(model, cfg=None, node_log=None):
+        models.append(model)
+        return solve(model, cfg, node_log)
+
+    monkeypatch.setattr(cli, "solve_milp", capture)
+    return cli.run_pipeline(cli.build_parser().parse_args(argv)), models[0]
+
+
+# the linreg optimum of every ladder rung, as the solver found it before the
+# network rows were added (rung H24/W18)
+LADDER_LINREG_OPTIMUM = 42650.330332657875
 
 
 class TestLadderTarget:
     def test_h14_w9_solves_to_optimal(self, tmp_path, monkeypatch):
-        """Ladder rung H14/W9 (391 vars, 522 rows, linreg closure), the
+        """Ladder rung H14/W9 (391 vars, 541 rows, linreg closure), the
         ROADMAP's solver target: optimal well inside 30 s, equal to HiGHS.
-        With an explicitly inverted basis it needed about 64 s."""
-        from scipy.optimize import Bounds, LinearConstraint, milp
-        from leolift import cli
-
-        scenario = ladder_scenario(tmp_path, 14, 9)
-        models = []
-        solve = cli.solve_milp
-
-        def capture(model, cfg=None, node_log=None):
-            models.append(model)
-            return solve(model, cfg, node_log)
-
-        monkeypatch.setattr(cli, "solve_milp", capture)
-        rep = cli.run_pipeline(cli.build_parser().parse_args(
-            ["--scenario", str(scenario), "--surrogate", "linreg",
-             "--time-limit", "30"]))
+        With an explicitly inverted basis it needed about 64 s; without the
+        network rows, 847 nodes and about 3 s; with them, 10 nodes."""
+        rep, model = solve_captured(monkeypatch, [
+            "--scenario", str(ladder_scenario(tmp_path, 14, 9)),
+            "--surrogate", "linreg", "--time-limit", "30"])
         assert rep.solution.status == "optimal", rep.solution
-        sf = models[0].to_standard_form()
-        ref = milp(c=sf.c, constraints=LinearConstraint(sf.A, sf.row_lo, sf.row_hi),
-                   integrality=sf.is_int.astype(int), bounds=Bounds(sf.lb, sf.ub),
-                   options={"mip_rel_gap": 1e-9})
+        ref = highs_milp(model)
         assert ref.status == 0, ref.message
         assert rep.solution.objective == pytest.approx(ref.fun, rel=1e-6)
 
+    @pytest.mark.parametrize("rung, surrogate", [
+        ((18, 12), "linreg"), ((24, 18), "linreg"), ((14, 9), "nn")])
+    def test_larger_rung_solves_to_optimal(self, tmp_path, monkeypatch, rung,
+                                           surrogate):
+        """Ladder rungs H18/W12 and H24/W18 (linreg closure), and H14/W9
+        with the NN closure trained on seed 0: optimal and equal to HiGHS on
+        the same model; the linreg rungs also equal the optimum found
+        without the network rows. Without those rows they took 1,761, 5,183
+        and 5,609 nodes (about 8 s, 50 s and 16 s); with them, 4, 5 and
+        27."""
+        rep, model = solve_captured(monkeypatch, [
+            "--scenario", str(ladder_scenario(tmp_path, *rung)),
+            "--surrogate", surrogate, "--seed", "0", "--time-limit", "30"])
+        sol = rep.solution
+        assert sol.status == "optimal", sol
+        ref = highs_milp(model)
+        assert ref.status == 0, ref.message
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-6)
+        if surrogate == "linreg":
+            assert sol.objective == pytest.approx(LADDER_LINREG_OPTIMUM, rel=1e-9)
+
 
 class TestFactorSharing:
-    @pytest.mark.parametrize("rung, nodes, iterations, objective", [
-        (None, 7, 47, "0x1.4d34a9215cb46p+15"),
-        ((8, 3), 75, 451, "0x1.4d34a9215cad6p+15"),
+    @pytest.mark.parametrize("rung, surrogate, nodes, iterations, objective", [
+        (None, "linreg", 1, 51, "0x1.4d34a9215cb3cp+15"),
+        ((8, 3), "linreg", 5, 162, "0x1.4d34a9215cb4ap+15"),
+        ((8, 3), "nn", 75, 299, "0x1.5022fadbd145fp+15"),
     ])
-    def test_siblings_share_one_factorization(self, tmp_path, monkeypatch, rung,
-                                              nodes, iterations, objective):
+    def test_trees_are_pinned(self, tmp_path, rung, surrogate, nodes,
+                              iterations, objective):
+        """The search trees to the bit: bundled campaign and ladder rung
+        H8/W3 (linreg closure), and H8/W3 with the NN closure of seed 0."""
+        from leolift import cli
+
+        argv = ["--surrogate", surrogate]
+        if rung is not None:
+            argv += ["--scenario", str(ladder_scenario(tmp_path, *rung))]
+        sol = cli.run_pipeline(cli.build_parser().parse_args(argv)).solution
+        assert (sol.status, sol.nodes, sol.iterations, float.hex(sol.objective)) == \
+            ("optimal", nodes, iterations, objective)
+
+    def test_siblings_share_one_factorization(self, tmp_path, monkeypatch):
         """Both children of a branched node start from its basis, factored
-        once: fewer `splu` calls than nodes, on the same tree to the bit
-        (bundled campaign and ladder rung H8/W3, linreg closure)."""
+        once: fewer `splu` calls than nodes on a tree that branches (H8/W3,
+        NN closure of seed 0: 75 nodes)."""
         from leolift import cli
 
         calls = []
@@ -885,11 +957,9 @@ class TestFactorSharing:
             calls.append(1)
             return splu(*args, **kwargs)
 
-        argv = ["--surrogate", "linreg"]
-        if rung is not None:
-            argv += ["--scenario", str(ladder_scenario(tmp_path, *rung))]
         monkeypatch.setattr(solver, "splu", counted)
-        sol = cli.run_pipeline(cli.build_parser().parse_args(argv)).solution
-        assert (sol.status, sol.nodes, sol.iterations, float.hex(sol.objective)) == \
-            ("optimal", nodes, iterations, objective)
+        sol = cli.run_pipeline(cli.build_parser().parse_args(
+            ["--surrogate", "nn", "--scenario",
+             str(ladder_scenario(tmp_path, 8, 3))])).solution
+        assert sol.status == "optimal" and sol.nodes == 75
         assert len(calls) < sol.nodes
