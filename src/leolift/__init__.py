@@ -14,13 +14,15 @@ from .milp_ir import MilpModel, Solution
 from .scenario import Scenario, load_scenario, expand_time_network
 from .spacecraft import SizingParams, OracleResult, evaluate_sizing, solve_exact_oracle
 from .solver import BnbConfig, solve_lp, solve_milp
-from .surrogate import ReluNetwork, TrainConfig, train_relu_network, fit_linear_regression
+from .surrogate import ReluNetwork, TrainConfig, train_relu_network, train_relu_networks, \
+    fit_linear_regression
 
 __all__ = [
     "MilpModel", "Solution", "Scenario", "load_scenario", "expand_time_network",
     "SizingParams", "OracleResult", "evaluate_sizing", "solve_exact_oracle",
     "BnbConfig", "solve_lp", "solve_milp",
     "LinearEpsilon", "assemble",
-    "ReluNetwork", "TrainConfig", "train_relu_network", "fit_linear_regression",
+    "ReluNetwork", "TrainConfig", "train_relu_network", "train_relu_networks",
+    "fit_linear_regression",
     "__version__",
 ]

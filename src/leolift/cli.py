@@ -2,7 +2,9 @@
 solve it, compare against the nonlinear sizing oracle, and report.
 
 Single runs emit a text/json/csv report; `--trials N` runs a seed study
-(seeds base..base+N-1) and reports per-trial rows plus mean/median gap.
+(seeds base..base+N-1) and reports per-trial rows plus mean/median gap. An
+NN study trains all of its networks in one stacked run first, then solves
+one trial per seed.
 Exit codes: 0 solved to optimality, 1 any stage failure, 2 scenario file
 not found.
 """
@@ -10,6 +12,7 @@ not found.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import statistics
@@ -26,7 +29,8 @@ from .solver import BnbConfig, solve_milp
 from .spacecraft import OracleResult, SizingParams, generate_dataset, \
     solve_exact_oracle, surrogate_target
 from .surrogate import ReluNetwork, TrainConfig, TrainingDivergence, \
-    fit_linear_regression, holdout_r2, load_surrogate, train_relu_network
+    fit_linear_regression, holdout_r2, load_surrogate, train_relu_network, \
+    train_relu_networks
 
 # held-out fit below this is treated as a poorly trained instance in studies
 R2_EXCLUSION = 0.98
@@ -155,14 +159,32 @@ def _params_for(scenario: Scenario) -> SizingParams:
     return params[0]
 
 
+def _scenario_and_params(args) -> tuple[Scenario, SizingParams]:
+    text = _resolve_scenario(args.scenario)
+    if text is None:
+        raise ScenarioNotFound(f"scenario not found: {args.scenario}")
+    scenario = load_scenario(text)
+    return scenario, _params_for(scenario)
+
+
+def _training_data(args, params: SizingParams):
+    """(input box, dataset) of the `--train-range` grid."""
+    lo, hi, step = _parse_train_range(args.train_range)
+    return (lo, hi), generate_dataset(params, lo, hi, step)
+
+
 def _prepare_surrogate(args, params: SizingParams, seed: int):
-    """Returns (closure object, kind, seed-or-None, test_r2)."""
+    """Returns (closure object, kind, seed-or-None, test_r2).
+
+    `args.model` is a model file to load or an already trained network,
+    which is used as given."""
     target = lambda v: surrogate_target(params, v)
     if args.model:
-        sur, box = load_surrogate(args.model), (0.0, 50000.0)
+        sur = (args.model if isinstance(args.model, ReluNetwork)
+               else load_surrogate(args.model))
+        box = (0.0, 50000.0)
     else:
-        lo, hi, step = _parse_train_range(args.train_range)
-        box, data = (lo, hi), generate_dataset(params, lo, hi, step)
+        box, data = _training_data(args, params)
         sur = (fit_linear_regression(data) if args.surrogate == "linreg" else
                train_relu_network(data, TrainConfig(seed=seed), target_fn=target))
     if isinstance(sur, ReluNetwork):
@@ -189,11 +211,7 @@ def _oracle_for(scenario: Scenario, params: SizingParams) -> OracleResult | None
 
 
 def run_pipeline(args, seed: int | None = None) -> RunReport:
-    text = _resolve_scenario(args.scenario)
-    if text is None:
-        raise ScenarioNotFound(f"scenario not found: {args.scenario}")
-    scenario = load_scenario(text)
-    params = _params_for(scenario)
+    scenario, params = _scenario_and_params(args)
     seed = args.seed if seed is None else seed
     closure, kind, used_seed, test_r2 = _prepare_surrogate(args, params, seed)
 
@@ -220,13 +238,28 @@ def run_pipeline(args, seed: int | None = None) -> RunReport:
 def run_seed_study(args) -> SeedStudySummary:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    seeds = range(args.seed, args.seed + args.trials)
+    nets = [None] * args.trials
+    if args.surrogate == "nn" and not args.model:
+        # the trials share their data and differ only in the seed: train
+        # every network in one stacked run, and hand each trial its own
+        params = _scenario_and_params(args)[1]
+        _, data = _training_data(args, params)
+        nets = train_relu_networks(data, [TrainConfig(seed=s) for s in seeds],
+                                   target_fn=lambda v: surrogate_target(params, v))
     rows = []
     failures = 0
     excluded = []
     eligible_gaps = []
-    for seed in range(args.seed, args.seed + args.trials):
+    for seed, net in zip(seeds, nets):
         try:
-            rep = run_pipeline(args, seed=seed)
+            if isinstance(net, TrainingDivergence):
+                raise net
+            trial_args = args
+            if net is not None:
+                trial_args = copy.copy(args)
+                trial_args.model = net
+            rep = run_pipeline(trial_args, seed=seed)
         except TrainingDivergence:
             failures += 1
             rows.append({"seed": seed, "test_r2": None, "objective_kg": None,

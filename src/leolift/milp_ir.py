@@ -288,16 +288,23 @@ class MilpModel:
 
 
 def _shorten(names: list[str]) -> list[str]:
-    """Truncate names to 8 chars, suffixing a counter on collision."""
-    out, used = [], set()
+    """Truncate names to 8 chars, suffixing the first free counter k = 0, 1,
+    ... on collision.
+
+    `used` only grows, so a counter once found taken for a base stays taken:
+    each base resumes its search where its last one stopped, which gives the
+    names a search from k = 0 gives without testing those counters again.
+    """
+    out, used, next_k = [], set(), {}
     for name in names:
         base = "".join(ch if ch.isalnum() else "_" for ch in name)[:8] or "X"
         cand = base
-        k = 0
+        k = next_k.get(base, 0)
         while cand in used:
             suffix = str(k)
             cand = base[: 8 - len(suffix)] + suffix
             k += 1
+        next_k[base] = k
         used.add(cand)
         out.append(cand)
     return out

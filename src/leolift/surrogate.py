@@ -2,7 +2,10 @@
 
 Networks are trained from scratch (full-batch Adam on MSE, inputs and
 targets standardized internally with the affine scaling folded back into the
-first and last layers, so the stored network maps raw kg to raw kg). A
+first and last layers, so the stored network maps raw kg to raw kg).
+Networks that differ only in their seed train together in one Adam loop
+over stacked parameters (`train_relu_networks`); a single network is the
+one-member case, and each member ends bitwise equal to its single run. A
 trained network embeds into a `MilpModel` as exact linear constraints with
 one binary per ReLU whose pre-activation interval straddles zero.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,70 +117,135 @@ def forward(net: ReluNetwork, x):
     return float(out[0]) if scalar else out
 
 
-def _adam_loop(Ws, bs, Xs, Ys, cfg: TrainConfig):
-    """Full-batch Adam updates in place for cfg.max_iter iterations.
+def _stacked_adam_loop(members, Xs, Ys, cfg: TrainConfig) -> list:
+    """Full-batch Adam for cfg.max_iter iterations on several networks of one
+    shape at once, updating each member's `(Ws, bs)` in place.
 
-    The loop trains views into one flat parameter vector, with one flat
-    first and second moment, and copies the result back into `Ws` and `bs`;
-    the update is elementwise, so each parameter rounds as it would in a
-    per-array update.
+    The members' parameters are the rows of one (S, P) array `theta`, with
+    one first and second moment and one gradient of the same shape; layer s
+    is seen through views of shape (S, out, in) for the weights and
+    (S, 1, out) for the biases, and through the transposed weight views, all
+    built once. Every product is batched over the members and every update
+    is elementwise, so no member's numbers mix with another's and each
+    rounds as it would trained alone. Returns, per member, None or the
+    `TrainingDivergence` of the first iteration at which that member's loss
+    was non-finite; such a member's parameters are left unusable.
     """
-    params = Ws + bs
-    theta = np.concatenate(params, axis=None)
-    views, start = [], 0
-    for p in params:
-        views.append(theta[start:start + p.size].reshape(p.shape))
-        start += p.size
-    tWs, tbs = views[:len(Ws)], views[len(Ws):]
+    shapes = [W.shape for W in members[0][0]]
+    theta = np.stack([np.concatenate(Ws + bs, axis=None) for Ws, bs in members])
+    Ws, bs = _layer_views(theta, shapes)
+    WTs = [W.transpose(0, 2, 1) for W in Ws]
+    grad = np.empty_like(theta)
+    gWs, gbs = _layer_views(grad, shapes)
+    X = np.broadcast_to(Xs, (len(members),) + Xs.shape)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    step = np.empty_like(theta)
+    diverged = [None] * len(members)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for it in range(1, cfg.max_iter + 1):
-        loss, gWs, gbs = _mse_and_grads(tWs, tbs, Xs, Ys)
-        if not math.isfinite(loss):
-            raise TrainingDivergence(f"loss non-finite at iteration {it}")
+        loss = _mse_and_grads(Ws, WTs, bs, X, Ys, gWs, gbs)
+        # a finite sum means every member's loss is finite
+        if not math.isfinite(np.add.reduce(loss)):
+            for k in np.flatnonzero(~np.isfinite(loss)):
+                if diverged[k] is None:
+                    diverged[k] = TrainingDivergence(
+                        f"loss non-finite at iteration {it}")
         c1 = 1.0 - beta1 ** it
         c2 = 1.0 - beta2 ** it
-        g = np.concatenate(gWs + gbs, axis=None)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g ** 2
-        theta -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
-    for p, view in zip(params, views):
-        p[...] = view
+        # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
+        # theta -= lr (m / c1) / (sqrt(v / c2) + eps): each operation in
+        # place but in this order, so each rounds as written
+        m *= beta1
+        m += np.multiply(grad, 1 - beta1, out=step)
+        v *= beta2
+        v += np.multiply(np.square(grad, out=grad), 1 - beta2, out=grad)
+        np.divide(m, c1, out=step)
+        step *= cfg.learning_rate
+        np.divide(v, c2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += eps
+        step /= grad
+        theta -= step
+    for k, (mWs, mbs) in enumerate(members):
+        for p, view in zip(mWs + mbs, Ws + bs):
+            p[...] = view[k].reshape(p.shape)
+    return diverged
 
 
-def _mse_and_grads(Ws, bs, X, Y):
-    """Full-batch MSE loss and its parameter gradients by backpropagation."""
-    n = X.shape[0]
+def _layer_views(flat, shapes):
+    """Views of an (S, P) array as per-layer (S, out, in) weights followed by
+    (S, 1, out) biases."""
+    S, start = flat.shape[0], 0
+    Ws, bs = [], []
+    for nout, nin in shapes:
+        Ws.append(flat[:, start:start + nout * nin].reshape(S, nout, nin))
+        start += nout * nin
+    for nout, _ in shapes:
+        bs.append(flat[:, start:start + nout].reshape(S, 1, nout))
+        start += nout
+    return Ws, bs
+
+
+def _mse_and_grads(Ws, WTs, bs, X, Y, gWs, gbs):
+    """Full-batch MSE loss of each stacked member, and its parameter
+    gradients by backpropagation.
+
+    `Ws[s]` is (S, out, in), `WTs[s]` its transpose, `bs[s]` (S, 1, out) and
+    X (S, n, in); the gradients are written into `gWs` and `gbs`, of the
+    parameters' shapes. Returns the (S,) losses.
+    """
+    n = X.shape[1]
     acts = [X]
     pres = []
     a = X
-    for s, (W, b) in enumerate(zip(Ws, bs)):
-        z = a @ W.T + b
+    for s, (WT, b) in enumerate(zip(WTs, bs)):
+        z = a @ WT + b
         pres.append(z)
         a = np.maximum(z, 0.0) if s < len(Ws) - 1 else z
         acts.append(a)
     resid = acts[-1] - Y
-    loss = float(np.square(resid).sum()) / n
+    loss = np.add.reduce(np.square(resid), axis=(1, 2)) / n
     delta = 2.0 * resid / n
-    gWs = [None] * len(Ws)
-    gbs = [None] * len(Ws)
     for s in range(len(Ws) - 1, -1, -1):
-        gWs[s] = delta.T @ acts[s]
-        gbs[s] = delta.sum(axis=0)
+        np.matmul(delta.transpose(0, 2, 1), acts[s], out=gWs[s])
+        np.add.reduce(delta, axis=1, keepdims=True, out=gbs[s])
         if s > 0:
             delta = (delta @ Ws[s]) * (pres[s - 1] > 0)
-    return loss, gWs, gbs
+    return loss
 
 
 def train_relu_network(data, cfg: TrainConfig, target_fn=None) -> ReluNetwork:
     """Fit a ReLU MLP to (input, target) pairs by full-batch Adam.
 
-    Deterministic per cfg.seed: Glorot-uniform init, fixed iteration budget.
-    When `target_fn` is given, `holdout_r2` over the input range (drawn from
-    the same generator) is stored on the returned network; training R^2 is
-    always stored (NaN when the target is constant, where R^2 is undefined).
+    The one-member case of `train_relu_networks`: raises the member's
+    `TrainingDivergence` when its loss turns non-finite.
     """
+    net, = train_relu_networks(data, [cfg], target_fn)
+    if isinstance(net, TrainingDivergence):
+        raise net
+    return net
+
+
+def train_relu_networks(data, cfgs, target_fn=None) -> list:
+    """Fit one ReLU MLP per config to the same (input, target) pairs, all in
+    one stacked Adam run; the configs must differ only in `seed`.
+
+    Deterministic per seed, and each member equal to the network trained
+    alone: Glorot-uniform init from `default_rng(seed)`, fixed iteration
+    budget, inputs and targets standardized with the scaling folded back
+    into the first and last layers. When `target_fn` is given, `holdout_r2`
+    over the input range (drawn from the member's generator after init) is
+    stored on its network; training R^2 is always stored (NaN when the
+    target is constant, where R^2 is undefined). Returns, per config, the
+    trained `ReluNetwork` or the `TrainingDivergence` its loss ran into.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("train_relu_networks needs at least one config")
+    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
+        raise ValueError("stacked training configs may differ only in seed")
+    cfg = cfgs[0]
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("data must be (n, 2) pairs of (input, target)")
@@ -193,33 +261,44 @@ def train_relu_network(data, cfg: TrainConfig, target_fn=None) -> ReluNetwork:
     Xs = (x - mx) / sx
     Ys = (yv - my) / sy_eff
 
-    rng = np.random.default_rng(cfg.seed)
     sizes = [1] + [cfg.hidden_neurons] * cfg.hidden_layers + [1]
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    members = [_glorot_init(sizes, rng) for rng in rngs]
+
+    # overflow inside the loop is not an error by itself: divergence is
+    # detected through the finiteness check on each member's loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = _stacked_adam_loop(members, Xs, Ys, cfg)
+
+    lo, hi = float(x.min()), float(x.max())
+    out = []
+    for c, rng, (Ws, bs), err in zip(cfgs, rngs, members, diverged):
+        if err is not None:
+            out.append(err)
+            continue
+        # fold the standardization into the first and last affine maps so
+        # the stored network works in raw units
+        Ws[0] = Ws[0] / sx
+        bs[0] = bs[0] - (Ws[0] @ np.array([mx])).ravel()
+        Ws[-1] = Ws[-1] * sy_eff
+        bs[-1] = bs[-1] * sy_eff + my
+        net = ReluNetwork(tuple(sizes), Ws, bs, ((lo, hi),), clamp_output=True,
+                          seed=c.seed)
+        net.train_r2 = _r_squared(forward(net, x[:, 0]), yv[:, 0])
+        if target_fn is not None:
+            net.test_r2 = holdout_r2(net, target_fn, (lo, hi), rng)
+        out.append(net)
+    return out
+
+
+def _glorot_init(sizes, rng):
+    """Glorot-uniform weights and zero biases, drawn layer by layer."""
     Ws, bs = [], []
     for nin, nout in zip(sizes[:-1], sizes[1:]):
         limit = math.sqrt(6.0 / (nin + nout))
         Ws.append(rng.uniform(-limit, limit, size=(nout, nin)))
         bs.append(np.zeros(nout))
-
-    # overflow inside the loop is not an error by itself: divergence is
-    # detected through the finiteness check on the loss
-    with np.errstate(over="ignore", invalid="ignore"):
-        _adam_loop(Ws, bs, Xs, Ys, cfg)
-
-    # fold the standardization into the first and last affine maps so the
-    # stored network works in raw units
-    Ws[0] = Ws[0] / sx
-    bs[0] = bs[0] - (Ws[0] @ np.array([mx])).ravel()
-    Ws[-1] = Ws[-1] * sy_eff
-    bs[-1] = bs[-1] * sy_eff + my
-
-    lo, hi = float(x.min()), float(x.max())
-    net = ReluNetwork(tuple(sizes), Ws, bs, ((lo, hi),), clamp_output=True,
-                      seed=cfg.seed)
-    net.train_r2 = _r_squared(forward(net, x[:, 0]), yv[:, 0])
-    if target_fn is not None:
-        net.test_r2 = holdout_r2(net, target_fn, (lo, hi), rng)
-    return net
+    return Ws, bs
 
 
 def holdout_r2(sur, target_fn, box: tuple[float, float], rng) -> float:

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import leolift
+from leolift import cli
 from leolift.cli import (R2_EXCLUSION, _parse_train_range, build_parser, main,
                          run_pipeline, run_seed_study)
-from leolift.surrogate import save_surrogate
+from leolift.surrogate import ReluNetwork, save_surrogate
 
 LINREG_JSON = ["--surrogate", "linreg", "--report", "json"]
 # a loadable network over the CLI's default training box
@@ -249,6 +250,83 @@ class TestSeedStudy:
 
     def test_exclusion_threshold_is_strict(self):
         assert R2_EXCLUSION == 0.98
+
+
+class TestNnSeedStudy:
+    ARGV = ["--surrogate", "nn", "--trials", "3", "--seed", "11"]
+
+    def test_rows_match_single_runs(self):
+        """Networks trained together give each trial the row its own
+        `run_pipeline` call gives, to the last bit."""
+        args = build_parser().parse_args(self.ARGV)
+        study = run_seed_study(args)
+        assert [r["seed"] for r in study.rows] == [11, 12, 13]
+        for row in study.rows:
+            rep = run_pipeline(args, seed=row["seed"])
+            assert row["status"] == rep.solution.status == "optimal"
+            assert row["objective_kg"] == rep.solution.objective
+            assert row["gap_pct"] == rep.gap_pct
+            assert row["test_r2"] == rep.test_r2
+
+    def test_pipeline_called_once_per_trial(self, monkeypatch):
+        """A wrapper of exactly `(args, seed=None)` around `run_pipeline`, as a
+        benchmark harness installs one, sees one call per trial in seed order,
+        each with that seed's trained network, and the rows come from the
+        reports it returned."""
+        calls = []
+
+        def wrapped(args, seed=None):
+            rep = run_pipeline(args, seed)
+            calls.append((args, seed, rep))
+            return rep
+
+        monkeypatch.setattr(cli, "run_pipeline", wrapped)
+        study = run_seed_study(build_parser().parse_args(self.ARGV))
+        assert [seed for _, seed, _ in calls] == [11, 12, 13]
+        for row, (args, seed, rep) in zip(study.rows, calls, strict=True):
+            assert isinstance(args.model, ReluNetwork) and args.model.seed == seed
+            assert row["seed"] == rep.surrogate_seed == seed
+            assert row["objective_kg"] == rep.solution.objective
+            assert row["gap_pct"] == rep.gap_pct
+
+    def test_model_study_trains_nothing(self, monkeypatch, tmp_path, net0):
+        path = tmp_path / "net0.json"
+        save_surrogate(net0, str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a --model study must not train")
+
+        monkeypatch.setattr(cli, "train_relu_network", refuse)
+        monkeypatch.setattr(cli, "train_relu_networks", refuse)
+        study = run_seed_study(build_parser().parse_args(
+            ["--model", str(path), "--trials", "2"]))
+        assert [r["status"] for r in study.rows] == ["optimal", "optimal"]
+        assert study.rows[0]["objective_kg"] == study.rows[1]["objective_kg"]
+
+    def test_diverged_seed_gets_its_row_without_a_pipeline_call(self, monkeypatch):
+        """A network that diverged in the stacked run is a `train-failed` row;
+        the other trials still run."""
+        real = cli.train_relu_networks
+
+        def second_diverges(data, cfgs, target_fn=None):
+            nets = real(data, cfgs, target_fn)
+            nets[1] = cli.TrainingDivergence("loss non-finite at iteration 1")
+            return nets
+
+        seeds = []
+
+        def wrapped(args, seed=None):
+            seeds.append(seed)
+            return run_pipeline(args, seed)
+
+        monkeypatch.setattr(cli, "train_relu_networks", second_diverges)
+        monkeypatch.setattr(cli, "run_pipeline", wrapped)
+        study = run_seed_study(build_parser().parse_args(
+            ["--trials", "3", "--seed", "0"]))
+        assert seeds == [0, 2]
+        assert study.failures == 1
+        assert [r["status"] for r in study.rows] == [
+            "optimal", "train-failed", "optimal"]
 
 
 class TestConsoleScript:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from leolift.formulation import FixedDesign, assemble
-from leolift.milp_ir import MilpModel, ModelError, read_mps
+from leolift.milp_ir import MilpModel, ModelError, _shorten, read_mps
 from leolift.spacecraft import solve_exact_oracle
 from leolift.formulation import compute_propellant_fraction
 
@@ -219,6 +219,42 @@ class TestMpsExport:
         m2 = read_mps(str(path))
         assert m2.constraints[0].tag == "eq2:LEO:1:payload"
         assert m2.variables[0].name == "a_rather_long_variable_name"
+
+
+def quadratic_shorten(names: list[str]) -> list[str]:
+    """Reference MPS name shortener: on a collision, retry the counter from
+    k = 0 for every name."""
+    out, used = [], set()
+    for name in names:
+        base = "".join(ch if ch.isalnum() else "_" for ch in name)[:8] or "X"
+        cand = base
+        k = 0
+        while cand in used:
+            suffix = str(k)
+            cand = base[: 8 - len(suffix)] + suffix
+            k += 1
+        used.add(cand)
+        out.append(cand)
+    return out
+
+
+class TestShortNames:
+    def test_matches_the_quadratic_reference(self):
+        """Names sharing 8-character prefixes, interleaved with literal names
+        that equal the suffixed forms (`abcdefg1`, `abcdef10`), empty and
+        punctuation-only names, and bases shorter than the suffix."""
+        rng = np.random.default_rng(5)
+        pool = ([f"abcdefgh_{i}" for i in range(150)]
+                + [f"abcdefg{i}" for i in range(12)]
+                + [f"abcdef{i}" for i in range(8, 14)]
+                + [f"ab:{i}" for i in range(40)]
+                + ["", "::", "-", "X", "X0", "_", "__1"] * 3
+                + [f"C{i}_eq2:LEO:{i % 7}:payload" for i in range(60)])
+        names = [pool[i] for i in rng.permutation(len(pool))]
+        got = _shorten(names)
+        assert got == quadratic_shorten(names)
+        assert len(set(got)) == len(got)
+        assert all(1 <= len(n) <= 8 for n in got)
 
 
 class TestFreezeAndTags:

@@ -7,13 +7,15 @@ import pytest
 from leolift import surrogate
 from leolift.milp_ir import MilpModel
 from leolift.solver import BnbConfig, solve_milp
+from leolift.spacecraft import surrogate_target
 from leolift.surrogate import (DegenerateDataError, RankDeficiencyError,
                                ReluNetwork, TrainConfig, TrainingDivergence,
-                               _mse_and_grads, embed_network,
+                               _glorot_init, _layer_views, _mse_and_grads,
+                               _stacked_adam_loop, embed_network,
                                fit_linear_regression, forward, load_surrogate,
                                propagate_bounds, save_surrogate,
                                surrogate_from_dict, surrogate_to_dict,
-                               train_relu_network)
+                               train_relu_network, train_relu_networks)
 
 
 def tiny_net(w1, b1, w2, b2, box, clamp=False) -> ReluNetwork:
@@ -36,16 +38,53 @@ def embedded_extremum(net, x0: float, maximize: bool) -> float:
     return float(sol.values[out])
 
 
+def per_layer_mse_and_grads(Ws, bs, X, Y):
+    """Reference backpropagation for one network, on 2-d arrays."""
+    n = X.shape[0]
+    acts = [X]
+    pres = []
+    a = X
+    for s, (W, b) in enumerate(zip(Ws, bs)):
+        z = a @ W.T + b
+        pres.append(z)
+        a = np.maximum(z, 0.0) if s < len(Ws) - 1 else z
+        acts.append(a)
+    resid = acts[-1] - Y
+    loss = float(np.square(resid).sum()) / n
+    delta = 2.0 * resid / n
+    gWs = [None] * len(Ws)
+    gbs = [None] * len(Ws)
+    for s in range(len(Ws) - 1, -1, -1):
+        gWs[s] = delta.T @ acts[s]
+        gbs[s] = delta.sum(axis=0)
+        if s > 0:
+            delta = (delta @ Ws[s]) * (pres[s - 1] > 0)
+    return loss, gWs, gbs
+
+
+def stacked_mse_and_grads(Ws, bs, X, Y):
+    """`_mse_and_grads` on a one-member stack built from 2-d arrays; returns
+    the loss as a float and the gradients in the arrays' own shapes."""
+    shapes = [W.shape for W in Ws]
+    theta = np.concatenate(Ws + bs, axis=None)[None, :]
+    sWs, sbs = _layer_views(theta, shapes)
+    grad = np.empty_like(theta)
+    gWs, gbs = _layer_views(grad, shapes)
+    loss = _mse_and_grads(sWs, [W.transpose(0, 2, 1) for W in sWs], sbs,
+                          X[None], Y, gWs, gbs)
+    return float(loss[0]), [g[0] for g in gWs], [g[0, 0] for g in gbs]
+
+
 def per_layer_adam_loop(Ws, bs, Xs, Ys, cfg: TrainConfig):
-    """Reference Adam loop: one first and second moment per weight and bias
-    array, each array updated on its own."""
+    """Reference Adam loop for one network: one first and second moment per
+    weight and bias array, each array updated on its own."""
     mW = [np.zeros_like(W) for W in Ws]
     vW = [np.zeros_like(W) for W in Ws]
     mb = [np.zeros_like(b) for b in bs]
     vb = [np.zeros_like(b) for b in bs]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for it in range(1, cfg.max_iter + 1):
-        loss, gWs, gbs = _mse_and_grads(Ws, bs, Xs, Ys)
+        loss, gWs, gbs = per_layer_mse_and_grads(Ws, bs, Xs, Ys)
         if not math.isfinite(loss):
             raise TrainingDivergence(f"loss non-finite at iteration {it}")
         c1 = 1.0 - beta1 ** it
@@ -57,6 +96,30 @@ def per_layer_adam_loop(Ws, bs, Xs, Ys, cfg: TrainConfig):
             mb[s] = beta1 * mb[s] + (1 - beta1) * gbs[s]
             vb[s] = beta2 * vb[s] + (1 - beta2) * gbs[s] ** 2
             bs[s] -= cfg.learning_rate * (mb[s] / c1) / (np.sqrt(vb[s] / c2) + eps)
+
+
+def solo_adam_loops(members, Xs, Ys, cfg: TrainConfig) -> list:
+    """Stand-in for `_stacked_adam_loop`: each member trained alone by
+    `per_layer_adam_loop`, with the stacked loop's return contract."""
+    out = []
+    for Ws, bs in members:
+        try:
+            per_layer_adam_loop(Ws, bs, Xs, Ys, cfg)
+            out.append(None)
+        except TrainingDivergence as exc:
+            out.append(exc)
+    return out
+
+
+def standardized(data):
+    arr = np.asarray(data, dtype=float)
+    x, y = arr[:, :1], arr[:, 1:]
+    return (x - x.mean()) / x.std(), (y - y.mean()) / y.std()
+
+
+def assert_no_shared_memory(arrays):
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 class TestTraining:
@@ -97,13 +160,12 @@ class TestTraining:
         bitwise equal to the per-array loop, in arrays of their own."""
         cfg = TrainConfig(hidden_layers=hidden_layers, seed=seed)
         net = train_relu_network(dataset51, cfg)
-        monkeypatch.setattr(surrogate, "_adam_loop", per_layer_adam_loop)
+        monkeypatch.setattr(surrogate, "_stacked_adam_loop", solo_adam_loops)
         ref = train_relu_network(dataset51, cfg)
         arrays = net.weights + net.biases
         for got, want in zip(arrays, ref.weights + ref.biases, strict=True):
             assert np.array_equal(got, want)
-        for i, a in enumerate(arrays):
-            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        assert_no_shared_memory(arrays)
 
     def test_sizing_fit_quality(self, net0):
         assert net0.train_r2 >= 0.98
@@ -114,6 +176,72 @@ class TestTraining:
             TrainConfig(hidden_neurons=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+
+class TestStackedTraining:
+    @pytest.mark.parametrize("hidden_layers,members", [
+        (1, 1), (1, 2), (1, 20), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_members_match_solo_runs(self, monkeypatch, params, dataset51,
+                                     hidden_layers, members):
+        """Each member of a stack is bitwise the network trained alone by the
+        per-array loop, with the same fit statistics, and no returned array
+        shares memory with another."""
+        target = lambda v: surrogate_target(params, v)
+        cfgs = [TrainConfig(hidden_layers=hidden_layers, seed=s)
+                for s in range(members)]
+        nets = train_relu_networks(dataset51, cfgs, target_fn=target)
+        monkeypatch.setattr(surrogate, "_stacked_adam_loop", solo_adam_loops)
+        refs = [train_relu_network(dataset51, c, target_fn=target) for c in cfgs]
+        assert len(nets) == members
+        for net, ref in zip(nets, refs, strict=True):
+            assert net.seed == ref.seed
+            for got, want in zip(net.weights + net.biases,
+                                 ref.weights + ref.biases, strict=True):
+                assert np.array_equal(got, want)
+            assert net.train_r2 == ref.train_r2
+            assert net.test_r2 == ref.test_r2
+        assert_no_shared_memory([a for net in nets
+                                 for a in net.weights + net.biases])
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    def test_diverged_member_leaves_the_others_alone(self, dataset51,
+                                                     hidden_layers):
+        """A member whose initial weights are scaled to 1e200 reports its own
+        divergence, at the iteration its solo run raises at; the members
+        beside it end bitwise equal to their solo runs."""
+        Xs, Ys = standardized(dataset51)
+        cfg = TrainConfig(hidden_layers=hidden_layers, max_iter=200)
+        sizes = [1] + [cfg.hidden_neurons] * hidden_layers + [1]
+        members = [_glorot_init(sizes, np.random.default_rng(s)) for s in range(3)]
+        members[1] = ([W * 1e200 for W in members[1][0]], members[1][1])
+        solo = [([W.copy() for W in Ws], [b.copy() for b in bs])
+                for Ws, bs in members]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _stacked_adam_loop(members, Xs, Ys, cfg)
+            want = solo_adam_loops(solo, Xs, Ys, cfg)
+        assert got[0] is None and got[2] is None
+        assert isinstance(got[1], TrainingDivergence)
+        assert str(got[1]) == str(want[1]) == "loss non-finite at iteration 1"
+        for k in (0, 2):
+            for a, b in zip(members[k][0] + members[k][1],
+                            solo[k][0] + solo[k][1], strict=True):
+                assert np.array_equal(a, b)
+
+    def test_every_member_diverging_is_returned_not_raised(self):
+        data = [(float(x), float(x) ** 2) for x in range(20)]
+        cfgs = [TrainConfig(seed=s, learning_rate=1e160) for s in range(2)]
+        out = train_relu_networks(data, cfgs)
+        assert all(isinstance(r, TrainingDivergence) for r in out)
+
+    @pytest.mark.parametrize("cfgs", [
+        [],
+        [TrainConfig(seed=0), TrainConfig(seed=1, hidden_neurons=5)],
+        [TrainConfig(seed=0), TrainConfig(seed=1, max_iter=10)],
+        [TrainConfig(seed=0), TrainConfig(seed=0, learning_rate=1e-2)],
+    ])
+    def test_configs_must_differ_only_in_seed(self, dataset51, cfgs):
+        with pytest.raises(ValueError):
+            train_relu_networks(dataset51, cfgs)
 
 
 class TestForward:
@@ -163,16 +291,16 @@ class TestGradients:
             pre = X @ Ws[0].T + bs[0]
             if np.min(np.abs(pre)) < 1e-2:
                 continue
-            _, gWs, gbs = _mse_and_grads(Ws, bs, X, Y)
+            _, gWs, gbs = stacked_mse_and_grads(Ws, bs, X, Y)
             layer = int(rng.integers(0, 2))
             W = Ws[layer]
             i = int(rng.integers(0, W.shape[0]))
             j = int(rng.integers(0, W.shape[1]))
             h = 1e-4
             W[i, j] += h
-            hi_loss, _, _ = _mse_and_grads(Ws, bs, X, Y)
+            hi_loss, _, _ = stacked_mse_and_grads(Ws, bs, X, Y)
             W[i, j] -= 2 * h
-            lo_loss, _, _ = _mse_and_grads(Ws, bs, X, Y)
+            lo_loss, _, _ = stacked_mse_and_grads(Ws, bs, X, Y)
             W[i, j] += h
             numeric = (hi_loss - lo_loss) / (2 * h)
             analytic = gWs[layer][i, j]
