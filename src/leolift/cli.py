@@ -140,8 +140,9 @@ def _parse_train_range(spec: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError(f"--train-range must be LO:HI:STEP, got {spec!r}")
     lo, hi, step = (float(v) for v in parts)
-    if not (lo < hi and step > 0):
-        raise ValueError(f"--train-range needs lo < hi and step > 0, got {spec!r}")
+    if not (lo < hi and 0 < step < math.inf and math.isfinite((hi - lo) / step)):
+        raise ValueError(f"--train-range needs finite lo < hi and step > 0, and "
+                         f"a finite number of grid points, got {spec!r}")
     return lo, hi, step
 
 

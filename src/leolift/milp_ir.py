@@ -90,6 +90,15 @@ class StandardForm:
     ub: np.ndarray
     is_int: np.ndarray
 
+    def violated_rows(self, x: np.ndarray,
+                      tol: float = FEAS_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """The rows whose activity A@x is NaN or more than `tol` outside
+        [row_lo, row_hi], and how far outside it lies (NaN for NaN)."""
+        ax = self.A @ x
+        rows = np.flatnonzero(~((ax >= self.row_lo - tol) & (ax <= self.row_hi + tol)))
+        ax = ax[rows]
+        return rows, np.maximum(ax - self.row_hi[rows], self.row_lo[rows] - ax)
+
 
 class MilpModel:
     def __init__(self, name: str = "model"):
@@ -163,8 +172,9 @@ class MilpModel:
         """Check every row against an assignment; return the violated ones.
 
         `assignment` is indexable by variable id (array or dict). A row's
-        violation is how far its left side lands on the wrong side of rhs;
-        the list is empty exactly when the point is feasible at `tol`.
+        violation is how far its left side lands on the wrong side of rhs; a
+        NaN left side is a violation of NaN. The list is empty exactly when
+        the point is feasible at `tol`.
         """
         values = np.empty(len(self.variables))
         for v in self.variables:
@@ -172,11 +182,9 @@ class MilpModel:
                 values[v.id] = assignment[v.id]
             except (KeyError, IndexError):
                 raise ModelError(f"assignment misses variable {v.name!r} (id {v.id})")
-        sf = self.to_standard_form()
-        lhs = sf.A @ values
-        viol = np.maximum(lhs - sf.row_hi, sf.row_lo - lhs)
-        return [Violation(int(i), self.constraints[i].tag, float(viol[i]))
-                for i in np.nonzero(viol > tol)[0]]
+        rows, amounts = self.to_standard_form().violated_rows(values, tol)
+        return [Violation(int(i), self.constraints[i].tag, float(a))
+                for i, a in zip(rows, amounts)]
 
     # -- conversions -------------------------------------------------------
 

@@ -11,19 +11,19 @@ cut off before phase 2, so every simplex state and branch-and-bound node works
 on the problem's own columns. Dantzig pricing switches to Bland's rule when
 the objective stalls. An iteration is a pivot or a bound flip.
 
-Branch-and-bound explores nodes best-bound-first and warm starts each child
-from the parent basis through a bounded dual simplex. The two children of a
-branched node share that basis and its factorization: whichever is solved
-first factors it, and the other starts from the same factor with an empty
-eta file. Aᵀ, which pricing multiplies by, is built once per problem and
-shared by every node. The dual keeps the
-basic values x_B and the reduced costs d across pivots, updating them from
-the pivot row and column, so an iteration makes one `btran` and one `ftran`;
-both are recomputed from the factorization at every refactor. The entering
+Branch-and-bound explores nodes best-bound-first. The root has no start and
+is solved cold by the two-phase primal; every other node warm starts a
+bounded dual simplex from its `_Start`, the parent's final basis. Both
+children of a branched node hold one start: whichever is solved first
+factors the basis into it, and the other starts from that factor with an
+empty eta file. Aᵀ is built once per problem and shared by every node. The
+dual keeps the basic values x_B and the reduced costs d across pivots,
+updating them from the pivot row and column, so an iteration makes one
+`btran` and one `ftran`; both are recomputed at every refactor. The entering
 column comes from a Harris two-pass ratio test, and a pivot whose row and
 column disagree, or whose element is tiny, triggers a refactor instead; on a
-fresh factorization it is a `SolverBreakdown`, and the node falls back to a
-cold two-phase solve, whose basis its children inherit. The dual guards
+fresh factorization it is a `SolverBreakdown`, and the node falls back to
+the root's cold solve, whose basis its children inherit. The dual guards
 against cycling like the primal: after `STALL_LIMIT` pivots in a row that
 leave the dual objective flat it takes the dual Bland rule (lowest-index
 infeasible basic variable leaves, lowest-index min-ratio column enters) until
@@ -77,7 +77,7 @@ class BnbConfig:
     time_limit: float = INF
 
     def __post_init__(self):
-        if self.node_limit <= 0 or self.time_limit <= 0:
+        if not (self.node_limit > 0 and self.time_limit > 0):  # NaN too
             raise ValueError("BnbConfig limits must be positive")
 
 
@@ -243,7 +243,8 @@ class _Simplex:
     # -- primal simplex ----------------------------------------------------
 
     def primal(self, cost: np.ndarray, max_iter: int = 50000) -> str:
-        """Iterate to optimality (or unboundedness) for the given costs."""
+        """Iterate to optimality (or unboundedness) for the given costs. x is
+        recomputed from the factorization on entry and on return."""
         bland = False
         stall = 0
         self.recompute_x()
@@ -251,6 +252,7 @@ class _Simplex:
             d = self.price(cost)
             idx = np.nonzero(self.improving(d))[0]
             if idx.size == 0:
+                self.recompute_x()
                 return "optimal"
             if bland:
                 j = int(idx[0])
@@ -265,6 +267,7 @@ class _Simplex:
                                         self.lb[self.basis], self.ub[self.basis],
                                         self.ub[j] - self.lb[j])
             if block < 0 and t_best == INF:
+                self.recompute_x()
                 return "unbounded"
             self.iterations += 1  # a pivot or a bound flip
 
@@ -429,28 +432,16 @@ def _initial_basis(state: _Simplex,
     """Slack starting basis: every column on a bound (or free at 0), and each
     row's slack basic where it fits its bounds at that point. Returns the rows
     where it does not, and the sign of the artificial column each needs."""
-    for j in range(state.n):
-        if state.lb[j] > -INF:
-            state.status[j] = AT_LO
-        elif state.ub[j] < INF:
-            state.status[j] = AT_UP
-        else:
-            state.status[j] = NB_FREE
-    xn = state.nonbasic_values()
-    resid = state.b - state.A @ xn
-
-    art_rows, art_signs = [], []
-    for i in range(state.m):
-        slack = slack_offset + i
-        lo_ok = resid[i] >= state.lb[slack] - FEAS_TOL
-        hi_ok = resid[i] <= state.ub[slack] + FEAS_TOL
-        if lo_ok and hi_ok:
-            state.basis[i] = slack
-            state.status[slack] = BASIC
-        else:
-            art_rows.append(i)
-            art_signs.append(1.0 if not hi_ok else -1.0)
-    return np.array(art_rows, dtype=int), np.array(art_signs)
+    state.status[:] = np.where(state.lb > -INF, AT_LO,
+                               np.where(state.ub < INF, AT_UP, NB_FREE))
+    resid = state.b - state.A @ state.nonbasic_values()
+    slacks = slack_offset + np.arange(state.m)
+    hi_ok = resid <= state.ub[slacks] + FEAS_TOL
+    fits = hi_ok & (resid >= state.lb[slacks] - FEAS_TOL)
+    state.basis[fits] = slacks[fits]
+    state.status[slacks[fits]] = BASIC
+    rows = np.flatnonzero(~fits)
+    return rows, np.where(hi_ok[rows], -1.0, 1.0)
 
 
 def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
@@ -484,7 +475,6 @@ def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
         phase1[n:] = 1.0
         if state.primal(phase1) == "unbounded":
             raise SolverBreakdown("phase 1 reported unbounded")
-        state.recompute_x()
         if phase1 @ state.x > 1e-7:
             return "infeasible"
         stuck = np.flatnonzero(state.basis >= n)
@@ -495,42 +485,70 @@ def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
         state.status[state.basis[stuck]] = BASIC
         if stuck.size:
             state.refactor()
-    st = state.primal(cost)
-    state.recompute_x()
-    return st
+    return state.primal(cost)
 
 
-def _solve_lp_problem(prob: _Problem):
-    """Two-phase solve; returns (LpResult, final state).
+def solve_lp(sf: StandardForm) -> LpResult:
+    """Solve min c@x s.t. row_lo <= A@x <= row_hi, lb <= x <= ub exactly.
 
     A problem without rows takes the same path: its basis is empty, so the
     primal simplex only moves variables between their bounds.
     """
-    n_struct = prob.n_struct
+    prob = _problem_from_form(sf)
+    n = prob.n_struct
     state = _Simplex(prob.A, prob.AT, prob.b, prob.lb, prob.ub)
-    status = _two_phase(state, prob.c, n_struct)
-    if status == "infeasible":
-        return LpResult("infeasible", np.zeros(n_struct), INF, state.iterations), state
-    if status == "unbounded":
-        return LpResult("unbounded", np.zeros(n_struct), -INF, state.iterations), state
-    return LpResult("optimal", state.x[:n_struct].copy(), float(prob.c @ state.x),
-                    state.iterations), state
+    status = _two_phase(state, prob.c, n)
+    if status == "optimal":
+        return LpResult(status, state.x[:n].copy(), float(prob.c @ state.x),
+                        state.iterations)
+    return LpResult(status, np.zeros(n), INF if status == "infeasible" else -INF,
+                    state.iterations)
 
 
-def solve_lp(sf: StandardForm) -> LpResult:
-    """Solve min c@x s.t. row_lo <= A@x <= row_hi, lb <= x <= ub exactly."""
-    result, _ = _solve_lp_problem(_problem_from_form(sf))
-    return result
+@dataclass
+class _Start:
+    """A child node's start: its parent's final basis and bound statuses, and
+    their LU factor once the first sibling to be solved has made it. Both
+    children of a branched node hold one record, so it is factored once."""
+
+    basis: np.ndarray
+    status: np.ndarray
+    lu: object = None
+
+
+def _solve_node(state: _Simplex, start: _Start | None, cost: np.ndarray,
+                slack_offset: int) -> str:
+    """A node's LP. From a start: the warm dual simplex, then primal pivots
+    if its optimum still prices a column in. Without one (the root), or when
+    the warm solve breaks down: cold by `_two_phase` on the same state, whose
+    iterations then keep the abandoned pivots."""
+    if start is not None:
+        try:
+            state.basis, state.status = start.basis.copy(), start.status.copy()
+            state._lu = start.lu  # a refactor replaces the factor, never mutates it
+            if start.lu is None:
+                state.refactor()
+                start.lu = state._lu
+            if state.dual(cost) == "infeasible":
+                return "infeasible"
+            if not state.improving(state.d).any():
+                return "optimal"
+            return state.primal(cost)
+        except SolverBreakdown:
+            pass
+    return _two_phase(state, cost, slack_offset)
 
 
 @dataclass(order=True)
 class _Node:
+    """An open node, ordered by bound (its parent's LP value, -inf at the
+    root), then push order. Only the root has no start."""
+
     bound: float
     seq: int
     lb: np.ndarray = field(compare=False)
     ub: np.ndarray = field(compare=False)
-    basis: np.ndarray = field(compare=False)
-    vstatus: np.ndarray = field(compare=False)
+    start: _Start | None = field(compare=False)
     depth: int = field(compare=False, default=0)
 
 
@@ -541,38 +559,28 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     Branches on the most fractional variable, ties to the lowest index. A
     node is pruned when its bound is within `GAP_TOL` (relative) of the
     incumbent; a variable within `INT_TOL` of an integer counts as integral.
-    Node 0 is the root LP itself. A `SolverBreakdown` that the cold
-    two-phase solve cannot recover ends the search with status `numerical`,
-    as does an incumbent that fails `_certified`; the values are then the
-    incumbent's, if there is one. Every stop reports `best_bound`, the
-    smallest of the incumbent and the bounds of the open nodes and of the
-    nodes the gap test dropped, and the `gap` to it.
+    `_solve_node` solves each node's LP, and the limits apply from node 1 on,
+    so the root (node 0) is always solved. A `SolverBreakdown` the cold solve
+    cannot recover ends the search with status `numerical`, as does an
+    incumbent that fails `_certified`; the values are then the incumbent's,
+    if there is one. An unbounded LP ends it as `unbounded`, with objective
+    and bound -inf. Every other stop reports `best_bound`, the smallest of
+    the incumbent and the bounds of the open nodes and of the nodes the gap
+    test dropped, and the `gap` to it.
     """
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
     sf = model.to_standard_form()
     prob = _problem_from_form(sf)
     n_struct = prob.n_struct
-
-    try:
-        root, root_state = _solve_lp_problem(prob)
-    except SolverBreakdown:
-        return Solution(np.zeros(n_struct), INF, "numerical", nodes=1,
-                        seconds=time.monotonic() - t0)
-    total_iters = root.iterations
-    if root.status in ("infeasible", "unbounded"):
-        obj = INF if root.status == "infeasible" else -INF
-        return Solution(np.zeros(n_struct), obj, root.status, nodes=1,
-                        iterations=total_iters, seconds=time.monotonic() - t0,
-                        best_bound=obj)
-
     int_ids = np.nonzero(prob.int_mask)[0]
 
     incumbent = None
     incumbent_obj = INF
-    best_bound = root.objective
+    best_bound = -INF
     closed = INF  # smallest bound of a node the gap test dropped
     nodes_done = 0
+    total_iters = 0
     seq = 1
 
     def pick_branch(x):
@@ -583,21 +591,14 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             return -1
         return int(int_ids[cand[np.argmin(np.abs(dist[cand] - 0.5))]])
 
-    heap = [_Node(root.objective, 0, root_state.lb.copy(), root_state.ub.copy(),
-                  root_state.basis.copy(), root_state.status.copy(), 0)]
-    # both children of a branched node share one basis array. Keyed by its
-    # id, this holds (that array, its factor once the first child has made
-    # it) until the second child is popped, so the basis is factored once;
-    # holding the array keeps the id from being reused meanwhile
-    siblings = {}
-
+    heap = [_Node(-INF, 0, prob.lb, prob.ub, None)]
     status = "optimal"
     while heap:
-        if nodes_done >= cfg.node_limit or time.monotonic() - t0 > cfg.time_limit:
+        if nodes_done and (nodes_done >= cfg.node_limit
+                           or time.monotonic() - t0 > cfg.time_limit):
             status = "limit"
             break
         node = heapq.heappop(heap)
-        sibling = siblings.pop(id(node.basis), None)
         best_bound = max(best_bound, min(node.bound, incumbent_obj))
         if incumbent is not None and node.bound >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
@@ -605,45 +606,28 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             continue
         nodes_done += 1
 
-        if node.seq == 0:  # the root LP, solved above
-            state, st = root_state, "optimal"
-        else:
-            state = _Simplex(prob.A, prob.AT, prob.b, node.lb, node.ub)
-            state.basis = node.basis.copy()
-            state.status = node.vstatus.copy()
-            try:
-                if sibling is not None and sibling[1] is not None:
-                    state._lu = sibling[1]  # a refactor replaces, never mutates it
-                else:
-                    state.refactor()
-                    if sibling is not None:
-                        siblings[id(node.basis)] = (node.basis, state._lu)
-                st = state.dual(prob.c)
-                if st == "feasible":
-                    st = "optimal"
-                    if state.improving(state.d).any():
-                        st = state.primal(prob.c)
-                        state.recompute_x()
-            except SolverBreakdown:
-                total_iters += state.iterations  # pivots of the abandoned attempt
-                state = _Simplex(prob.A, prob.AT, prob.b, node.lb, node.ub)
-                try:
-                    st = _two_phase(state, prob.c, n_struct)
-                except SolverBreakdown:
-                    total_iters += state.iterations
-                    status = "numerical"
-                    heapq.heappush(heap, node)  # still open: its bound counts
-                    break
+        state = _Simplex(prob.A, prob.AT, prob.b, node.lb, node.ub)
+        try:
+            st = _solve_node(state, node.start, prob.c, n_struct)
+        except SolverBreakdown:
+            status = "numerical"
+            heapq.heappush(heap, node)  # still open: its bound counts
+            break
+        finally:
             total_iters += state.iterations
 
-        lp_obj = float(prob.c @ state.x) if st == "optimal" else INF
+        lp_obj = (float(prob.c @ state.x) if st == "optimal"
+                  else INF if st == "infeasible" else -INF)
         if node_log is not None:
-            inc_str = incumbent_obj if incumbent is not None else INF
             node_log(f"{nodes_done - 1}, {node.depth}, {lp_obj:.6f}, "
-                     f"{best_bound:.6f}, {inc_str:.6f}, "
+                     f"{best_bound:.6f}, {incumbent_obj:.6f}, "
                      f"{_rel_gap(incumbent_obj, best_bound):.3e}")
-        if st in ("infeasible", "unbounded"):
+        if st == "infeasible":
             continue
+        if st == "unbounded":
+            return Solution(np.zeros(n_struct), -INF, st, nodes=nodes_done,
+                            iterations=total_iters, seconds=time.monotonic() - t0,
+                            best_bound=-INF)
         if incumbent is not None and lp_obj >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
             closed = min(closed, lp_obj)
@@ -655,8 +639,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             incumbent = state.x[:n_struct].copy()
             continue
 
-        basis, vstatus = state.basis.copy(), state.status.copy()
-        first_seq = seq
+        start = _Start(state.basis.copy(), state.status.copy())
         for side, bound_val in enumerate((math.floor(state.x[j]),
                                           math.ceil(state.x[j]))):
             lb2, ub2 = node.lb.copy(), node.ub.copy()
@@ -666,11 +649,9 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
                 lb2[j] = bound_val
             if lb2[j] > ub2[j]:
                 continue
-            heapq.heappush(heap, _Node(lp_obj, seq, lb2, ub2, basis, vstatus,
+            heapq.heappush(heap, _Node(lp_obj, seq, lb2, ub2, start,
                                        node.depth + 1))
             seq += 1
-        if seq - first_seq == 2:
-            siblings[id(basis)] = (basis, None)
 
     elapsed = time.monotonic() - t0
     # every point better than the incumbent lies under an open node or under
@@ -691,9 +672,8 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
 def _certified(sf: StandardForm, x: np.ndarray) -> bool:
     """Whether x meets the rows and bounds of `sf` to `FEAS_TOL` and its
     integrality to `INT_TOL`."""
-    ax = sf.A @ x
     xi = x[sf.is_int]
-    return bool(np.all(ax >= sf.row_lo - FEAS_TOL) and np.all(ax <= sf.row_hi + FEAS_TOL)
+    return bool(sf.violated_rows(x)[0].size == 0
                 and np.all(x >= sf.lb - FEAS_TOL) and np.all(x <= sf.ub + FEAS_TOL)
                 and np.all(np.abs(xi - np.round(xi)) <= INT_TOL))
 

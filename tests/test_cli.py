@@ -63,6 +63,19 @@ class TestArgumentHandling:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec", ["0:inf:1000", "-inf:0:1000", "0:1e308:1e-308"])
+    def test_non_finite_train_range_exits_1(self, capsys, spec):
+        code, out, err = run_main(capsys, LINREG_JSON + [f"--train-range={spec}"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_nan_time_limit_exits_1(self, capsys):
+        code, out, err = run_main(capsys, LINREG_JSON + ["--time-limit", "nan"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_scenario_without_vehicles_exits_1(self, tmp_path, capsys, lunar_text):
         doc = json.loads(lunar_text)
         doc["vehicles"] = []
@@ -155,7 +168,10 @@ class TestSingleRunReports:
         float(cells[1]); float(cells[2]); float(cells[3])
 
     def test_time_limit_aborts_with_exit_1(self, capsys):
-        code, out, _ = run_main(capsys, ["--surrogate", "linreg",
+        # the root is always solved, and the bundled campaign's linreg root
+        # is already integral; its NN root (seed 0) is fractional and
+        # branches into 19 nodes
+        code, out, _ = run_main(capsys, ["--surrogate", "nn",
                                          "--time-limit", "1e-9"])
         assert code == 1
         assert "limit" in out

@@ -68,6 +68,8 @@ class TestEvaluate:
         assert m.evaluate([2.0 + 5e-7]) == []
         assert len(m.evaluate([3.0])) == 1
         assert len(m.evaluate([1.0])) == 1
+        (v,) = m.evaluate([math.nan])  # NaN meets no row
+        assert v.tag == "pin" and math.isnan(v.amount)
 
     def test_oracle_trajectory_satisfies_lunar_model(self, lunar, params):
         """Replaying the fixed-point solution through the assembled model

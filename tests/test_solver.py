@@ -30,6 +30,13 @@ def lp_from_dense(A, senses, b, c, lb, ub):
                             np.asarray(c, float), lb, ub, kinds)
 
 
+def cold_solve(prob):
+    """The two-phase solve of `prob` from its slack basis, as branch-and-bound
+    solves the root; returns (status, final state)."""
+    state = solver._Simplex(prob.A, prob.AT, prob.b, prob.lb, prob.ub)
+    return solver._two_phase(state, prob.c, prob.n_struct), state
+
+
 class TestSimplexToy:
     def test_single_bound_row(self):
         # min -x  s.t.  x <= 4
@@ -201,7 +208,58 @@ def ratio_test_loop(a, xb, lb_b, ub_b, t_best):
     return block, t_best
 
 
+def initial_basis_loop(state, slack_offset):
+    """The per-column and per-row slack basis `_initial_basis` replaces, kept
+    as its reference."""
+    for j in range(state.n):
+        if state.lb[j] > -INF:
+            state.status[j] = solver.AT_LO
+        elif state.ub[j] < INF:
+            state.status[j] = solver.AT_UP
+        else:
+            state.status[j] = solver.NB_FREE
+    resid = state.b - state.A @ state.nonbasic_values()
+    art_rows, art_signs = [], []
+    for i in range(state.m):
+        slack = slack_offset + i
+        lo_ok = resid[i] >= state.lb[slack] - solver.FEAS_TOL
+        hi_ok = resid[i] <= state.ub[slack] + solver.FEAS_TOL
+        if lo_ok and hi_ok:
+            state.basis[i] = slack
+            state.status[slack] = solver.BASIC
+        else:
+            art_rows.append(i)
+            art_signs.append(1.0 if not hi_ok else -1.0)
+    return np.array(art_rows, dtype=int), np.array(art_signs)
+
+
 class TestVectorizedScans:
+    def test_initial_basis_matches_loops(self):
+        """Statuses, basis, artificial rows and their signs equal the loop
+        version's, with free and one-sided columns, fixed (equality) slacks,
+        residuals on a slack bound and a NaN residual."""
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            m, n = int(rng.integers(0, 12)), int(rng.integers(1, 12))
+            S = np.where(rng.random((m, n)) < 0.4, rng.choice([-1.0, 1.0, 2.0], (m, n)), 0.0)
+            A = csc_array(np.hstack([S, np.eye(m)]))
+            lb = np.where(rng.random(n) < 0.2, -INF, rng.choice([0.0, 1.0], n))
+            ub = np.where(rng.random(n) < 0.3, INF, lb + rng.choice([0.0, 2.0], n))
+            ub = np.where(np.isfinite(ub), ub, np.where(rng.random(n) < 0.5, INF, 3.0))
+            slack_ub = rng.choice([0.0, 1.0, 5.0, INF], m)
+            b = S @ np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+            b = b + rng.choice([-1.0, -1e-7, 0.0, 1.0, 5.0 + 1e-7, 7.0], m)
+            if m and trial % 10 == 0:
+                b[0] = math.nan
+            states = [solver._Simplex(A, A.T, b, np.concatenate([lb, np.zeros(m)]),
+                                      np.concatenate([ub, slack_ub])) for _ in range(2)]
+            rows, signs = solver._initial_basis(states[0], n)
+            ref_rows, ref_signs = initial_basis_loop(states[1], n)
+            np.testing.assert_array_equal(rows, ref_rows)
+            np.testing.assert_array_equal(signs, ref_signs)
+            np.testing.assert_array_equal(states[0].status, states[1].status)
+            np.testing.assert_array_equal(states[0].basis, states[1].basis)
+
     def test_ratio_test_matches_row_loop(self):
         rng = np.random.default_rng(13)
         for trial in range(400):
@@ -297,7 +355,8 @@ class TestWarmDualState:
         m = lp_from_dense(A, ["<="] * self.M, b, c, np.zeros(self.N),
                           rng.uniform(2.0, 6.0, self.N).round(3))
         prob = solver._problem_from_form(m.to_standard_form())
-        _, root = solver._solve_lp_problem(prob)
+        st, root = cold_solve(prob)
+        assert st == "optimal"
         lb, ub = root.lb.copy(), root.ub.copy()
         for j in root.basis[root.basis < self.N]:
             if rng.random() < 0.5:
@@ -461,7 +520,8 @@ class TestBranchAndBound:
             return st
 
         def pushed(*args):
-            events.append(("node", args[4].copy()))  # the node's basis
+            if args[4] is not None:  # a child: the basis of its start
+                events.append(("node", args[4].basis.copy()))
             return node(*args)
 
         monkeypatch.setattr(solver._Simplex, "dual", broken_once)
@@ -496,17 +556,17 @@ class TestBranchAndBound:
         return m
 
     def test_root_lp_is_node_zero(self, monkeypatch):
-        """The root LP's basis is factored only inside the root solve; node
-        0 branches from it without solving it again."""
-        solve_root = solver._solve_lp_problem
+        """The root LP's basis is factored only inside its cold two-phase
+        solve; node 0 branches from it without solving it again."""
+        two_phase = solver._two_phase
         refactor = solver._Simplex.refactor
         in_root = [False]
         outside = []
 
-        def root(prob):
+        def root(state, cost, slack_offset):
             in_root[0] = True
             try:
-                return solve_root(prob)
+                return two_phase(state, cost, slack_offset)
             finally:
                 in_root[0] = False
 
@@ -515,12 +575,37 @@ class TestBranchAndBound:
                 outside.append(1)
             refactor(state)
 
-        monkeypatch.setattr(solver, "_solve_lp_problem", root)
+        monkeypatch.setattr(solver, "_two_phase", root)
         monkeypatch.setattr(solver._Simplex, "refactor", counted)
         sol = solve_milp(self._integral_root_model())
         assert sol.status == "optimal" and sol.nodes == 1
         assert sol.objective == pytest.approx(-2.5, abs=1e-9)
         assert not outside
+
+    def test_integral_root_needs_no_time(self):
+        """Limits apply from node 1 on: the root is always solved, and an
+        integral root is optimal however short the time limit."""
+        sol = solve_milp(self._integral_root_model(), BnbConfig(time_limit=1e-9))
+        assert sol.status == "optimal" and sol.nodes == 1
+        assert sol.objective == pytest.approx(-2.5, abs=1e-9)
+
+    def test_root_breakdown_counts_its_pivots(self, monkeypatch):
+        """A root whose cold solve breaks down after pivoting reports those
+        pivots, as a later node's abandoned attempts do."""
+        m = self._integral_root_model()
+        clean = solve_milp(m)
+        assert clean.nodes == 1 and clean.iterations > 0
+        two_phase = solver._two_phase
+
+        def broken(state, cost, slack_offset):
+            two_phase(state, cost, slack_offset)
+            raise solver.SolverBreakdown("forced")
+
+        monkeypatch.setattr(solver, "_two_phase", broken)
+        sol = solve_milp(m)
+        assert (sol.status, sol.nodes, sol.objective, sol.best_bound) == \
+            ("numerical", 1, INF, -INF)
+        assert sol.iterations == clean.iterations
 
     def test_corrupted_incumbent_is_not_optimal(self, monkeypatch):
         m = self._integral_root_model()
@@ -568,6 +653,7 @@ class TestBranchAndBound:
         m.add_objective_term(x, -1.0)
         sol = solve_milp(m)
         assert sol.status == "unbounded"
+        assert sol.objective == sol.best_bound == -INF and sol.nodes == 1
 
     def test_no_rows_fractional_bound_branches(self):
         # min x over the integers in [0.5, 3]: the relaxation stops at 0.5,
@@ -670,6 +756,10 @@ class TestNodeLogAndLimits:
             BnbConfig(node_limit=0)
         with pytest.raises(ValueError):
             BnbConfig(time_limit=0.0)
+        with pytest.raises(ValueError):
+            BnbConfig(time_limit=math.nan)
+        with pytest.raises(ValueError):
+            BnbConfig(node_limit=math.nan)
 
 
 class TestBoundAndGap:
@@ -828,7 +918,7 @@ class TestPhaseOne:
         m = lp_from_dense(A, ["=", "="], [1.0, 2.0], [1.0, 0.0], [0.0, 0.0],
                           [INF, INF])
         prob = solver._problem_from_form(m.to_standard_form())
-        res, state = solver._solve_lp_problem(prob)
+        st, state = cold_solve(prob)
         assert state.n == prob.A.shape[1] == 4
         assert state.status.size == state.x.size == state.lb.size == 4
         assert np.all(state.basis < 4)
@@ -836,9 +926,9 @@ class TestPhaseOne:
         # a basic slack is the one the swap put there
         assert np.any(state.basis >= 2)
         ref = linprog([1.0, 0.0], A_eq=A, b_eq=[1.0, 2.0], method="highs")
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(ref.fun, abs=1e-9)
-        np.testing.assert_allclose(res.x, ref.x, atol=1e-9)
+        assert st == "optimal"
+        assert prob.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
+        np.testing.assert_allclose(state.x[:2], ref.x, atol=1e-9)
 
     def test_degenerate_artificial_swap_refactors(self):
         """min -y s.t. x + y = 1, x >= 1: phase 1 raises x to 1, where both
@@ -851,13 +941,13 @@ class TestPhaseOne:
         m = lp_from_dense(A, ["=", ">="], [1.0, 1.0], [0.0, -1.0], [0.0, 0.0],
                           [INF, INF])
         prob = solver._problem_from_form(m.to_standard_form())
-        res, state = solver._solve_lp_problem(prob)
+        st, state = cold_solve(prob)
         assert state.n == prob.A.shape[1] == 4
         ref = linprog([0.0, -1.0], A_ub=[[-1.0, 0.0]], b_ub=[-1.0], A_eq=[[1.0, 1.0]],
                       b_eq=[1.0], method="highs")
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(ref.fun, abs=1e-9)
-        np.testing.assert_allclose(res.x, ref.x, atol=1e-9)
+        assert st == "optimal"
+        assert prob.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
+        np.testing.assert_allclose(state.x[:2], ref.x, atol=1e-9)
 
 
 def ladder_scenario(tmp_path, horizon: int, width: int) -> Path:
@@ -930,11 +1020,12 @@ class TestFactorSharing:
         (None, "linreg", 1, 51, "0x1.4d34a9215cb3cp+15"),
         ((8, 3), "linreg", 5, 162, "0x1.4d34a9215cb4ap+15"),
         ((8, 3), "nn", 75, 299, "0x1.5022fadbd145fp+15"),
+        (None, "nn", 19, 116, "0x1.5022fadbd145ep+15"),
     ])
     def test_trees_are_pinned(self, tmp_path, rung, surrogate, nodes,
                               iterations, objective):
         """The search trees to the bit: bundled campaign and ladder rung
-        H8/W3 (linreg closure), and H8/W3 with the NN closure of seed 0."""
+        H8/W3 (linreg closure), and both with the NN closure of seed 0."""
         from leolift import cli
 
         argv = ["--surrogate", surrogate]
