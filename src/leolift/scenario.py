@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 NODE_KINDS = ("body-surface", "orbit")
 COMMODITY_KINDS = ("continuous", "discrete")
@@ -146,10 +146,27 @@ def _expect(obj, key, types, path, default=_MISSING):
     return val
 
 
-def _whole_day(val, path) -> int:
+def _number(val, path, lo=-math.inf, hi=math.inf, strict=False) -> float:
+    """The JSON number `val` at `path` as a finite float in [lo, hi], or in
+    (lo, hi) if `strict`. An int beyond the float range counts as infinite."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioParseError(f"field {path} must be a number of whole days")
-    if float(val) != int(val):
+        raise ScenarioParseError(f"field {path} has wrong type {type(val).__name__}")
+    try:
+        x = float(val)
+    except OverflowError:
+        x = math.inf
+    # compare `val`, not `x`: an int and a float compare exactly
+    if not (math.isfinite(x) and (lo < val < hi if strict else lo <= val <= hi)):
+        ends = "()" if strict else "[]"
+        raise ScenarioDomainError(
+            f"field {path} must be a finite number in {ends[0]}{lo}, {hi}{ends[1]}, "
+            f"got {val if math.isfinite(x) else x}")
+    return x
+
+
+def _day(val, path, lo=0, hi=math.inf) -> int:
+    """A whole number of days in [lo, hi]."""
+    if _number(val, path, lo, hi) % 1:
         raise ScenarioDomainError(f"field {path} must be a whole number of days, got {val}")
     return int(val)
 
@@ -164,9 +181,7 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioParseError("document root must be an object")
 
     name = _expect(doc, "name", str, "$", default="scenario")
-    horizon = _whole_day(_expect(doc, "horizon_days", (int, float), "$"), "$.horizon_days")
-    if horizon < 1:
-        raise ScenarioDomainError(f"horizon_days must be >= 1, got {horizon}")
+    horizon = _day(_expect(doc, "horizon_days", (int, float), "$"), "$.horizon_days", 1)
 
     nodes = []
     seen = set()
@@ -190,18 +205,12 @@ def load_scenario(text: str) -> Scenario:
         for nid in (src, dst):
             if nid not in node_ids:
                 raise ScenarioReferenceError(f"{path} references unknown node {nid!r}")
-        dv = float(_expect(ad, "delta_v_mps", (int, float), path, default=0.0))
-        if dv < 0:
-            raise ScenarioDomainError(f"{path}.delta_v_mps must be nonnegative, got {dv}")
-        tof = _whole_day(_expect(ad, "tof_days", (int, float), path), f"{path}.tof_days")
-        if tof < 0:
-            raise ScenarioDomainError(f"{path}.tof_days must be nonnegative, got {tof}")
+        dv = _number(_expect(ad, "delta_v_mps", (int, float), path, default=0.0),
+                     f"{path}.delta_v_mps", 0)
+        tof = _day(_expect(ad, "tof_days", (int, float), path), f"{path}.tof_days")
         window_raw = _expect(ad, "window", list, path, default=list(range(horizon)))
-        window = tuple(sorted(_whole_day(t, f"{path}.window") for t in window_raw))
-        for t in window:
-            if t < 0 or t >= horizon:
-                raise ScenarioDomainError(
-                    f"{path}.window entry {t} outside horizon 0..{horizon - 1}")
+        window = tuple(sorted(_day(t, f"{path}.window[{k}]", 0, horizon - 1)
+                              for k, t in enumerate(window_raw)))
         is_launch = _expect(ad, "is_launch", bool, path, default=False)
         arcs.append(Arc(src, dst, dv, tof, window, is_launch))
 
@@ -231,24 +240,19 @@ def load_scenario(text: str) -> Scenario:
         if vid in seen or vid in commodity_ids:
             raise ScenarioDomainError(f"duplicate id {vid!r} (vehicle ids share the commodity namespace)")
         seen.add(vid)
-        isp = float(_expect(vd, "isp_s", (int, float), path))
-        burn = float(_expect(vd, "burn_time_s", (int, float), path))
-        alpha = float(_expect(vd, "alpha", (int, float), path))
-        m_ub = float(_expect(vd, "m_ub_kg", (int, float), path))
-        if isp <= 0 or burn <= 0 or m_ub <= 0:
-            raise ScenarioDomainError(f"{path}: isp_s, burn_time_s, m_ub_kg must be positive")
-        if not 0 < alpha < 1:
-            raise ScenarioDomainError(f"{path}.alpha must lie in (0, 1), got {alpha}")
+        isp, burn, m_ub = (
+            _number(_expect(vd, key, (int, float), path), f"{path}.{key}", 0, strict=True)
+            for key in ("isp_s", "burn_time_s", "m_ub_kg"))
+        alpha = _number(_expect(vd, "alpha", (int, float), path), f"{path}.alpha", 0, 1,
+                        strict=True)
         db = []
         for key, rng in _expect(vd, "design_bounds", dict, path, default={}).items():
             if key not in ("m_p", "m_f", "m_d"):
                 raise ScenarioParseError(f"{path}.design_bounds has unknown key {key!r}")
-            if (not isinstance(rng, list) or len(rng) != 2
-                    or not all(isinstance(x, (int, float)) for x in rng)):
+            if not isinstance(rng, list) or len(rng) != 2:
                 raise ScenarioParseError(f"{path}.design_bounds.{key} must be [lo, hi]")
-            lo, hi = float(rng[0]), float(rng[1])
-            if lo < 0 or lo > hi:
-                raise ScenarioDomainError(f"{path}.design_bounds.{key}: need 0 <= lo <= hi")
+            lo = _number(rng[0], f"{path}.design_bounds.{key}[0]", 0)
+            hi = _number(rng[1], f"{path}.design_bounds.{key}[1]", lo)
             db.append((key, (lo, hi)))
         vehicles.append(VehicleSpec(vid, isp, burn, alpha, m_ub, tuple(db)))
     vehicle_ids = seen
@@ -262,18 +266,14 @@ def load_scenario(text: str) -> Scenario:
         nid = _expect(dd, "node", str, path)
         if nid not in node_ids:
             raise ScenarioReferenceError(f"{path} references unknown node {nid!r}")
-        t = _whole_day(_expect(dd, "time", (int, float), path), f"{path}.time")
-        if t < 0 or t >= horizon:
-            raise ScenarioDomainError(f"{path}.time {t} outside horizon 0..{horizon - 1}")
-        amount_raw = _expect(dd, "amount", (int, float, str), path)
-        if isinstance(amount_raw, str):
-            if amount_raw != "inf":
+        t = _day(_expect(dd, "time", (int, float), path), f"{path}.time", 0, horizon - 1)
+        amount = _expect(dd, "amount", (int, float, str), path)
+        if isinstance(amount, str):
+            if amount != "inf":
                 raise ScenarioParseError(f'{path}.amount string form must be "inf"')
             amount = math.inf
         else:
-            amount = float(amount_raw)
-            if not math.isfinite(amount):
-                raise ScenarioDomainError(f"{path}.amount must be finite or the string \"inf\"")
+            amount = _number(amount, f"{path}.amount")
         demands.append(DemandEntry(cid, nid, t, amount))
 
     objective = []
@@ -290,56 +290,16 @@ def load_scenario(text: str) -> Scenario:
             for cid, cost in raw.items():
                 if cid not in commodity_ids:
                     raise ScenarioReferenceError(f"{path}.commodity_cost names unknown commodity {cid!r}")
-                cc.append((cid, float(cost)))
+                cc.append((cid, _number(cost, f"{path}.commodity_cost.{cid}")))
             cc = tuple(sorted(cc))
         else:
-            cc = (("*", float(raw)),)
-        vc = float(_expect(od, "vehicle_cost", (int, float), path, default=0.0))
-        for _, cost in cc:
-            if not math.isfinite(cost):
-                raise ScenarioDomainError(f"{path}.commodity_cost must be finite")
-        if not math.isfinite(vc):
-            raise ScenarioDomainError(f"{path}.vehicle_cost must be finite")
+            cc = (("*", _number(raw, f"{path}.commodity_cost")),)
+        vc = _number(_expect(od, "vehicle_cost", (int, float), path, default=0.0),
+                     f"{path}.vehicle_cost")
         objective.append(ObjectiveEntry(src, dst, cc, vc))
 
     return Scenario(name, horizon, tuple(nodes), tuple(arcs), tuple(commodities),
                     tuple(vehicles), tuple(demands), tuple(objective))
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Inverse of load_scenario: JSON text that reloads structurally equal."""
-    doc = {
-        "name": s.name,
-        "horizon_days": s.horizon,
-        "nodes": [asdict(n) for n in s.nodes],
-        "arcs": [
-            {"from": a.src, "to": a.dst, "delta_v_mps": a.delta_v, "tof_days": a.tof,
-             "window": list(a.window), "is_launch": a.is_launch}
-            for a in s.arcs
-        ],
-        "commodities": [asdict(c) for c in s.commodities
-                        if c.id not in BUILTIN_COMMODITIES],
-        "vehicles": [
-            {"id": v.id, "isp_s": v.isp, "burn_time_s": v.burn_time, "alpha": v.alpha,
-             "m_ub_kg": v.m_ub,
-             "design_bounds": {k: list(rng) for k, rng in v.design_bounds}}
-            for v in s.vehicles
-        ],
-        "demands": [
-            {"commodity": d.commodity, "node": d.node, "time": d.time,
-             "amount": "inf" if d.amount == math.inf else d.amount}
-            for d in s.demands
-        ],
-        "objective": [
-            {"from": o.src, "to": o.dst,
-             "commodity_cost": (o.commodity_cost[0][1]
-                                if o.commodity_cost and o.commodity_cost[0][0] == "*"
-                                else dict(o.commodity_cost)),
-             "vehicle_cost": o.vehicle_cost}
-            for o in s.objective
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def expand_time_network(s: Scenario) -> TimeExpandedNetwork:

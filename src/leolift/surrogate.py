@@ -462,8 +462,8 @@ def surrogate_to_dict(net) -> dict:
 
 
 def surrogate_from_dict(doc: dict):
-    """Inverse of `surrogate_to_dict`; a missing or ill-typed field raises
-    ValueError naming it."""
+    """Inverse of `surrogate_to_dict`; a missing or ill-typed field, or a
+    non-finite linear coefficient, raises ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"a surrogate must be a JSON object, not {type(doc).__name__}")
 
@@ -472,7 +472,7 @@ def surrogate_from_dict(doc: dict):
             return convert(doc[name]) if name in doc or not default else default[0]
         except KeyError:
             raise ValueError(f"surrogate field {name!r} is missing") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"surrogate field {name!r} is ill-typed: {exc}") from None
 
     def boolean(v):
@@ -488,7 +488,11 @@ def surrogate_from_dict(doc: dict):
     if "layer_sizes" not in doc:
         # reshape rejects an empty or nested list: the CLI predicts with beta[0]
         beta = get("beta", lambda v: np.asarray(v, dtype=float).reshape(max(1, len(v))))
-        return LinearSurrogate(beta=beta, intercept=get("intercept", float))
+        intercept = get("intercept", float)
+        for name, v in (("beta", beta), ("intercept", intercept)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"surrogate field {name!r} must be finite, got {v}")
+        return LinearSurrogate(beta=beta, intercept=intercept)
     sizes = get("layer_sizes", lambda v: tuple(int(n) for n in v))
     shapes = list(zip(sizes[1:], sizes[:-1]))
     return ReluNetwork(

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -49,14 +50,36 @@ class TestArgumentHandling:
         ([1, 2, 1], "JSON object"),
         ({**TINY_MODEL, "clamp_output": "false"}, "'clamp_output'"),
         ({**TINY_MODEL, "seed": "abc"}, "'seed'"),
+        ({"beta": [math.nan], "intercept": 0.0}, "'beta'"),
+        ({"beta": [math.inf], "intercept": 0.0}, "'beta'"),
+        ({"beta": [1.0], "intercept": math.nan}, "'intercept'"),
+        ({"beta": [1.0], "intercept": 10 ** 400}, "'intercept'"),
     ])
-    def test_malformed_model_exits_1(self, tmp_path, capsys, doc, field):
+    def test_malformed_model_exits_1(self, tmp_path, capsys, monkeypatch, doc, field):
+        monkeypatch.setattr(cli, "solve_milp",
+                            lambda *a, **k: pytest.fail("solve_milp was called"))
         path = tmp_path / "bad_model.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_main(capsys, ["--model", str(path)])
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ('"horizon_days": 6', '"horizon_days": Infinity', "$.horizon_days"),
+        ('"delta_v_mps": 4040.0', '"delta_v_mps": 1' + "0" * 399, "$.arcs[1].delta_v_mps"),
+    ])
+    def test_non_finite_scenario_number_exits_1(self, tmp_path, capsys, lunar_text,
+                                                old, new, field):
+        assert old in lunar_text
+        path = tmp_path / "bad_number.json"
+        path.write_text(lunar_text.replace(old, new))
+        code, out, err = run_main(capsys, ["--scenario", str(path),
+                                           "--surrogate", "linreg"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and field in err
+        assert len(err.splitlines()) == 1
 
     def test_bad_train_range_exits_1(self, capsys):
         code, _, err = run_main(capsys, LINREG_JSON + ["--train-range", "5:1:100"])

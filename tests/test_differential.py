@@ -6,7 +6,7 @@ import json
 from datetime import timedelta
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from leolift.formulation import LinearEpsilon, assemble
@@ -71,7 +71,7 @@ def spec(**kw):
     return base | kw
 
 
-@pytest.mark.parametrize("closure", ["linreg51", "epsilon"])
+@pytest.mark.parametrize("closure", ["linreg51", "epsilon", "net0"])
 @settings(max_examples=8, deadline=timedelta(seconds=20), derandomize=True,
           database=None, suppress_health_check=[HealthCheck.too_slow,
                                                 HealthCheck.function_scoped_fixture])
@@ -84,6 +84,9 @@ def spec(**kw):
 @example(s=spec(unmeetable="huge"))
 @example(s=spec(twin=True, width=2))
 def test_cut_model_agrees_with_highs_on_the_bare_model(request, closure, s):
+    # the ReLU binaries multiply the twins' symmetric trees: H8/W2 takes
+    # 6,379 nodes, past the deadline
+    assume(not (s["twin"] and closure == "net0"))
     cl = (LinearEpsilon(0.08) if closure == "epsilon"
           else request.getfixturevalue(closure))
     sc = campaign(**s)

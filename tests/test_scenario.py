@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import operator
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,7 @@ from hypothesis import strategies as st
 
 from leolift.scenario import (ScenarioDomainError, ScenarioError,
                               ScenarioParseError, ScenarioReferenceError,
-                              expand_time_network, load_scenario,
-                              serialize_scenario)
+                              expand_time_network, load_scenario)
 
 
 def doc(**overrides) -> str:
@@ -26,6 +28,32 @@ def doc(**overrides) -> str:
     }
     base.update(overrides)
     return json.dumps(base)
+
+
+# JSON text that `json.loads` reads as a number but no scenario may hold;
+# a 400-digit integer overflows a float
+BAD_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+               "1e400": "1e400", "int400": "1" + "0" * 399}
+# the key path of every numeric field in `every_number_doc`
+NUMERIC_FIELDS = [
+    ("horizon_days",), ("arcs", 0, "delta_v_mps"), ("arcs", 0, "tof_days"),
+    ("arcs", 0, "window", 1), ("vehicles", 0, "isp_s"),
+    ("vehicles", 0, "burn_time_s"), ("vehicles", 0, "alpha"),
+    ("vehicles", 0, "m_ub_kg"), ("vehicles", 0, "design_bounds", "m_p", 0),
+    ("vehicles", 0, "design_bounds", "m_p", 1), ("demands", 0, "time"),
+    ("demands", 0, "amount"), ("objective", 0, "commodity_cost"),
+    ("objective", 1, "commodity_cost", "payload"), ("objective", 0, "vehicle_cost"),
+]
+
+
+def every_number_doc() -> dict:
+    """`doc()` with one valid value in every numeric field of the format."""
+    return json.loads(doc(
+        vehicles=[{"id": "tug", "isp_s": 330, "burn_time_s": 120, "alpha": 0.045,
+                   "m_ub_kg": 500000, "design_bounds": {"m_p": [0, 50000]}}],
+        demands=[{"commodity": "payload", "node": "B", "time": 2, "amount": -5}],
+        objective=[{"from": "A", "to": "B", "commodity_cost": 1.0, "vehicle_cost": 2.0},
+                   {"from": "B", "to": "A", "commodity_cost": {"payload": 1.5}}]))
 
 
 class TestLoadScenario:
@@ -108,20 +136,27 @@ class TestLoadScenario:
         with pytest.raises(ScenarioDomainError):
             load_scenario(bad)
 
+    def test_every_number_reads_as_written(self):
+        s = load_scenario(json.dumps(every_number_doc()))
+        assert (s.horizon, s.arcs[0].delta_v, s.arcs[0].tof, s.arcs[0].window) == (
+            3, 100.0, 1, (0, 1))
+        v = s.vehicles[0]
+        assert (v.isp, v.burn_time, v.alpha, v.m_ub) == (330.0, 120.0, 0.045, 500000.0)
+        assert v.design_bounds == (("m_p", (0.0, 50000.0)),)
+        assert (s.demands[0].time, s.demands[0].amount) == (2, -5.0)
+        assert [(o.commodity_cost, o.vehicle_cost) for o in s.objective] == [
+            ((("*", 1.0),), 2.0), ((("payload", 1.5),), 0.0)]
+        assert load_scenario(doc(horizon_days=3.0)).horizon == 3
 
-class TestRoundTrip:
-    def test_lunar_serialize_reload(self, lunar):
-        again = load_scenario(serialize_scenario(lunar))
-        assert again == lunar
-
-    def test_micro_serialize_reload(self):
-        s = load_scenario(doc(demands=[{"commodity": "payload", "node": "A",
-                                        "time": 0, "amount": "inf"}],
-                              objective=[{"from": "A", "to": "B",
-                                          "commodity_cost": {"payload": 1.5},
-                                          "vehicle_cost": 2.0}]))
-        assert load_scenario(serialize_scenario(s)) == s
-        assert s.objective[0].commodity_cost == (("payload", 1.5),)
+    @pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS,
+                             ids=lambda f: ".".join(map(str, f)))
+    def test_non_finite_number_names_its_field(self, field, value):
+        d = every_number_doc()
+        functools.reduce(operator.getitem, field[:-1], d)[field[-1]] = "@"
+        path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in field)
+        with pytest.raises(ScenarioDomainError, match=re.escape(f"field {path} ")):
+            load_scenario(json.dumps(d).replace('"@"', value))
 
 
 class TestExpansion:
