@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from .milp_ir import MilpModel, Solution
 from .scenario import Scenario, TimeExpandedNetwork, expand_time_network
 from .spacecraft import SizingParams
-from .surrogate import (LinearSurrogate, ReluNetwork, embed_network,
-                        propagate_bounds)
+from .surrogate import LinearSurrogate, ReluNetwork, embed_network
 
 PROPELLANT = "propellant"
 STRUCT = "structure"
@@ -277,7 +276,11 @@ def build_sizing(model: MilpModel, fv: FlowVariables, closure):
 
     closure may be a single object applied to every vehicle or a dict keyed
     by vehicle id; accepted closures are LinearEpsilon, FixedDesign,
-    LinearSurrogate (dry mass affine in m_f) and ReluNetwork (embedded).
+    LinearSurrogate (dry mass affine in m_f) and ReluNetwork, whose output
+    F(m_f) is embedded over the network's input box as the piecewise-linear
+    function it is (`embed_network`: a fill variable per segment between
+    breakpoints, a binary per inner breakpoint) and closes
+    m_d = PAYLOAD_SIZING_COEFF * m_p + F.
     """
     for v in fv.vehicle_ids:
         cl = closure[v] if isinstance(closure, dict) else closure
@@ -298,10 +301,9 @@ def build_sizing(model: MilpModel, fv: FlowVariables, closure):
                 [(m_d, 1.0), (m_p, -PAYLOAD_SIZING_COEFF), (m_f, -float(cl.beta[0]))],
                 "=", cl.intercept, tag=f"sizing:{v}")
         elif isinstance(cl, ReluNetwork):
-            bounds = propagate_bounds(cl)
             f_id = model.add_variable(f"F[{v}]", lower=-math.inf, upper=math.inf)
             fv.design[(v, "F")] = f_id
-            embed_network(model, cl, bounds, [m_f], f_id, tag=f"ml[{v}]")
+            embed_network(model, cl, [m_f], f_id, tag=f"ml[{v}]")
             model.add_constraint(
                 [(m_d, 1.0), (m_p, -PAYLOAD_SIZING_COEFF), (f_id, -1.0)],
                 "=", 0.0, tag=f"sizing:{v}")

@@ -6,15 +6,17 @@ first and last layers, so the stored network maps raw kg to raw kg).
 Networks that differ only in their seed train together in one Adam loop
 over stacked parameters (`train_relu_networks`); a single network is the
 one-member case, and each member ends bitwise equal to its single run. A
-trained network embeds into a `MilpModel` as exact linear constraints with
-one binary per ReLU whose pre-activation interval straddles zero.
+trained network has one input, so it is a piecewise-linear function of it:
+`breakpoints` finds its breakpoints on the input box, and `embed_network`
+writes it into a `MilpModel` exactly by the incremental method, with one
+binary per inner breakpoint.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,23 +79,9 @@ class ReluNetwork:
 
 
 @dataclass
-class NeuronBounds:
-    """Sound pre-activation intervals per layer (last entry = output layer)."""
-
-    pre_lo: list[np.ndarray]
-    pre_hi: list[np.ndarray]
-
-
-@dataclass
 class LinearSurrogate:
     beta: np.ndarray
     intercept: float
-
-
-@dataclass
-class EmbeddingInfo:
-    y_ids: list[int] = field(default_factory=list)
-    binary_ids: list[int] = field(default_factory=list)
 
 
 def forward(net: ReluNetwork, x):
@@ -330,109 +318,70 @@ def fit_linear_regression(data) -> LinearSurrogate:
     return LinearSurrogate(beta=coef[:-1], intercept=float(coef[-1]))
 
 
-def propagate_bounds(net: ReluNetwork, input_box=None) -> NeuronBounds:
-    """Interval arithmetic through the network: sound pre-activation bounds
-    for every neuron (including the output layer) over the input box."""
-    box = input_box if input_box is not None else net.input_box
-    lo = np.array([b[0] for b in box], dtype=float)
-    hi = np.array([b[1] for b in box], dtype=float)
-    if lo.size != net.layer_sizes[0]:
-        raise ValueError("input box dimension mismatch")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("input box must be finite")
-    if np.any(lo > hi):
-        raise ValueError("input box has lo > hi")
-    pre_lo, pre_hi = [], []
-    for s, (W, b) in enumerate(zip(net.weights, net.biases)):
-        Wp, Wm = np.maximum(W, 0.0), np.minimum(W, 0.0)
-        zlo = Wp @ lo + Wm @ hi + b
-        zhi = Wp @ hi + Wm @ lo + b
-        pre_lo.append(zlo)
-        pre_hi.append(zhi)
-        if s < len(net.weights) - 1:
-            lo, hi = np.maximum(zlo, 0.0), np.maximum(zhi, 0.0)
-    return NeuronBounds(pre_lo, pre_hi)
+def breakpoints(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints `xs` of the single-input network over its input box, and
+    its values `fs = forward(net, xs)`.
 
-
-def embed_network(model: MilpModel, net: ReluNetwork, bounds: NeuronBounds,
-                  input_vars: list[int], output_var: int,
-                  tag: str = "relu") -> EmbeddingInfo:
-    """Encode the network exactly into the model.
-
-    Per hidden neuron with pre-activation interval [Mlo, Mhi] straddling 0:
-    continuous Y in [0, Mhi], binary Z, and rows Y >= w, Y <= w - Mlo*(1-Z),
-    Y <= Mhi*Z, where the pre-activation w is written into each row over the
-    previous layer's variables. Provably inactive neurons (Mhi <= 0) are
-    fixed to 0 and provably active ones (Mlo >= 0) become Y = w, both
-    without a binary. The output layer is pure affine; a clamp is one more
-    ReLU stage with `output_var` as its Y.
+    Starting from the box ends, each hidden layer in turn (and the output
+    clamp, when set) adds the zero crossings of its pre-activations between
+    consecutive points. The layers before it are affine between consecutive
+    points, so its pre-activations are too and each crossing is exact; the
+    network then equals the linear interpolation of (xs, fs) on the box.
     """
-    if net.layer_sizes[-1] != 1:
-        raise ValueError("embedding supports single-output networks")
+    if net.layer_sizes[0] != 1 or net.layer_sizes[-1] != 1 or len(net.input_box) != 1:
+        raise ValueError("breakpoints need a network with one input and one output")
+    (lo, hi), = net.input_box
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"input box [{lo}, {hi}] must be finite")
+    if lo > hi:
+        raise ValueError(f"input box [{lo}, {hi}] has lo > hi")
+    xs = np.unique([lo, hi])
+    for s in range(len(net.weights) - 1 + net.clamp_output):
+        a = xs[:, None]
+        for W, b in zip(net.weights[:s], net.biases[:s]):
+            a = np.maximum(a @ W.T + b, 0.0)
+        z = a @ net.weights[s].T + net.biases[s]
+        i, k = np.nonzero(z[:-1] * z[1:] < 0.0)
+        share = z[i, k] / (z[i, k] - z[i + 1, k])
+        xs = np.unique(np.concatenate([xs, xs[i] + share * (xs[i + 1] - xs[i])]))
+    return xs, forward(net, xs)
+
+
+def embed_network(model: MilpModel, net: ReluNetwork, input_vars: list[int],
+                  output_var: int, tag: str = "relu"):
+    """Encode the network exactly into the model, as the piecewise-linear
+    function it is over its input box.
+
+    With `xs, fs = breakpoints(net)`, the incremental (delta) method: a fill
+    variable d_k in [0, 1] per segment, a binary w_k per inner breakpoint
+    with d_{k+1} <= w_k <= d_k, and the rows x = xs[0] + sum d_k (xs[k+1] -
+    xs[k]) and F = fs[0] + sum d_k (fs[k+1] - fs[k]) for the input x and
+    the output F. Its LP relaxation is locally ideal (Vielma, Ahmed &
+    Nemhauser 2010). The input variable's bounds must lie inside the box.
+    """
     if len(input_vars) != net.layer_sizes[0]:
         raise ValueError("input variable count mismatch")
-    for j, vid in enumerate(input_vars):
-        v = model.variables[vid]
-        blo, bhi = net.input_box[j]
-        if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
-            raise ValueError(f"input variable {v.name!r} must carry finite bounds")
-        if v.lower < blo - 1e-9 or v.upper > bhi + 1e-9:
-            raise ValueError(
-                f"input variable {v.name!r} bounds [{v.lower}, {v.upper}] exceed "
-                f"the surrogate's trained box [{blo}, {bhi}]")
-
-    info = EmbeddingInfo()
-    prev = list(input_vars)
-    n_hidden_layers = len(net.weights) - 1
-    for s in range(n_hidden_layers):
-        W, b = net.weights[s], net.biases[s]
-        nxt = []
-        for k in range(W.shape[0]):
-            y_id = model.add_variable(f"{tag}:y{s}_{k}")
-            terms = [(v, float(c)) for v, c in zip(prev, W[k]) if c != 0.0]
-            _encode_relu(model, info, y_id, terms, float(b[k]),
-                         float(bounds.pre_lo[s][k]), float(bounds.pre_hi[s][k]),
-                         f"{tag}:z{s}_{k}", f"{tag}:act{s}_{k}", f"{tag}:relu{s}_{k}")
-            info.y_ids.append(y_id)
-            nxt.append(y_id)
-        prev = nxt
-
-    W, b = net.weights[-1], float(net.biases[-1][0])
-    terms = [(v, float(c)) for v, c in zip(prev, W[0]) if c != 0.0]
-    out_lo = float(bounds.pre_lo[-1][0])
-    out_hi = float(bounds.pre_hi[-1][0])
-    if not net.clamp_output:
-        _tighten(model, output_var, out_lo, out_hi)
-        model.add_constraint([(output_var, 1.0)] + [(v, -c) for v, c in terms], "=",
-                             b, tag=f"{tag}:out")
-        return info
-    _encode_relu(model, info, output_var, terms, b, out_lo, out_hi,
-                 f"{tag}:z_clamp", f"{tag}:clamp", f"{tag}:clamp")
-    return info
-
-
-def _encode_relu(model: MilpModel, info: EmbeddingInfo, y_id: int, terms, const: float,
-                 lo: float, hi: float, z_name: str, act_tag: str, relu_tag: str):
-    """y = max(0, x) for x = sum(c * v for v, c in terms) + const in [lo, hi].
-
-    y is tightened to [max(0, lo), max(0, hi)], which settles a neuron that
-    is never active (hi <= 0). One that is always active (lo >= 0) gets the
-    row y = x; any other gets a binary z, recorded in `info`, and the big-M
-    rows y >= x, y <= x - lo*(1-z) and y <= hi*z.
-    """
-    _tighten(model, y_id, max(0.0, lo), max(0.0, hi))
-    if hi <= 0.0:
-        return
-    y_minus_x = [(y_id, 1.0)] + [(v, -c) for v, c in terms]
-    if lo >= 0.0:
-        model.add_constraint(y_minus_x, "=", const, tag=act_tag)
-        return
-    z_id = model.add_variable(z_name, "binary")
-    info.binary_ids.append(z_id)
-    model.add_constraint(y_minus_x, ">=", const, tag=f"{relu_tag}_a")
-    model.add_constraint(y_minus_x + [(z_id, -lo)], "<=", const - lo,
-                         tag=f"{relu_tag}_b")
-    model.add_constraint([(y_id, 1.0), (z_id, -hi)], "<=", 0.0, tag=f"{relu_tag}_c")
+    xs, fs = breakpoints(net)
+    x = model.variables[input_vars[0]]
+    if not (math.isfinite(x.lower) and math.isfinite(x.upper)):
+        raise ValueError(f"input variable {x.name!r} must carry finite bounds")
+    if x.lower < xs[0] - 1e-9 or x.upper > xs[-1] + 1e-9:
+        raise ValueError(
+            f"input variable {x.name!r} bounds [{x.lower}, {x.upper}] exceed "
+            f"the surrogate's trained box [{xs[0]}, {xs[-1]}]")
+    fill = [model.add_variable(f"{tag}:d{k}", lower=0.0, upper=1.0)
+            for k in range(len(xs) - 1)]
+    for k in range(1, len(fill)):
+        w = model.add_variable(f"{tag}:w{k}", "binary")
+        model.add_constraint([(w, 1.0), (fill[k - 1], -1.0)], "<=", 0.0,
+                             tag=f"{tag}:fill{k}_a")
+        model.add_constraint([(fill[k], 1.0), (w, -1.0)], "<=", 0.0,
+                             tag=f"{tag}:fill{k}_b")
+    for vid, pts, name in ((input_vars[0], xs, "in"), (output_var, fs, "out")):
+        model.add_constraint([(vid, 1.0)] + [(d, -float(c)) for d, c in
+                                             zip(fill, np.diff(pts))],
+                             "=", float(pts[0]), tag=f"{tag}:{name}")
+    _tighten(model, output_var, float(fs.min()), float(fs.max()))
 
 
 def _tighten(model: MilpModel, vid: int, lo: float, hi: float):

@@ -13,7 +13,7 @@ from leolift.formulation import (build_concurrency, build_mass_balance,
                                  build_objective, build_sizing,
                                  build_transformation, create_flow_variables)
 from leolift.milp_ir import MilpModel
-from leolift.scenario import expand_time_network
+from leolift.scenario import expand_time_network, load_scenario
 
 _GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
 _spec = importlib.util.spec_from_file_location("perfbench_generate", _GEN_PATH)
@@ -26,6 +26,40 @@ def ladder_doc(horizon: int, width: int) -> dict:
     benchmark's own generator from the bundled campaign."""
     return _generate.ladder_rung(json.loads(_generate.BUNDLED.read_text()),
                                  horizon, width)
+
+
+def campaign(horizon, width, supply, return_leg, second, unmeetable, twin):
+    """Ladder rung H/W with the cases where a row's condition bites:
+
+    - `supply` kg of payload (a number or "inf") at the delivery node;
+    - `return_leg`: an LLO->LEO arc family, so the vehicle graph is cyclic;
+    - `second`: a second delivery of that many kg at LLO on day 4;
+    - `unmeetable`: "late", a delivery at LS on day 4, before any arrival;
+      "huge", one larger than every flight to LS can carry;
+    - `twin`: a second vehicle with the same sizing constants and fleet.
+    """
+    doc = ladder_doc(horizon, width)
+
+    def deliver(node, t, amount):
+        doc["demands"].append({"commodity": "payload", "node": node,
+                               "time": t, "amount": amount})
+
+    if supply is not None:
+        deliver("LS", 0, supply)
+    if return_leg:
+        doc["arcs"].append({"from": "LLO", "to": "LEO", "delta_v_mps": 4040.0,
+                            "tof_days": 1, "window": list(range(4, horizon - 1))})
+    if second:
+        deliver("LLO", 4, -second)
+    if unmeetable == "late":
+        deliver("LS", 4, -10.0)
+    elif unmeetable == "huge":
+        deliver("LS", horizon - 1, -1e7)
+    if twin:
+        doc["vehicles"].append(dict(doc["vehicles"][0], id="spacecraft2"))
+        doc["demands"].append({"commodity": "spacecraft2", "node": "Earth",
+                               "time": 0, "amount": 1})
+    return load_scenario(json.dumps(doc))
 
 
 def assemble_without_cuts(scenario, closure):

@@ -20,7 +20,7 @@ from leolift.solver import solve_lp, solve_milp
 from leolift.spacecraft import (SizingParams, generate_dataset,
                                 solve_exact_oracle, surrogate_target)
 from leolift.surrogate import (TrainConfig, embed_network, forward,
-                               propagate_bounds, train_relu_network)
+                               train_relu_network)
 
 from helpers import exhaustive_milp_min, random_box_lp, vertex_enumeration_min
 
@@ -115,14 +115,13 @@ def test_criterion_5_encoding_exactness(verdict):
     worst = 0.0
     for seed in range(100, 110):
         net = train_relu_network(data, TrainConfig(seed=seed), target_fn=target)
-        bounds = propagate_bounds(net)
         for x0 in rng.uniform(0.0, 50000.0, 50):
             want = forward(net, float(x0))
             for direction in (1.0, -1.0):
                 m = MilpModel()
                 xin = m.add_variable("xin", lower=float(x0), upper=float(x0))
                 out = m.add_variable("out", lower=-math.inf, upper=math.inf)
-                embed_network(m, net, bounds, [xin], out)
+                embed_network(m, net, [xin], out)
                 m.add_objective_term(out, direction)
                 sol = solve_milp(m)
                 assert sol.status == "optimal"

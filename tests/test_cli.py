@@ -54,6 +54,11 @@ class TestArgumentHandling:
         ({"beta": [math.inf], "intercept": 0.0}, "'beta'"),
         ({"beta": [1.0], "intercept": math.nan}, "'intercept'"),
         ({"beta": [1.0], "intercept": 10 ** 400}, "'intercept'"),
+        ({**TINY_MODEL, "input_box": [[0.0, math.inf]]}, "input box"),
+        ({**TINY_MODEL, "input_box": [[math.nan, 50000.0]]}, "input box"),
+        ({**TINY_MODEL, "input_box": [[50000.0, 0.0]]}, "input box"),
+        ({**TINY_MODEL, "layer_sizes": [2, 2, 1], "weights": [[1, 2, 3, 4], [3, 4]],
+          "input_box": [[0.0, 50000.0]] * 2}, "input variable count"),
     ])
     def test_malformed_model_exits_1(self, tmp_path, capsys, monkeypatch, doc, field):
         monkeypatch.setattr(cli, "solve_milp",

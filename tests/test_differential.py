@@ -2,54 +2,18 @@
 the network implies, against HiGHS on the same MILP without them, over a
 family of generated campaigns."""
 
-import json
 from datetime import timedelta
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from leolift.formulation import LinearEpsilon, assemble
-from leolift.scenario import load_scenario
 from leolift.solver import solve_milp
 
-from helpers import assemble_without_cuts, highs_milp, ladder_doc
+from helpers import assemble_without_cuts, campaign, highs_milp
 
 HIGHS_STATUS = {"optimal": 0, "infeasible": 2}
-
-
-def campaign(horizon, width, supply, return_leg, second, unmeetable, twin):
-    """Ladder rung H/W with the cases where a row's condition bites:
-
-    - `supply` kg of payload (a number or "inf") at the delivery node;
-    - `return_leg`: an LLO->LEO arc family, so the vehicle graph is cyclic;
-    - `second`: a second delivery of that many kg at LLO on day 4;
-    - `unmeetable`: "late", a delivery at LS on day 4, before any arrival;
-      "huge", one larger than every flight to LS can carry;
-    - `twin`: a second vehicle with the same sizing constants and fleet.
-    """
-    doc = ladder_doc(horizon, width)
-
-    def deliver(node, t, amount):
-        doc["demands"].append({"commodity": "payload", "node": node,
-                               "time": t, "amount": amount})
-
-    if supply is not None:
-        deliver("LS", 0, supply)
-    if return_leg:
-        doc["arcs"].append({"from": "LLO", "to": "LEO", "delta_v_mps": 4040.0,
-                            "tof_days": 1, "window": list(range(4, horizon - 1))})
-    if second:
-        deliver("LLO", 4, -second)
-    if unmeetable == "late":
-        deliver("LS", 4, -10.0)
-    elif unmeetable == "huge":
-        deliver("LS", horizon - 1, -1e7)
-    if twin:
-        doc["vehicles"].append(dict(doc["vehicles"][0], id="spacecraft2"))
-        doc["demands"].append({"commodity": "spacecraft2", "node": "Earth",
-                               "time": 0, "amount": 1})
-    return load_scenario(json.dumps(doc))
 
 
 @st.composite
@@ -84,9 +48,6 @@ def spec(**kw):
 @example(s=spec(unmeetable="huge"))
 @example(s=spec(twin=True, width=2))
 def test_cut_model_agrees_with_highs_on_the_bare_model(request, closure, s):
-    # the ReLU binaries multiply the twins' symmetric trees: H8/W2 takes
-    # 6,379 nodes, past the deadline
-    assume(not (s["twin"] and closure == "net0"))
     cl = (LinearEpsilon(0.08) if closure == "epsilon"
           else request.getfixturevalue(closure))
     sc = campaign(**s)

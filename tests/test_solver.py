@@ -15,10 +15,12 @@ from scipy.sparse import random_array as sparse_random
 
 import leolift
 from leolift import solver
+from leolift.formulation import assemble
 from leolift.milp_ir import MilpModel
+from leolift.scenario import load_scenario
 from leolift.solver import BnbConfig, solve_lp, solve_milp
 
-from helpers import (exhaustive_milp_min, highs_milp, ladder_doc,
+from helpers import (campaign, exhaustive_milp_min, highs_milp, ladder_doc,
                      model_from_dense, random_box_lp, vertex_enumeration_min)
 
 INF = math.inf
@@ -764,14 +766,12 @@ class TestNodeLogAndLimits:
 
 class TestBoundAndGap:
     def _h8_w3_nn(self, net0):
-        from leolift.formulation import assemble
-        from leolift.scenario import load_scenario
-
         return assemble(load_scenario(json.dumps(ladder_doc(8, 3))), net0)[0]
 
     @pytest.mark.parametrize("node_limit", [1, 10, 40])
     def test_node_limited_solve_reports_a_valid_bound(self, net0, node_limit):
-        model = self._h8_w3_nn(net0)
+        # NN seed-0 twins on H8/W2 branch for hundreds of nodes
+        model = assemble(campaign(8, 2, None, False, 0.0, None, twin=True), net0)[0]
         sol = solve_milp(model, BnbConfig(node_limit=node_limit))
         assert sol.status == "limit" and sol.nodes == node_limit
         ref = highs_milp(model)
@@ -994,15 +994,17 @@ class TestLadderTarget:
         assert rep.solution.objective == pytest.approx(ref.fun, rel=1e-6)
 
     @pytest.mark.parametrize("rung, surrogate", [
-        ((18, 12), "linreg"), ((24, 18), "linreg"), ((14, 9), "nn")])
+        ((18, 12), "linreg"), ((24, 18), "linreg"), ((14, 9), "nn"),
+        ((18, 12), "nn")])
     def test_larger_rung_solves_to_optimal(self, tmp_path, monkeypatch, rung,
                                            surrogate):
         """Ladder rungs H18/W12 and H24/W18 (linreg closure), and H14/W9
-        with the NN closure trained on seed 0: optimal and equal to HiGHS on
-        the same model; the linreg rungs also equal the optimum found
-        without the network rows. Without those rows they took 1,761, 5,183
-        and 5,609 nodes (about 8 s, 50 s and 16 s); with them, 4, 5 and
-        27."""
+        and H18/W12 with the NN closure trained on seed 0: optimal and equal
+        to HiGHS on the same model; the linreg rungs also equal the optimum
+        found without the network rows. Without those rows the linreg rungs
+        took 1,761 and 5,183 nodes (about 8 s and 50 s); with them, 4 and 5.
+        The NN rungs take 79 and 14 nodes (H18/W12 took 937 when each neuron
+        had its own binary)."""
         rep, model = solve_captured(monkeypatch, [
             "--scenario", str(ladder_scenario(tmp_path, *rung)),
             "--surrogate", surrogate, "--seed", "0", "--time-limit", "30"])
@@ -1019,8 +1021,8 @@ class TestFactorSharing:
     @pytest.mark.parametrize("rung, surrogate, nodes, iterations, objective", [
         (None, "linreg", 1, 51, "0x1.4d34a9215cb3cp+15"),
         ((8, 3), "linreg", 5, 162, "0x1.4d34a9215cb4ap+15"),
-        ((8, 3), "nn", 75, 299, "0x1.5022fadbd145fp+15"),
-        (None, "nn", 19, 116, "0x1.5022fadbd145ep+15"),
+        ((8, 3), "nn", 9, 215, "0x1.5022fadbd1471p+15"),
+        (None, "nn", 17, 112, "0x1.5022fadbd1460p+15"),
     ])
     def test_trees_are_pinned(self, tmp_path, rung, surrogate, nodes,
                               iterations, objective):
@@ -1037,8 +1039,8 @@ class TestFactorSharing:
 
     def test_siblings_share_one_factorization(self, tmp_path, monkeypatch):
         """Both children of a branched node start from its basis, factored
-        once: fewer `splu` calls than nodes on a tree that branches (H8/W3,
-        NN closure of seed 0: 75 nodes)."""
+        once: fewer `splu` calls than nodes on a tree that branches (H14/W9,
+        NN closure of seed 0: 79 nodes)."""
         from leolift import cli
 
         calls = []
@@ -1051,6 +1053,6 @@ class TestFactorSharing:
         monkeypatch.setattr(solver, "splu", counted)
         sol = cli.run_pipeline(cli.build_parser().parse_args(
             ["--surrogate", "nn", "--scenario",
-             str(ladder_scenario(tmp_path, 8, 3))])).solution
-        assert sol.status == "optimal" and sol.nodes == 75
+             str(ladder_scenario(tmp_path, 14, 9))])).solution
+        assert sol.status == "optimal" and sol.nodes == 79
         assert len(calls) < sol.nodes

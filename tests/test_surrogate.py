@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from leolift.spacecraft import surrogate_target
 from leolift.surrogate import (DegenerateDataError, RankDeficiencyError,
                                ReluNetwork, TrainConfig, TrainingDivergence,
                                _glorot_init, _layer_views, _mse_and_grads,
-                               _stacked_adam_loop, embed_network,
-                               fit_linear_regression, forward, load_surrogate,
-                               propagate_bounds, save_surrogate,
+                               _stacked_adam_loop, breakpoints,
+                               embed_network, fit_linear_regression, forward,
+                               load_surrogate, save_surrogate,
                                surrogate_from_dict, surrogate_to_dict,
                                train_relu_network, train_relu_networks)
 
@@ -25,13 +26,15 @@ def tiny_net(w1, b1, w2, b2, box, clamp=False) -> ReluNetwork:
                        (tuple(box),), clamp_output=clamp)
 
 
-def embedded_extremum(net, x0: float, maximize: bool) -> float:
-    """Fix the input to x0 inside a fresh model and push the output var to
-    its extreme; the result must equal forward(net, x0)."""
+def embedded_extremum(net, x0: float | None, maximize: bool) -> float:
+    """Fix the input to x0 inside a fresh model, or leave it free over the
+    network's box when x0 is None, and push the output var to its extreme;
+    with x0 fixed the result must equal forward(net, x0)."""
+    (lo, hi), = net.input_box if x0 is None else ((x0, x0),)
     m = MilpModel("fix")
-    xin = m.add_variable("xin", lower=x0, upper=x0)
+    xin = m.add_variable("xin", lower=lo, upper=hi)
     out = m.add_variable("out", lower=-math.inf, upper=math.inf)
-    embed_network(m, net, propagate_bounds(net), [xin], out)
+    embed_network(m, net, [xin], out)
     m.add_objective_term(out, -1.0 if maximize else 1.0)
     sol = solve_milp(m, BnbConfig())
     assert sol.status == "optimal"
@@ -345,89 +348,85 @@ class TestLinearRegression:
                 assert np.sum((y - X @ tweaked) ** 2) >= best
 
 
-class TestBoundPropagation:
-    def test_identity_layer(self):
-        net = tiny_net([[1.0]], [0.0], [[1.0]], [0.0], (0.0, 50000.0))
-        b = propagate_bounds(net)
-        assert (b.pre_lo[0][0], b.pre_hi[0][0]) == (0.0, 50000.0)
+def random_deep_net(clamp: bool) -> ReluNetwork:
+    """A random (1, 6, 6, 1) network on (-2, 3), its output lifted by 3.3 so
+    that it changes sign there and the clamp bites."""
+    rng = np.random.default_rng(7)
+    return ReluNetwork((1, 6, 6, 1),
+                       [rng.normal(size=(6, 1)), rng.normal(size=(6, 6)),
+                        rng.normal(size=(1, 6))],
+                       [rng.normal(size=6), rng.normal(size=6),
+                        rng.normal(size=1) + 3.3],
+                       ((-2.0, 3.0),), clamp_output=clamp)
 
-    def test_negated_affine_image(self):
-        net = tiny_net([[-1.0]], [10.0], [[1.0]], [0.0], (0.0, 50000.0))
-        b = propagate_bounds(net)
-        assert (b.pre_lo[0][0], b.pre_hi[0][0]) == (-49990.0, 10.0)
 
-    def test_monte_carlo_soundness(self):
-        rng = np.random.default_rng(7)
-        net = ReluNetwork((1, 6, 6, 1),
-                          [rng.normal(size=(6, 1)), rng.normal(size=(6, 6)),
-                           rng.normal(size=(1, 6))],
-                          [rng.normal(size=6), rng.normal(size=6),
-                           rng.normal(size=1)],
-                          ((-2.0, 3.0),))
-        b = propagate_bounds(net)
-        xs = rng.uniform(-2.0, 3.0, (10000, 1))
-        a = xs
-        for s, (W, bias) in enumerate(zip(net.weights, net.biases)):
-            z = a @ W.T + bias
-            assert (z >= b.pre_lo[s] - 1e-9).all()
-            assert (z <= b.pre_hi[s] + 1e-9).all()
-            a = np.maximum(z, 0.0)
+class TestBreakpoints:
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_interpolation_equals_forward(self, clamp):
+        net = random_deep_net(clamp)
+        xs, fs = breakpoints(net)
+        assert (xs[0], xs[-1]) == (-2.0, 3.0) and np.all(np.diff(xs) > 0)
+        np.testing.assert_array_equal(fs, forward(net, xs))
+        x = np.random.default_rng(8).uniform(-2.0, 3.0, 10000)
+        np.testing.assert_allclose(np.interp(x, xs, fs), forward(net, x),
+                                   rtol=0.0, atol=1e-9)
 
-    def test_intervals_ordered(self, net0):
-        b = propagate_bounds(net0)
-        for lo, hi in zip(b.pre_lo, b.pre_hi):
-            assert (lo <= hi).all()
+    def test_clamp_adds_its_crossings(self):
+        plain, _ = breakpoints(random_deep_net(False))
+        clamped, fs = breakpoints(random_deep_net(True))
+        assert set(plain) < set(clamped)
+        assert fs.min() == 0.0 < fs.max()
 
-    def test_infinite_box_rejected(self, net0):
-        with pytest.raises(ValueError):
-            propagate_bounds(net0, ((0.0, math.inf),))
+    def test_degenerate_box_is_one_point(self):
+        net = replace(random_deep_net(True), input_box=((0.5, 0.5),))
+        xs, fs = breakpoints(net)
+        assert list(xs) == [0.5] and list(fs) == [forward(net, 0.5)]
+        assert embedded_extremum(net, 0.5, maximize=True) == fs[0]
+
+    @pytest.mark.parametrize("box", [(0.0, math.inf), (math.nan, 1.0), (3.0, -2.0)])
+    def test_bad_box_rejected(self, box):
+        with pytest.raises(ValueError, match="input box"):
+            breakpoints(replace(random_deep_net(True), input_box=(box,)))
+
+    def test_multi_input_network_rejected(self):
+        net = ReluNetwork((2, 2, 1), [np.ones((2, 2)), np.ones((1, 2))],
+                          [np.zeros(2), np.zeros(1)], ((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="one input"):
+            breakpoints(net)
 
 
 class TestEmbedding:
-    def test_always_active_neuron_needs_no_binary(self):
+    def test_affine_network_needs_no_binary(self):
         net = tiny_net([[1.0]], [5.0], [[2.0]], [-1.0], (0.0, 10.0))
         m = MilpModel()
         xin = m.add_variable("x", lower=0.0, upper=10.0)
         out = m.add_variable("o", lower=-math.inf, upper=math.inf)
-        info = embed_network(m, net, propagate_bounds(net), [xin], out)
-        assert info.binary_ids == []
+        embed_network(m, net, [xin], out)
+        assert list(breakpoints(net)[0]) == [0.0, 10.0]
         assert m.num_integer() == 0
 
-    def test_always_inactive_neuron_fixed_to_zero(self):
-        net = tiny_net([[1.0]], [-20.0], [[2.0]], [3.0], (0.0, 10.0))
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_one_binary_per_inner_breakpoint(self, clamp):
+        net = random_deep_net(clamp)
         m = MilpModel()
-        xin = m.add_variable("x", lower=0.0, upper=10.0)
+        xin = m.add_variable("x", lower=-2.0, upper=3.0)
         out = m.add_variable("o", lower=-math.inf, upper=math.inf)
-        info = embed_network(m, net, propagate_bounds(net), [xin], out)
-        assert info.binary_ids == []
-        y = m.variables[info.y_ids[0]]
-        assert (y.lower, y.upper) == (0.0, 0.0)
+        embed_network(m, net, [xin], out)
+        assert m.num_integer() == len(breakpoints(net)[0]) - 2 > 0
 
-    def test_fully_generic_net_uses_one_binary_per_neuron(self):
-        rng = np.random.default_rng(3)
-        net = ReluNetwork((1, 10, 1),
-                          [rng.normal(size=(10, 1)), rng.normal(size=(1, 10))],
-                          [rng.normal(size=10) * 0.1, rng.normal(size=1)],
-                          ((-5.0, 5.0),), clamp_output=True)
-        b = propagate_bounds(net)
-        assert all(lo < 0 < hi for lo, hi in zip(b.pre_lo[0], b.pre_hi[0]))
-        assert b.pre_lo[-1][0] < 0 < b.pre_hi[-1][0]
-        m = MilpModel()
-        xin = m.add_variable("x", lower=-5.0, upper=5.0)
-        out = m.add_variable("o", lower=-math.inf, upper=math.inf)
-        info = embed_network(m, net, b, [xin], out)
-        assert len(info.binary_ids) == 10 + 1  # one per neuron plus the clamp
-
-    def test_trained_net_binaries_match_straddling_neurons(self, net0):
-        b = propagate_bounds(net0)
-        straddling = sum(1 for lo, hi in zip(b.pre_lo[0], b.pre_hi[0])
-                         if lo < 0 < hi)
-        clamp_extra = 1 if b.pre_lo[-1][0] < 0 < b.pre_hi[-1][0] else 0
+    def test_trained_net_one_binary_per_inner_breakpoint(self, net0):
         m = MilpModel()
         xin = m.add_variable("x", lower=0.0, upper=50000.0)
         out = m.add_variable("o", lower=-math.inf, upper=math.inf)
-        info = embed_network(m, net0, b, [xin], out)
-        assert len(info.binary_ids) == straddling + clamp_extra
+        embed_network(m, net0, [xin], out)
+        assert m.num_integer() == len(breakpoints(net0)[0]) - 2 > 0
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_free_input_reaches_the_extremes(self, clamp):
+        net = random_deep_net(clamp)
+        _, fs = breakpoints(net)
+        assert embedded_extremum(net, None, maximize=False) == pytest.approx(fs.min(), abs=1e-9)
+        assert embedded_extremum(net, None, maximize=True) == pytest.approx(fs.max(), abs=1e-9)
 
     def test_encode_and_fix_at_20000(self, net0):
         want = forward(net0, 20000.0)
@@ -439,14 +438,14 @@ class TestEmbedding:
         xin = m.add_variable("x", lower=0.0, upper=math.inf)
         out = m.add_variable("o")
         with pytest.raises(ValueError):
-            embed_network(m, net0, propagate_bounds(net0), [xin], out)
+            embed_network(m, net0, [xin], out)
 
     def test_input_outside_training_box_rejected(self, net0):
         m = MilpModel()
         xin = m.add_variable("x", lower=0.0, upper=60000.0)
         out = m.add_variable("o")
         with pytest.raises(ValueError):
-            embed_network(m, net0, propagate_bounds(net0), [xin], out)
+            embed_network(m, net0, [xin], out)
 
     def test_clamp_zeroes_negative_region(self):
         # raw output is negative on the low end of the box
