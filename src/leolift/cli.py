@@ -24,7 +24,8 @@ import numpy as np
 
 from .formulation import assemble, solution_flows
 from .milp_ir import Solution
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, TimeExpandedNetwork, \
+    load_scenario
 from .solver import BnbConfig, solve_milp
 from .spacecraft import OracleResult, SizingParams, generate_dataset, \
     solve_exact_oracle, surrogate_target
@@ -196,9 +197,12 @@ def _prepare_surrogate(args, params: SizingParams, seed: int):
                                            np.random.default_rng(seed))
 
 
-def _oracle_for(scenario: Scenario, params: SizingParams) -> OracleResult | None:
+def _oracle_for(scenario: Scenario, params: SizingParams,
+                network: TimeExpandedNetwork) -> OracleResult | None:
     """Fixed-point reference, valid only for a single vehicle flying a
-    single delivery chain; None when the scenario is out of that scope."""
+    single delivery chain: the transport arc families left after time
+    expansion must form one path from the launch destination to the
+    delivery node. None when the scenario is out of that scope."""
     if len(scenario.vehicles) != 1:
         return None
     sinks = [d for d in scenario.demands if d.amount < 0]
@@ -207,7 +211,18 @@ def _oracle_for(scenario: Scenario, params: SizingParams) -> OracleResult | None
     payload = -sinks[0].amount
     if not math.isfinite(payload):
         return None
-    delta_vs = [a.delta_v for a in scenario.arcs if not a.is_launch]
+    starts = {a.dst for a in network.arcs if a.kind == "launch"}
+    families = {(a.src, a.dst, a.delta_v) for a in network.arcs
+                if a.kind == "transport"}
+    legs = {src: (dst, dv) for src, dst, dv in families}
+    if len(starts) != 1 or len(legs) != len(families):
+        return None
+    node, delta_vs = starts.pop(), []
+    while node in legs:
+        node, dv = legs.pop(node)
+        delta_vs.append(dv)
+    if legs or node != sinks[0].node or not delta_vs:
+        return None
     return solve_exact_oracle(params, payload, delta_vs)
 
 
@@ -221,7 +236,7 @@ def run_pipeline(args, seed: int | None = None) -> RunReport:
         model.export_mps(args.export_mps)
     sol = solve_milp(model, BnbConfig(time_limit=args.time_limit))
 
-    oracle = _oracle_for(scenario, params)
+    oracle = _oracle_for(scenario, params, fv.network)
     gap = None
     if oracle is not None and sol.status == "optimal" and oracle.imleo > 0:
         gap = 100.0 * abs(sol.objective - oracle.imleo) / oracle.imleo

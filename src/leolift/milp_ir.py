@@ -162,9 +162,6 @@ class MilpModel:
     def num_integer(self) -> int:
         return sum(1 for v in self.variables if v.kind != "continuous")
 
-    def binary_ids(self) -> list[int]:
-        return [v.id for v in self.variables if v.kind == "binary"]
-
     def objective_value(self, values) -> float:
         return float(sum(c * values[v] for v, c in self.objective.items()))
 

@@ -209,8 +209,8 @@ def load_scenario(text: str) -> Scenario:
                      f"{path}.delta_v_mps", 0)
         tof = _day(_expect(ad, "tof_days", (int, float), path), f"{path}.tof_days")
         window_raw = _expect(ad, "window", list, path, default=list(range(horizon)))
-        window = tuple(sorted(_day(t, f"{path}.window[{k}]", 0, horizon - 1)
-                              for k, t in enumerate(window_raw)))
+        window = tuple(sorted({_day(t, f"{path}.window[{k}]", 0, horizon - 1)
+                               for k, t in enumerate(window_raw)}))
         is_launch = _expect(ad, "is_launch", bool, path, default=False)
         arcs.append(Arc(src, dst, dv, tof, window, is_launch))
 

@@ -8,8 +8,10 @@ every `REFACTOR_EVERY` pivots. `ftran` and `btran` solve with B and its
 transpose through both. Artificial columns exist only inside phase 1: any
 still basic at its optimum gives its place to its row's slack, and they are
 cut off before phase 2, so every simplex state and branch-and-bound node works
-on the problem's own columns. Dantzig pricing switches to Bland's rule when
-the objective stalls. An iteration is a pivot or a bound flip.
+on the problem's own columns. A model without rows gets one empty equality
+row, so every basis has a row. Dantzig pricing switches to Bland's rule when
+the objective stalls. An iteration is a pivot or a bound flip. The primal and
+the dual simplex make every pivot through one routine, `_Simplex._pivot`.
 
 Branch-and-bound explores nodes best-bound-first. The root has no start and
 is solved cold by the two-phase primal; every other node warm starts a
@@ -37,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array, eye_array, hstack
@@ -103,8 +105,12 @@ def _problem_from_form(sf: StandardForm) -> _Problem:
     """Ranged rows become equality rows over slacks in [0, row_hi - row_lo].
 
     A row with a finite upper end keeps its sign and b = row_hi; any other row
-    is negated, with b = -row_lo. An equality row's slack is fixed at 0.
+    is negated, with b = -row_lo. An equality row's slack is fixed at 0. A
+    model without rows gets one empty equality row, whose slack is its basis.
     """
+    if sf.A.shape[0] == 0:
+        sf = replace(sf, A=csr_array((1, sf.A.shape[1])), row_lo=np.zeros(1),
+                     row_hi=np.zeros(1))
     m, n = sf.A.shape
     keep = np.isfinite(sf.row_hi)
     folded = sf.A.copy()
@@ -147,8 +153,6 @@ class _Simplex:
 
     def refactor(self):
         self._etas = []
-        if self.m == 0:
-            return
         try:
             lu = splu(self.A[:, self.basis])
         except RuntimeError as exc:
@@ -170,8 +174,6 @@ class _Simplex:
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         """B⁻ᵀv: the eta file newest first, then the transposed LU solve."""
-        if self.m == 0:
-            return np.zeros(0)
         w = np.array(v, dtype=float)
         for r, pe, idx, vals in reversed(self._etas):
             w[r] = (w[r] - w[idx] @ vals) / pe
@@ -190,16 +192,9 @@ class _Simplex:
         col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
         return col
 
-    def nonbasic_value(self, j: int) -> float:
-        s = self.status[j]
-        if s == AT_LO:
-            return self.lb[j]
-        if s == AT_UP:
-            return self.ub[j]
-        return 0.0
-
     def nonbasic_values(self) -> np.ndarray:
-        """`nonbasic_value` of every column; basic columns read 0."""
+        """Each nonbasic column's value: its bound, or 0 when free. Basic
+        columns read 0."""
         return np.where(self.status == AT_LO, self.lb,
                         np.where(self.status == AT_UP, self.ub, 0.0))
 
@@ -220,8 +215,7 @@ class _Simplex:
     def recompute_x(self):
         xn = self.nonbasic_values()
         self.x = xn
-        if self.m:
-            self.x[self.basis] = self.ftran(self.b - self.A @ xn)
+        self.x[self.basis] = self.ftran(self.b - self.A @ xn)
 
     def _pivot_update(self, r: int, alpha: np.ndarray) -> bool:
         """Record the pivot that put the column with B⁻¹a = alpha in row r.
@@ -239,6 +233,21 @@ class _Simplex:
         self.refactor()
         self.recompute_x()
         return True
+
+    def _pivot(self, r: int, e: int, alpha: np.ndarray, t: float,
+               below: bool) -> bool:
+        """Enter column e (B⁻¹a_e = alpha) in row r by a step of t: x_B moves
+        by -t·alpha and x_e by t, and the leaving column lands on its lower
+        bound if `below`, else on its upper one. Both loops pivot only here;
+        returns whether `_pivot_update` refactored."""
+        leave = self.basis[r]
+        self.x[self.basis] -= t * alpha
+        self.x[e] += t
+        self.status[leave] = AT_LO if below else AT_UP
+        self.x[leave] = self.lb[leave] if below else self.ub[leave]
+        self.basis[r] = e
+        self.status[e] = BASIC
+        return self._pivot_update(r, alpha)
 
     # -- primal simplex ----------------------------------------------------
 
@@ -262,7 +271,7 @@ class _Simplex:
             if self.status[j] == AT_UP or (self.status[j] == NB_FREE and d[j] > 0):
                 direction = -1.0
 
-            alpha = self.ftran(self.column(j)) if self.m else np.zeros(0)
+            alpha = self.ftran(self.column(j))
             block, t_best = _ratio_test(direction * alpha, self.x[self.basis],
                                         self.lb[self.basis], self.ub[self.basis],
                                         self.ub[j] - self.lb[j])
@@ -270,29 +279,16 @@ class _Simplex:
                 self.recompute_x()
                 return "unbounded"
             self.iterations += 1  # a pivot or a bound flip
+            stall = stall + 1 if abs(d[j]) * t_best <= 1e-10 else 0
+            bland = stall >= STALL_LIMIT
 
-            if abs(d[j]) * t_best <= 1e-10:
-                stall += 1
-                if stall >= STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-
-            if block < 0:
-                self.x[self.basis] -= direction * t_best * alpha
-                self.status[j] = AT_UP if direction > 0 else AT_LO
-                self.x[j] = self.nonbasic_value(j)
+            if block >= 0:
+                self._pivot(block, j, alpha, direction * t_best,
+                            direction * alpha[block] > 0)
                 continue
-            leave = self.basis[block]
-            start = self.x[j] if self.status[j] == NB_FREE else self.nonbasic_value(j)
             self.x[self.basis] -= direction * t_best * alpha
-            self.x[j] = start + direction * t_best
-            self.status[leave] = AT_LO if direction * alpha[block] > 0 else AT_UP
-            self.x[leave] = self.nonbasic_value(leave)
-            self.basis[block] = j
-            self.status[j] = BASIC
-            self._pivot_update(block, alpha)
+            self.status[j] = AT_UP if direction > 0 else AT_LO
+            self.x[j] = self.ub[j] if direction > 0 else self.lb[j]
         raise SolverBreakdown(f"primal simplex exceeded {max_iter} iterations")
 
     # -- dual simplex ------------------------------------------------------
@@ -318,8 +314,6 @@ class _Simplex:
         """
         self.recompute_x()
         self.d = self.price(cost)
-        if self.m == 0:
-            return "feasible"
         bland = False
         stall = 0
         fresh = True  # x was just recomputed, not updated
@@ -378,26 +372,14 @@ class _Simplex:
 
             self.iterations += 1
             step = d[e] / w[e]
-            if abs(step) * viol[r] <= 1e-10:
-                stall += 1
-                if stall >= STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            stall = stall + 1 if abs(step) * viol[r] <= 1e-10 else 0
+            bland = stall >= STALL_LIMIT
 
             leave = self.basis[r]
             target = self.lb[leave] if below else self.ub[leave]
-            t = (xb[r] - target) / alpha[r]
-            self.x[self.basis] -= t * alpha
-            self.x[e] += t
-            self.x[leave] = target
             d -= step * w
             d[e] = 0.0
-            self.status[leave] = AT_LO if below else AT_UP
-            self.basis[r] = e
-            self.status[e] = BASIC
-            fresh = self._pivot_update(r, alpha)
+            fresh = self._pivot(r, e, alpha, (xb[r] - target) / alpha[r], below)
             if fresh:
                 self.d = self.price(cost)
         raise SolverBreakdown(f"dual simplex exceeded {max_iter} iterations")
@@ -491,8 +473,9 @@ def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
 def solve_lp(sf: StandardForm) -> LpResult:
     """Solve min c@x s.t. row_lo <= A@x <= row_hi, lb <= x <= ub exactly.
 
-    A problem without rows takes the same path: its basis is empty, so the
-    primal simplex only moves variables between their bounds.
+    A problem without rows takes the same path: its one empty row's slack,
+    fixed at 0, is the basis, so the primal simplex only moves variables
+    between their bounds.
     """
     prob = _problem_from_form(sf)
     n = prob.n_struct

@@ -179,6 +179,32 @@ class TestSingleRunReports:
         expect = 100.0 * abs(rep["milp"]["objective_kg"] - imleo) / imleo
         assert rep["gap_pct"] == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("edit, objective, imleo", [
+        # a return leg: the legs no longer form one path
+        (lambda arcs: arcs + [{"from": "LLO", "to": "LEO", "delta_v_mps": 4040.0,
+                               "tof_days": 1, "window": [4]}], 42650.33, None),
+        # a second LEO->LLO family that never departs expands to no arc
+        (lambda arcs: arcs + [{"from": "LEO", "to": "LLO", "delta_v_mps": 4040.0,
+                               "tof_days": 3, "window": []}],
+         42650.33, 42811.087681331606),
+        # launched straight to the delivery node: no burn to size
+        (lambda arcs: [dict(arcs[0], to="LS")], 0.0, None)])
+    def test_oracle_only_for_one_expanded_path(self, tmp_path, capsys, lunar_text,
+                                              edit, objective, imleo):
+        doc = json.loads(lunar_text)
+        doc["arcs"] = edit(doc["arcs"])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_main(capsys, ["--scenario", str(path)] + LINREG_JSON)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["milp"]["objective_kg"] == pytest.approx(objective, abs=0.01)
+        if imleo is None:
+            assert rep["oracle"] is None and rep["gap_pct"] is None
+        else:
+            assert rep["oracle"]["imleo_kg"] == pytest.approx(imleo, rel=1e-9)
+            assert rep["gap_pct"] == pytest.approx(0.3755, abs=1e-4)
+
     def test_text_report_mentions_key_fields(self, capsys):
         code, out, _ = run_main(capsys, ["--surrogate", "linreg"])
         assert code == 0

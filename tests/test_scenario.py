@@ -104,6 +104,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioDomainError):
             load_scenario(bad)
 
+    def test_repeated_window_day_counts_once(self):
+        def with_window(window):
+            return load_scenario(doc(arcs=[{"from": "A", "to": "B", "delta_v_mps": 4.0,
+                                            "tof_days": 1, "window": window}]))
+        assert with_window([1, 1]) == with_window([1])
+        assert with_window([1, 0, 1.0]) == with_window([0, 1])
+
     def test_malformed_json_is_parse_error(self):
         with pytest.raises(ScenarioParseError):
             load_scenario("{not json")

@@ -160,7 +160,8 @@ class TestSimplexRandom:
         state = solver._Simplex(A, A.T, np.zeros(3), lb, ub)
         state.status = rng.choice(np.array([solver.BASIC, solver.AT_LO, solver.AT_UP,
                                             solver.NB_FREE], dtype=np.int8), n)
-        loop = [0.0 if state.status[j] == solver.BASIC else state.nonbasic_value(j)
+        loop = [lb[j] if state.status[j] == solver.AT_LO
+                else ub[j] if state.status[j] == solver.AT_UP else 0.0
                 for j in range(n)]
         np.testing.assert_array_equal(state.nonbasic_values(), loop)
 
@@ -339,8 +340,9 @@ class TestFactoredBasis:
 
 
 class TestWarmDualState:
-    """The warm dual simplex updates x and the reduced costs d at each pivot
-    instead of recomputing them; these compare them with fresh solves."""
+    """Both simplex loops update x at each pivot, and the warm dual simplex
+    the reduced costs d too, instead of recomputing them; these compare them
+    with fresh solves."""
 
     M, N = 12, 20
 
@@ -413,6 +415,64 @@ class TestWarmDualState:
             state.dual(cost)
             compare(state)
         assert counts["pivots"] >= 40 and counts["refactors"] >= 10, counts
+        assert counts["exact"] > counts["refactors"], counts
+
+    def test_primal_x_matches_fresh_solves(self, monkeypatch):
+        """At every pricing of the two-phase primal, x equals
+        B⁻¹(b - A_N x_N) to 1e-9 relative, and exactly when it has just been
+        recomputed (at every refactor, every third pivot here). The columns
+        have short finite ranges, so bound flips happen too."""
+        monkeypatch.setattr(solver, "REFACTOR_EVERY", 3)
+        counts = {"pivots": 0, "refactors": 0, "exact": 0, "iterations": 0}
+        recomputed = [False]
+
+        def compare(state):
+            x = state.nonbasic_values()
+            x[state.basis] = state.ftran(state.b - state.A @ x)
+            if recomputed[0]:
+                counts["exact"] += 1
+                np.testing.assert_array_equal(state.x, x)
+            else:
+                np.testing.assert_allclose(state.x, x, rtol=1e-9,
+                                           atol=1e-9 * max(1.0, np.abs(x).max()))
+            recomputed[0] = False
+
+        price = solver._Simplex.price
+        recompute_x = solver._Simplex.recompute_x
+        pivot_update = solver._Simplex._pivot_update
+
+        def checked_price(state, cost):
+            compare(state)
+            return price(state, cost)
+
+        def marked_recompute(state):
+            recompute_x(state)
+            recomputed[0] = True
+
+        def counted_pivot(state, r, alpha):
+            refactored = pivot_update(state, r, alpha)
+            counts["pivots"] += 1
+            counts["refactors"] += refactored
+            return refactored
+
+        monkeypatch.setattr(solver._Simplex, "price", checked_price)
+        monkeypatch.setattr(solver._Simplex, "recompute_x", marked_recompute)
+        monkeypatch.setattr(solver._Simplex, "_pivot_update", counted_pivot)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            A = np.where(rng.random((self.M, self.N)) < 0.4,
+                         rng.normal(size=(self.M, self.N)).round(3), 0.0)
+            # x = u is feasible; rows with b < 0 need phase 1
+            b = A @ rng.uniform(0.0, 0.5, self.N) + rng.uniform(-0.5, 2.0, self.M)
+            c = rng.normal(size=self.N).round(3)
+            m = lp_from_dense(A, ["<="] * self.M, b, c, np.zeros(self.N),
+                              rng.uniform(0.5, 1.5, self.N).round(3))
+            st, state = cold_solve(solver._problem_from_form(m.to_standard_form()))
+            assert st == "optimal"
+            counts["iterations"] += state.iterations
+        flips = counts["iterations"] - counts["pivots"]
+        assert counts["pivots"] >= 100 and counts["refactors"] >= 30, counts
+        assert flips >= 20, counts
         assert counts["exact"] > counts["refactors"], counts
 
     def test_tiny_pivot_on_updated_basis_refactors_first(self, monkeypatch):
