@@ -184,7 +184,7 @@ def _prepare_surrogate(args, params: SizingParams, seed: int):
     if args.model:
         sur = (args.model if isinstance(args.model, ReluNetwork)
                else load_surrogate(args.model))
-        box = (0.0, 50000.0)
+        box = _parse_train_range(args.train_range)[:2]
     else:
         box, data = _training_data(args, params)
         sur = (fit_linear_regression(data) if args.surrogate == "linreg" else

@@ -2,13 +2,14 @@
 
 All formulation and surrogate-embedding passes accumulate into a `MilpModel`.
 The model compiles to one ranged-row sparse form that the solver, the row
-audit and the fixed-format MPS writer all read (plus a small reader so
-exported files can be round-tripped and handed to other solvers).
+audit and the MPS writer all read. The writer emits free-format MPS under
+the model's own variable names and row tags, and a small reader takes such
+a file back, so exported files round-trip and can be handed to other
+solvers.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -210,15 +211,19 @@ class MilpModel:
     # -- export ------------------------------------------------------------
 
     def export_mps(self, path: str):
-        """Write fixed-format MPS plus a `<path>.names` truncation map.
+        """Write the model as free-format MPS.
 
-        Row/column names are truncated to 8 characters (with a counter suffix
-        on collision) as fixed MPS requires; numeric fields use the shortest
-        exact decimal form, which can overflow the classic 12-character field
-        but stays whitespace-delimited for modern readers.
+        Each column is named by its variable's name and each row by its tag,
+        so `read_mps` reads the model back exactly. Numbers are written in
+        their shortest exact decimal form, +inf as 1e308. Raises ModelError,
+        before the file is opened, when a name is empty, holds whitespace or
+        repeats within its kind, or a row is named OBJ (the objective row).
         """
-        short_rows = _shorten([f"C{i}_{c.tag}" for i, c in enumerate(self.constraints)])
-        short_cols = _shorten([v.name for v in self.variables])
+        row_names = [c.tag for c in self.constraints]
+        _check_names("variable", [v.name for v in self.variables])
+        _check_names("row", row_names)
+        if "OBJ" in row_names:
+            raise ModelError("row name 'OBJ' is taken by the objective row")
         sf = self.to_standard_form()
         cols = sf.A.tocsc()
         cols.sort_indices()
@@ -230,8 +235,8 @@ class MilpModel:
 
         lines = [f"NAME          {self.name[:60]}", "ROWS", " N  OBJ"]
         sense_code = {"<=": "L", ">=": "G", "=": "E"}
-        for i, con in enumerate(self.constraints):
-            lines.append(f" {sense_code[con.sense]}  {short_rows[i]}")
+        for con in self.constraints:
+            lines.append(f" {sense_code[con.sense]}  {con.tag}")
 
         lines.append("COLUMNS")
         marker_n = 0
@@ -252,81 +257,53 @@ class MilpModel:
             span = slice(cols.indptr[v.id], cols.indptr[v.id + 1])
             for i, coeff in zip(cols.indices[span], cols.data[span]):
                 if coeff != 0.0:
-                    entries.append((short_rows[i], coeff))
+                    entries.append((row_names[i], coeff))
             if not entries:
                 entries.append(("OBJ", 0.0))  # keep empty columns visible
             for row_name, coeff in entries:
-                lines.append(f"    {short_cols[v.id]:<8}  {row_name:<8}  {num(coeff)}")
+                lines.append(f"    {v.name}  {row_name}  {num(coeff)}")
         if in_int:
             lines.append(f"    MARKER{marker_n:02d}  'MARKER'                 'INTEND'")
 
         lines.append("RHS")
-        for i, con in enumerate(self.constraints):
+        for con in self.constraints:
             if con.rhs != 0.0:
-                lines.append(f"    RHS       {short_rows[i]:<8}  {num(con.rhs)}")
+                lines.append(f"    RHS  {con.tag}  {num(con.rhs)}")
 
         lines.append("BOUNDS")
         for v in self.variables:
-            name = short_cols[v.id]
             lo, up = v.lower, v.upper
             if lo == up:
-                lines.append(f" FX BND       {name:<8}  {num(lo)}")
+                lines.append(f" FX BND  {v.name}  {num(lo)}")
                 continue
             if lo == -INF:
-                lines.append(f" MI BND       {name:<8}")
+                lines.append(f" MI BND  {v.name}")
             elif lo != 0.0 or v.kind != "continuous":
-                lines.append(f" LO BND       {name:<8}  {num(lo)}")
+                lines.append(f" LO BND  {v.name}  {num(lo)}")
             if up != INF:
-                lines.append(f" UP BND       {name:<8}  {num(up)}")
+                lines.append(f" UP BND  {v.name}  {num(up)}")
             elif v.kind != "continuous":
-                lines.append(f" PL BND       {name:<8}")
+                lines.append(f" PL BND  {v.name}")
         lines.append("ENDATA")
 
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        name_map = {
-            "rows": {short_rows[i]: self.constraints[i].tag for i in range(len(self.constraints))},
-            "cols": {short_cols[v.id]: v.name for v in self.variables},
-        }
-        with open(str(path) + ".names", "w") as fh:
-            json.dump(name_map, fh, indent=1)
 
 
-def _shorten(names: list[str]) -> list[str]:
-    """Truncate names to 8 chars, suffixing the first free counter k = 0, 1,
-    ... on collision.
-
-    `used` only grows, so a counter once found taken for a base stays taken:
-    each base resumes its search where its last one stopped, which gives the
-    names a search from k = 0 gives without testing those counters again.
-    """
-    out, used, next_k = [], set(), {}
+def _check_names(kind: str, names: list[str]):
+    """Raise ModelError on the first name that is empty, holds whitespace or
+    repeats: free MPS splits its lines on whitespace."""
+    seen = set()
     for name in names:
-        base = "".join(ch if ch.isalnum() else "_" for ch in name)[:8] or "X"
-        cand = base
-        k = next_k.get(base, 0)
-        while cand in used:
-            suffix = str(k)
-            cand = base[: 8 - len(suffix)] + suffix
-            k += 1
-        next_k[base] = k
-        used.add(cand)
-        out.append(cand)
-    return out
+        if name.split() != [name]:
+            raise ModelError(f"{kind} name {name!r} is empty or holds whitespace")
+        if name in seen:
+            raise ModelError(f"{kind} name {name!r} is not unique")
+        seen.add(name)
 
 
 def read_mps(path: str) -> MilpModel:
-    """Minimal fixed/free MPS reader covering what `export_mps` emits.
-
-    Restores original long names from the `.names` sidecar when present.
-    """
-    name_map = {"rows": {}, "cols": {}}
-    try:
-        with open(str(path) + ".names") as fh:
-            name_map = json.load(fh)
-    except FileNotFoundError:
-        pass
-
+    """Minimal free MPS reader covering what `export_mps` emits."""
     model = MilpModel()
     section = None
     row_sense: dict[str, str] = {}
@@ -397,8 +374,7 @@ def read_mps(path: str) -> MilpModel:
         kind = col_kind[cname]
         if kind == "integer" and lo == 0.0 and up == 1.0:
             kind = "binary"
-        long_name = name_map["cols"].get(cname, cname)
-        vid = model.add_variable(long_name, kind, lo, up)
+        vid = model.add_variable(cname, kind, lo, up)
         assert vid == cid
         for rname, coeff in entries[cname]:
             if rname == obj_row:
@@ -409,5 +385,5 @@ def read_mps(path: str) -> MilpModel:
 
     for rname, terms in row_terms.items():
         model.add_constraint(terms, row_sense[rname], rhs.get(rname, 0.0),
-                             tag=name_map["rows"].get(rname, rname))
+                             tag=rname)
     return model

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 NODE_KINDS = ("body-surface", "orbit")
-COMMODITY_KINDS = ("continuous", "discrete")
 BUILTIN_COMMODITIES = ("payload", "propellant")
 
 
@@ -52,7 +51,6 @@ class Arc:
 @dataclass(frozen=True)
 class Commodity:
     id: str
-    kind: str = "continuous"
 
 
 @dataclass(frozen=True)
@@ -214,22 +212,21 @@ def load_scenario(text: str) -> Scenario:
         is_launch = _expect(ad, "is_launch", bool, path, default=False)
         arcs.append(Arc(src, dst, dv, tof, window, is_launch))
 
-    commodities = [Commodity(cid, "continuous") for cid in BUILTIN_COMMODITIES]
+    commodities = [Commodity(cid) for cid in BUILTIN_COMMODITIES]
     seen = set(BUILTIN_COMMODITIES)
     for i, cd in enumerate(_expect(doc, "commodities", list, "$", default=[])):
         path = f"$.commodities[{i}]"
         cid = _expect(cd, "id", str, path)
         kind = _expect(cd, "kind", str, path, default="continuous")
-        if kind not in COMMODITY_KINDS:
-            raise ScenarioDomainError(f"{path}.kind must be one of {COMMODITY_KINDS}")
+        if kind != "continuous":
+            # every commodity flows as a real amount; nothing rounds it to units
+            raise ScenarioDomainError(f"{path}.kind must be 'continuous', got {kind!r}")
         if cid in BUILTIN_COMMODITIES:
-            if kind != "continuous":
-                raise ScenarioDomainError(f"built-in commodity {cid!r} must be continuous")
             continue
         if cid in seen:
             raise ScenarioDomainError(f"duplicate commodity id {cid!r}")
         seen.add(cid)
-        commodities.append(Commodity(cid, kind))
+        commodities.append(Commodity(cid))
     commodity_ids = seen
 
     vehicles = []
@@ -276,14 +273,15 @@ def load_scenario(text: str) -> Scenario:
             amount = _number(amount, f"{path}.amount")
         demands.append(DemandEntry(cid, nid, t, amount))
 
+    legs = {(a.src, a.dst) for a in arcs}
     objective = []
     for i, od in enumerate(_expect(doc, "objective", list, "$", default=[])):
         path = f"$.objective[{i}]"
         src = _expect(od, "from", str, path)
         dst = _expect(od, "to", str, path)
-        for nid in (src, dst):
-            if nid not in node_ids:
-                raise ScenarioReferenceError(f"{path} references unknown node {nid!r}")
+        if (src, dst) not in legs:
+            raise ScenarioReferenceError(
+                f"{path} weights the leg {src!r} -> {dst!r}, which no arc family flies")
         raw = _expect(od, "commodity_cost", (int, float, dict), path, default=0.0)
         if isinstance(raw, dict):
             cc = []

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,9 @@ import leolift
 from leolift import cli
 from leolift.cli import (R2_EXCLUSION, _parse_train_range, build_parser, main,
                          run_pipeline, run_seed_study)
-from leolift.surrogate import ReluNetwork, save_surrogate
+from leolift.milp_ir import read_mps
+from leolift.spacecraft import generate_dataset
+from leolift.surrogate import ReluNetwork, fit_linear_regression, save_surrogate
 
 LINREG_JSON = ["--surrogate", "linreg", "--report", "json"]
 # a loadable network over the CLI's default training box
@@ -85,6 +88,33 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error:") and field in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit, field", [
+        # the launch arc sent straight to LS leaves the Earth->LEO cost on
+        # a leg nothing flies
+        (lambda doc: doc["arcs"][0].update(to="LS"), "$.objective[0]"),
+        (lambda doc: doc["commodities"].append({"id": "crew", "kind": "discrete"}),
+         "$.commodities[0].kind"),
+    ])
+    def test_scenario_the_model_cannot_mean_exits_1(self, tmp_path, capsys,
+                                                    lunar_text, edit, field):
+        doc = json.loads(lunar_text)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, ["--scenario", str(path)] + LINREG_JSON)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and field in err
+        assert len(err.splitlines()) == 1
+
+    def test_readme_flag_table_lists_every_option(self):
+        """README's flag table names exactly the parser's options."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = re.findall(r"^\| `(--[a-z-]+)", readme, flags=re.M)
+        options = [a.option_strings[0] for a in build_parser()._actions
+                   if a.option_strings and a.dest != "help"]
+        assert documented == options
 
     def test_bad_train_range_exits_1(self, capsys):
         code, _, err = run_main(capsys, LINREG_JSON + ["--train-range", "5:1:100"])
@@ -187,12 +217,14 @@ class TestSingleRunReports:
         (lambda arcs: arcs + [{"from": "LEO", "to": "LLO", "delta_v_mps": 4040.0,
                                "tof_days": 3, "window": []}],
          42650.33, 42811.087681331606),
-        # launched straight to the delivery node: no burn to size
-        (lambda arcs: [dict(arcs[0], to="LS")], 0.0, None)])
+        # launched straight to the delivery node: no burn to size, so the
+        # launch carries the payload and the empty vehicle
+        (lambda arcs: [dict(arcs[0], to="LS")], 3615.23, None)])
     def test_oracle_only_for_one_expanded_path(self, tmp_path, capsys, lunar_text,
                                               edit, objective, imleo):
         doc = json.loads(lunar_text)
         doc["arcs"] = edit(doc["arcs"])
+        doc["objective"][0]["to"] = doc["arcs"][0]["to"]  # cost the launch leg
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
         code, out, _ = run_main(capsys, ["--scenario", str(path)] + LINREG_JSON)
@@ -251,15 +283,48 @@ class TestModelFiles:
         assert code == 0
         assert json.loads(out)["milp"]["status"] == "optimal"
 
-    def test_export_mps_writes_model_and_sidecar(self, tmp_path, capsys):
+    def test_loaded_linear_model_scores_on_train_range(self, tmp_path, capsys,
+                                                       params):
+        """A saved linear model, loaded with the `--train-range` it was
+        fitted on, reports the held-out R^2 of the run that fitted it."""
+        grid = ["--train-range", "0:30000:1000", "--seed", "3"]
+        path = tmp_path / "linreg.json"
+        save_surrogate(fit_linear_regression(
+            generate_dataset(params, 0.0, 30000.0, 1000.0)), str(path))
+        code, out, _ = run_main(capsys, LINREG_JSON + grid)
+        assert code == 0
+        fitted = json.loads(out)["surrogate"]["test_r2"]
+        code, out, _ = run_main(capsys, LINREG_JSON + grid + ["--model", str(path)])
+        assert code == 0
+        assert json.loads(out)["surrogate"]["test_r2"] == fitted
+
+    def test_export_mps_writes_one_readable_file(self, tmp_path, capsys):
         path = tmp_path / "campaign.mps"
         code, _, _ = run_main(capsys, LINREG_JSON + ["--export-mps", str(path)])
         assert code == 0
         text = path.read_text()
         for section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
             assert section in text
-        names = json.loads((tmp_path / "campaign.mps.names").read_text())
-        assert names["rows"] and names["cols"]
+        assert [p.name for p in tmp_path.iterdir()] == ["campaign.mps"]
+        model = read_mps(str(path))
+        assert "m_f[spacecraft]" in {v.name for v in model.variables}
+
+    def test_name_with_space_fails_only_the_export(self, tmp_path, capsys,
+                                                   lunar_text):
+        """A node id with a space makes names MPS cannot hold: the export
+        exits 1 and writes nothing; the run without it solves."""
+        scenario = tmp_path / "spaced.json"
+        scenario.write_text(lunar_text.replace('"LLO"', '"low orbit"'))
+        argv = LINREG_JSON + ["--scenario", str(scenario)]
+        code, out, err = run_main(capsys, argv)
+        assert code == 0 and err == ""
+        mps = tmp_path / "spaced.mps"
+        code, out, err = run_main(capsys, argv + ["--export-mps", str(mps)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "low orbit" in err
+        assert len(err.splitlines()) == 1
+        assert not mps.exists()
 
 
 class TestSeedStudy:

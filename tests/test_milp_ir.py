@@ -1,15 +1,17 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from leolift.formulation import FixedDesign, assemble
-from leolift.milp_ir import MilpModel, ModelError, _shorten, read_mps
+from leolift.milp_ir import MilpModel, ModelError, read_mps
+from leolift.scenario import load_scenario
 from leolift.spacecraft import solve_exact_oracle
 from leolift.formulation import compute_propellant_fraction
 
-from helpers import model_from_dense
+from helpers import ladder_doc, model_from_dense
 
 
 class TestAddVariable:
@@ -171,92 +173,99 @@ class TestMpsExport:
         text = path.read_text()
         assert text.count("'INTORG'") == 1 and text.count("'INTEND'") == 1
 
-    def test_roundtrip_reproduces_model_exactly(self, tmp_path, lunar, linreg51):
-        rng = np.random.default_rng(11)
-        m = MilpModel("rt")
-        kinds = ["continuous", "integer", "binary", "continuous", "integer"]
-        lows = [0.0, -3.0, 0.0, -math.inf, 2.0]
-        ups = [10.5, 7.0, 1.0, math.inf, 9.0]
-        ids = [m.add_variable(f"var{k}", kinds[k], lows[k], ups[k])
-               for k in range(5)]
-        for i in range(6):
-            terms = [(j, round(float(rng.normal()), 6)) for j in ids
-                     if rng.random() < 0.7]
-            if not terms:
-                terms = [(ids[0], 1.0)]
-            sense = ("<=", ">=", "=")[i % 3]
-            m.add_constraint(terms, sense, round(float(rng.normal()), 6), tag=f"t{i}")
-        m.add_objective_term(ids[0], 1.25)
-        m.add_objective_term(ids[3], -2.5)
-        campaign, _ = assemble(lunar, linreg51)
+    @pytest.mark.parametrize("which", ["hand-built", "lunar-linreg",
+                                       "lunar-nn0", "H8/W3", "H10/W5", "H40/W2"])
+    def test_roundtrip_reproduces_model_exactly(self, tmp_path, which, lunar,
+                                                linreg51, net0):
+        """`read_mps` gives back every name, kind, bound, row, term and
+        objective coefficient that `export_mps` wrote, from the one file."""
+        if which == "hand-built":
+            model = hand_built_model()
+        elif which.startswith("lunar"):
+            model, _ = assemble(lunar, net0 if which == "lunar-nn0" else linreg51)
+        else:
+            h, w = (int(k) for k in which[1:].split("/W"))
+            model, _ = assemble(load_scenario(json.dumps(ladder_doc(h, w))), linreg51)
+        if which == "lunar-nn0":
+            names = {v.name for v in model.variables}
+            assert {"ml[spacecraft]:d0", "ml[spacecraft]:w1"} <= names
 
         def kind(v):  # MPS has no binary kind: a 0/1 integer reads back binary
             if v.kind == "integer" and (v.lower, v.upper) == (0.0, 1.0):
                 return "binary"
             return v.kind
 
-        for model in (m, campaign):
-            path = tmp_path / f"{model.name}.mps"
-            model.export_mps(str(path))
-            m2 = read_mps(str(path))
+        path = tmp_path / "model.mps"
+        model.export_mps(str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.mps"]  # no sidecar
+        m2 = read_mps(str(path))
 
-            assert m2.num_variables() == model.num_variables()
-            for v, v2 in zip(model.variables, m2.variables):
-                assert (v.name, kind(v), v.lower, v.upper) == \
-                    (v2.name, v2.kind, v2.lower, v2.upper)
-            assert m2.num_constraints() == model.num_constraints()
-            for c, c2 in zip(model.constraints, m2.constraints):
-                assert (c.sense, c.rhs, c.tag) == (c2.sense, c2.rhs, c2.tag)
-                assert dict(c.terms) == dict(c2.terms)
-            assert m2.objective == model.objective
+        assert m2.num_variables() == model.num_variables()
+        for v, v2 in zip(model.variables, m2.variables):
+            assert (v.name, kind(v), v.lower, v.upper) == \
+                (v2.name, v2.kind, v2.lower, v2.upper)
+        assert m2.num_constraints() == model.num_constraints()
+        for c, c2 in zip(model.constraints, m2.constraints):
+            assert (c.sense, c.rhs, c.tag) == (c2.sense, c2.rhs, c2.tag)
+            assert dict(c.terms) == dict(c2.terms)
+        assert m2.objective == model.objective
 
-    def test_name_sidecar_restores_tags(self, tmp_path):
+    def test_long_names_round_trip_whole(self, tmp_path):
         m = MilpModel()
         x = m.add_variable("a_rather_long_variable_name")
-        m.add_constraint([(x, 1.0)], "<=", 1.0, tag="eq2:LEO:1:payload")
+        y = m.add_variable("a_rather_long_variable_name_too")
+        m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0, tag="eq2:LEO:1:payload")
+        m.add_constraint([(x, 1.0)], ">=", 0.5, tag="eq2:LEO:1:payload:b")
         path = tmp_path / "names.mps"
         m.export_mps(str(path))
-        sidecar = json.loads((tmp_path / "names.mps.names").read_text())
-        assert "eq2:LEO:1:payload" in sidecar["rows"].values()
+        assert [p.name for p in tmp_path.iterdir()] == ["names.mps"]
+        assert " a_rather_long_variable_name_too " in path.read_text()
         m2 = read_mps(str(path))
-        assert m2.constraints[0].tag == "eq2:LEO:1:payload"
-        assert m2.variables[0].name == "a_rather_long_variable_name"
+        assert [c.tag for c in m2.constraints] == ["eq2:LEO:1:payload",
+                                                   "eq2:LEO:1:payload:b"]
+        assert [v.name for v in m2.variables] == ["a_rather_long_variable_name",
+                                                  "a_rather_long_variable_name_too"]
+
+    @pytest.mark.parametrize("names, tags, offender", [
+        (["x", ""], ["r"], "variable name ''"),
+        (["x", "y z"], ["r"], "variable name 'y z'"),
+        (["x", "y\tz"], ["r"], r"variable name 'y\tz'"),
+        (["x", "x"], ["r"], "variable name 'x'"),
+        (["x", "y"], [""], "row name ''"),
+        (["x", "y"], ["r", "eq2:LEO 1"], "row name 'eq2:LEO 1'"),
+        (["x", "y"], ["r", "r"], "row name 'r'"),
+        (["x", "y"], ["r", "OBJ"], "row name 'OBJ'"),
+    ], ids=["empty-var", "space-var", "tab-var", "repeated-var", "empty-row",
+            "space-row", "repeated-row", "row-named-OBJ"])
+    def test_unwritable_name_is_rejected(self, tmp_path, names, tags, offender):
+        m = MilpModel()
+        ids = [m.add_variable(name) for name in names]
+        for tag in tags:
+            m.add_constraint([(ids[0], 1.0)], "<=", 1.0, tag=tag)
+        path = tmp_path / "bad.mps"
+        with pytest.raises(ModelError, match=re.escape(offender)):
+            m.export_mps(str(path))
+        assert list(tmp_path.iterdir()) == []
 
 
-def quadratic_shorten(names: list[str]) -> list[str]:
-    """Reference MPS name shortener: on a collision, retry the counter from
-    k = 0 for every name."""
-    out, used = [], set()
-    for name in names:
-        base = "".join(ch if ch.isalnum() else "_" for ch in name)[:8] or "X"
-        cand = base
-        k = 0
-        while cand in used:
-            suffix = str(k)
-            cand = base[: 8 - len(suffix)] + suffix
-            k += 1
-        used.add(cand)
-        out.append(cand)
-    return out
-
-
-class TestShortNames:
-    def test_matches_the_quadratic_reference(self):
-        """Names sharing 8-character prefixes, interleaved with literal names
-        that equal the suffixed forms (`abcdefg1`, `abcdef10`), empty and
-        punctuation-only names, and bases shorter than the suffix."""
-        rng = np.random.default_rng(5)
-        pool = ([f"abcdefgh_{i}" for i in range(150)]
-                + [f"abcdefg{i}" for i in range(12)]
-                + [f"abcdef{i}" for i in range(8, 14)]
-                + [f"ab:{i}" for i in range(40)]
-                + ["", "::", "-", "X", "X0", "_", "__1"] * 3
-                + [f"C{i}_eq2:LEO:{i % 7}:payload" for i in range(60)])
-        names = [pool[i] for i in rng.permutation(len(pool))]
-        got = _shorten(names)
-        assert got == quadratic_shorten(names)
-        assert len(set(got)) == len(got)
-        assert all(1 <= len(n) <= 8 for n in got)
+def hand_built_model() -> MilpModel:
+    """Every variable kind, infinite and negative bounds, all three senses."""
+    rng = np.random.default_rng(11)
+    m = MilpModel("rt")
+    kinds = ["continuous", "integer", "binary", "continuous", "integer"]
+    lows = [0.0, -3.0, 0.0, -math.inf, 2.0]
+    ups = [10.5, 7.0, 1.0, math.inf, 9.0]
+    ids = [m.add_variable(f"var{k}", kinds[k], lows[k], ups[k]) for k in range(5)]
+    for i in range(6):
+        terms = [(j, round(float(rng.normal()), 6)) for j in ids
+                 if rng.random() < 0.7]
+        if not terms:
+            terms = [(ids[0], 1.0)]
+        sense = ("<=", ">=", "=")[i % 3]
+        m.add_constraint(terms, sense, round(float(rng.normal()), 6), tag=f"t{i}")
+    m.add_objective_term(ids[0], 1.25)
+    m.add_objective_term(ids[3], -2.5)
+    return m
 
 
 class TestFreezeAndTags:

@@ -49,6 +49,9 @@ NUMERIC_FIELDS = [
 def every_number_doc() -> dict:
     """`doc()` with one valid value in every numeric field of the format."""
     return json.loads(doc(
+        arcs=[{"from": "A", "to": "B", "delta_v_mps": 100.0, "tof_days": 1,
+               "window": [0, 1]},
+              {"from": "B", "to": "A", "tof_days": 1}],
         vehicles=[{"id": "tug", "isp_s": 330, "burn_time_s": 120, "alpha": 0.045,
                    "m_ub_kg": 500000, "design_bounds": {"m_p": [0, 50000]}}],
         demands=[{"commodity": "payload", "node": "B", "time": 2, "amount": -5}],
@@ -110,6 +113,21 @@ class TestLoadScenario:
                                             "tof_days": 1, "window": window}]))
         assert with_window([1, 1]) == with_window([1])
         assert with_window([1, 0, 1.0]) == with_window([0, 1])
+
+    @pytest.mark.parametrize("src, dst", [("B", "A"), ("A", "C")])
+    def test_objective_leg_without_arc_family_named(self, src, dst):
+        bad = doc(objective=[{"from": "A", "to": "B", "commodity_cost": 1.0},
+                             {"from": src, "to": dst, "commodity_cost": 1.0}])
+        with pytest.raises(ScenarioReferenceError, match=re.escape("$.objective[1]")):
+            load_scenario(bad)
+
+    @pytest.mark.parametrize("cid", ["crew", "payload"])
+    def test_only_continuous_commodities_load(self, cid):
+        load_scenario(doc(commodities=[{"id": "crew", "kind": "continuous"}]))
+        bad = doc(commodities=[{"id": cid, "kind": "discrete"}])
+        with pytest.raises(ScenarioDomainError,
+                           match=re.escape("$.commodities[0].kind")):
+            load_scenario(bad)
 
     def test_malformed_json_is_parse_error(self):
         with pytest.raises(ScenarioParseError):
