@@ -15,6 +15,8 @@ burn, `eq4:<v>:<arc>` / `eq5:<v>:<arc>` payload and propellant capacity,
 `cut:cover:<node>:<t>:<commodity>` demand cover and
 `cut:leg:<v>:<src>><dst>:<m_p|m_f|m_d>:<lo|hi>` leg aggregation (rows the
 network implies, which tighten the relaxation; see `build_network_cuts`).
+`<arc>` is `ExpandedArc.key`, `<src>><dst>#<family>@<depart>`; it also
+names the arc's variables, e.g. `y[<v>][<arc>]`.
 """
 
 from __future__ import annotations
@@ -119,7 +121,6 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
 
     fleet_ub = {vid: _fleet_supply(scenario, vid) for vid in vehicle_ids}
     for idx, arc in enumerate(network.arcs):
-        key = f"{arc.src}>{arc.dst}@{arc.depart}"
         if arc.kind == "holdover":
             hkey = f"{arc.src}@{arc.depart}"
             for c in commodities:
@@ -129,7 +130,7 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
                     f"h[{vid}][{hkey}]", "integer", upper=fleet_ub[vid])
             fv.hold[(idx, STRUCT)] = model.add_variable(f"h[{STRUCT}][{hkey}]")
             continue
-        v = arc.vehicle
+        v, key = arc.vehicle, arc.key
         phi = (compute_propellant_fraction(arc.delta_v, scenario.vehicle(v).isp)
                if arc.kind == "transport" else 0.0)
         if phi > 0.0 and PROPELLANT in commodities:  # one test for xm and eq3
@@ -216,10 +217,9 @@ def build_transformation(model: MilpModel, fv: FlowVariables):
     """
     for idx, phi in fv.burn.items():
         arc = fv.network.arcs[idx]
-        key = f"{arc.src}>{arc.dst}@{arc.depart}"
         if phi >= 1.0:
             warnings.warn(
-                f"arc {key} burns its entire wet mass (phi={phi}); "
+                f"arc {arc.key} burns its entire wet mass (phi={phi}); "
                 f"model is infeasible for any positive flow", stacklevel=2)
         terms = [(fv.x_minus[(idx, PROPELLANT)], 1.0),
                  (fv.x_plus[(idx, PROPELLANT)], phi - 1.0)]
@@ -227,7 +227,7 @@ def build_transformation(model: MilpModel, fv: FlowVariables):
                   for o in fv.commodities if o != PROPELLANT]
         terms.append((fv.z_struct[idx], phi))
         model.add_constraint(terms, "=", 0.0,
-                             tag=f"eq3:{arc.vehicle}:{key}:{PROPELLANT}")
+                             tag=f"eq3:{arc.vehicle}:{arc.key}:{PROPELLANT}")
 
 
 def build_concurrency(model: MilpModel, fv: FlowVariables, scenario: Scenario):
@@ -238,8 +238,7 @@ def build_concurrency(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     z = m*y at integral points, with M the design upper bound of m.
     """
     for idx, arc in fv.powered():
-        key = f"{arc.src}>{arc.dst}@{arc.depart}"
-        v = arc.vehicle
+        v, key = arc.vehicle, arc.key
         pay_terms = [(fv.x_plus[(idx, c)], 1.0)
                      for c in fv.commodities if c != PROPELLANT]
         model.add_constraint(pay_terms + [(fv.z_payload[idx], -1.0)], "<=", 0.0,

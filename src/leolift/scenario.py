@@ -116,6 +116,13 @@ class ExpandedArc:
     arrive: int
     kind: str  # transport | holdover | launch
     delta_v: float = 0.0
+    family: int | None = None  # index into Scenario.arcs; None on holdover arcs
+
+    @property
+    def key(self) -> str:
+        """`<src>><dst>#<family>@<depart>`: one vehicle's arc, told apart
+        from a parallel family's arc on the same leg and day."""
+        return f"{self.src}>{self.dst}#{self.family}@{self.depart}"
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,7 @@ def expand_time_network(s: Scenario) -> TimeExpandedNetwork:
         for t in range(s.horizon - 1):
             arcs.append(ExpandedArc(None, node.id, node.id, t, t + 1, "holdover"))
     excluded = 0
-    for fam in s.arcs:
+    for f, fam in enumerate(s.arcs):
         kind = "launch" if fam.is_launch else "transport"
         for veh in s.vehicles:
             for t in fam.window:
@@ -321,5 +328,5 @@ def expand_time_network(s: Scenario) -> TimeExpandedNetwork:
                     excluded += 1
                     continue
                 arcs.append(ExpandedArc(veh.id, fam.src, fam.dst, t, t + fam.tof,
-                                        kind, fam.delta_v))
+                                        kind, fam.delta_v, f))
     return TimeExpandedNetwork(s.horizon, tuple(s.node_ids()), tuple(arcs), excluded)

@@ -28,6 +28,15 @@ def ladder_doc(horizon: int, width: int) -> dict:
                                  horizon, width)
 
 
+def with_parallel_leg(scenario_text: str) -> dict:
+    """The scenario plus a second LEO->LLO family, faster and costlier, that
+    may depart any day, so both families fly the leg on the same day."""
+    doc = json.loads(scenario_text)
+    doc["arcs"].append({"from": "LEO", "to": "LLO", "delta_v_mps": 4500.0,
+                        "tof_days": 2})
+    return doc
+
+
 def campaign(horizon, width, supply, return_leg, second, unmeetable, twin):
     """Ladder rung H/W with the cases where a row's condition bites:
 

@@ -20,6 +20,8 @@ from leolift.milp_ir import read_mps
 from leolift.spacecraft import generate_dataset
 from leolift.surrogate import ReluNetwork, fit_linear_regression, save_surrogate
 
+from helpers import with_parallel_leg
+
 LINREG_JSON = ["--surrogate", "linreg", "--report", "json"]
 # a loadable network over the CLI's default training box
 TINY_MODEL = {"layer_sizes": [1, 2, 1], "weights": [[1.0, 2.0], [3.0, 4.0]],
@@ -308,6 +310,18 @@ class TestModelFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["campaign.mps"]
         model = read_mps(str(path))
         assert "m_f[spacecraft]" in {v.name for v in model.variables}
+
+    def test_parallel_families_export(self, tmp_path, capsys, lunar_text):
+        """Two LEO->LLO families departing on day 1 name their arcs apart,
+        so the export holds both and reads back."""
+        scenario = tmp_path / "parallel.json"
+        scenario.write_text(json.dumps(with_parallel_leg(lunar_text)))
+        mps = tmp_path / "parallel.mps"
+        code, out, err = run_main(capsys, LINREG_JSON + [
+            "--scenario", str(scenario), "--export-mps", str(mps)])
+        assert code == 0 and err == ""
+        names = {v.name for v in read_mps(str(mps)).variables}
+        assert {"y[spacecraft][LEO>LLO#1@1]", "y[spacecraft][LEO>LLO#3@1]"} <= names
 
     def test_name_with_space_fails_only_the_export(self, tmp_path, capsys,
                                                    lunar_text):

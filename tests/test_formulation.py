@@ -365,8 +365,8 @@ class TestAssembledCampaigns:
         assert triples == {("Earth", "LEO", 0), ("LEO", "LLO", 1),
                            ("LLO", "LS", 4)}
         names = {v.name for v in model.variables}
-        assert "y[spacecraft][LEO>LLO@1]" in names
-        assert not any(n.startswith("y[spacecraft][LEO>LLO@") and
+        assert "y[spacecraft][LEO>LLO#1@1]" in names
+        assert not any(n.startswith("y[spacecraft][LEO>LLO#") and
                        not n.endswith("@1]") for n in names)
 
     def test_solution_flows_sorted_and_positive(self, lunar, linreg51):

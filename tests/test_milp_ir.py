@@ -11,7 +11,7 @@ from leolift.scenario import load_scenario
 from leolift.spacecraft import solve_exact_oracle
 from leolift.formulation import compute_propellant_fraction
 
-from helpers import ladder_doc, model_from_dense
+from helpers import ladder_doc, model_from_dense, with_parallel_leg
 
 
 class TestAddVariable:
@@ -174,13 +174,17 @@ class TestMpsExport:
         assert text.count("'INTORG'") == 1 and text.count("'INTEND'") == 1
 
     @pytest.mark.parametrize("which", ["hand-built", "lunar-linreg",
-                                       "lunar-nn0", "H8/W3", "H10/W5", "H40/W2"])
+                                       "lunar-nn0", "lunar-parallel-leg",
+                                       "H8/W3", "H10/W5", "H40/W2"])
     def test_roundtrip_reproduces_model_exactly(self, tmp_path, which, lunar,
-                                                linreg51, net0):
+                                                lunar_text, linreg51, net0):
         """`read_mps` gives back every name, kind, bound, row, term and
         objective coefficient that `export_mps` wrote, from the one file."""
         if which == "hand-built":
             model = hand_built_model()
+        elif which == "lunar-parallel-leg":
+            doc = with_parallel_leg(lunar_text)
+            model, _ = assemble(load_scenario(json.dumps(doc)), linreg51)
         elif which.startswith("lunar"):
             model, _ = assemble(lunar, net0 if which == "lunar-nn0" else linreg51)
         else:
