@@ -66,8 +66,9 @@ class FlowVariables:
     Powered arcs (kind launch/transport) get x_plus per commodity, a binary
     `use`, and the three z auxiliaries. x_minus is the x_plus id, as in
     `hold`, except for propellant on an arc in `burn`, which burns some of
-    it. Holdover arcs get a single variable per label in `hold`; labels are
-    the commodity ids, the vehicle ids (integer count), and "structure".
+    it. Holdover arcs get a single variable per label in `hold`, only where
+    the label can reach the arc's (node, day) (`reachable_node_days`); labels
+    are the commodity ids, the vehicle ids (integer count), and "structure".
     """
 
     network: TimeExpandedNetwork
@@ -104,6 +105,14 @@ def compute_propellant_fraction(delta_v: float, isp: float, g0: float = 9.8) -> 
 
 def create_flow_variables(model: MilpModel, scenario: Scenario,
                           network: TimeExpandedNetwork) -> FlowVariables:
+    """Add the design triples, each powered arc's variables and the holdovers.
+
+    A holdover `h[<label>][<node>@<t>]` is made only where the label can reach
+    (node, t) from its supplies (`reachable_node_days`). Anywhere else the
+    balance rows force it to 0: summed over the unreachable node-days, every
+    term left is >= 0 and the right side <= 0. Every powered arc gets its
+    variables whether or not anything can reach its departure.
+    """
     commodities = [c.id for c in scenario.commodities]
     vehicle_ids = [v.id for v in scenario.vehicles]
     clash = set(commodities) & set(vehicle_ids)
@@ -120,15 +129,19 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
                 f"{which}[{veh.id}]", lower=lo, upper=hi)
 
     fleet_ub = {vid: _fleet_supply(scenario, vid) for vid in vehicle_ids}
+    reach = reachable_node_days(scenario, network)
     for idx, arc in enumerate(network.arcs):
         if arc.kind == "holdover":
+            here = (arc.src, arc.depart)
             hkey = f"{arc.src}@{arc.depart}"
-            for c in commodities:
-                fv.hold[(idx, c)] = model.add_variable(f"h[{c}][{hkey}]")
-            for vid in vehicle_ids:
-                fv.hold[(idx, vid)] = model.add_variable(
-                    f"h[{vid}][{hkey}]", "integer", upper=fleet_ub[vid])
-            fv.hold[(idx, STRUCT)] = model.add_variable(f"h[{STRUCT}][{hkey}]")
+            for label in commodities + vehicle_ids + [STRUCT]:
+                if here not in reach[label]:
+                    continue
+                if label in fleet_ub:
+                    fv.hold[(idx, label)] = model.add_variable(
+                        f"h[{label}][{hkey}]", "integer", upper=fleet_ub[label])
+                else:
+                    fv.hold[(idx, label)] = model.add_variable(f"h[{label}][{hkey}]")
             continue
         v, key = arc.vehicle, arc.key
         phi = (compute_propellant_fraction(arc.delta_v, scenario.vehicle(v).isp)
@@ -146,6 +159,42 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
     return fv
 
 
+def reachable_node_days(scenario: Scenario,
+                        network: TimeExpandedNetwork) -> dict[str, set]:
+    """Per label, the (node, day) pairs its flow can reach.
+
+    A label starts from its positive supplies; structure starts from the
+    vehicles'. It moves along holdovers and along the powered arcs that carry
+    it: any powered arc for a commodity or structure, only its own arcs for a
+    vehicle. Arcs with a time of flight of 0 are followed like any other, so
+    a cycle of them within a day is handled by the search's visited set.
+    """
+    vehicle_ids = [v.id for v in scenario.vehicles]
+    out_at = {}
+    for arc in network.arcs:
+        out_at.setdefault((arc.src, arc.depart), []).append(arc)
+    starts = {}
+    for d in scenario.demands:
+        if d.amount > 0:
+            starts.setdefault(d.commodity, set()).add((d.node, d.time))
+            if d.commodity in vehicle_ids:
+                starts.setdefault(STRUCT, set()).add((d.node, d.time))
+
+    reach = {}
+    for label in [c.id for c in scenario.commodities] + vehicle_ids + [STRUCT]:
+        own = label in vehicle_ids
+        seen = set(starts.get(label, ()))
+        todo = list(seen)
+        while todo:
+            for arc in out_at.get(todo.pop(), ()):
+                there = (arc.dst, arc.arrive)
+                if there not in seen and (not own or arc.vehicle in (None, label)):
+                    seen.add(there)
+                    todo.append(there)
+        reach[label] = seen
+    return reach
+
+
 def _fleet_supply(scenario: Scenario, vid: str) -> float:
     """Total supply of vehicle vid: the sum of its positive amounts."""
     return sum((d.amount for d in scenario.demands
@@ -159,7 +208,9 @@ def build_mass_balance(model: MilpModel, fv: FlowVariables, demands):
     z_struct on powered arcs). Omitted, and recorded in `fv.omitted_rows`:
     rows with unbounded supply, rows with no departure and d >= 0 (any
     arrivals meet them), and the structure row wherever a vehicle is
-    supplied, since the vehicle arrives with its structure.
+    supplied, since the vehicle arrives with its structure. A holdover that
+    `create_flow_variables` did not make is no term, so at a node-day the
+    label cannot reach with no powered departure and d >= 0 there is no row.
     """
     net = fv.network
     supply = {}
@@ -201,7 +252,7 @@ def build_mass_balance(model: MilpModel, fv: FlowVariables, demands):
 def _arc_amount_var(fv: FlowVariables, idx: int, label: str, departing: bool):
     arc = fv.network.arcs[idx]
     if arc.kind == "holdover":
-        return fv.hold[(idx, label)]
+        return fv.hold.get((idx, label))
     if label in fv.commodities:
         return (fv.x_plus if departing else fv.x_minus)[(idx, label)]
     if label == STRUCT:

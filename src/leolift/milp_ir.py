@@ -102,6 +102,13 @@ class StandardForm:
 
 
 class MilpModel:
+    """Variables, rows and objective, added one by one and then frozen.
+
+    Every number is checked as it is added: a NaN bound, a non-finite
+    coefficient in a row or the objective, or a non-finite rhs raises
+    ModelError naming the variable or row.
+    """
+
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
@@ -119,6 +126,8 @@ class MilpModel:
             raise ModelError(f"unknown variable kind {kind!r}")
         if kind == "binary":
             lower, upper = 0.0, 1.0
+        if math.isnan(lower) or math.isnan(upper):
+            raise ModelError(f"variable {name!r}: bound is NaN")
         if lower > upper:
             raise ModelError(f"variable {name!r}: lower {lower} exceeds upper {upper}")
         vid = len(self.variables)
@@ -131,12 +140,17 @@ class MilpModel:
             raise ModelError("model is frozen")
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}")
+        if not math.isfinite(rhs):
+            raise ModelError(f"constraint {tag!r} has rhs {rhs}")
         seen = set()
-        for vid, _ in terms:
+        for vid, coeff in terms:
             if vid < 0 or vid >= len(self.variables):
                 raise ModelError(f"constraint {tag!r} references unknown variable {vid}")
             if vid in seen:
                 raise ModelError(f"constraint {tag!r} repeats variable {vid}")
+            if not math.isfinite(coeff):
+                raise ModelError(f"constraint {tag!r} has coefficient {coeff} "
+                                 f"on variable {self.variables[vid].name!r}")
             seen.add(vid)
         self.constraints.append(
             LinearConstraint([(v, float(c)) for v, c in terms], sense, float(rhs), tag))
@@ -147,6 +161,9 @@ class MilpModel:
             raise ModelError("model is frozen")
         if vid < 0 or vid >= len(self.variables):
             raise ModelError(f"objective references unknown variable {vid}")
+        if not math.isfinite(coeff):
+            raise ModelError(f"objective has coefficient {coeff} on variable "
+                             f"{self.variables[vid].name!r}")
         self.objective[vid] = self.objective.get(vid, 0.0) + float(coeff)
 
     def freeze(self):
@@ -303,7 +320,11 @@ def _check_names(kind: str, names: list[str]):
 
 
 def read_mps(path: str) -> MilpModel:
-    """Minimal free MPS reader covering what `export_mps` emits."""
+    """Minimal free MPS reader covering what `export_mps` emits.
+
+    Raises ModelError on the first COLUMNS or RHS entry that names a row
+    ROWS does not declare, or BOUNDS entry that names a column COLUMNS does
+    not declare."""
     model = MilpModel()
     section = None
     row_sense: dict[str, str] = {}
@@ -345,12 +366,15 @@ def read_mps(path: str) -> MilpModel:
                     col_kind[cname] = "integer" if integer_mode else "continuous"
                     entries[cname] = []
                 for j in range(1, len(tok) - 1, 2):
+                    _declared("row", tok[j], row_terms, obj_row)
                     entries[cname].append((tok[j], float(tok[j + 1])))
             elif section == "RHS":
                 for j in range(1, len(tok) - 1, 2):
+                    _declared("row", tok[j], row_terms, obj_row)
                     rhs[tok[j]] = float(tok[j + 1])
             elif section == "BOUNDS":
                 btype, cname = tok[0].upper(), tok[2]
+                _declared("column", cname, col_ids)
                 val = float(tok[3]) if len(tok) > 3 else None
                 bounds.setdefault(cname, []).append((btype, val))
             elif section == "ENDATA":
@@ -380,10 +404,15 @@ def read_mps(path: str) -> MilpModel:
             if rname == obj_row:
                 if coeff != 0.0:
                     model.add_objective_term(vid, coeff)
-            elif rname in row_terms:
+            else:
                 row_terms[rname].append((vid, coeff))
 
     for rname, terms in row_terms.items():
         model.add_constraint(terms, row_sense[rname], rhs.get(rname, 0.0),
                              tag=rname)
     return model
+
+
+def _declared(kind: str, name: str, declared, obj_row: str | None = None):
+    if name != obj_row and name not in declared:
+        raise ModelError(f"MPS file names undeclared {kind} {name!r}")

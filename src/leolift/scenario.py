@@ -313,7 +313,9 @@ def expand_time_network(s: Scenario) -> TimeExpandedNetwork:
     One holdover arc per (node, t) for t < horizon-1; one transport (or
     launch) arc per (vehicle, arc family, window departure) whose arrival
     stays inside the horizon. Departures that would arrive late are dropped
-    silently and only counted.
+    silently and only counted. Every holdover arc is listed here; the
+    formulation gives one a variable for a label only where that label can
+    reach it (`formulation.reachable_node_days`).
     """
     arcs: list[ExpandedArc] = []
     for node in s.nodes:

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array, eye_array, hstack
+from scipy.sparse import csc_array, csr_array, hstack
 from scipy.sparse.linalg import splu
 
 from .milp_ir import FEAS_TOL, INT_TOL, MilpModel, Solution, StandardForm
@@ -113,9 +113,15 @@ def _problem_from_form(sf: StandardForm) -> _Problem:
                      row_hi=np.zeros(1))
     m, n = sf.A.shape
     keep = np.isfinite(sf.row_hi)
-    folded = sf.A.copy()
-    folded.data *= np.repeat(np.where(keep, 1.0, -1.0), np.diff(folded.indptr))
-    A = hstack([folded, eye_array(m)], format="csc")
+    cols = sf.A.tocsc()
+    nnz = cols.indptr[-1]
+    A = csc_array(
+        (np.concatenate([cols.data * np.where(keep, 1.0, -1.0)[cols.indices],
+                         np.ones(m)]),
+         np.concatenate([cols.indices, np.arange(m, dtype=cols.indices.dtype)]),
+         np.concatenate([cols.indptr, np.arange(nnz + 1, nnz + m + 1,
+                                                dtype=cols.indptr.dtype)])),
+        shape=(m, n + m))
     b = np.where(keep, sf.row_hi, -sf.row_lo)
     c = np.concatenate([sf.c, np.zeros(m)])
     lb = np.concatenate([sf.lb, np.zeros(m)])

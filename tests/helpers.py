@@ -5,10 +5,12 @@ import itertools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from leolift import formulation
 from leolift.formulation import (build_concurrency, build_mass_balance,
                                  build_objective, build_sizing,
                                  build_transformation, create_flow_variables)
@@ -71,11 +73,22 @@ def campaign(horizon, width, supply, return_leg, second, unmeetable, twin):
     return load_scenario(json.dumps(doc))
 
 
+def every_node_day(scenario, network):
+    """A stand-in for `formulation.reachable_node_days` that reports every
+    node-day for every label, so every holdover is made."""
+    days = {(node, t) for node in network.nodes for t in range(network.horizon)}
+    return {label: days for label in [c.id for c in scenario.commodities]
+            + [v.id for v in scenario.vehicles] + [formulation.STRUCT]}
+
+
 def assemble_without_cuts(scenario, closure):
-    """`assemble` minus `build_network_cuts`: the campaign MILP without the
-    rows the network implies. The variables and their ids are the same."""
+    """`assemble` minus `build_network_cuts` and with a holdover for every
+    label at every node-day: the campaign MILP without the rows the network
+    implies and without pruning what no supply reaches. Variables shared
+    with `assemble`'s model have the same names."""
     model = MilpModel(scenario.name)
-    fv = create_flow_variables(model, scenario, expand_time_network(scenario))
+    with mock.patch.object(formulation, "reachable_node_days", every_node_day):
+        fv = create_flow_variables(model, scenario, expand_time_network(scenario))
     build_mass_balance(model, fv, scenario.demands)
     build_transformation(model, fv)
     build_concurrency(model, fv, scenario)

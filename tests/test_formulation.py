@@ -12,7 +12,7 @@ from leolift.formulation import (FixedDesign, FormulationError, LinearEpsilon,
                                  build_sizing, build_transformation,
                                  compute_propellant_fraction,
                                  create_flow_variables, net_inflow,
-                                 solution_flows)
+                                 reachable_node_days, solution_flows)
 from leolift.milp_ir import FEAS_TOL, MilpModel
 from leolift.scenario import (Arc, Commodity, DemandEntry, Node,
                               ObjectiveEntry, Scenario, VehicleSpec,
@@ -157,7 +157,7 @@ class TestMassBalance:
 
     def test_holdover_variable_shared_between_rows(self):
         sc = make_scenario(horizon=3, nodes=(Node("A", "orbit"),), arcs=(),
-                           vehicles=(), demands=())
+                           vehicles=(), demands=(DemandEntry("water", "A", 0, 5.0),))
         model, fv = assemble(sc, {})
         (i0, _), (i1, _) = sorted(fv.holdovers(), key=lambda p: p[1].depart)
         h01 = fv.hold[(i0, "water")]
@@ -165,6 +165,81 @@ class TestMassBalance:
         t1 = dict(constraint_by_tag(model, "eq2:A:1:water").terms)
         assert t0[h01] == 1.0      # leaves t=0
         assert t1[h01] == -1.0     # arrives at t=1
+
+    def test_unreachable_holdover_is_absent(self, lunar):
+        """No holdover where no supply of its label can be: B before the
+        tug's flight lands, and anything of a vehicle nothing supplies."""
+        idle = VehicleSpec("idle", isp=300.0, burn_time=60.0, alpha=0.1,
+                           m_ub=50000.0, design_bounds=(("m_p", (0.0, 1.0)),
+                                                        ("m_f", (0.0, 1.0))))
+        sc = make_scenario(horizon=4, vehicles=make_scenario().vehicles + (idle,))
+        model, fv = assemble(sc, FixedDesign(100.0))
+        holds = {v.name for v in model.variables if v.name.startswith("h[")}
+        for label in ("water", "tug", "structure"):
+            assert {f"h[{label}][A@{t}]" for t in range(3)} <= holds
+            assert f"h[{label}][B@0]" not in holds
+            assert {f"h[{label}][B@1]", f"h[{label}][B@2]"} <= holds
+        assert not any(name.startswith("h[idle]") for name in holds)
+        assert not any(c.tag.startswith("eq2:B:0:") for c in model.constraints)
+        # the bundled campaign: nothing is in LEO on day 0 or in LS at all
+        model, _ = assemble(lunar, LinearEpsilon(0.08))
+        names = {v.name for v in model.variables}
+        assert "h[payload][Earth@0]" in names and "h[payload][LEO@1]" in names
+        assert not names & {"h[payload][LEO@0]", "h[spacecraft][LLO@3]",
+                            "h[structure][LS@4]", "h[propellant][LS@0]"}
+
+    def test_holdover_chain_from_a_supply_is_kept(self):
+        sc = make_scenario(
+            horizon=4, nodes=(Node("A", "orbit"),), arcs=(), vehicles=(),
+            demands=(DemandEntry("water", "A", 1, 5.0),
+                     DemandEntry("water", "A", 3, -5.0)))
+        model, fv = assemble(sc, {})
+        assert [v.name for v in model.variables] == ["h[water][A@1]",
+                                                     "h[water][A@2]"]
+        sol = solve_milp(model)
+        assert sol.status == "optimal"
+        assert list(sol.values) == pytest.approx([5.0, 5.0], abs=1e-9)
+
+    def test_delivery_at_unreachable_node_day_is_infeasible(self):
+        """The flight leaves A on day 1 and lands on day 2: water asked for
+        at B on day 1 cannot arrive, with or without B's holdovers."""
+        sc = make_scenario(
+            horizon=4, arcs=(Arc("A", "B", 0.0, 1, (1,)),),
+            demands=(DemandEntry("tug", "A", 0, 1.0),
+                     DemandEntry("water", "A", 0, 5000.0),
+                     DemandEntry("water", "B", 1, -5.0)))
+        model, fv = assemble(sc, FixedDesign(100.0))
+        assert not any(v.name.startswith("h[water][B@") and v.name != "h[water][B@2]"
+                       for v in model.variables)
+        assert solve_milp(model).status == "infeasible"
+        assert highs_milp(assemble_without_cuts(sc, FixedDesign(100.0))[0]).status == 2
+
+    def test_zero_time_of_flight_cycle(self):
+        """A->B and B->A both take no time: every day's pair is reached from
+        A's supply on day 0, and C, which no arc reaches, is not."""
+        sc = make_scenario(
+            horizon=3, nodes=(Node("A", "orbit"), Node("B", "orbit"),
+                              Node("C", "orbit")),
+            arcs=(Arc("A", "B", 0.0, 0, (0, 1, 2)), Arc("B", "A", 0.0, 0, (0, 1, 2))),
+            demands=(DemandEntry("tug", "A", 0, 1.0),
+                     DemandEntry("water", "A", 0, 5000.0),
+                     DemandEntry("water", "B", 2, -5.0)))
+        reach = reachable_node_days(sc, expand_time_network(sc))
+        pairs = {(n, t) for n in "AB" for t in range(3)}
+        assert reach == {"water": pairs, "tug": pairs, "structure": pairs}
+        model, _ = assemble(sc, FixedDesign(100.0))
+        sol = solve_milp(model)
+        ref = highs_milp(assemble_without_cuts(sc, FixedDesign(100.0))[0])
+        assert (sol.status, ref.status) == ("optimal", 0)
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+
+    def test_reference_model_keeps_every_holdover(self, lunar):
+        """The differential gate's reference is the unpruned model: a
+        holdover for every label at every (node, day) but the last."""
+        bare, _ = assemble_without_cuts(lunar, LinearEpsilon(0.08))
+        holds = [v for v in bare.variables if v.name.startswith("h[")]
+        labels = len(lunar.commodities) + len(lunar.vehicles) + 1
+        assert len(holds) == labels * len(lunar.nodes) * (lunar.horizon - 1)
 
     def test_vehicle_count_uses_integer_holdover(self, lunar):
         model, fv = assemble(lunar, LinearEpsilon(0.08))
@@ -562,18 +637,23 @@ class TestNetworkCuts:
                                                             rung, closure):
         """The root LP point of the model without the rows violates the cover
         row (and, on the rung, a leg row); HiGHS's optimum of that model
-        meets every one of them."""
+        meets every one of them. The bare model also keeps the holdovers no
+        supply reaches; a point of it is read into the model by name."""
         cl = (LinearEpsilon(0.08) if closure == "epsilon"
               else request.getfixturevalue(closure))
         sc = lunar if rung is None else ladder(*rung)
         model, _ = assemble(sc, cl)
         bare, _ = assemble_without_cuts(sc, cl)
-        assert model.num_variables() == bare.num_variables()
-        assert model.num_constraints() > bare.num_constraints()
+        assert {c.tag for c in model.constraints} - set(cut_rows(model)) <= \
+            {c.tag for c in bare.constraints}
+
+        def point(x):
+            by_name = {v.name: x[v.id] for v in bare.variables}
+            return np.array([by_name[v.name] for v in model.variables])
 
         root = solve_lp(bare.to_standard_form())
         assert root.status == "optimal"
-        cut_viol = {v.tag for v in model.evaluate(root.x)}
+        cut_viol = {v.tag for v in model.evaluate(point(root.x))}
         assert cut_viol <= set(cut_rows(model))
         assert any(t.startswith("cut:cover:") for t in cut_viol)
         if rung is not None:
@@ -581,4 +661,4 @@ class TestNetworkCuts:
 
         ref = highs_milp(bare)
         assert ref.status == 0, ref.message
-        assert model.evaluate(ref.x, tol=FEAS_TOL) == []
+        assert model.evaluate(point(ref.x), tol=FEAS_TOL) == []

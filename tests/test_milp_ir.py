@@ -41,6 +41,39 @@ class TestAddVariable:
         assert m.num_variables() == 5
 
 
+class TestBadNumbers:
+    """A number the model cannot mean is refused where it is added, naming
+    its variable or row, before it can reach a solver."""
+
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bound(self, lower, upper):
+        with pytest.raises(ModelError, match="'x'.*NaN"):
+            MilpModel().add_variable("x", lower=lower, upper=upper)
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_coefficient(self, coeff):
+        m = MilpModel()
+        x, y = m.add_variable("x"), m.add_variable("y")
+        with pytest.raises(ModelError, match="'cap'.*'y'"):
+            m.add_constraint([(x, 1.0), (y, coeff)], "<=", 1.0, tag="cap")
+        assert m.num_constraints() == 0
+
+    @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rhs(self, rhs):
+        m = MilpModel()
+        x = m.add_variable("x")
+        with pytest.raises(ModelError, match="'cap'"):
+            m.add_constraint([(x, 1.0)], ">=", rhs, tag="cap")
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_objective_coefficient(self, coeff):
+        m = MilpModel()
+        x = m.add_variable("x")
+        with pytest.raises(ModelError, match="objective.*'x'"):
+            m.add_objective_term(x, coeff)
+        assert m.objective == {}
+
+
 class TestEvaluate:
     def test_feasible_point_reports_nothing(self):
         m = MilpModel()
@@ -250,6 +283,37 @@ class TestMpsExport:
         with pytest.raises(ModelError, match=re.escape(offender)):
             m.export_mps(str(path))
         assert list(tmp_path.iterdir()) == []
+
+
+class TestReadMps:
+    ROWS = "NAME bad\nROWS\n N  OBJ\n L  r1\n"
+    COLUMNS = "COLUMNS\n    x  OBJ  1.0  r1  1.0\n"
+    RHS = "RHS\n    RHS  r1  4.0\n"
+    BOUNDS = "BOUNDS\n UP BND  x  3.0\n"
+
+    def read(self, tmp_path, columns="", rhs="", bounds=""):
+        path = tmp_path / "hand.mps"
+        path.write_text(self.ROWS + self.COLUMNS + columns + self.RHS + rhs
+                        + self.BOUNDS + bounds + "ENDATA\n")
+        return read_mps(str(path))
+
+    def test_well_formed_file_reads(self, tmp_path):
+        m = self.read(tmp_path)
+        assert [(v.name, v.upper) for v in m.variables] == [("x", 3.0)]
+        assert [(c.tag, c.terms, c.rhs) for c in m.constraints] == [("r1", [(0, 1.0)], 4.0)]
+        assert m.objective == {0: 1.0}
+
+    @pytest.mark.parametrize("columns, rhs, bounds, offender", [
+        ("    x  r2  2.0\n", "    RHS  r3  5.0\n", " UP BND  y  1.0\n", "row 'r2'"),
+        ("", "    RHS  r3  5.0\n", "", "row 'r3'"),
+        ("", "", " UP BND  y  1.0\n", "column 'y'"),
+    ], ids=["all-three", "rhs-row", "bounds-column"])
+    def test_undeclared_name_is_rejected(self, tmp_path, columns, rhs, bounds,
+                                         offender):
+        """A COLUMNS or RHS entry in a row ROWS never declares, or a bound on
+        a column COLUMNS never declares, fails on the first such name."""
+        with pytest.raises(ModelError, match=re.escape(offender)):
+            self.read(tmp_path, columns, rhs, bounds)
 
 
 def hand_built_model() -> MilpModel:

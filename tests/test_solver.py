@@ -281,6 +281,37 @@ class TestVectorizedScans:
             assert got == ratio_test_loop(a, xb, lb_b, ub_b, t0), f"trial {trial}"
 
 
+class TestProblemFromForm:
+    @pytest.mark.parametrize("which", ["rowless", "lunar-linreg", "lunar-nn0",
+                                       "H8/W3", "H10/W5", "H40/W2"])
+    def test_csc_equals_hstack_of_folded_rows_and_identity(
+            self, which, lunar, linreg51, net0):
+        """`[A_folded | I]` is written straight into CSC arrays; they equal,
+        bit for bit, the stacked matrix of the rows folded to `<=` form
+        beside the slacks' identity."""
+        if which == "rowless":
+            model = MilpModel()
+            model.add_variable("x", upper=2.0)
+        elif which.startswith("lunar"):
+            model, _ = assemble(lunar, net0 if which == "lunar-nn0" else linreg51)
+        else:
+            h, w = (int(k) for k in which[1:].split("/W"))
+            model, _ = assemble(load_scenario(json.dumps(ladder_doc(h, w))), linreg51)
+        sf = model.to_standard_form()
+        A = solver._problem_from_form(sf).A
+        rows = sf.A if sf.A.shape[0] else csc_array((1, sf.A.shape[1]))
+        folded = rows.tocsr()
+        if sf.A.shape[0]:
+            folded.data *= np.repeat(np.where(np.isfinite(sf.row_hi), 1.0, -1.0),
+                                     np.diff(folded.indptr))
+        ref = hstack([folded, eye_array(rows.shape[0])], format="csc")
+        assert A.format == "csc" and A.shape == ref.shape
+        for got, want in ((A.indptr, ref.indptr), (A.indices, ref.indices),
+                          (A.data, ref.data)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 class TestFactoredBasis:
     M, N = 30, 80
 
@@ -1079,10 +1110,10 @@ class TestLadderTarget:
 
 class TestFactorSharing:
     @pytest.mark.parametrize("rung, surrogate, nodes, iterations, objective", [
-        (None, "linreg", 1, 51, "0x1.4d34a9215cb3cp+15"),
-        ((8, 3), "linreg", 5, 162, "0x1.4d34a9215cb4ap+15"),
-        ((8, 3), "nn", 9, 215, "0x1.5022fadbd1471p+15"),
-        (None, "nn", 17, 112, "0x1.5022fadbd1460p+15"),
+        (None, "linreg", 1, 31, "0x1.4d34a9215cb46p+15"),
+        ((8, 3), "linreg", 8, 165, "0x1.4d34a9215cb4bp+15"),
+        ((8, 3), "nn", 10, 170, "0x1.5022fadbd1473p+15"),
+        (None, "nn", 5, 60, "0x1.5022fadbd145ep+15"),
     ])
     def test_trees_are_pinned(self, tmp_path, rung, surrogate, nodes,
                               iterations, objective):
@@ -1100,7 +1131,7 @@ class TestFactorSharing:
     def test_siblings_share_one_factorization(self, tmp_path, monkeypatch):
         """Both children of a branched node start from its basis, factored
         once: fewer `splu` calls than nodes on a tree that branches (H14/W9,
-        NN closure of seed 0: 79 nodes)."""
+        NN closure of seed 0: 43 nodes)."""
         from leolift import cli
 
         calls = []
@@ -1114,5 +1145,5 @@ class TestFactorSharing:
         sol = cli.run_pipeline(cli.build_parser().parse_args(
             ["--surrogate", "nn", "--scenario",
              str(ladder_scenario(tmp_path, 14, 9))])).solution
-        assert sol.status == "optimal" and sol.nodes == 79
+        assert sol.status == "optimal" and sol.nodes == 43
         assert len(calls) < sol.nodes
