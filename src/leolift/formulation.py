@@ -1,8 +1,9 @@
 """Campaign MILP assembly on a time-expanded network.
 
-Every vehicle-flown arc (launch or transport) carries per-commodity outflow
+Every flight (a launch or transport arc) carries per-commodity outflow
 variables, a binary use indicator, and three auxiliaries tying flow capacity
-to the vehicle's design masses. The bilinear products
+to the vehicle's design masses; a label staying at a node for a day is a
+holdover variable. The bilinear products
 design_mass * indicator are linearized exactly with big-M rows, propellant
 burn is a constant-fraction transformation per arc, and the design triple
 (m_d, m_p, m_f) is closed either by a linear structural ratio or by an
@@ -61,14 +62,14 @@ class FixedDesign:
 
 @dataclass
 class FlowVariables:
-    """Variable ids for one assembled model, keyed by expanded-arc index.
+    """Variable ids for one assembled model.
 
-    Powered arcs (kind launch/transport) get x_plus per commodity, a binary
-    `use`, and the three z auxiliaries. x_minus is the x_plus id, as in
-    `hold`, except for propellant on an arc in `burn`, which burns some of
-    it. Holdover arcs get a single variable per label in `hold`, only where
-    the label can reach the arc's (node, day) (`reachable_node_days`); labels
-    are the commodity ids, the vehicle ids (integer count), and "structure".
+    Each flight, keyed by its index in `network.arcs`, gets x_plus per
+    commodity, a binary `use`, and the three z auxiliaries. x_minus is the
+    x_plus id except for propellant on an arc in `burn`, which burns some of
+    it. `hold` has a label's stay at a node from day t to t+1, made only
+    where the label can reach (node, t) (`reachable_node_days`); labels are
+    the commodity ids, the vehicle ids (integer count), and "structure".
     """
 
     network: TimeExpandedNetwork
@@ -81,17 +82,8 @@ class FlowVariables:
     z_propellant: dict = field(default_factory=dict)
     z_struct: dict = field(default_factory=dict)
     burn: dict = field(default_factory=dict)       # arc_idx -> burn fraction phi
-    hold: dict = field(default_factory=dict)       # (arc_idx, label) -> vid
+    hold: dict = field(default_factory=dict)       # (node, t, label) -> vid
     design: dict = field(default_factory=dict)     # (vehicle_id, field) -> vid
-    omitted_rows: set = field(default_factory=set)  # (node, t, label)
-
-    def powered(self):
-        return [(i, a) for i, a in enumerate(self.network.arcs)
-                if a.kind != "holdover"]
-
-    def holdovers(self):
-        return [(i, a) for i, a in enumerate(self.network.arcs)
-                if a.kind == "holdover"]
 
 
 def compute_propellant_fraction(delta_v: float, isp: float, g0: float = 9.8) -> float:
@@ -105,13 +97,13 @@ def compute_propellant_fraction(delta_v: float, isp: float, g0: float = 9.8) -> 
 
 def create_flow_variables(model: MilpModel, scenario: Scenario,
                           network: TimeExpandedNetwork) -> FlowVariables:
-    """Add the design triples, each powered arc's variables and the holdovers.
+    """Add the design triples, the holdovers and each flight's variables.
 
-    A holdover `h[<label>][<node>@<t>]` is made only where the label can reach
-    (node, t) from its supplies (`reachable_node_days`). Anywhere else the
-    balance rows force it to 0: summed over the unreachable node-days, every
-    term left is >= 0 and the right side <= 0. Every powered arc gets its
-    variables whether or not anything can reach its departure.
+    A holdover `h[<label>][<node>@<t>]`, t < horizon-1, is made only where
+    the label can reach (node, t) from its supplies (`reachable_node_days`).
+    Anywhere else the balance rows force it to 0: summed over the unreachable
+    node-days, every term left is >= 0 and the right side <= 0. Every flight
+    gets its variables whether or not anything can reach its departure.
     """
     commodities = [c.id for c in scenario.commodities]
     vehicle_ids = [v.id for v in scenario.vehicles]
@@ -130,19 +122,16 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
 
     fleet_ub = {vid: _fleet_supply(scenario, vid) for vid in vehicle_ids}
     reach = reachable_node_days(scenario, network)
-    for idx, arc in enumerate(network.arcs):
-        if arc.kind == "holdover":
-            here = (arc.src, arc.depart)
-            hkey = f"{arc.src}@{arc.depart}"
+    for node in network.nodes:
+        for t in range(network.horizon - 1):
             for label in commodities + vehicle_ids + [STRUCT]:
-                if here not in reach[label]:
+                if (node, t) not in reach[label]:
                     continue
-                if label in fleet_ub:
-                    fv.hold[(idx, label)] = model.add_variable(
-                        f"h[{label}][{hkey}]", "integer", upper=fleet_ub[label])
-                else:
-                    fv.hold[(idx, label)] = model.add_variable(f"h[{label}][{hkey}]")
-            continue
+                name = f"h[{label}][{node}@{t}]"
+                fv.hold[(node, t, label)] = (
+                    model.add_variable(name, "integer", upper=fleet_ub[label])
+                    if label in fleet_ub else model.add_variable(name))
+    for idx, arc in enumerate(network.arcs):
         v, key = arc.vehicle, arc.key
         phi = (compute_propellant_fraction(arc.delta_v, scenario.vehicle(v).isp)
                if arc.kind == "transport" else 0.0)
@@ -164,10 +153,11 @@ def reachable_node_days(scenario: Scenario,
     """Per label, the (node, day) pairs its flow can reach.
 
     A label starts from its positive supplies; structure starts from the
-    vehicles'. It moves along holdovers and along the powered arcs that carry
-    it: any powered arc for a commodity or structure, only its own arcs for a
-    vehicle. Arcs with a time of flight of 0 are followed like any other, so
-    a cycle of them within a day is handled by the search's visited set.
+    vehicles'. It stays from (node, t) to (node, t+1), and it moves along the
+    flights that carry it: any flight for a commodity or structure, only its
+    own for a vehicle. Arcs with a time of flight of 0 are followed like any
+    other, so a cycle of them within a day is handled by the search's visited
+    set.
     """
     vehicle_ids = [v.id for v in scenario.vehicles]
     out_at = {}
@@ -186,9 +176,12 @@ def reachable_node_days(scenario: Scenario,
         seen = set(starts.get(label, ()))
         todo = list(seen)
         while todo:
-            for arc in out_at.get(todo.pop(), ()):
-                there = (arc.dst, arc.arrive)
-                if there not in seen and (not own or arc.vehicle in (None, label)):
+            node, t = here = todo.pop()
+            steps = [(node, t + 1)] if t + 1 < network.horizon else []
+            steps += [(arc.dst, arc.arrive) for arc in out_at.get(here, ())
+                      if not own or arc.vehicle == label]
+            for there in steps:
+                if there not in seen:
                     seen.add(there)
                     todo.append(there)
         reach[label] = seen
@@ -205,12 +198,12 @@ def build_mass_balance(model: MilpModel, fv: FlowVariables, demands):
     """One row per (node, time, label): outflow - inflow <= d.
 
     Labels are commodities, vehicle counts, and structure mass (carried by
-    z_struct on powered arcs). Omitted, and recorded in `fv.omitted_rows`:
-    rows with unbounded supply, rows with no departure and d >= 0 (any
-    arrivals meet them), and the structure row wherever a vehicle is
-    supplied, since the vehicle arrives with its structure. A holdover that
-    `create_flow_variables` did not make is no term, so at a node-day the
-    label cannot reach with no powered departure and d >= 0 there is no row.
+    z_struct on flights). Outflow is the holdover from (node, t) and the
+    departing flights, inflow the one from (node, t-1) and the arriving
+    flights; a holdover `create_flow_variables` did not make is no term.
+    Omitted: rows with unbounded supply, rows with no outflow and d >= 0
+    (any arrivals meet them), and the structure row wherever a vehicle is
+    supplied, since the vehicle arrives with its structure.
     """
     net = fv.network
     supply = {}
@@ -233,26 +226,22 @@ def build_mass_balance(model: MilpModel, fv: FlowVariables, demands):
                 d = supply.get((node, t, label), 0.0)
                 if d == -math.inf:
                     raise FormulationError(f"demand at {node},{t},{label} is -inf")
-                terms = []
-                for idx in out_at.get((node, t), []):
-                    vid = _arc_amount_var(fv, idx, label, departing=True)
-                    if vid is not None:
-                        terms.append((vid, 1.0))
+                outs = [fv.hold.get((node, t, label))] + [
+                    _arc_amount_var(fv, idx, label, departing=True)
+                    for idx in out_at.get((node, t), [])]
+                terms = [(vid, 1.0) for vid in outs if vid is not None]
                 if (d == math.inf or not terms and d >= 0.0
                         or label == STRUCT and (node, t) in vehicle_supply_points):
-                    fv.omitted_rows.add((node, t, label))
                     continue
-                for idx in in_at.get((node, t), []):
-                    vid = _arc_amount_var(fv, idx, label, departing=False)
-                    if vid is not None:
-                        terms.append((vid, -1.0))
+                ins = [fv.hold.get((node, t - 1, label))] + [
+                    _arc_amount_var(fv, idx, label, departing=False)
+                    for idx in in_at.get((node, t), [])]
+                terms += [(vid, -1.0) for vid in ins if vid is not None]
                 model.add_constraint(terms, "<=", d, tag=f"eq2:{node}:{t}:{label}")
 
 
 def _arc_amount_var(fv: FlowVariables, idx: int, label: str, departing: bool):
     arc = fv.network.arcs[idx]
-    if arc.kind == "holdover":
-        return fv.hold.get((idx, label))
     if label in fv.commodities:
         return (fv.x_plus if departing else fv.x_minus)[(idx, label)]
     if label == STRUCT:
@@ -288,7 +277,7 @@ def build_concurrency(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     z_payload, propellant by z_propellant; three rows and z >= 0 force
     z = m*y at integral points, with M the design upper bound of m.
     """
-    for idx, arc in fv.powered():
+    for idx, arc in enumerate(fv.network.arcs):
         v, key = arc.vehicle, arc.key
         pay_terms = [(fv.x_plus[(idx, c)], 1.0)
                      for c in fv.commodities if c != PROPELLANT]
@@ -365,7 +354,7 @@ def build_network_cuts(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     """Rows the network structure implies; each holds at every integer point.
 
     Demand cover (a cut-set inequality): a net finite demand of D kg of a
-    commodity at a node by day t must arrive on the powered arcs into the node
+    commodity at a node by day t must arrive on the flights into the node
     that arrive by then, and arc a carries at most cap_a·y_a of it (cap_a the
     m_f bound for propellant, the m_p bound otherwise), so those arcs' y sum
     to at least ⌈D / max cap_a⌉. Emitted on the days the node's entries for
@@ -381,7 +370,7 @@ def build_network_cuts(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     they are emitted only when U is smaller.
     """
     in_arcs = {}
-    for idx, arc in fv.powered():
+    for idx, arc in enumerate(fv.network.arcs):
         in_arcs.setdefault(arc.dst, []).append(idx)
 
     entries = {}
@@ -414,7 +403,7 @@ def build_network_cuts(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     for v in fv.vehicle_ids:
         fleet = _fleet_supply(scenario, v)
         legs = {}
-        for idx, arc in fv.powered():
+        for idx, arc in enumerate(fv.network.arcs):
             if arc.vehicle == v:
                 legs.setdefault((arc.src, arc.dst), []).append(idx)
         if not 0.0 < fleet < math.inf or _has_cycle(legs):
@@ -458,7 +447,7 @@ def build_objective(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     for entry in scenario.objective:
         costs = dict(entry.commodity_cost)
         star = costs.pop("*", None)
-        for idx, arc in fv.powered():
+        for idx, arc in enumerate(fv.network.arcs):
             if (arc.src, arc.dst) != (entry.src, entry.dst):
                 continue
             for c in fv.commodities:
@@ -488,23 +477,23 @@ def assemble(scenario: Scenario, closure) -> tuple[MilpModel, FlowVariables]:
 def net_inflow(fv: FlowVariables, sol: Solution, label: str, node: str,
                t: int) -> float:
     """Delivered amount of a label at (node, t): inflow minus outflow."""
-    total = 0.0
+    def amount(vid):
+        return 0.0 if vid is None else sol.values[vid]
+
+    total = (amount(fv.hold.get((node, t - 1, label)))
+             - amount(fv.hold.get((node, t, label))))
     for idx, arc in enumerate(fv.network.arcs):
         if arc.dst == node and arc.arrive == t:
-            vid = _arc_amount_var(fv, idx, label, departing=False)
-            if vid is not None:
-                total += sol.values[vid]
+            total += amount(_arc_amount_var(fv, idx, label, departing=False))
         if arc.src == node and arc.depart == t:
-            vid = _arc_amount_var(fv, idx, label, departing=True)
-            if vid is not None:
-                total -= sol.values[vid]
+            total -= amount(_arc_amount_var(fv, idx, label, departing=True))
     return total
 
 
 def solution_flows(fv: FlowVariables, sol: Solution, tol: float = 1e-6) -> list[dict]:
-    """Nonzero departures on powered arcs, for reporting."""
+    """Nonzero departures on flights, for reporting."""
     rows = []
-    for idx, arc in fv.powered():
+    for idx, arc in enumerate(fv.network.arcs):
         for c in fv.commodities:
             amt = float(sol.values[fv.x_plus[(idx, c)]])
             if amt > tol:

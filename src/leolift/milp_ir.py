@@ -104,9 +104,10 @@ class StandardForm:
 class MilpModel:
     """Variables, rows and objective, added one by one and then frozen.
 
-    Every number is checked as it is added: a NaN bound, a non-finite
-    coefficient in a row or the objective, or a non-finite rhs raises
-    ModelError naming the variable or row.
+    Every number is checked as it is added: a NaN bound, a lower bound of
+    +inf or an upper bound of -inf, a non-finite coefficient in a row or the
+    objective, or a non-finite rhs raises ModelError naming the variable or
+    row.
     """
 
     def __init__(self, name: str = "model"):
@@ -128,6 +129,8 @@ class MilpModel:
             lower, upper = 0.0, 1.0
         if math.isnan(lower) or math.isnan(upper):
             raise ModelError(f"variable {name!r}: bound is NaN")
+        if lower == INF or upper == -INF:
+            raise ModelError(f"variable {name!r}: bounds [{lower}, {upper}] admit no value")
         if lower > upper:
             raise ModelError(f"variable {name!r}: lower {lower} exceeds upper {upper}")
         vid = len(self.variables)
@@ -232,9 +235,9 @@ class MilpModel:
 
         Each column is named by its variable's name and each row by its tag,
         so `read_mps` reads the model back exactly. Numbers are written in
-        their shortest exact decimal form, +inf as 1e308. Raises ModelError,
-        before the file is opened, when a name is empty, holds whitespace or
-        repeats within its kind, or a row is named OBJ (the objective row).
+        their shortest exact decimal form. Raises ModelError, before the file
+        is opened, when a name is empty, holds whitespace or repeats within
+        its kind, or a row is named OBJ (the objective row).
         """
         row_names = [c.tag for c in self.constraints]
         _check_names("variable", [v.name for v in self.variables])
@@ -246,8 +249,6 @@ class MilpModel:
         cols.sort_indices()
 
         def num(x: float) -> str:
-            if x == INF:
-                return "1e308"
             return repr(float(x))
 
         lines = [f"NAME          {self.name[:60]}", "ROWS", " N  OBJ"]
@@ -322,9 +323,11 @@ def _check_names(kind: str, names: list[str]):
 def read_mps(path: str) -> MilpModel:
     """Minimal free MPS reader covering what `export_mps` emits.
 
-    Raises ModelError on the first COLUMNS or RHS entry that names a row
-    ROWS does not declare, or BOUNDS entry that names a column COLUMNS does
-    not declare."""
+    Raises ModelError on the first entry it would drop or misread: a section
+    other than NAME, ROWS, COLUMNS, RHS, BOUNDS and ENDATA, a row type other
+    than L, G and E after the one N (objective) row, an RHS on that row, a
+    bound type other than UP, LO, FX, MI, PL and BV, or a row or column ROWS
+    or COLUMNS does not declare."""
     model = MilpModel()
     section = None
     row_sense: dict[str, str] = {}
@@ -344,6 +347,9 @@ def read_mps(path: str) -> MilpModel:
                 continue
             if not line[0].isspace():
                 section = line.split()[0].upper()
+                if section not in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS",
+                                   "ENDATA"):
+                    raise ModelError(f"MPS section {section} is not read")
                 if section == "NAME":
                     parts = line.split(None, 1)
                     model.name = parts[1].strip() if len(parts) > 1 else "model"
@@ -351,11 +357,13 @@ def read_mps(path: str) -> MilpModel:
             tok = line.split()
             if section == "ROWS":
                 code, rname = tok[0].upper(), tok[1]
-                if code == "N":
+                if code == "N" and obj_row is None:
                     obj_row = rname
-                else:
+                elif code in ("L", "G", "E"):
                     row_sense[rname] = {"L": "<=", "G": ">=", "E": "="}[code]
                     row_terms[rname] = []
+                else:
+                    raise ModelError(f"MPS row {rname!r} of type {code!r} is not read")
             elif section == "COLUMNS":
                 if len(tok) >= 3 and tok[1] == "'MARKER'":
                     integer_mode = tok[2] == "'INTORG'"
@@ -370,10 +378,14 @@ def read_mps(path: str) -> MilpModel:
                     entries[cname].append((tok[j], float(tok[j + 1])))
             elif section == "RHS":
                 for j in range(1, len(tok) - 1, 2):
-                    _declared("row", tok[j], row_terms, obj_row)
+                    if tok[j] == obj_row:
+                        raise ModelError(f"MPS RHS on objective row {obj_row!r} is not read")
+                    _declared("row", tok[j], row_terms)
                     rhs[tok[j]] = float(tok[j + 1])
             elif section == "BOUNDS":
                 btype, cname = tok[0].upper(), tok[2]
+                if btype not in ("UP", "LO", "FX", "MI", "PL", "BV"):
+                    raise ModelError(f"MPS bound {btype} on column {cname!r} is not read")
                 _declared("column", cname, col_ids)
                 val = float(tok[3]) if len(tok) > 3 else None
                 bounds.setdefault(cname, []).append((btype, val))

@@ -3,7 +3,9 @@
 A scenario is a JSON document describing locations, transport arcs with
 delta-v / time-of-flight / departure windows, commodities, vehicles, supply
 and demand entries, and per-arc objective weights. `expand_time_network`
-unrolls it into holdover and transport arcs over the discrete day grid.
+unrolls it into the flights (launch and transport arcs) over the discrete
+day grid; staying at a node from one day to the next is the formulation's
+holdover, not an arc.
 """
 
 from __future__ import annotations
@@ -109,14 +111,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ExpandedArc:
-    vehicle: str | None  # None on holdover arcs
+    vehicle: str
     src: str
     dst: str
     depart: int
     arrive: int
-    kind: str  # transport | holdover | launch
-    delta_v: float = 0.0
-    family: int | None = None  # index into Scenario.arcs; None on holdover arcs
+    kind: str  # transport | launch
+    delta_v: float
+    family: int  # index into Scenario.arcs
 
     @property
     def key(self) -> str:
@@ -308,19 +310,13 @@ def load_scenario(text: str) -> Scenario:
 
 
 def expand_time_network(s: Scenario) -> TimeExpandedNetwork:
-    """Unroll the scenario over its day grid.
+    """Unroll the scenario's flights over its day grid.
 
-    One holdover arc per (node, t) for t < horizon-1; one transport (or
-    launch) arc per (vehicle, arc family, window departure) whose arrival
-    stays inside the horizon. Departures that would arrive late are dropped
-    silently and only counted. Every holdover arc is listed here; the
-    formulation gives one a variable for a label only where that label can
-    reach it (`formulation.reachable_node_days`).
+    One transport (or launch) arc per (vehicle, arc family, window
+    departure) whose arrival stays inside the horizon. Departures that would
+    arrive late are dropped silently and only counted.
     """
     arcs: list[ExpandedArc] = []
-    for node in s.nodes:
-        for t in range(s.horizon - 1):
-            arcs.append(ExpandedArc(None, node.id, node.id, t, t + 1, "holdover"))
     excluded = 0
     for f, fam in enumerate(s.arcs):
         kind = "launch" if fam.is_launch else "transport"

@@ -57,6 +57,7 @@ STABLE_PIVOT = 1e-7
 GAP_TOL = 1e-6
 REFACTOR_EVERY = 50
 STALL_LIMIT = 50
+MAX_ITER = 50000  # per primal or dual call; beyond it, SolverBreakdown
 
 BASIC, AT_LO, AT_UP, NB_FREE = 0, 1, 2, 3
 
@@ -223,11 +224,21 @@ class _Simplex:
         self.x = xn
         self.x[self.basis] = self.ftran(self.b - self.A @ xn)
 
-    def _pivot_update(self, r: int, alpha: np.ndarray) -> bool:
-        """Record the pivot that put the column with B⁻¹a = alpha in row r.
+    def _pivot(self, r: int, e: int, alpha: np.ndarray, t: float,
+               below: bool) -> bool:
+        """Enter column e (B⁻¹a_e = alpha) in row r by a step of t: x_B moves
+        by -t·alpha and x_e by t, and the leaving column lands on its lower
+        bound if `below`, else on its upper one. Both loops pivot only here.
 
-        Every `REFACTOR_EVERY` pivots this refactors and recomputes x; it
-        returns whether it did."""
+        The pivot is recorded as an eta; every `REFACTOR_EVERY` pivots this
+        refactors and recomputes x, and returns whether it did."""
+        leave = self.basis[r]
+        self.x[self.basis] -= t * alpha
+        self.x[e] += t
+        self.status[leave] = AT_LO if below else AT_UP
+        self.x[leave] = self.lb[leave] if below else self.ub[leave]
+        self.basis[r] = e
+        self.status[e] = BASIC
         pe = alpha[r]
         if abs(pe) < PIVOT_TOL:
             raise SolverBreakdown(f"pivot element {pe:.2e} below tolerance")
@@ -240,30 +251,15 @@ class _Simplex:
         self.recompute_x()
         return True
 
-    def _pivot(self, r: int, e: int, alpha: np.ndarray, t: float,
-               below: bool) -> bool:
-        """Enter column e (B⁻¹a_e = alpha) in row r by a step of t: x_B moves
-        by -t·alpha and x_e by t, and the leaving column lands on its lower
-        bound if `below`, else on its upper one. Both loops pivot only here;
-        returns whether `_pivot_update` refactored."""
-        leave = self.basis[r]
-        self.x[self.basis] -= t * alpha
-        self.x[e] += t
-        self.status[leave] = AT_LO if below else AT_UP
-        self.x[leave] = self.lb[leave] if below else self.ub[leave]
-        self.basis[r] = e
-        self.status[e] = BASIC
-        return self._pivot_update(r, alpha)
-
     # -- primal simplex ----------------------------------------------------
 
-    def primal(self, cost: np.ndarray, max_iter: int = 50000) -> str:
+    def primal(self, cost: np.ndarray) -> str:
         """Iterate to optimality (or unboundedness) for the given costs. x is
         recomputed from the factorization on entry and on return."""
         bland = False
         stall = 0
         self.recompute_x()
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             d = self.price(cost)
             idx = np.nonzero(self.improving(d))[0]
             if idx.size == 0:
@@ -295,11 +291,11 @@ class _Simplex:
             self.x[self.basis] -= direction * t_best * alpha
             self.status[j] = AT_UP if direction > 0 else AT_LO
             self.x[j] = self.ub[j] if direction > 0 else self.lb[j]
-        raise SolverBreakdown(f"primal simplex exceeded {max_iter} iterations")
+        raise SolverBreakdown(f"primal simplex exceeded {MAX_ITER} iterations")
 
     # -- dual simplex ------------------------------------------------------
 
-    def dual(self, cost: np.ndarray, max_iter: int = 50000) -> str:
+    def dual(self, cost: np.ndarray) -> str:
         """Restore primal feasibility from a dual-feasible basis.
 
         Returns "feasible" or "infeasible". Both verdicts are read from an x
@@ -323,7 +319,7 @@ class _Simplex:
         bland = False
         stall = 0
         fresh = True  # x was just recomputed, not updated
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             xb = self.x[self.basis]
             viol_lo = self.lb[self.basis] - xb
             viol_hi = xb - self.ub[self.basis]
@@ -388,7 +384,7 @@ class _Simplex:
             fresh = self._pivot(r, e, alpha, (xb[r] - target) / alpha[r], below)
             if fresh:
                 self.d = self.price(cost)
-        raise SolverBreakdown(f"dual simplex exceeded {max_iter} iterations")
+        raise SolverBreakdown(f"dual simplex exceeded {MAX_ITER} iterations")
 
 
 def _ratio_test(a: np.ndarray, xb: np.ndarray, lb_b: np.ndarray,

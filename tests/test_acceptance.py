@@ -178,7 +178,7 @@ def test_criterion_7_bilinear_exactness(verdict, solved_instances):
     worst = 0.0
     stray_flow = 0.0
     for name, model, fv, sol in solved_instances:
-        for idx, arc in fv.powered():
+        for idx, arc in enumerate(fv.network.arcs):
             y = float(sol.values[fv.use[idx]])
             v = arc.vehicle
             for z_map, which in ((fv.z_payload, "m_p"),

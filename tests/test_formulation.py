@@ -111,29 +111,26 @@ class TestMassBalance:
         assert con.sense == "<=" and con.rhs == -1000.0
 
     def test_unbounded_supply_rows_omitted(self, lunar):
-        model, fv = assemble(lunar, LinearEpsilon(0.08))
+        model, _ = assemble(lunar, LinearEpsilon(0.08))
         tags = {c.tag for c in model.constraints}
         assert "eq2:Earth:0:payload" not in tags
         assert "eq2:Earth:0:propellant" not in tags
-        assert ("Earth", 0, "payload") in fv.omitted_rows
 
     def test_structure_row_omitted_at_vehicle_supply(self, lunar):
-        model, fv = assemble(lunar, LinearEpsilon(0.08))
-        assert ("Earth", 0, "structure") in fv.omitted_rows
+        model, _ = assemble(lunar, LinearEpsilon(0.08))
         tags = {c.tag for c in model.constraints}
         assert "eq2:Earth:0:structure" not in tags
         # elsewhere the structure account is balanced normally
         assert "eq2:LEO:1:structure" in tags
 
     def test_isolated_node_has_empty_row(self):
-        # the row would read 0 <= 0: it is omitted and recorded as such
+        # the row would read 0 <= 0: it is omitted
         sc = make_scenario(horizon=1, arcs=(), vehicles=(), demands=())
         net = expand_time_network(sc)
         model = MilpModel()
         fv = create_flow_variables(model, sc, net)
         build_mass_balance(model, fv, sc.demands)
         assert not any(c.tag == "eq2:A:0:water" for c in model.constraints)
-        assert ("A", 0, "water") in fv.omitted_rows
 
     def test_unsatisfiable_demand_infeasible(self):
         # nothing can reach B, so a strict demand there cannot be met
@@ -150,17 +147,14 @@ class TestMassBalance:
         model, fv = assemble(sc, {})
         sol = solve_milp(model)
         assert sol.status == "optimal"
-        holds = sorted((a.depart, sol.values[fv.hold[(i, "water")]])
-                       for i, a in fv.holdovers())
-        assert holds[0][1] == pytest.approx(5.0, abs=1e-9)
-        assert holds[1][1] == pytest.approx(5.0, abs=1e-9)
+        holds = [sol.values[fv.hold[("A", t, "water")]] for t in range(2)]
+        assert holds == pytest.approx([5.0, 5.0], abs=1e-9)
 
     def test_holdover_variable_shared_between_rows(self):
         sc = make_scenario(horizon=3, nodes=(Node("A", "orbit"),), arcs=(),
                            vehicles=(), demands=(DemandEntry("water", "A", 0, 5.0),))
         model, fv = assemble(sc, {})
-        (i0, _), (i1, _) = sorted(fv.holdovers(), key=lambda p: p[1].depart)
-        h01 = fv.hold[(i0, "water")]
+        h01 = fv.hold[("A", 0, "water")]
         t0 = dict(constraint_by_tag(model, "eq2:A:0:water").terms)
         t1 = dict(constraint_by_tag(model, "eq2:A:1:water").terms)
         assert t0[h01] == 1.0      # leaves t=0
@@ -243,7 +237,7 @@ class TestMassBalance:
 
     def test_vehicle_count_uses_integer_holdover(self, lunar):
         model, fv = assemble(lunar, LinearEpsilon(0.08))
-        for (idx, label), vid in fv.hold.items():
+        for (_, _, label), vid in fv.hold.items():
             kind = model.variables[vid].kind
             if label == "spacecraft":
                 assert kind == "integer"
@@ -256,14 +250,14 @@ class TestTransformation:
     def test_zero_delta_v_is_identity(self):
         sc = make_scenario()
         model, fv = assemble(sc, FixedDesign(100.0))
-        (idx, _), = fv.powered()
+        (idx, _), = enumerate(fv.network.arcs)
         assert fv.x_minus[(idx, "water")] == fv.x_plus[(idx, "water")]
         assert not any(c.tag == "eq3:tug:A>B@0:water" for c in model.constraints)
 
     def test_launch_arc_is_identity_despite_delta_v(self):
         sc = make_scenario(arcs=(Arc("A", "B", 9000.0, 1, (0,), is_launch=True),))
         model, fv = assemble(sc, FixedDesign(100.0))
-        (idx, _), = fv.powered()
+        (idx, _), = enumerate(fv.network.arcs)
         assert fv.x_minus[(idx, "water")] == fv.x_plus[(idx, "water")]
         assert not any(c.tag == "eq3:tug:A>B@0:water" for c in model.constraints)
 
@@ -275,7 +269,7 @@ class TestTransformation:
         sc = make_scenario(arcs=(Arc("A", "B", delta_v, 1, (0,)),),
                            commodities=tuple(Commodity(c) for c in commodities))
         model, fv = assemble(sc, FixedDesign(100.0))
-        (idx, _), = fv.powered()
+        (idx, _), = enumerate(fv.network.arcs)
         assert fv.burn == {}
         assert not any(c.tag.startswith("eq3:") for c in model.constraints)
         for c in commodities:
@@ -288,7 +282,7 @@ class TestTransformation:
         sol = solve_milp(model)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(orc.imleo, abs=1e-3)
-        for idx, arc in fv.powered():
+        for idx, arc in enumerate(fv.network.arcs):
             if (arc.src, arc.dst) != ("LEO", "LLO"):
                 continue
             wet = sum(sol.values[fv.x_plus[(idx, c)]] for c in fv.commodities)
@@ -318,7 +312,7 @@ class TestConcurrency:
         build_transformation(model, fv)
         build_concurrency(model, fv, sc)
         build_sizing(model, fv, FixedDesign(100.0))
-        (idx, _), = fv.powered()
+        (idx, _), = enumerate(fv.network.arcs)
         model.add_constraint([(fv.use[idx], 1.0)], "=", pin_use, tag="pin:y")
         model.add_constraint([(fv.design[("tug", "m_p")], 1.0)], "=", m_p,
                              tag="pin:m_p")
@@ -346,7 +340,7 @@ class TestConcurrency:
         model = MilpModel("relax")
         fv = create_flow_variables(model, sc, net)
         build_concurrency(model, fv, sc)
-        (idx, _), = fv.powered()
+        (idx, _), = enumerate(fv.network.arcs)
         vals = {vid: 0.0 for vid in range(len(model.variables))}
         z = fv.z_payload[idx]
         zname = model.variables[z].name
@@ -436,7 +430,7 @@ class TestAssembledCampaigns:
 
     def test_departures_outside_window_have_no_variables(self, lunar):
         model, fv = assemble(lunar, LinearEpsilon(0.08))
-        triples = {(a.src, a.dst, a.depart) for _, a in fv.powered()}
+        triples = {(a.src, a.dst, a.depart) for a in fv.network.arcs}
         assert triples == {("Earth", "LEO", 0), ("LEO", "LLO", 1),
                            ("LLO", "LS", 4)}
         names = {v.name for v in model.variables}
@@ -484,7 +478,7 @@ class TestObjective:
             objective=(ObjectiveEntry("A", "B",
                                       (("*", 2.0), ("water", 5.0)), 3.0),))
         model, fv = assemble(sc, FixedDesign(100.0))
-        (idx, _), = fv.powered()
+        (idx, _), = enumerate(fv.network.arcs)
         assert model.objective[fv.x_plus[(idx, "water")]] == 5.0
         assert model.objective[fv.x_plus[(idx, "fuel")]] == 2.0
         assert model.objective[fv.z_struct[idx]] == 3.0
@@ -492,7 +486,7 @@ class TestObjective:
     def test_non_matching_arcs_cost_nothing(self, lunar):
         model, fv = assemble(lunar, LinearEpsilon(0.08))
         costed = set(model.objective)
-        for idx, arc in fv.powered():
+        for idx, arc in enumerate(fv.network.arcs):
             if (arc.src, arc.dst) != ("Earth", "LEO"):
                 assert fv.z_struct[idx] not in costed
                 for c in fv.commodities:
@@ -524,7 +518,7 @@ class TestNetworkCuts:
         cover = cut_rows(model, "cover")
         assert list(cover) == ["cut:cover:LS:7:payload"]
         con = cover["cut:cover:LS:7:payload"]
-        into_ls = {fv.use[i] for i, a in fv.powered() if a.dst == "LS"}
+        into_ls = {fv.use[i] for i, a in enumerate(fv.network.arcs) if a.dst == "LS"}
         assert len(into_ls) == 3
         assert (con.sense, con.rhs) == (">=", 1.0)
         assert dict(con.terms) == {y: 1.0 for y in into_ls}
@@ -533,7 +527,8 @@ class TestNetworkCuts:
         assert len(legs) == 3 * 3 * 2  # legs x (m_p, m_f, m_d) x (lo, hi)
         lo = legs["cut:leg:spacecraft:LEO>LLO:m_f:lo"]
         hi = legs["cut:leg:spacecraft:LEO>LLO:m_f:hi"]
-        flown = [i for i, a in fv.powered() if (a.src, a.dst) == ("LEO", "LLO")]
+        flown = [i for i, a in enumerate(fv.network.arcs)
+                 if (a.src, a.dst) == ("LEO", "LLO")]
         m_f = fv.design[("spacecraft", "m_f")]
         expect = {fv.z_propellant[i]: 1.0 for i in flown} | {m_f: -1.0}
         assert (lo.sense, lo.rhs) == (">=", -50000.0)
@@ -547,7 +542,7 @@ class TestNetworkCuts:
         sc = ladder(design_bounds={"m_p": [100, 50000], "m_f": [0, 50000]})
         model, fv = assemble(sc, linreg51)
         hi = cut_rows(model, "leg")["cut:leg:spacecraft:Earth>LEO:m_p:hi"]
-        flown = [i for i, a in fv.powered() if a.src == "Earth"]
+        flown = [i for i, a in enumerate(fv.network.arcs) if a.src == "Earth"]
         # sum z <= U*m + L*Y - U*L with U = 1, L = 100
         assert (hi.sense, hi.rhs) == ("<=", -100.0)
         assert dict(hi.terms) == ({fv.z_payload[i]: 1.0 for i in flown}
@@ -559,7 +554,7 @@ class TestNetworkCuts:
         of one the leg rows would be its arc's `bigM:2` and `bigM:3` rows
         again; only the cover row is new."""
         model, fv = assemble(lunar, linreg51)
-        (idx, _), = [(i, a) for i, a in fv.powered() if a.dst == "LS"]
+        idx, = [i for i, a in enumerate(fv.network.arcs) if a.dst == "LS"]
         cuts = cut_rows(model)
         assert list(cuts) == ["cut:cover:LS:5:payload"]
         con = cuts["cut:cover:LS:5:payload"]

@@ -50,6 +50,14 @@ class TestBadNumbers:
         with pytest.raises(ModelError, match="'x'.*NaN"):
             MilpModel().add_variable("x", lower=lower, upper=upper)
 
+    @pytest.mark.parametrize("lower, upper", [(math.inf, math.inf), (-math.inf, -math.inf)],
+                             ids=["lower-inf", "upper-minus-inf"])
+    def test_bound_without_a_finite_value(self, lower, upper):
+        """A variable fixed at +inf used to reach the solver, which called
+        `min y` s.t. `y >= 1` optimal with objective nan."""
+        with pytest.raises(ModelError, match="'x'"):
+            MilpModel().add_variable("x", lower=lower, upper=upper)
+
     @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
     def test_non_finite_row_coefficient(self, coeff):
         m = MilpModel()
@@ -117,7 +125,7 @@ class TestEvaluate:
         values[fv.design[(veh.id, "m_p")]] = orc.m_p
         values[fv.design[(veh.id, "m_f")]] = orc.m_f
 
-        arcs = {(a.src, a.dst): i for i, a in fv.powered()}
+        arcs = {(a.src, a.dst): i for i, a in enumerate(fv.network.arcs)}
         chain = [("Earth", "LEO"), ("LEO", "LLO"), ("LLO", "LS")]
         pay, prop = orc.m_p, orc.m_f
         for src, dst in chain:
@@ -314,6 +322,27 @@ class TestReadMps:
         a column COLUMNS never declares, fails on the first such name."""
         with pytest.raises(ModelError, match=re.escape(offender)):
             self.read(tmp_path, columns, rhs, bounds)
+
+    @pytest.mark.parametrize("old, new, entry", [
+        (RHS, RHS + "    RHS  OBJ  -5.0\n", "objective row 'OBJ'"),
+        (BOUNDS, "RANGES\n    RNG  r1  2.0\n" + BOUNDS, "section RANGES"),
+        (ROWS, ROWS.replace("ROWS", "OBJSENSE\n    MAX\nROWS"), "section OBJSENSE"),
+        (ROWS, ROWS.replace("ROWS", "OBJSENSE MAX\nROWS"), "section OBJSENSE"),
+        (BOUNDS, "BOUNDS\n SC BND  x  3.0\n", "bound SC on column 'x'"),
+        (ROWS, ROWS + " X  r2\n", "row 'r2' of type 'X'"),
+        (ROWS, ROWS + " N  free\n", "row 'free' of type 'N'"),
+    ], ids=["objective-constant", "ranges", "objsense-section", "objsense-line",
+            "sc-bound", "row-type-x", "second-objective-row"])
+    def test_unread_entry_is_refused(self, tmp_path, old, new, entry):
+        """What the reader would drop or misread is refused, naming it: the
+        objective constant (the file would solve to 1.0, not 6.0), a range,
+        a maximization (read as a minimization), a semicontinuous bound, an
+        unknown row type, and a second N row (a free row MPS ignores)."""
+        path = tmp_path / "hand.mps"
+        text = self.ROWS + self.COLUMNS + self.RHS + self.BOUNDS + "ENDATA\n"
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ModelError, match=re.escape(entry)):
+            read_mps(str(path))
 
 
 def hand_built_model() -> MilpModel:

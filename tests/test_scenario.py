@@ -187,10 +187,7 @@ class TestLoadScenario:
 class TestExpansion:
     def test_lunar_expansion(self, lunar):
         net = expand_time_network(lunar)
-        holds = [a for a in net.arcs if a.kind == "holdover"]
-        powered = [a for a in net.arcs if a.kind != "holdover"]
-        assert len(holds) == 4 * 5
-        assert [(a.src, a.dst, a.depart, a.arrive, a.kind) for a in powered] == [
+        assert [(a.src, a.dst, a.depart, a.arrive, a.kind) for a in net.arcs] == [
             ("Earth", "LEO", 0, 1, "launch"),
             ("LEO", "LLO", 1, 4, "transport"),
             ("LLO", "LS", 4, 5, "transport"),
@@ -201,29 +198,20 @@ class TestExpansion:
             {"from": "A", "to": "B", "delta_v_mps": 1.0, "tof_days": 3,
              "window": [0]}]))
         net = expand_time_network(s)
-        assert all(a.kind == "holdover" for a in net.arcs)
+        assert net.arcs == ()
         assert net.excluded == 1
 
     def test_single_node_no_arcs(self):
         s = load_scenario(doc(nodes=[{"id": "A", "kind": "orbit"}], arcs=[]))
         net = expand_time_network(s)
-        assert len(net.arcs) == 2
-        assert all(a.kind == "holdover" and a.src == a.dst == "A"
-                   for a in net.arcs)
-
-    def test_holdover_steps_are_unit(self, lunar):
-        net = expand_time_network(lunar)
-        for a in net.arcs:
-            if a.kind == "holdover":
-                assert a.arrive == a.depart + 1 and a.src == a.dst
-                assert a.delta_v == 0.0
+        assert net.arcs == ()
+        assert net.nodes == ("A",)
 
     def test_transport_arrival_matches_tof(self, lunar):
         net = expand_time_network(lunar)
         tofs = {(a.src, a.dst): a.tof for a in lunar.arcs}
         for a in net.arcs:
-            if a.kind != "holdover":
-                assert a.arrive - a.depart == tofs[(a.src, a.dst)]
+            assert a.arrive - a.depart == tofs[(a.src, a.dst)]
 
     @given(horizon=st.integers(1, 8), tof=st.integers(0, 4),
            window=st.sets(st.integers(0, 7), max_size=8), vehicles=st.integers(1, 3))
@@ -236,9 +224,6 @@ class TestExpansion:
             {"from": "A", "to": "B", "delta_v_mps": 1.0, "tof_days": tof,
              "window": window}]))
         net = expand_time_network(s)
-        holds = sum(1 for a in net.arcs if a.kind == "holdover")
-        powered = sum(1 for a in net.arcs if a.kind != "holdover")
-        assert holds == 2 * (horizon - 1)
         feasible_departures = sum(1 for t in window if t + tof <= horizon - 1)
-        assert powered == feasible_departures * vehicles
+        assert len(net.arcs) == feasible_departures * vehicles
         assert net.excluded == (len(window) - feasible_departures) * vehicles

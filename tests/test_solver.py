@@ -335,10 +335,7 @@ class TestFactoredBasis:
             r = int(np.argmax(np.abs(alpha)))
             if abs(alpha[r]) > 0.1:
                 break
-        state.status[state.basis[r]] = solver.AT_LO
-        state.basis[r] = j
-        state.status[j] = solver.BASIC
-        state._pivot_update(r, alpha)
+        state._pivot(r, j, alpha, 0.0, True)
 
     @pytest.mark.parametrize("pivots", [0, 1, solver.REFACTOR_EVERY - 1,
                                         solver.REFACTOR_EVERY])
@@ -424,20 +421,20 @@ class TestWarmDualState:
                                        atol=1e-9 * max(1.0, np.abs(cost).max()))
 
         tableau_row = solver._Simplex.tableau_row
-        pivot_update = solver._Simplex._pivot_update
+        pivot = solver._Simplex._pivot
 
         def checked_row(state, r):
             compare(state)
             return tableau_row(state, r)
 
-        def counted_pivot(state, r, alpha):
-            refactored = pivot_update(state, r, alpha)
+        def counted_pivot(state, *args):
+            refactored = pivot(state, *args)
             counts["pivots"] += 1
             counts["refactors"] += refactored
             return refactored
 
         monkeypatch.setattr(solver._Simplex, "tableau_row", checked_row)
-        monkeypatch.setattr(solver._Simplex, "_pivot_update", counted_pivot)
+        monkeypatch.setattr(solver._Simplex, "_pivot", counted_pivot)
         for prob, root, lb, ub, cost in nodes:
             state = solver._Simplex(prob.A, prob.AT, prob.b, lb, ub)
             state.basis = root.basis.copy()
@@ -470,7 +467,7 @@ class TestWarmDualState:
 
         price = solver._Simplex.price
         recompute_x = solver._Simplex.recompute_x
-        pivot_update = solver._Simplex._pivot_update
+        pivot = solver._Simplex._pivot
 
         def checked_price(state, cost):
             compare(state)
@@ -480,15 +477,15 @@ class TestWarmDualState:
             recompute_x(state)
             recomputed[0] = True
 
-        def counted_pivot(state, r, alpha):
-            refactored = pivot_update(state, r, alpha)
+        def counted_pivot(state, *args):
+            refactored = pivot(state, *args)
             counts["pivots"] += 1
             counts["refactors"] += refactored
             return refactored
 
         monkeypatch.setattr(solver._Simplex, "price", checked_price)
         monkeypatch.setattr(solver._Simplex, "recompute_x", marked_recompute)
-        monkeypatch.setattr(solver._Simplex, "_pivot_update", counted_pivot)
+        monkeypatch.setattr(solver._Simplex, "_pivot", counted_pivot)
         for seed in range(12):
             rng = np.random.default_rng(seed)
             A = np.where(rng.random((self.M, self.N)) < 0.4,
@@ -549,7 +546,7 @@ class TestBranchAndBound:
                              [0.0] * 3, [1.0] * 3, ["binary"] * 3)
         clean = solve_milp(m)
 
-        def broken_dual(state, cost, max_iter=50000):
+        def broken_dual(state, cost):
             state.iterations += 1000
             raise solver.SolverBreakdown("forced")
 
@@ -569,7 +566,7 @@ class TestBranchAndBound:
         two_phase = solver._two_phase
         cold = []
 
-        def broken_dual(state, cost, max_iter=50000):
+        def broken_dual(state, cost):
             raise solver.SolverBreakdown("forced")
 
         def broken_after_root(state, cost, slack_offset):
@@ -600,12 +597,12 @@ class TestBranchAndBound:
         dual, two_phase, node = solver._Simplex.dual, solver._two_phase, solver._Node
         events = []
 
-        def broken_once(state, cost, max_iter=50000):
+        def broken_once(state, cost):
             events.append(("dual", None))
             # the first up branch's dual, while only the root LP was solved cold
             if np.any(state.lb[:3] > 0) and sum(e[0] == "cold" for e in events) == 1:
                 raise solver.SolverBreakdown("forced")
-            return dual(state, cost, max_iter)
+            return dual(state, cost)
 
         def cold(state, cost, slack_offset):
             st = two_phase(state, cost, slack_offset)
@@ -959,13 +956,14 @@ class TestDualCycling:
         state.basis = np.arange(n, n + m)  # slacks: dual feasible at y = 0
         state.status[state.basis] = solver.BASIC
         state.refactor()
-        return state.dual(np.zeros(n + m), max_iter=1000)
+        return state.dual(np.zeros(n + m))
 
     def test_dual_bland_switch_ends_degenerate_cycle(self, monkeypatch):
         ref = linprog(np.zeros(2), A_ub=self.HM_A, b_ub=self.HM_B,
                       bounds=[(0, None)] * 2, method="highs")
         assert ref.status == 2
         assert self._hm_dual() == "infeasible"
+        monkeypatch.setattr(solver, "MAX_ITER", 1000)
         monkeypatch.setattr(solver, "STALL_LIMIT", 10**9)
         with pytest.raises(solver.SolverBreakdown, match="exceeded"):
             self._hm_dual()
