@@ -86,13 +86,13 @@ class FlowVariables:
     design: dict = field(default_factory=dict)     # (vehicle_id, field) -> vid
 
 
-def compute_propellant_fraction(delta_v: float, isp: float, g0: float = 9.8) -> float:
+def compute_propellant_fraction(delta_v: float, isp: float) -> float:
     """Fraction of departing wet mass burned to achieve delta_v."""
     if delta_v < 0:
         raise ValueError(f"delta_v must be nonnegative, got {delta_v}")
-    if isp <= 0 or g0 <= 0:
-        raise ValueError("isp and g0 must be positive")
-    return 1.0 - math.exp(-delta_v / (isp * g0))
+    if isp <= 0:
+        raise ValueError("isp must be positive")
+    return 1.0 - math.exp(-delta_v / (isp * SizingParams.g0))
 
 
 def create_flow_variables(model: MilpModel, scenario: Scenario,

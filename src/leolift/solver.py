@@ -5,17 +5,17 @@ sparse constraint matrix. The basis is never inverted: it is held as a sparse
 LU factorization (SuperLU, through `scipy.sparse.linalg.splu`) plus a
 product-form eta file with one column per pivot, and refactored from scratch
 every `REFACTOR_EVERY` pivots. `ftran` and `btran` solve with B and its
-transpose through both. Artificial columns exist only inside phase 1: any
-still basic at its optimum gives its place to its row's slack, and they are
-cut off before phase 2, so every simplex state and branch-and-bound node works
-on the problem's own columns. A model without rows gets one empty equality
-row, so every basis has a row. Dantzig pricing switches to Bland's rule when
-the objective stalls. An iteration is a pivot or a bound flip. The primal and
-the dual simplex make every pivot through one routine, `_Simplex._pivot`.
+transpose through both. Every simplex state, phase 1 included, works on the
+problem's own structural and slack columns: phase 1 starts from the all-slack
+basis and minimizes the slacks' bound violations, so a state never changes
+shape. A model without rows gets one empty equality row, so every basis has a
+row. Dantzig pricing switches to Bland's rule when the objective stalls. An
+iteration is a pivot or a bound flip. The primal and the dual simplex make
+every pivot through one routine, `_Simplex._pivot`.
 
 Branch-and-bound explores nodes best-bound-first. The root has no start and
-is solved cold by the two-phase primal; every other node warm starts a
-bounded dual simplex from its `_Start`, the parent's final basis. Both
+is solved cold by the two-phase primal of `_two_phase`; every other node warm
+starts a bounded dual simplex from its `_Start`, the parent's final basis. Both
 children of a branched node hold one start: whichever is solved first
 factors the basis into it, and the other starts from that factor with an
 empty eta file. Aᵀ is built once per problem and shared by every node. The
@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array, hstack
+from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 from .milp_ir import FEAS_TOL, INT_TOL, MilpModel, Solution, StandardForm
@@ -64,6 +64,10 @@ BASIC, AT_LO, AT_UP, NB_FREE = 0, 1, 2, 3
 
 class SolverBreakdown(RuntimeError):
     """Singular basis beyond refactorization recovery."""
+
+
+class _TimeUp(Exception):
+    """A simplex loop passed its state's deadline."""
 
 
 @dataclass
@@ -153,6 +157,7 @@ class _Simplex:
         self.x = np.zeros(self.n)
         self.d = np.zeros(self.n)  # reduced costs, kept by the dual simplex
         self.iterations = 0
+        self.deadline = INF  # time.monotonic() past which both loops stop
         self._lu = None
         self._etas = []  # (row r, pivot alpha[r], other nonzero rows, their alpha)
 
@@ -260,6 +265,8 @@ class _Simplex:
         stall = 0
         self.recompute_x()
         for _ in range(MAX_ITER):
+            if time.monotonic() > self.deadline:
+                raise _TimeUp
             d = self.price(cost)
             idx = np.nonzero(self.improving(d))[0]
             if idx.size == 0:
@@ -320,6 +327,8 @@ class _Simplex:
         stall = 0
         fresh = True  # x was just recomputed, not updated
         for _ in range(MAX_ITER):
+            if time.monotonic() > self.deadline:
+                raise _TimeUp
             xb = self.x[self.basis]
             viol_lo = self.lb[self.basis] - xb
             viol_hi = xb - self.ub[self.basis]
@@ -411,73 +420,55 @@ def _ratio_test(a: np.ndarray, xb: np.ndarray, lb_b: np.ndarray,
     return block, t_best
 
 
-def _initial_basis(state: _Simplex,
-                   slack_offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slack starting basis: every column on a bound (or free at 0), and each
-    row's slack basic where it fits its bounds at that point. Returns the rows
-    where it does not, and the sign of the artificial column each needs."""
+def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
+    """Two-phase primal simplex from the all-slack basis (B = I), every
+    structural column on a bound or free at 0.
+
+    Phase 1 minimizes the slacks' bound violations: a slack above its upper
+    bound costs +1 over [that bound, +inf), one below its lower bound -1
+    over (-inf, that bound]. After each primal run, a relaxed slack on the
+    bound it violated gets its own bounds and cost 0 back, and phase 1 goes
+    on; when none is, the convex sum of violations is at its minimum, above
+    0, and the LP is infeasible. Every exit leaves the slacks' own bounds.
+    """
+    slacks = slack_offset + np.arange(state.m)
+    lo, hi = state.lb[slacks], state.ub[slacks]
     state.status[:] = np.where(state.lb > -INF, AT_LO,
                                np.where(state.ub < INF, AT_UP, NB_FREE))
-    resid = state.b - state.A @ state.nonbasic_values()
-    slacks = slack_offset + np.arange(state.m)
-    hi_ok = resid <= state.ub[slacks] + FEAS_TOL
-    fits = hi_ok & (resid >= state.lb[slacks] - FEAS_TOL)
-    state.basis[fits] = slacks[fits]
-    state.status[slacks[fits]] = BASIC
-    rows = np.flatnonzero(~fits)
-    return rows, np.where(hi_ok[rows], -1.0, 1.0)
-
-
-def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
-    """Two-phase primal simplex from the slack basis of `_initial_basis`.
-
-    Phase 1 appends an artificial column ±e_i for each row i whose slack
-    cannot start basic and minimizes their sum. At its optimum an artificial
-    still in the basis sits at 0, and row i's slack is nonbasic (the two
-    columns are parallel), so the slack takes its place: that flips the sign
-    of one basis column and moves no value, and one refactor covers every
-    such swap. The artificial columns are then cut off, so phase 2 and the
-    caller see only the problem's own columns; only an "infeasible" state
-    keeps them.
-    """
-    A, AT, n = state.A, state.AT, state.n
-    rows, signs = _initial_basis(state, slack_offset)
-    k = rows.size
-    if k:
-        art = csc_array((signs, (rows, np.arange(k))), shape=(state.m, k))
-        state.A = hstack([A, art], format="csc")
-        state.AT = state.A.T
-        state.lb = np.concatenate([state.lb, np.zeros(k)])
-        state.ub = np.concatenate([state.ub, np.full(k, INF)])
-        state.status = np.concatenate(
-            [state.status, np.full(k, BASIC, dtype=np.int8)])
-        state.n += k
-        state.basis[rows] = n + np.arange(k)
+    state.status[slacks] = BASIC
+    state.basis[:] = slacks
     state.refactor()
-    if k:
-        phase1 = np.zeros(state.n)
-        phase1[n:] = 1.0
-        if state.primal(phase1) == "unbounded":
-            raise SolverBreakdown("phase 1 reported unbounded")
-        if phase1 @ state.x > 1e-7:
-            return "infeasible"
-        stuck = np.flatnonzero(state.basis >= n)
-        state.basis[stuck] = slack_offset + rows[state.basis[stuck] - n]
-        state.A, state.AT, state.n = A, AT, n
-        state.lb, state.ub = state.lb[:n], state.ub[:n]
-        state.status, state.x = state.status[:n], state.x[:n]
-        state.status[state.basis[stuck]] = BASIC
-        if stuck.size:
-            state.refactor()
+    state.recompute_x()
+    above = state.x[slacks] > hi + FEAS_TOL
+    below = state.x[slacks] < lo - FEAS_TOL
+    phase1 = np.zeros(state.n)
+    try:
+        while np.any(above | below):
+            phase1[slacks] = np.where(above, 1.0, np.where(below, -1.0, 0.0))
+            state.lb[slacks] = np.where(above, hi, np.where(below, -INF, lo))
+            state.ub[slacks] = np.where(above, INF, np.where(below, lo, hi))
+            if state.primal(phase1) == "unbounded":
+                raise SolverBreakdown("phase 1 reported unbounded")
+            s = state.x[slacks]
+            viol = np.where(above, s - hi, np.where(below, lo - s, INF))
+            back = viol <= 1e-7
+            if not back.any():
+                return "infeasible"
+            flip = back & (state.status[slacks] != BASIC)
+            state.status[slacks[flip]] = np.where(above[flip], AT_UP, AT_LO)
+            above &= ~back
+            below &= ~back
+    finally:
+        state.lb[slacks], state.ub[slacks] = lo, hi
     return state.primal(cost)
 
 
 def solve_lp(sf: StandardForm) -> LpResult:
     """Solve min c@x s.t. row_lo <= A@x <= row_hi, lb <= x <= ub exactly.
 
-    A problem without rows takes the same path: its one empty row's slack,
-    fixed at 0, is the basis, so the primal simplex only moves variables
-    between their bounds.
+    Cold, by `_two_phase` from the all-slack basis. A problem without rows
+    takes the same path: its one empty row's slack, fixed at 0, is the basis,
+    so the primal simplex only moves variables between their bounds.
     """
     prob = _problem_from_form(sf)
     n = prob.n_struct
@@ -505,8 +496,8 @@ def _solve_node(state: _Simplex, start: _Start | None, cost: np.ndarray,
                 slack_offset: int) -> str:
     """A node's LP. From a start: the warm dual simplex, then primal pivots
     if its optimum still prices a column in. Without one (the root), or when
-    the warm solve breaks down: cold by `_two_phase` on the same state, whose
-    iterations then keep the abandoned pivots."""
+    the warm solve breaks down: cold by `_two_phase` from the all-slack basis
+    on the same state, whose iterations then keep the abandoned pivots."""
     if start is not None:
         try:
             state.basis, state.status = start.basis.copy(), start.status.copy()
@@ -544,14 +535,16 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     Branches on the most fractional variable, ties to the lowest index. A
     node is pruned when its bound is within `GAP_TOL` (relative) of the
     incumbent; a variable within `INT_TOL` of an integer counts as integral.
-    `_solve_node` solves each node's LP, and the limits apply from node 1 on,
-    so the root (node 0) is always solved. A `SolverBreakdown` the cold solve
-    cannot recover ends the search with status `numerical`, as does an
-    incumbent that fails `_certified`; the values are then the incumbent's,
-    if there is one. An unbounded LP ends it as `unbounded`, with objective
-    and bound -inf. Every other stop reports `best_bound`, the smallest of
-    the incumbent and the bounds of the open nodes and of the nodes the gap
-    test dropped, and the `gap` to it.
+    `_solve_node` solves each node's LP. The limits apply from node 1 on,
+    so the root (node 0) is always solved: the node limit between nodes,
+    the time limit at every simplex iteration. A node the time limit stops
+    stays open and counts in `nodes`. A `SolverBreakdown`
+    the cold solve cannot recover ends the search with status `numerical`,
+    as does an incumbent that fails `_certified`; the values are then the
+    incumbent's, if there is one. An unbounded LP ends it as `unbounded`,
+    with objective and bound -inf. Every other stop reports `best_bound`,
+    the smallest of the incumbent and the bounds of the open nodes and of
+    the nodes the gap test dropped, and the `gap` to it.
     """
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
@@ -579,8 +572,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     heap = [_Node(-INF, 0, prob.lb, prob.ub, None)]
     status = "optimal"
     while heap:
-        if nodes_done and (nodes_done >= cfg.node_limit
-                           or time.monotonic() - t0 > cfg.time_limit):
+        if nodes_done >= cfg.node_limit:
             status = "limit"
             break
         node = heapq.heappop(heap)
@@ -592,10 +584,11 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         nodes_done += 1
 
         state = _Simplex(prob.A, prob.AT, prob.b, node.lb, node.ub)
+        state.deadline = t0 + cfg.time_limit if nodes_done > 1 else INF
         try:
             st = _solve_node(state, node.start, prob.c, n_struct)
-        except SolverBreakdown:
-            status = "numerical"
+        except (SolverBreakdown, _TimeUp) as exc:
+            status = "limit" if isinstance(exc, _TimeUp) else "numerical"
             heapq.heappush(heap, node)  # still open: its bound counts
             break
         finally:

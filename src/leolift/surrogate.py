@@ -310,6 +310,8 @@ def fit_linear_regression(data) -> LinearSurrogate:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("data must be (n, k+1) with the target last")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("training data must be finite")
     X = np.hstack([arr[:, :-1], np.ones((arr.shape[0], 1))])
     yv = arr[:, -1]
     if np.linalg.matrix_rank(X) < X.shape[1]:

@@ -130,6 +130,13 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("surrogate", ["linreg", "nn"])
+    def test_overflowing_training_data_exits_1(self, capsys, surrogate):
+        # a finite grid whose sizing values overflow to inf
+        code, out, err = run_main(capsys, ["--surrogate", surrogate,
+                                           "--train-range", "0:1e300:1e299"])
+        assert (code, out, err) == (1, "", "error: training data must be finite\n")
+
     def test_nan_time_limit_exits_1(self, capsys):
         code, out, err = run_main(capsys, LINREG_JSON + ["--time-limit", "nan"])
         assert code == 1
@@ -258,7 +265,7 @@ class TestSingleRunReports:
     def test_time_limit_aborts_with_exit_1(self, capsys):
         # the root is always solved, and the bundled campaign's linreg root
         # is already integral; its NN root (seed 0) is fractional and
-        # branches into 19 nodes
+        # branches
         code, out, _ = run_main(capsys, ["--surrogate", "nn",
                                          "--time-limit", "1e-9"])
         assert code == 1

@@ -6,17 +6,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import csc_array, eye_array, hstack
+from scipy.sparse import csc_array, csr_array, eye_array, hstack
 from scipy.sparse import random_array as sparse_random
 
 import leolift
 from leolift import solver
 from leolift.formulation import assemble
-from leolift.milp_ir import MilpModel
+from leolift.milp_ir import MilpModel, StandardForm
 from leolift.scenario import load_scenario
 from leolift.solver import BnbConfig, solve_lp, solve_milp
 
@@ -211,39 +212,53 @@ def ratio_test_loop(a, xb, lb_b, ub_b, t_best):
     return block, t_best
 
 
-def initial_basis_loop(state, slack_offset):
-    """The per-column and per-row slack basis `_initial_basis` replaces, kept
-    as its reference."""
+def phase_one_start_loop(state, slack_offset):
+    """Per column and per row, the start `_two_phase` makes: every column on
+    a bound (or free at 0), every slack basic at b - A·x_N, and each slack
+    outside its bounds relaxed past the bound it violates with cost ±1.
+    Returns (statuses, phase-1 costs, relaxed lb, relaxed ub)."""
+    status = np.empty(state.n, dtype=np.int8)
     for j in range(state.n):
         if state.lb[j] > -INF:
-            state.status[j] = solver.AT_LO
+            status[j] = solver.AT_LO
         elif state.ub[j] < INF:
-            state.status[j] = solver.AT_UP
+            status[j] = solver.AT_UP
         else:
-            state.status[j] = solver.NB_FREE
-    resid = state.b - state.A @ state.nonbasic_values()
-    art_rows, art_signs = [], []
+            status[j] = solver.NB_FREE
+    xn = [state.lb[j] if status[j] == solver.AT_LO
+          else state.ub[j] if status[j] == solver.AT_UP else 0.0
+          for j in range(state.n)]
+    resid = state.b - state.A @ np.array(xn)
+    cost, lb, ub = np.zeros(state.n), state.lb.copy(), state.ub.copy()
     for i in range(state.m):
         slack = slack_offset + i
-        lo_ok = resid[i] >= state.lb[slack] - solver.FEAS_TOL
-        hi_ok = resid[i] <= state.ub[slack] + solver.FEAS_TOL
-        if lo_ok and hi_ok:
-            state.basis[i] = slack
-            state.status[slack] = solver.BASIC
-        else:
-            art_rows.append(i)
-            art_signs.append(1.0 if not hi_ok else -1.0)
-    return np.array(art_rows, dtype=int), np.array(art_signs)
+        status[slack] = solver.BASIC
+        if resid[i] > state.ub[slack] + solver.FEAS_TOL:
+            cost[slack], lb[slack], ub[slack] = 1.0, state.ub[slack], INF
+        elif resid[i] < state.lb[slack] - solver.FEAS_TOL:
+            cost[slack], lb[slack], ub[slack] = -1.0, -INF, state.lb[slack]
+    return status, cost, lb, ub
 
 
 class TestVectorizedScans:
-    def test_initial_basis_matches_loops(self):
-        """Statuses, basis, artificial rows and their signs equal the loop
-        version's, with free and one-sided columns, fixed (equality) slacks,
-        residuals on a slack bound and a NaN residual."""
+    def test_all_slack_start_matches_loops(self, monkeypatch):
+        """Phase 1 starts from B = I: its first primal run sees the slack
+        basis, the statuses, costs and relaxed bounds of the loop version,
+        with free and one-sided columns, fixed (equality) slacks, residuals
+        on or just past a slack bound and a NaN residual. A run that stops
+        there leaves the slacks' own bounds."""
+        seen = []
+
+        def first_run(state, cost):
+            seen.append((state.basis.copy(), state.status.copy(), cost.copy(),
+                         state.lb.copy(), state.ub.copy()))
+            raise solver.SolverBreakdown("stop at the start")
+
+        monkeypatch.setattr(solver._Simplex, "primal", first_run)
         rng = np.random.default_rng(17)
+        relaxed = 0
         for trial in range(200):
-            m, n = int(rng.integers(0, 12)), int(rng.integers(1, 12))
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
             S = np.where(rng.random((m, n)) < 0.4, rng.choice([-1.0, 1.0, 2.0], (m, n)), 0.0)
             A = csc_array(np.hstack([S, np.eye(m)]))
             lb = np.where(rng.random(n) < 0.2, -INF, rng.choice([0.0, 1.0], n))
@@ -252,16 +267,22 @@ class TestVectorizedScans:
             slack_ub = rng.choice([0.0, 1.0, 5.0, INF], m)
             b = S @ np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
             b = b + rng.choice([-1.0, -1e-7, 0.0, 1.0, 5.0 + 1e-7, 7.0], m)
-            if m and trial % 10 == 0:
+            if trial % 10 == 0:
                 b[0] = math.nan
-            states = [solver._Simplex(A, A.T, b, np.concatenate([lb, np.zeros(m)]),
-                                      np.concatenate([ub, slack_ub])) for _ in range(2)]
-            rows, signs = solver._initial_basis(states[0], n)
-            ref_rows, ref_signs = initial_basis_loop(states[1], n)
-            np.testing.assert_array_equal(rows, ref_rows)
-            np.testing.assert_array_equal(signs, ref_signs)
-            np.testing.assert_array_equal(states[0].status, states[1].status)
-            np.testing.assert_array_equal(states[0].basis, states[1].basis)
+            full_lb = np.concatenate([lb, np.zeros(m)])
+            full_ub = np.concatenate([ub, slack_ub])
+            state = solver._Simplex(A, A.T, b, full_lb, full_ub)
+            with pytest.raises(solver.SolverBreakdown, match="stop at the start"):
+                solver._two_phase(state, np.zeros(n + m), n)
+            basis, status, cost, run_lb, run_ub = seen.pop()
+            ref = phase_one_start_loop(solver._Simplex(A, A.T, b, full_lb, full_ub), n)
+            np.testing.assert_array_equal(basis, n + np.arange(m))
+            for got, want in zip((status, cost, run_lb, run_ub), ref):
+                np.testing.assert_array_equal(got, want)
+            relaxed += np.count_nonzero(cost)
+            np.testing.assert_array_equal(state.lb, full_lb)
+            np.testing.assert_array_equal(state.ub, full_ub)
+        assert relaxed > 100
 
     def test_ratio_test_matches_row_loop(self):
         rng = np.random.default_rng(13)
@@ -587,8 +608,8 @@ class TestBranchAndBound:
     def test_rescued_node_passes_its_basis_to_children(self, monkeypatch):
         """A node whose warm dual breaks down is solved cold; its children
         warm start from that cold basis, not from the root's. Here the root
-        LP needs no artificial column and the rescued node (an up branch)
-        does."""
+        LP starts feasible on its slack basis and the rescued node (an up
+        branch) needs phase 1."""
         A = np.array([[3.0, -2.0, 2.0], [3.0, -3.0, -1.0]])
         m = model_from_dense(A, ["<=", "<="], np.array([8.0, 2.0]),
                              np.array([-2.0, -2.0, -3.0]), [0.0] * 3, [6.0] * 3,
@@ -841,6 +862,41 @@ class TestNodeLogAndLimits:
         sol = solve_milp(self._logged_model(), BnbConfig(time_limit=1e-9))
         assert sol.status == "limit"
 
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_time_limit_stops_a_node_mid_solve(self, monkeypatch, warm):
+        """From node 1 on the time limit is read at every iteration of both
+        simplex loops, and nowhere else. A clock that jumps past it as node 1
+        starts stops that node's LP (the warm dual, or the cold primal after
+        a breakdown) before its first iteration; the node stays open, so its
+        bound counts, and the search ends with `limit`. The root's LP is
+        exempt: a jump as it starts still lets it finish, and node 1 is
+        stopped in the same way."""
+        m = self._logged_model()
+        root = solve_milp(m, BnbConfig(node_limit=1))
+        assert root.status == "limit" and root.iterations > 0
+        if not warm:
+            def broken_dual(state, cost):
+                raise solver.SolverBreakdown("forced")
+
+            monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
+        now = [0.0]
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        solve_node = solver._solve_node
+        for jump_at in (1, 2):
+            now[0], calls = 0.0, []
+
+            def jumping(*args):
+                calls.append(1)
+                if len(calls) == jump_at:
+                    now[0] = 100.0
+                return solve_node(*args)
+
+            monkeypatch.setattr(solver, "_solve_node", jumping)
+            sol = solve_milp(m, BnbConfig(time_limit=50.0))
+            assert (sol.status, sol.nodes, sol.iterations) == \
+                ("limit", 2, root.iterations)
+            assert sol.best_bound == root.best_bound
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BnbConfig(node_limit=0)
@@ -998,34 +1054,32 @@ class TestRootLp:
 
 
 class TestPhaseOne:
-    def test_redundant_row_leaves_the_problem_columns(self):
-        """x + y = 1 and 2x + 2y = 2 each start on an artificial column; the
-        second row is redundant, so one artificial is still basic (at 0)
-        at the phase-1 optimum. It gives its place to its row's slack, and
-        the final state has only the 2 structural and 2 slack columns."""
+    def test_redundant_row_keeps_the_problem_columns(self):
+        """x + y = 1 and 2x + 2y = 2 both start with their fixed slack above
+        0; the second row is redundant, so both slacks reach 0 in one pivot
+        and one stays basic there. The state never leaves the 2 structural
+        and 2 slack columns."""
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
         m = lp_from_dense(A, ["=", "="], [1.0, 2.0], [1.0, 0.0], [0.0, 0.0],
                           [INF, INF])
         prob = solver._problem_from_form(m.to_standard_form())
         st, state = cold_solve(prob)
+        assert state.A is prob.A and state.AT is prob.AT
         assert state.n == prob.A.shape[1] == 4
         assert state.status.size == state.x.size == state.lb.size == 4
-        assert np.all(state.basis < 4)
         # the equality rows' slacks are fixed at 0, so no pivot enters one:
-        # a basic slack is the one the swap put there
+        # a basic slack is one phase 1 left basic on its bound
         assert np.any(state.basis >= 2)
         ref = linprog([1.0, 0.0], A_eq=A, b_eq=[1.0, 2.0], method="highs")
         assert st == "optimal"
         assert prob.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
         np.testing.assert_allclose(state.x[:2], ref.x, atol=1e-9)
 
-    def test_degenerate_artificial_swap_refactors(self):
+    def test_slacks_reaching_their_bounds_together(self):
         """min -y s.t. x + y = 1, x >= 1: phase 1 raises x to 1, where both
-        artificials reach 0 together; row 1's leaves and row 2's, the column
-        -e_2, stays basic at 0 on a row that is not redundant. Its slack
-        e_2 takes its place, which flips the sign of that basis column, so
-        the basis must be refactored: on the stale factorization phase 2
-        moves the slack the wrong way and reports y = 1 with x = 0."""
+        violated slacks reach their bounds in one pivot and one of them
+        stays basic on it. Both get their own bounds back, and phase 2 keeps
+        x at 1."""
         A = np.array([[1.0, 1.0], [1.0, 0.0]])
         m = lp_from_dense(A, ["=", ">="], [1.0, 1.0], [0.0, -1.0], [0.0, 0.0],
                           [INF, INF])
@@ -1037,6 +1091,89 @@ class TestPhaseOne:
         assert st == "optimal"
         assert prob.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
         np.testing.assert_allclose(state.x[:2], ref.x, atol=1e-9)
+
+    @pytest.mark.parametrize("floors", [(1.0, 2.0), (2.0, 1.0)])
+    def test_second_floor_after_the_first(self, monkeypatch, floors):
+        """min x s.t. x >= 1, x >= 2 from x = 0: the x >= 1 row's slack
+        reaches its bound first and would pin x at 1 if it stayed relaxed.
+        It gets its own bounds back after that phase-1 run, and a second run
+        raises x to 2."""
+        runs = []
+        primal = solver._Simplex.primal
+
+        def counted(state, cost):
+            runs.append(cost.copy())
+            return primal(state, cost)
+
+        monkeypatch.setattr(solver._Simplex, "primal", counted)
+        m = lp_from_dense([[1.0], [1.0]], [">=", ">="], list(floors), [1.0],
+                          [0.0], [INF])
+        res = solve_lp(m.to_standard_form())
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(2.0, abs=1e-12)
+        assert res.x[0] == pytest.approx(2.0, abs=1e-12)
+        # two phase-1 runs (cost -1 on each relaxed slack), then phase 2
+        assert [list(c) for c in runs] == [
+            [0.0, -1.0, -1.0], [0.0] + [-float(f == 2.0) for f in floors],
+            [1.0, 0.0, 0.0]]
+
+    def test_two_sided_rows_match_linprog(self, monkeypatch):
+        """Random forms whose rows are two-sided (row_lo < row_hi, both
+        finite): a start below row_lo puts the slack above its upper bound,
+        the only case besides equality rows that does. Each optimum and
+        each infeasible verdict equals HiGHS's."""
+        above = [0]
+        primal = solver._Simplex.primal
+
+        def counted(state, cost):
+            above[0] += bool(np.any(cost[-state.m:] == 1.0))
+            return primal(state, cost)
+
+        monkeypatch.setattr(solver._Simplex, "primal", counted)
+        rng = np.random.default_rng(23)
+        verdicts = set()
+        for trial in range(60):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            A = np.where(rng.random((m, n)) < 0.6, rng.normal(size=(m, n)).round(3), 0.0)
+            lb = rng.choice([0.0, -1.0], n)
+            ub = lb + rng.uniform(1.0, 4.0, n).round(3)
+            ax = A @ rng.uniform(lb, ub)
+            row_lo = ax - rng.uniform(0.0, 1.0, m)
+            row_hi = ax + rng.uniform(0.01, 1.0, m)
+            if trial % 5 == 0:  # a window past what the box can reach
+                reach = np.abs(A[0]) @ np.maximum(np.abs(lb), np.abs(ub))
+                row_lo[0], row_hi[0] = reach + 1.0, reach + 2.0
+            c = rng.normal(size=n).round(3)
+            sf = StandardForm(csr_array(A), row_lo, row_hi, c, lb, ub,
+                              np.zeros(n, dtype=bool))
+            res = solve_lp(sf)
+            ref = linprog(c, A_ub=np.vstack([A, -A]),
+                          b_ub=np.concatenate([row_hi, -row_lo]),
+                          bounds=list(zip(lb, ub)), method="highs")
+            verdicts.add(res.status)
+            if ref.status == 2:
+                assert res.status == "infeasible", f"trial {trial}"
+                continue
+            assert res.status == "optimal" and ref.status == 0, f"trial {trial}"
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+            assert sf.violated_rows(res.x)[0].size == 0, f"trial {trial}"
+        assert verdicts == {"optimal", "infeasible"}
+        assert above[0] >= 20
+
+    @pytest.mark.parametrize("senses, rhs", [(["<=", "<="], [1.0, -2.0]),
+                                             (["=", ">="], [1.0, 3.0])])
+    def test_infeasible_leaves_the_bounds_as_given(self, senses, rhs):
+        """x <= 1 with -x <= -2, and x = 1 with 2x >= 3 for x in [0, 1]: the
+        sum of violations stops above 0 with no relaxed slack on its bound,
+        and the state's bounds are exactly the ones it was given."""
+        A = [[1.0], [-1.0]] if senses[0] == "<=" else [[1.0], [2.0]]
+        m = lp_from_dense(A, senses, rhs, [1.0], [0.0], [1.0])
+        prob = solver._problem_from_form(m.to_standard_form())
+        st, state = cold_solve(prob)
+        assert st == "infeasible"
+        assert state.A is prob.A and state.n == prob.A.shape[1]
+        np.testing.assert_array_equal(state.lb, prob.lb)
+        np.testing.assert_array_equal(state.ub, prob.ub)
 
 
 def ladder_scenario(tmp_path, horizon: int, width: int) -> Path:
@@ -1073,7 +1210,7 @@ class TestLadderTarget:
         """Ladder rung H14/W9 (391 vars, 541 rows, linreg closure), the
         ROADMAP's solver target: optimal well inside 30 s, equal to HiGHS.
         With an explicitly inverted basis it needed about 64 s; without the
-        network rows, 847 nodes and about 3 s; with them, 10 nodes."""
+        network rows, 847 nodes and about 3 s."""
         rep, model = solve_captured(monkeypatch, [
             "--scenario", str(ladder_scenario(tmp_path, 14, 9)),
             "--surrogate", "linreg", "--time-limit", "30"])
@@ -1091,9 +1228,8 @@ class TestLadderTarget:
         and H18/W12 with the NN closure trained on seed 0: optimal and equal
         to HiGHS on the same model; the linreg rungs also equal the optimum
         found without the network rows. Without those rows the linreg rungs
-        took 1,761 and 5,183 nodes (about 8 s and 50 s); with them, 4 and 5.
-        The NN rungs take 79 and 14 nodes (H18/W12 took 937 when each neuron
-        had its own binary)."""
+        took 1,761 and 5,183 nodes (about 8 s and 50 s). NN H18/W12 took 937
+        nodes when each neuron had its own binary."""
         rep, model = solve_captured(monkeypatch, [
             "--scenario", str(ladder_scenario(tmp_path, *rung)),
             "--surrogate", surrogate, "--seed", "0", "--time-limit", "30"])
@@ -1108,9 +1244,9 @@ class TestLadderTarget:
 
 class TestFactorSharing:
     @pytest.mark.parametrize("rung, surrogate, nodes, iterations, objective", [
-        (None, "linreg", 1, 31, "0x1.4d34a9215cb46p+15"),
-        ((8, 3), "linreg", 8, 165, "0x1.4d34a9215cb4bp+15"),
-        ((8, 3), "nn", 10, 170, "0x1.5022fadbd1473p+15"),
+        (None, "linreg", 1, 32, "0x1.4d34a9215cb52p+15"),
+        ((8, 3), "linreg", 6, 160, "0x1.4d34a9215cb47p+15"),
+        ((8, 3), "nn", 45, 349, "0x1.5022fadbd146ep+15"),
         (None, "nn", 5, 60, "0x1.5022fadbd145ep+15"),
     ])
     def test_trees_are_pinned(self, tmp_path, rung, surrogate, nodes,
@@ -1129,7 +1265,7 @@ class TestFactorSharing:
     def test_siblings_share_one_factorization(self, tmp_path, monkeypatch):
         """Both children of a branched node start from its basis, factored
         once: fewer `splu` calls than nodes on a tree that branches (H14/W9,
-        NN closure of seed 0: 43 nodes)."""
+        NN closure of seed 0: 59 nodes)."""
         from leolift import cli
 
         calls = []
@@ -1143,5 +1279,5 @@ class TestFactorSharing:
         sol = cli.run_pipeline(cli.build_parser().parse_args(
             ["--surrogate", "nn", "--scenario",
              str(ladder_scenario(tmp_path, 14, 9))])).solution
-        assert sol.status == "optimal" and sol.nodes == 43
+        assert sol.status == "optimal" and sol.nodes == 59
         assert len(calls) < sol.nodes

@@ -329,6 +329,13 @@ class TestLinearRegression:
         with pytest.raises(RankDeficiencyError):
             fit_linear_regression(rows)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(ValueError, match="training data must be finite"):
+            fit_linear_regression([(0.0, 1.0), (1.0, bad), (2.0, 3.0)])
+        with pytest.raises(ValueError, match="training data must be finite"):
+            fit_linear_regression([(0.0, 1.0), (bad, 2.0), (2.0, 3.0)])
+
     def test_residuals_orthogonal_to_regressors(self, dataset51, linreg51):
         X = np.array([[x, 1.0] for x, _ in dataset51])
         y = np.array([t for _, t in dataset51])
