@@ -3,14 +3,18 @@
 LP relaxations are solved by a revised simplex over bounded variables on a
 sparse constraint matrix. The basis is never inverted: it is held as a sparse
 LU factorization (SuperLU, through `scipy.sparse.linalg.splu`) plus a
-product-form eta file with one column per pivot, and refactored from scratch
-every `REFACTOR_EVERY` pivots. `ftran` and `btran` solve with B and its
-transpose through both. Every simplex state, phase 1 included, works on the
+product-form eta file with one eta per pivot, and refactored from scratch
+every `REFACTOR_EVERY` pivots. The eta file is held in arrays and applied as
+one unit lower-triangular block, so `ftran` and `btran` solve with B and its
+transpose by the LU solve plus a fixed number of BLAS calls, however many
+pivots it holds. Every simplex state, phase 1 included, works on the
 problem's own structural and slack columns: phase 1 starts from the all-slack
 basis and minimizes the slacks' bound violations, so a state never changes
 shape. A model without rows gets one empty equality row, so every basis has a
-row. Dantzig pricing switches to Bland's rule when the objective stalls. An
-iteration is a pivot or a bound flip. The primal and the dual simplex make
+row. Dantzig pricing switches to Bland's rule when the objective stalls. The
+primal ratio test lets a row block only if its pivot element exceeds
+`STABLE_PIVOT` in magnitude, the threshold the dual's stability test uses.
+An iteration is a pivot or a bound flip. The primal and the dual simplex make
 every pivot through one routine, `_Simplex._pivot`.
 
 Branch-and-bound explores nodes best-bound-first. The root has no start and
@@ -42,6 +46,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
@@ -52,7 +57,8 @@ INF = math.inf
 DJ_TOL = 1e-7
 PIVOT_TOL = 1e-9
 # a dual pivot needs |w_e| at least this, and its row (w_e) and column
-# (alpha_r) to agree to this relative tolerance
+# (alpha_r) to agree to this relative tolerance; a primal row blocks only
+# with |alpha_r| above it
 STABLE_PIVOT = 1e-7
 GAP_TOL = 1e-6
 REFACTOR_EVERY = 50
@@ -138,10 +144,12 @@ class _Simplex:
     """Revised simplex state: basis, bound statuses, factored basis.
 
     The basis matrix B = A[:, basis] is kept as a sparse LU factorization of
-    the basis at the last refactor plus an eta file: each pivot since then
-    appends the entering column in the old basis, alpha = B⁻¹a, and its pivot
-    row r, so B⁻¹ is the product of one elementary matrix per pivot and the
-    LU solve. Bounds are per-instance so branch-and-bound nodes can tighten
+    the basis at the last refactor plus an eta file: each pivot since then,
+    with entering column alpha = B⁻¹a in the old basis and pivot row r, is
+    the elementary matrix I + (eta - e_r)e_rᵀ, and B⁻¹ is their product times
+    the LU solve. The k etas are applied together: two triangular solves
+    with the k×k matrix L that couples them (Gill, Murray, Saunders & Wright
+    1984). Bounds are per-instance so branch-and-bound nodes can tighten
     them while sharing the constraint matrix.
     """
 
@@ -159,37 +167,59 @@ class _Simplex:
         self.iterations = 0
         self.deadline = INF  # time.monotonic() past which both loops stop
         self._lu = None
-        self._etas = []  # (row r, pivot alpha[r], other nonzero rows, their alpha)
+        # the eta file, k = _n_etas pivots since the last refactor: pivot
+        # rows R, dense rows G[j] = eta_j - e_R[j], and the unit lower
+        # triangle L[j, i] = -G[i, R[j]] (i < j), Fortran-ordered for dtrsv
+        self._n_etas = 0
+        self._R = np.zeros(REFACTOR_EVERY, dtype=np.intp)
+        self._G = np.empty((REFACTOR_EVERY, self.m))
+        self._L = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY), order="F")
 
     # -- linear algebra ----------------------------------------------------
 
     def refactor(self):
-        self._etas = []
+        """Factor B = A[:, basis] afresh, its CSC arrays gathered straight
+        from A's. SuperLU raises on an exactly singular B; a non-finite
+        entry is refused before it reaches the factorization."""
+        self._n_etas = 0
+        A, cols = self.A, self.basis
+        start = A.indptr[cols]
+        counts = A.indptr[cols + 1] - start
+        indptr = np.zeros(self.m + 1, dtype=A.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
+        data = A.data[take]
+        if not np.all(np.isfinite(data)):
+            raise SolverBreakdown("singular basis (non-finite entry)")
         try:
-            lu = splu(self.A[:, self.basis])
+            self._lu = splu(csc_array((data, A.indices[take], indptr),
+                                      shape=(self.m, self.m)))
         except RuntimeError as exc:
             raise SolverBreakdown(f"singular basis: {exc}") from exc
-        pivots = lu.U.diagonal()
-        if not np.all(np.isfinite(pivots)) or np.any(pivots == 0.0):
-            raise SolverBreakdown("singular basis (zero or non-finite pivot)")
-        self._lu = lu
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
-        """B⁻¹v: the LU solve, then the eta file oldest first."""
-        x = self._lu.solve(v)
-        for r, pe, idx, vals in self._etas:
-            xr = x[r] / pe
-            if xr != 0.0:
-                x[idx] -= xr * vals
-            x[r] = xr
-        return x
+        """B⁻¹v: the LU solve z = LU⁻¹v, then the eta file as one block.
+        Eta j adds G[j]·s_j to z, where s_j is z[R[j]] as the etas before it
+        left it; so L·s = z[R], and z += sᵀG."""
+        z = self._lu.solve(v)
+        k = self._n_etas
+        if k:
+            s = dtrsv(self._L[:k, :k], z[self._R[:k]], lower=1, diag=1,
+                      overwrite_x=1)
+            z += s @ self._G[:k]
+        return z
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        """B⁻ᵀv: the eta file newest first, then the transposed LU solve."""
-        w = np.array(v, dtype=float)
-        for r, pe, idx, vals in reversed(self._etas):
-            w[r] = (w[r] - w[idx] @ vals) / pe
-        return self._lu.solve(w, trans="T")
+        """B⁻ᵀv: the eta file as one block, then the transposed LU solve.
+        Eta j, applied newest first, adds t_j = G[j]·w to w[R[j]]; so
+        Lᵀ·t = G·v, and t is added into v at R, where a row may repeat."""
+        k = self._n_etas
+        if k:
+            t = dtrsv(self._L[:k, :k], self._G[:k] @ v, lower=1, trans=1,
+                      diag=1, overwrite_x=1)
+            v = v.copy()
+            np.add.at(v, self._R[:k], t)
+        return self._lu.solve(v, trans="T")
 
     def tableau_row(self, r: int) -> np.ndarray:
         """Row r of B⁻¹A over every column."""
@@ -235,8 +265,10 @@ class _Simplex:
         by -t·alpha and x_e by t, and the leaving column lands on its lower
         bound if `below`, else on its upper one. Both loops pivot only here.
 
-        The pivot is recorded as an eta; every `REFACTOR_EVERY` pivots this
-        refactors and recomputes x, and returns whether it did."""
+        The pivot is recorded as an eta, eta_r = 1/alpha[r] and
+        eta_i = -alpha[i]/alpha[r]: row r of R, G and L. Every
+        `REFACTOR_EVERY` pivots this refactors and recomputes x, and returns
+        whether it did."""
         leave = self.basis[r]
         self.x[self.basis] -= t * alpha
         self.x[e] += t
@@ -247,10 +279,14 @@ class _Simplex:
         pe = alpha[r]
         if abs(pe) < PIVOT_TOL:
             raise SolverBreakdown(f"pivot element {pe:.2e} below tolerance")
-        idx = np.flatnonzero(alpha)
-        idx = idx[idx != r]
-        self._etas.append((r, pe, idx, alpha[idx]))
-        if len(self._etas) < REFACTOR_EVERY:
+        k = self._n_etas
+        g = self._G[k]
+        np.divide(alpha, -pe, out=g)
+        g[r] = 1.0 / pe - 1.0
+        self._L[k, :k] = -self._G[:k, r]
+        self._R[k] = r
+        self._n_etas = k + 1
+        if self._n_etas < REFACTOR_EVERY:
             return False
         self.refactor()
         self.recompute_x()
@@ -372,7 +408,7 @@ class _Simplex:
             alpha = self.ftran(self.column(e))
             if abs(w[e]) < STABLE_PIVOT or \
                     abs(alpha[r] - w[e]) > STABLE_PIVOT * abs(w[e]):
-                if not self._etas:
+                if not self._n_etas:
                     raise SolverBreakdown(
                         f"unstable pivot: row {w[e]:.3e}, column {alpha[r]:.3e}")
                 self.refactor()
@@ -403,11 +439,12 @@ def _ratio_test(a: np.ndarray, xb: np.ndarray, lb_b: np.ndarray,
     Returns the blocking row and step: the nearest basic bound, or (-1,
     t_best) when none is nearer than the entering variable's own opposite
     bound at distance `t_best` (a bound flip, or unbounded if that is inf).
-    Rows whose limits tie within 1e-9 go to the largest |a|, scanning rows in
-    index order.
+    Only a row with |a| above `STABLE_PIVOT` can block, so no pivot element
+    is smaller. Rows whose limits tie within 1e-9 go to the largest |a|,
+    scanning rows in index order.
     """
-    up = a > PIVOT_TOL
-    down = a < -PIVOT_TOL
+    up = a > STABLE_PIVOT
+    down = a < -STABLE_PIVOT
     rows = np.flatnonzero((up & (lb_b != -INF)) | (down & (ub_b != INF)))
     ar = a[rows]
     bound = np.where(up[rows], lb_b[rows], ub_b[rows])

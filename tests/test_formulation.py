@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from leolift.formulation import (FixedDesign, FormulationError, LinearEpsilon,
                                  PAYLOAD_SIZING_COEFF, assemble,
@@ -493,6 +494,33 @@ class TestObjective:
                     assert fv.x_plus[(idx, c)] not in costed
 
 
+def leg_violations_on_optimal_face(model, bare, objective):
+    """Per side of each `cut:leg:` row of `model`, the largest violation
+    HiGHS finds over the LP optimal face of `bare`: its rows and bounds, and
+    c·x <= `objective` (+1e-9 relative). Columns are matched by name."""
+    sf, bsf = model.to_standard_form(), bare.to_standard_form()
+    bare_id = {v.name: v.id for v in bare.variables}
+    to_bare = np.array([bare_id[v.name] for v in model.variables])
+    face = [LinearConstraint(bsf.A, bsf.row_lo, bsf.row_hi),
+            LinearConstraint(bsf.c, -INF,
+                             objective + 1e-9 * max(1.0, abs(objective)))]
+    found = []
+    for i, con in enumerate(model.constraints):
+        if not con.tag.startswith("cut:leg:"):
+            continue
+        a = np.zeros(len(bare.variables))
+        span = slice(sf.A.indptr[i], sf.A.indptr[i + 1])
+        np.add.at(a, to_bare[sf.A.indices[span]], sf.A.data[span])
+        for side, end in ((1.0, sf.row_hi[i]), (-1.0, -sf.row_lo[i])):
+            if end == INF:
+                continue
+            # maximize side·a·x - end, the violation of side·a·x <= end
+            res = milp(c=-side * a, constraints=face, bounds=Bounds(bsf.lb, bsf.ub))
+            assert res.status == 0, res.message
+            found.append(-res.fun - end)
+    return found
+
+
 def ladder(horizon=8, width=3, demands=(), arcs=(), **vehicle_fields):
     """Ladder rung H/W with extra demand entries and arc families appended
     and fields of its vehicle replaced."""
@@ -631,9 +659,10 @@ class TestNetworkCuts:
     def test_cuts_separate_the_root_lp_and_keep_the_optimum(self, request, lunar,
                                                             rung, closure):
         """The root LP point of the model without the rows violates the cover
-        row (and, on the rung, a leg row); HiGHS's optimum of that model
-        meets every one of them. The bare model also keeps the holdovers no
-        supply reaches; a point of it is read into the model by name."""
+        row; on the rung, some point of that LP's optimal face violates a leg
+        row. HiGHS's optimum of that model meets every one of them. The bare
+        model also keeps the holdovers no supply reaches; a point of it is
+        read into the model by name."""
         cl = (LinearEpsilon(0.08) if closure == "epsilon"
               else request.getfixturevalue(closure))
         sc = lunar if rung is None else ladder(*rung)
@@ -652,7 +681,10 @@ class TestNetworkCuts:
         assert cut_viol <= set(cut_rows(model))
         assert any(t.startswith("cut:cover:") for t in cut_viol)
         if rung is not None:
-            assert any(t.startswith("cut:leg:") for t in cut_viol)
+            # the rung's root LP has several optimal vertices, and which one
+            # the simplex returns need not violate a leg row
+            assert max(leg_violations_on_optimal_face(model, bare,
+                                                      root.objective)) > FEAS_TOL
 
         ref = highs_milp(bare)
         assert ref.status == 0, ref.message

@@ -58,6 +58,28 @@ class TestSimplexToy:
         assert res.objective == pytest.approx(-1.0, abs=1e-9)
         assert res.x[0] + res.x[1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_row_with_tiny_alpha_does_not_block(self, monkeypatch):
+        """min -x + y  s.t.  1e-8·x - y <= 0, x <= 1. x enters, and the
+        first row's slack, at its bound, is the nearest block, with
+        alpha = 1e-8. The primal steps past it to x = 1 instead of pivoting
+        on 1e-8; y = 0 leaves that row 1e-8 off, inside `FEAS_TOL`, and the
+        optimum equals HiGHS's, -1 + 1e-8."""
+        elements = []
+        pivot = solver._Simplex._pivot
+
+        def recorded(state, r, e, alpha, t, below):
+            elements.append(abs(alpha[r]))
+            return pivot(state, r, e, alpha, t, below)
+
+        monkeypatch.setattr(solver._Simplex, "_pivot", recorded)
+        A, b, c = [[1e-8, -1.0], [1.0, 0.0]], [0.0, 1.0], [-1.0, 1.0]
+        m = lp_from_dense(A, ["<=", "<="], b, c, [0.0, 0.0], [INF, INF])
+        res = solve_lp(m.to_standard_form())
+        ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0.0, None)] * 2, method="highs")
+        assert res.status == "optimal" and ref.status == 0
+        assert elements and min(elements) > solver.STABLE_PIVOT, elements
+        assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+
     def test_ge_row_forces_floor(self):
         # min x  s.t.  x >= 3
         m = lp_from_dense([[1.0]], [">="], [3.0], [1.0], [0.0], [INF])
@@ -191,11 +213,11 @@ def ratio_test_loop(a, xb, lb_b, ub_b, t_best):
     reference."""
     block = -1
     for i in range(len(a)):
-        if a[i] > solver.PIVOT_TOL:
+        if a[i] > solver.STABLE_PIVOT:
             if lb_b[i] == -INF:
                 continue
             lim = (xb[i] - lb_b[i]) / a[i]
-        elif a[i] < -solver.PIVOT_TOL:
+        elif a[i] < -solver.STABLE_PIVOT:
             if ub_b[i] == INF:
                 continue
             lim = (xb[i] - ub_b[i]) / a[i]
@@ -288,8 +310,9 @@ class TestVectorizedScans:
         rng = np.random.default_rng(13)
         for trial in range(400):
             m = int(rng.integers(1, 30))
-            # few distinct values so limits tie, some entries under PIVOT_TOL
-            a = rng.choice([-2.0, -1.0, -0.5, -1e-10, 0.0, 1e-10, 0.5, 1.0, 2.0], m)
+            # few distinct values so limits tie, some entries under STABLE_PIVOT
+            a = rng.choice([-2.0, -1.0, -0.5, -1e-8, -1e-10, 0.0, 1e-10, 1e-8,
+                            0.5, 1.0, 2.0], m)
             a *= rng.choice([1.0, 1.0 + 1e-10], m)
             lb_b = np.where(rng.random(m) < 0.2, -INF, rng.choice([-1.0, 0.0], m))
             ub_b = np.where(rng.random(m) < 0.2, INF, rng.choice([1.0, 2.0], m))
@@ -348,15 +371,26 @@ class TestFactoredBasis:
         state.refactor()
         return state, rng
 
-    def _pivot(self, state, rng):
-        """Bring a random nonbasic column in at its largest |alpha| row."""
+    def _pivot(self, state, rng, row=None):
+        """Bring a random nonbasic column in at `row`, or at its largest
+        |alpha| row."""
         while True:
             j = int(rng.choice(np.flatnonzero(state.status != solver.BASIC)))
             alpha = state.ftran(state.column(j))
-            r = int(np.argmax(np.abs(alpha)))
+            r = int(np.argmax(np.abs(alpha))) if row is None else row
             if abs(alpha[r]) > 0.1:
                 break
         state._pivot(r, j, alpha, 0.0, True)
+
+    def _check_solves(self, state, rng):
+        """ftran and btran against dense solves with B."""
+        B = state.A[:, state.basis].toarray()
+        for _ in range(3):
+            v = rng.normal(size=self.M)
+            np.testing.assert_allclose(state.ftran(v), np.linalg.solve(B, v),
+                                       rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(state.btran(v), np.linalg.solve(B.T, v),
+                                       rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("pivots", [0, 1, solver.REFACTOR_EVERY - 1,
                                         solver.REFACTOR_EVERY])
@@ -365,14 +399,19 @@ class TestFactoredBasis:
         for _ in range(pivots):
             self._pivot(state, rng)
         # the eta file holds every pivot since the last refactor
-        assert len(state._etas) == pivots % solver.REFACTOR_EVERY
-        B = state.A[:, state.basis].toarray()
-        for _ in range(3):
-            v = rng.normal(size=self.M)
-            np.testing.assert_allclose(state.ftran(v), np.linalg.solve(B, v),
-                                       rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(state.btran(v), np.linalg.solve(B.T, v),
-                                       rtol=1e-9, atol=1e-9)
+        assert state._n_etas == pivots % solver.REFACTOR_EVERY
+        self._check_solves(state, rng)
+
+    def test_ftran_btran_with_a_row_pivoted_twice(self):
+        """Rows 4 and 9 each take several pivots between refactors, so the
+        eta file's pivot rows repeat; each eta acts on the row as the etas
+        before it left it."""
+        state, rng = self._state(11)
+        rows = [4, 9, 4, 4, 9]
+        for r in rows:
+            self._pivot(state, rng, row=r)
+        np.testing.assert_array_equal(state._R[:state._n_etas], rows)
+        self._check_solves(state, rng)
 
     @pytest.mark.parametrize("second", [[2.0, 4.0, 0.0], [0.0, 0.0, 0.0],
                                         [INF, 1.0, 0.0]])
@@ -430,7 +469,7 @@ class TestWarmDualState:
             x = state.nonbasic_values()
             x[state.basis] = state.ftran(state.b - state.A @ x)
             d = state.price(cost)
-            if not state._etas:
+            if not state._n_etas:
                 counts["exact"] += 1
                 np.testing.assert_array_equal(state.x, x)
                 np.testing.assert_array_equal(state.d, d)
@@ -529,14 +568,14 @@ class TestWarmDualState:
         with an eta file the dual refactors and prices again; on the fresh
         factorization it raises."""
         prob, root, lb, ub, cost = self._node(0)
-        assert root._etas  # the root solve pivoted since its last refactor
+        assert root._n_etas  # the root solve pivoted since its last refactor
         root.lb, root.ub = lb, ub
         basis = root.basis.copy()
         etas_at_refactor = []
         refactor = solver._Simplex.refactor
 
         def counted(state):
-            etas_at_refactor.append(len(state._etas))
+            etas_at_refactor.append(state._n_etas)
             refactor(state)
 
         monkeypatch.setattr(solver._Simplex, "refactor", counted)
@@ -1244,10 +1283,10 @@ class TestLadderTarget:
 
 class TestFactorSharing:
     @pytest.mark.parametrize("rung, surrogate, nodes, iterations, objective", [
-        (None, "linreg", 1, 32, "0x1.4d34a9215cb52p+15"),
-        ((8, 3), "linreg", 6, 160, "0x1.4d34a9215cb47p+15"),
-        ((8, 3), "nn", 45, 349, "0x1.5022fadbd146ep+15"),
-        (None, "nn", 5, 60, "0x1.5022fadbd145ep+15"),
+        (None, "linreg", 1, 32, "0x1.4d34a9215cb6ap+15"),
+        ((8, 3), "linreg", 3, 110, "0x1.4d34a9215cb4bp+15"),
+        ((8, 3), "nn", 51, 360, "0x1.5022fadbd146fp+15"),
+        (None, "nn", 17, 98, "0x1.5022fadbd1460p+15"),
     ])
     def test_trees_are_pinned(self, tmp_path, rung, surrogate, nodes,
                               iterations, objective):
@@ -1264,8 +1303,8 @@ class TestFactorSharing:
 
     def test_siblings_share_one_factorization(self, tmp_path, monkeypatch):
         """Both children of a branched node start from its basis, factored
-        once: fewer `splu` calls than nodes on a tree that branches (H14/W9,
-        NN closure of seed 0: 59 nodes)."""
+        once: fewer `splu` calls than nodes on a tree that branches (H8/W3,
+        NN closure of seed 0: 51 nodes)."""
         from leolift import cli
 
         calls = []
@@ -1278,6 +1317,6 @@ class TestFactorSharing:
         monkeypatch.setattr(solver, "splu", counted)
         sol = cli.run_pipeline(cli.build_parser().parse_args(
             ["--surrogate", "nn", "--scenario",
-             str(ladder_scenario(tmp_path, 14, 9))])).solution
-        assert sol.status == "optimal" and sol.nodes == 59
+             str(ladder_scenario(tmp_path, 8, 3))])).solution
+        assert sol.status == "optimal" and sol.nodes == 51
         assert len(calls) < sol.nodes
