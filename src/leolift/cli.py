@@ -85,7 +85,7 @@ class RunReport:
 @dataclass
 class SeedStudySummary:
     trials: int
-    rows: list[dict]           # seed, test_r2, objective_kg, gap_pct, status
+    rows: list[dict]           # keyed by CSV_FIELDS
     mean_gap: float | None
     median_gap: float | None
     failures: int              # non-convergent trainings
@@ -299,16 +299,17 @@ def run_seed_study(args) -> SeedStudySummary:
 
 # -- rendering ---------------------------------------------------------------
 
+# the CSV header, and the keys of each row in that order
+CSV_FIELDS = ("seed", "test_r2", "objective_kg", "gap_pct", "status")
+
 def _render_report(rep: RunReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rep.to_dict(), indent=2)
     if fmt == "csv":
-        lines = ["seed,test_r2,objective_kg,gap_pct,status"]
-        lines.append(_csv_row({"seed": rep.surrogate_seed, "test_r2": rep.test_r2,
-                               "objective_kg": rep.solution.objective,
-                               "gap_pct": rep.gap_pct,
-                               "status": rep.solution.status}))
-        return "\n".join(lines)
+        return "\n".join([",".join(CSV_FIELDS), _csv_row({
+            "seed": rep.surrogate_seed, "test_r2": rep.test_r2,
+            "objective_kg": rep.solution.objective, "gap_pct": rep.gap_pct,
+            "status": rep.solution.status})])
     sol = rep.solution
     out = [f"scenario      {rep.scenario}",
            f"surrogate     {rep.surrogate_kind}"
@@ -343,8 +344,7 @@ def _csv_row(row: dict) -> str:
         if isinstance(v, float):
             return "" if not math.isfinite(v) else repr(v)
         return str(v)
-    return ",".join(cell(row[k]) for k in
-                    ("seed", "test_r2", "objective_kg", "gap_pct", "status"))
+    return ",".join(cell(row[k]) for k in CSV_FIELDS)
 
 
 def _render_study(summary: SeedStudySummary, fmt: str) -> str:
@@ -357,8 +357,7 @@ def _render_study(summary: SeedStudySummary, fmt: str) -> str:
             "failures": summary.failures,
             "excluded_low_r2": summary.excluded_low_r2,
         }, indent=2)
-    lines = ["seed,test_r2,objective_kg,gap_pct,status"]
-    lines += [_csv_row(r) for r in summary.rows]
+    lines = [",".join(CSV_FIELDS)] + [_csv_row(r) for r in summary.rows]
     if fmt == "csv":
         return "\n".join(lines)
     lines.append("")

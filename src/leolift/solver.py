@@ -17,25 +17,27 @@ primal ratio test lets a row block only if its pivot element exceeds
 An iteration is a pivot or a bound flip. The primal and the dual simplex make
 every pivot through one routine, `_Simplex._pivot`.
 
-Branch-and-bound explores nodes best-bound-first. The root has no start and
-is solved cold by the two-phase primal of `_two_phase`; every other node warm
-starts a bounded dual simplex from its `_Start`, the parent's final basis. Both
-children of a branched node hold one start: whichever is solved first
-factors the basis into it, and the other starts from that factor with an
-empty eta file. Aᵀ is built once per problem and shared by every node. The
-dual keeps the basic values x_B and the reduced costs d across pivots,
-updating them from the pivot row and column, so an iteration makes one
-`btran` and one `ftran`; both are recomputed at every refactor. The entering
-column comes from a Harris two-pass ratio test, and a pivot whose row and
-column disagree, or whose element is tiny, triggers a refactor instead; on a
-fresh factorization it is a `SolverBreakdown`, and the node falls back to
-the root's cold solve, whose basis its children inherit. The dual guards
-against cycling like the primal: after `STALL_LIMIT` pivots in a row that
-leave the dual objective flat it takes the dual Bland rule (lowest-index
-infeasible basic variable leaves, lowest-index min-ratio column enters) until
-a pivot makes progress. A breakdown the cold solve cannot recover, or an
-incumbent that fails the final check against the model's rows, bounds and
-integrality, ends the solve with the `numerical` status.
+Branch-and-bound explores nodes best-bound-first on one simplex state per
+solve. The state holds the problem itself (A, Aᵀ, b, the costs and the
+bounds); each node writes its structural bounds into it and loads its start.
+The root has no start and is solved cold by the two-phase primal of
+`_two_phase`; every other node warm starts a bounded dual simplex from its
+`_Start`, the parent's final basis. Both children of a branched node hold one
+start: whichever is solved first factors the basis into it, and the other
+starts from that factor with an empty eta file. The dual keeps the basic
+values x_B and the reduced costs d across pivots, updating them from the
+pivot row and column, so an iteration makes one `btran` and one `ftran`; both
+are recomputed at every refactor. The entering column comes from a Harris
+two-pass ratio test, and a pivot whose row and column disagree, or whose
+element is tiny, triggers a refactor instead; on a fresh factorization it is
+a `SolverBreakdown`, and the node falls back to the root's cold solve, whose
+basis its children inherit. The dual guards against cycling like the primal:
+after `STALL_LIMIT` pivots in a row that leave the dual objective flat it
+takes the dual Bland rule (lowest-index infeasible basic variable leaves,
+lowest-index min-ratio column enters) until a pivot makes progress. A
+breakdown the cold solve cannot recover, or an incumbent that fails the final
+check against the model's rows, bounds and integrality, ends the solve with
+the `numerical` status.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ class _TimeUp(Exception):
 
 
 @dataclass
-class LpResult:
-    status: str  # optimal | infeasible | unbounded
-    x: np.ndarray  # structural variable values
-    objective: float
-    iterations: int
-
-
-@dataclass
 class BnbConfig:
     node_limit: int = 100000
     time_limit: float = INF
@@ -94,26 +88,9 @@ class BnbConfig:
             raise ValueError("BnbConfig limits must be positive")
 
 
-@dataclass
-class _Problem:
-    """Equality form A@x == b over structural + slack columns.
-
-    `A` is a CSC array and `AT` its transpose, built once for every simplex
-    state on the problem. Slack of row i sits at column n_struct + i.
-    """
-
-    A: csc_array
-    AT: csr_array
-    b: np.ndarray
-    c: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    n_struct: int
-    int_mask: np.ndarray  # over structural columns
-
-
-def _problem_from_form(sf: StandardForm) -> _Problem:
-    """Ranged rows become equality rows over slacks in [0, row_hi - row_lo].
+def _problem_from_form(sf: StandardForm) -> _Simplex:
+    """The simplex state of `sf`: ranged rows become equality rows over
+    slacks in [0, row_hi - row_lo].
 
     A row with a finite upper end keeps its sign and b = row_hi; any other row
     is negated, with b = -row_lo. An equality row's slack is fixed at 0. A
@@ -133,11 +110,10 @@ def _problem_from_form(sf: StandardForm) -> _Problem:
          np.concatenate([cols.indptr, np.arange(nnz + 1, nnz + m + 1,
                                                 dtype=cols.indptr.dtype)])),
         shape=(m, n + m))
-    b = np.where(keep, sf.row_hi, -sf.row_lo)
-    c = np.concatenate([sf.c, np.zeros(m)])
-    lb = np.concatenate([sf.lb, np.zeros(m)])
-    ub = np.concatenate([sf.ub, sf.row_hi - sf.row_lo])
-    return _Problem(A, A.T, b, c, lb, ub, n, sf.is_int.copy())
+    return _Simplex(A, np.where(keep, sf.row_hi, -sf.row_lo),
+                    np.concatenate([sf.c, np.zeros(m)]),
+                    np.concatenate([sf.lb, np.zeros(m)]),
+                    np.concatenate([sf.ub, sf.row_hi - sf.row_lo]))
 
 
 class _Simplex:
@@ -149,17 +125,24 @@ class _Simplex:
     the elementary matrix I + (eta - e_r)e_rᵀ, and B⁻¹ is their product times
     the LU solve. The k etas are applied together: two triangular solves
     with the k×k matrix L that couples them (Gill, Murray, Saunders & Wright
-    1984). Bounds are per-instance so branch-and-bound nodes can tighten
-    them while sharing the constraint matrix.
+    1984).
+
+    The state is the whole problem too: A@x == b over structural and slack
+    columns, the costs c and the bounds. Slack of row i sits at column
+    n_struct + i, the last m columns. One state serves a whole
+    branch-and-bound solve: each node writes its structural bounds into it
+    and `load`s its start.
     """
 
-    def __init__(self, A, AT, b, lb, ub):
+    def __init__(self, A: csc_array, b, c, lb, ub):
         self.A = A
-        self.AT = AT  # A's transpose (CSR), for pricing
+        self.AT = A.T  # CSR, for pricing
         self.b = b
+        self.c = c
         self.lb = lb.copy()
         self.ub = ub.copy()
         self.m, self.n = A.shape
+        self.n_struct = self.n - self.m
         self.basis = np.zeros(self.m, dtype=int)
         self.status = np.full(self.n, AT_LO, dtype=np.int8)
         self.x = np.zeros(self.n)
@@ -174,6 +157,19 @@ class _Simplex:
         self._R = np.zeros(REFACTOR_EVERY, dtype=np.intp)
         self._G = np.empty((REFACTOR_EVERY, self.m))
         self._L = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY), order="F")
+
+    def load(self, start: _Start):
+        """Take a node's start: its basis, statuses and factor, which this
+        makes and keeps in `start` if it has none yet. The eta file starts
+        empty, since the etas left from the last node act on another
+        factor."""
+        self.basis, self.status = start.basis.copy(), start.status.copy()
+        if start.lu is None:
+            self.refactor()
+            start.lu = self._lu
+            return
+        self._lu = start.lu  # a refactor replaces the factor, never mutates it
+        self._n_etas = 0
 
     # -- linear algebra ----------------------------------------------------
 
@@ -338,8 +334,9 @@ class _Simplex:
 
     # -- dual simplex ------------------------------------------------------
 
-    def dual(self, cost: np.ndarray) -> str:
-        """Restore primal feasibility from a dual-feasible basis.
+    def dual(self) -> str:
+        """Restore primal feasibility from a dual-feasible basis, for the
+        state's costs c.
 
         Returns "feasible" or "infeasible". Both verdicts are read from an x
         freshly recomputed from the factorization. Between them the basic
@@ -358,7 +355,7 @@ class _Simplex:
         `SolverBreakdown`.
         """
         self.recompute_x()
-        self.d = self.price(cost)
+        self.d = self.price(self.c)
         bland = False
         stall = 0
         fresh = True  # x was just recomputed, not updated
@@ -413,7 +410,7 @@ class _Simplex:
                         f"unstable pivot: row {w[e]:.3e}, column {alpha[r]:.3e}")
                 self.refactor()
                 self.recompute_x()
-                self.d = self.price(cost)
+                self.d = self.price(self.c)
                 fresh = True
                 continue
 
@@ -428,7 +425,7 @@ class _Simplex:
             d[e] = 0.0
             fresh = self._pivot(r, e, alpha, (xb[r] - target) / alpha[r], below)
             if fresh:
-                self.d = self.price(cost)
+                self.d = self.price(self.c)
         raise SolverBreakdown(f"dual simplex exceeded {MAX_ITER} iterations")
 
 
@@ -457,9 +454,10 @@ def _ratio_test(a: np.ndarray, xb: np.ndarray, lb_b: np.ndarray,
     return block, t_best
 
 
-def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
+def _two_phase(state: _Simplex) -> str:
     """Two-phase primal simplex from the all-slack basis (B = I), every
-    structural column on a bound or free at 0.
+    structural column on a bound or free at 0; phase 2 minimizes the state's
+    costs c.
 
     Phase 1 minimizes the slacks' bound violations: a slack above its upper
     bound costs +1 over [that bound, +inf), one below its lower bound -1
@@ -468,7 +466,7 @@ def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
     on; when none is, the convex sum of violations is at its minimum, above
     0, and the LP is infeasible. Every exit leaves the slacks' own bounds.
     """
-    slacks = slack_offset + np.arange(state.m)
+    slacks = state.n_struct + np.arange(state.m)
     lo, hi = state.lb[slacks], state.ub[slacks]
     state.status[:] = np.where(state.lb > -INF, AT_LO,
                                np.where(state.ub < INF, AT_UP, NB_FREE))
@@ -497,25 +495,28 @@ def _two_phase(state: _Simplex, cost: np.ndarray, slack_offset: int) -> str:
             below &= ~back
     finally:
         state.lb[slacks], state.ub[slacks] = lo, hi
-    return state.primal(cost)
+    return state.primal(state.c)
 
 
-def solve_lp(sf: StandardForm) -> LpResult:
+def solve_lp(sf: StandardForm) -> Solution:
     """Solve min c@x s.t. row_lo <= A@x <= row_hi, lb <= x <= ub exactly.
 
     Cold, by `_two_phase` from the all-slack basis. A problem without rows
     takes the same path: its one empty row's slack, fixed at 0, is the basis,
-    so the primal simplex only moves variables between their bounds.
+    so the primal simplex only moves variables between their bounds. The
+    status is optimal, infeasible or unbounded; `best_bound` equals the
+    objective, and `gap` is 0 when optimal.
     """
-    prob = _problem_from_form(sf)
-    n = prob.n_struct
-    state = _Simplex(prob.A, prob.AT, prob.b, prob.lb, prob.ub)
-    status = _two_phase(state, prob.c, n)
+    state = _problem_from_form(sf)
+    n = state.n_struct
+    status = _two_phase(state)
     if status == "optimal":
-        return LpResult(status, state.x[:n].copy(), float(prob.c @ state.x),
-                        state.iterations)
-    return LpResult(status, np.zeros(n), INF if status == "infeasible" else -INF,
-                    state.iterations)
+        obj = float(state.c @ state.x)
+        return Solution(state.x[:n].copy(), obj, status,
+                        iterations=state.iterations, best_bound=obj, gap=0.0)
+    obj = INF if status == "infeasible" else -INF
+    return Solution(np.zeros(n), obj, status, iterations=state.iterations,
+                    best_bound=obj)
 
 
 @dataclass
@@ -529,33 +530,30 @@ class _Start:
     lu: object = None
 
 
-def _solve_node(state: _Simplex, start: _Start | None, cost: np.ndarray,
-                slack_offset: int) -> str:
-    """A node's LP. From a start: the warm dual simplex, then primal pivots
-    if its optimum still prices a column in. Without one (the root), or when
-    the warm solve breaks down: cold by `_two_phase` from the all-slack basis
-    on the same state, whose iterations then keep the abandoned pivots."""
+def _solve_node(state: _Simplex, start: _Start | None) -> str:
+    """A node's LP, on the state holding its bounds. From a start: the warm
+    dual simplex, then primal pivots if its optimum still prices a column
+    in. Without one (the root), or when the warm solve breaks down: cold by
+    `_two_phase` from the all-slack basis, the abandoned pivots still
+    counted in the state's iterations."""
     if start is not None:
         try:
-            state.basis, state.status = start.basis.copy(), start.status.copy()
-            state._lu = start.lu  # a refactor replaces the factor, never mutates it
-            if start.lu is None:
-                state.refactor()
-                start.lu = state._lu
-            if state.dual(cost) == "infeasible":
+            state.load(start)
+            if state.dual() == "infeasible":
                 return "infeasible"
             if not state.improving(state.d).any():
                 return "optimal"
-            return state.primal(cost)
+            return state.primal(state.c)
         except SolverBreakdown:
             pass
-    return _two_phase(state, cost, slack_offset)
+    return _two_phase(state)
 
 
 @dataclass(order=True)
 class _Node:
     """An open node, ordered by bound (its parent's LP value, -inf at the
-    root), then push order. Only the root has no start."""
+    root), then push order. Its bounds are the structural columns' only,
+    since branching never changes a slack's. Only the root has no start."""
 
     bound: float
     seq: int
@@ -586,16 +584,15 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
     sf = model.to_standard_form()
-    prob = _problem_from_form(sf)
-    n_struct = prob.n_struct
-    int_ids = np.nonzero(prob.int_mask)[0]
+    state = _problem_from_form(sf)
+    n_struct = state.n_struct
+    int_ids = np.nonzero(sf.is_int)[0]
 
     incumbent = None
     incumbent_obj = INF
     best_bound = -INF
     closed = INF  # smallest bound of a node the gap test dropped
     nodes_done = 0
-    total_iters = 0
     seq = 1
 
     def pick_branch(x):
@@ -606,7 +603,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             return -1
         return int(int_ids[cand[np.argmin(np.abs(dist[cand] - 0.5))]])
 
-    heap = [_Node(-INF, 0, prob.lb, prob.ub, None)]
+    heap = [_Node(-INF, 0, sf.lb, sf.ub, None)]
     status = "optimal"
     while heap:
         if nodes_done >= cfg.node_limit:
@@ -620,18 +617,16 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             continue
         nodes_done += 1
 
-        state = _Simplex(prob.A, prob.AT, prob.b, node.lb, node.ub)
+        state.lb[:n_struct], state.ub[:n_struct] = node.lb, node.ub
         state.deadline = t0 + cfg.time_limit if nodes_done > 1 else INF
         try:
-            st = _solve_node(state, node.start, prob.c, n_struct)
+            st = _solve_node(state, node.start)
         except (SolverBreakdown, _TimeUp) as exc:
             status = "limit" if isinstance(exc, _TimeUp) else "numerical"
             heapq.heappush(heap, node)  # still open: its bound counts
             break
-        finally:
-            total_iters += state.iterations
 
-        lp_obj = (float(prob.c @ state.x) if st == "optimal"
+        lp_obj = (float(state.c @ state.x) if st == "optimal"
                   else INF if st == "infeasible" else -INF)
         if node_log is not None:
             node_log(f"{nodes_done - 1}, {node.depth}, {lp_obj:.6f}, "
@@ -641,7 +636,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             continue
         if st == "unbounded":
             return Solution(np.zeros(n_struct), -INF, st, nodes=nodes_done,
-                            iterations=total_iters, seconds=time.monotonic() - t0,
+                            iterations=state.iterations, seconds=time.monotonic() - t0,
                             best_bound=-INF)
         if incumbent is not None and lp_obj >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
@@ -675,12 +670,12 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     if incumbent is None:
         final = "infeasible" if status == "optimal" else status
         return Solution(np.zeros(n_struct), INF, final, nodes=nodes_done,
-                        iterations=total_iters, seconds=elapsed,
+                        iterations=state.iterations, seconds=elapsed,
                         best_bound=bound)
     if status == "optimal" and not _certified(sf, incumbent):
         status = "numerical"
     return Solution(incumbent, float(incumbent_obj), status, nodes=nodes_done,
-                    iterations=total_iters, seconds=elapsed, best_bound=bound,
+                    iterations=state.iterations, seconds=elapsed, best_bound=bound,
                     gap=_rel_gap(incumbent_obj, bound))
 
 

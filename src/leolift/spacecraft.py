@@ -8,13 +8,17 @@ loaded propellant for a single-stage LOX/kerosene vehicle:
 
 Everything here is deliberately independent of the MILP machinery so it can
 serve as ground truth: `solve_exact_oracle` solves the coupled sizing/burn
-system directly and the rest of the package is validated against it.
+system directly, by bisection on the total mass, and the rest of the package
+is validated against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+TOL = 1e-6  # kg: the oracle stops when its burn residual is below this
+MAX_ITER = 10000  # bisection halvings before the oracle gives up
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,17 @@ def generate_dataset(p: SizingParams, lo: float = 0.0, hi: float = 50000.0,
     return pairs
 
 
-def solve_exact_oracle(p: SizingParams, payload: float, delta_vs: list[float],
-                       tol: float = 1e-6, max_iter: int = 10000) -> OracleResult:
+def solve_exact_oracle(p: SizingParams, payload: float,
+                       delta_vs: list[float]) -> OracleResult:
     """Solve the coupled system m_d = sizing(m_p, m_f), m_f = phi * total mass.
 
     phi is the combined propellant fraction 1 - exp(-sum(dv)/(isp*g0)) over
-    the mission burns; m_p is pinned to the payload. Uses a damped fixed-point
-    iteration (damping 0.5) with a bisection fallback on total mass if the
-    iteration oscillates. IMLEO = m_d + m_p + m_f.
+    the mission burns; m_p is pinned to the payload. The total mass T is the
+    root of f(T) = T - (m_p + phi*T + sizing(m_p, phi*T)). The sizing
+    relation is concave in m_f, so f is convex, and f(m_p) < 0: a bracket
+    [m_p, hi] with f(hi) >= 0 holds exactly one root. Bisection halves it
+    until the burn residual m_f - phi*T is below `TOL` kg.
+    IMLEO = m_d + m_p + m_f.
     """
     if payload < 0:
         raise ValueError(f"payload must be nonnegative, got {payload}")
@@ -110,29 +117,6 @@ def solve_exact_oracle(p: SizingParams, payload: float, delta_vs: list[float],
         return OracleResult(imleo=m_d + m_p, m_d=m_d, m_p=m_p, m_f=0.0,
                             residual=0.0, iterations=0)
 
-    def residual_at(m_f: float) -> tuple[float, float]:
-        m_d = evaluate_sizing(p, m_p, m_f)
-        return m_f - phi * (m_d + m_p + m_f), m_d
-
-    m_f = phi * m_p / max(1.0 - phi, 1e-12)  # structure-free starting guess
-    damping = 0.5
-    prev_res = math.inf
-    oscillations = 0
-    for it in range(1, max_iter + 1):
-        res, m_d = residual_at(m_f)
-        if abs(res) < tol:
-            return OracleResult(imleo=m_d + m_p + m_f, m_d=m_d, m_p=m_p, m_f=m_f,
-                                residual=abs(res), iterations=it)
-        if abs(res) >= abs(prev_res):
-            oscillations += 1
-            if oscillations > 20:
-                break  # hand over to bisection
-        prev_res = res
-        m_f = m_f - damping * res
-
-    # Bisection on total mass T: f(T) = T - (m_p + phi*T + sizing(m_p, phi*T))
-    # is increasing whenever the fixed point is attracting, so a sign change
-    # brackets the unique root.
     def f(T: float) -> float:
         return T - (m_p + phi * T + evaluate_sizing(p, m_p, phi * T))
 
@@ -143,16 +127,16 @@ def solve_exact_oracle(p: SizingParams, payload: float, delta_vs: list[float],
         expand += 1
     if f(hi_t) < 0:
         raise RuntimeError("oracle failed to bracket a fixed point")
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         mid = 0.5 * (lo_t + hi_t)
-        if f(mid) < 0:
+        m_f = phi * mid
+        m_d = evaluate_sizing(p, m_p, m_f)
+        res = m_f - phi * (m_d + m_p + m_f)  # phi * f(mid)
+        if abs(res) < TOL:
+            return OracleResult(imleo=m_d + m_p + m_f, m_d=m_d, m_p=m_p, m_f=m_f,
+                                residual=abs(res), iterations=it)
+        if res < 0:
             lo_t = mid
         else:
             hi_t = mid
-        m_f = phi * mid
-        res, m_d = residual_at(m_f)
-        if abs(res) < tol:
-            return OracleResult(imleo=m_d + m_p + m_f, m_d=m_d, m_p=m_p, m_f=m_f,
-                                residual=abs(res), iterations=it)
-    raise RuntimeError(f"oracle did not converge after {max_iter} iterations")
+    raise RuntimeError(f"oracle did not converge after {MAX_ITER} iterations")

@@ -677,7 +677,7 @@ class TestNetworkCuts:
 
         root = solve_lp(bare.to_standard_form())
         assert root.status == "optimal"
-        cut_viol = {v.tag for v in model.evaluate(point(root.x))}
+        cut_viol = {v.tag for v in model.evaluate(point(root.values))}
         assert cut_viol <= set(cut_rows(model))
         assert any(t.startswith("cut:cover:") for t in cut_viol)
         if rung is not None:

@@ -33,11 +33,11 @@ def lp_from_dense(A, senses, b, c, lb, ub):
                             np.asarray(c, float), lb, ub, kinds)
 
 
-def cold_solve(prob):
-    """The two-phase solve of `prob` from its slack basis, as branch-and-bound
+def cold_solve(sf):
+    """The two-phase solve of `sf` from its slack basis, as branch-and-bound
     solves the root; returns (status, final state)."""
-    state = solver._Simplex(prob.A, prob.AT, prob.b, prob.lb, prob.ub)
-    return solver._two_phase(state, prob.c, prob.n_struct), state
+    state = solver._problem_from_form(sf)
+    return solver._two_phase(state), state
 
 
 class TestSimplexToy:
@@ -47,7 +47,7 @@ class TestSimplexToy:
         res = solve_lp(m.to_standard_form())
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-4.0, abs=1e-9)
-        assert res.x[0] == pytest.approx(4.0, abs=1e-9)
+        assert res.values[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_two_vars_share_budget(self):
         # min -x - y  s.t.  x + y <= 1
@@ -56,7 +56,7 @@ class TestSimplexToy:
         res = solve_lp(m.to_standard_form())
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-1.0, abs=1e-9)
-        assert res.x[0] + res.x[1] == pytest.approx(1.0, abs=1e-9)
+        assert res.values[0] + res.values[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_row_with_tiny_alpha_does_not_block(self, monkeypatch):
         """min -x + y  s.t.  1e-8·x - y <= 0, x <= 1. x enters, and the
@@ -94,7 +94,7 @@ class TestSimplexToy:
         res = solve_lp(m.to_standard_form())
         assert res.status == "optimal"
         # cheapest way to reach 4 is maximal y
-        assert res.x[1] == pytest.approx(1.5, abs=1e-8)
+        assert res.values[1] == pytest.approx(1.5, abs=1e-8)
         assert res.objective == pytest.approx(2.5, abs=1e-8)
 
     def test_infeasible_detected(self):
@@ -170,7 +170,7 @@ class TestSimplexRandom:
             A, b, c, lb, ub = random_box_lp(rng)
             m = lp_from_dense(A, ["<="] * len(b), b, c, lb, ub)
             res = solve_lp(m.to_standard_form())
-            x = res.x
+            x = res.values
             assert (A @ x <= b + 1e-7).all()
             assert (x >= lb - 1e-9).all() and (x <= ub + 1e-9).all()
 
@@ -180,7 +180,7 @@ class TestSimplexRandom:
         lb = np.where(rng.random(n) < 0.2, -INF, rng.normal(size=n))
         ub = np.where(rng.random(n) < 0.2, INF, lb + rng.uniform(0.0, 3.0, n))
         A = csc_array((3, n))
-        state = solver._Simplex(A, A.T, np.zeros(3), lb, ub)
+        state = solver._Simplex(A, np.zeros(3), np.zeros(n), lb, ub)
         state.status = rng.choice(np.array([solver.BASIC, solver.AT_LO, solver.AT_UP,
                                             solver.NB_FREE], dtype=np.int8), n)
         loop = [lb[j] if state.status[j] == solver.AT_LO
@@ -293,11 +293,12 @@ class TestVectorizedScans:
                 b[0] = math.nan
             full_lb = np.concatenate([lb, np.zeros(m)])
             full_ub = np.concatenate([ub, slack_ub])
-            state = solver._Simplex(A, A.T, b, full_lb, full_ub)
+            state = solver._Simplex(A, b, np.zeros(n + m), full_lb, full_ub)
             with pytest.raises(solver.SolverBreakdown, match="stop at the start"):
-                solver._two_phase(state, np.zeros(n + m), n)
+                solver._two_phase(state)
             basis, status, cost, run_lb, run_ub = seen.pop()
-            ref = phase_one_start_loop(solver._Simplex(A, A.T, b, full_lb, full_ub), n)
+            ref = phase_one_start_loop(
+                solver._Simplex(A, b, np.zeros(n + m), full_lb, full_ub), n)
             np.testing.assert_array_equal(basis, n + np.arange(m))
             for got, want in zip((status, cost, run_lb, run_ub), ref):
                 np.testing.assert_array_equal(got, want)
@@ -364,8 +365,9 @@ class TestFactoredBasis:
         S = sparse_random((self.M, self.N), density=0.15, rng=rng,
                           data_sampler=lambda size: rng.uniform(-2.0, 2.0, size))
         A = hstack([S, eye_array(self.M)], format="csc")
-        state = solver._Simplex(A, A.T, np.zeros(self.M), np.zeros(A.shape[1]),
-                                np.ones(A.shape[1]))
+        n = A.shape[1]
+        state = solver._Simplex(A, np.zeros(self.M), np.zeros(n), np.zeros(n),
+                                np.ones(n))
         state.basis = np.arange(self.N, self.N + self.M)  # slacks: B = I
         state.status[state.basis] = solver.BASIC
         state.refactor()
@@ -413,6 +415,22 @@ class TestFactoredBasis:
         np.testing.assert_array_equal(state._R[:state._n_etas], rows)
         self._check_solves(state, rng)
 
+    def test_sibling_loads_the_shared_factor_with_no_etas(self):
+        """Two siblings hold one start. The first to load it factors it; the
+        second loads that factor after the first has pivoted past it, and
+        starts with an empty eta file, so its solves are with its own B."""
+        state, rng = self._state(3)
+        start = solver._Start(state.basis.copy(), state.status.copy())
+        state.load(start)
+        assert start.lu is state._lu and state._n_etas == 0
+        for _ in range(5):
+            self._pivot(state, rng)
+        assert state._n_etas == 5
+        state.load(start)
+        assert state._lu is start.lu and state._n_etas == 0
+        np.testing.assert_array_equal(state.basis, start.basis)
+        self._check_solves(state, rng)
+
     @pytest.mark.parametrize("second", [[2.0, 4.0, 0.0], [0.0, 0.0, 0.0],
                                         [INF, 1.0, 0.0]])
     def test_singular_basis_raises_breakdown(self, second):
@@ -421,7 +439,7 @@ class TestFactoredBasis:
         A = csc_array(np.array([[1.0, second[0], 0.0],
                                 [2.0, second[1], 0.0],
                                 [0.0, second[2], 1.0]]))
-        state = solver._Simplex(A, A.T, np.zeros(3), np.zeros(3), np.ones(3))
+        state = solver._Simplex(A, np.zeros(3), np.zeros(3), np.zeros(3), np.ones(3))
         state.basis = np.array([0, 1, 2])
         with pytest.raises(solver.SolverBreakdown):
             state.refactor()
@@ -446,8 +464,7 @@ class TestWarmDualState:
         c = rng.normal(size=self.N).round(3)
         m = lp_from_dense(A, ["<="] * self.M, b, c, np.zeros(self.N),
                           rng.uniform(2.0, 6.0, self.N).round(3))
-        prob = solver._problem_from_form(m.to_standard_form())
-        st, root = cold_solve(prob)
+        st, root = cold_solve(m.to_standard_form())
         assert st == "optimal"
         lb, ub = root.lb.copy(), root.ub.copy()
         for j in root.basis[root.basis < self.N]:
@@ -455,7 +472,7 @@ class TestWarmDualState:
                 ub[j] = (lb[j] + root.x[j]) / 2
             else:
                 lb[j] = (root.x[j] + ub[j]) / 2
-        return prob, root, lb, ub, prob.c
+        return root, lb, ub
 
     def test_x_and_d_match_fresh_solves(self, monkeypatch):
         """At every pricing, x equals B⁻¹(b - A_N x_N) and d equals c - Aᵀy
@@ -468,7 +485,7 @@ class TestWarmDualState:
         def compare(state):
             x = state.nonbasic_values()
             x[state.basis] = state.ftran(state.b - state.A @ x)
-            d = state.price(cost)
+            d = state.price(state.c)
             if not state._n_etas:
                 counts["exact"] += 1
                 np.testing.assert_array_equal(state.x, x)
@@ -478,7 +495,7 @@ class TestWarmDualState:
             np.testing.assert_allclose(state.x, x, rtol=1e-9,
                                        atol=1e-9 * max(1.0, np.abs(x).max()))
             np.testing.assert_allclose(state.d[nb], d[nb], rtol=1e-9,
-                                       atol=1e-9 * max(1.0, np.abs(cost).max()))
+                                       atol=1e-9 * max(1.0, np.abs(state.c).max()))
 
         tableau_row = solver._Simplex.tableau_row
         pivot = solver._Simplex._pivot
@@ -495,12 +512,12 @@ class TestWarmDualState:
 
         monkeypatch.setattr(solver._Simplex, "tableau_row", checked_row)
         monkeypatch.setattr(solver._Simplex, "_pivot", counted_pivot)
-        for prob, root, lb, ub, cost in nodes:
-            state = solver._Simplex(prob.A, prob.AT, prob.b, lb, ub)
+        for root, lb, ub in nodes:
+            state = solver._Simplex(root.A, root.b, root.c, lb, ub)
             state.basis = root.basis.copy()
             state.status = root.status.copy()
             state.refactor()
-            state.dual(cost)
+            state.dual()
             compare(state)
         assert counts["pivots"] >= 40 and counts["refactors"] >= 10, counts
         assert counts["exact"] > counts["refactors"], counts
@@ -555,7 +572,7 @@ class TestWarmDualState:
             c = rng.normal(size=self.N).round(3)
             m = lp_from_dense(A, ["<="] * self.M, b, c, np.zeros(self.N),
                               rng.uniform(0.5, 1.5, self.N).round(3))
-            st, state = cold_solve(solver._problem_from_form(m.to_standard_form()))
+            st, state = cold_solve(m.to_standard_form())
             assert st == "optimal"
             counts["iterations"] += state.iterations
         flips = counts["iterations"] - counts["pivots"]
@@ -567,7 +584,7 @@ class TestWarmDualState:
         """A pivot element below `STABLE_PIVOT` is never taken: on a basis
         with an eta file the dual refactors and prices again; on the fresh
         factorization it raises."""
-        prob, root, lb, ub, cost = self._node(0)
+        root, lb, ub = self._node(0)
         assert root._n_etas  # the root solve pivoted since its last refactor
         root.lb, root.ub = lb, ub
         basis = root.basis.copy()
@@ -581,7 +598,7 @@ class TestWarmDualState:
         monkeypatch.setattr(solver._Simplex, "refactor", counted)
         monkeypatch.setattr(solver, "STABLE_PIVOT", 1e9)  # every pivot is tiny
         with pytest.raises(solver.SolverBreakdown, match="unstable pivot"):
-            root.dual(cost)
+            root.dual()
         assert len(etas_at_refactor) == 1 and etas_at_refactor[0] > 0
         np.testing.assert_array_equal(root.basis, basis)
 
@@ -606,7 +623,7 @@ class TestBranchAndBound:
                              [0.0] * 3, [1.0] * 3, ["binary"] * 3)
         clean = solve_milp(m)
 
-        def broken_dual(state, cost):
+        def broken_dual(state):
             state.iterations += 1000
             raise solver.SolverBreakdown("forced")
 
@@ -626,14 +643,14 @@ class TestBranchAndBound:
         two_phase = solver._two_phase
         cold = []
 
-        def broken_dual(state, cost):
+        def broken_dual(state):
             raise solver.SolverBreakdown("forced")
 
-        def broken_after_root(state, cost, slack_offset):
+        def broken_after_root(state):
             cold.append(1)
             if len(cold) > 1:
                 raise solver.SolverBreakdown("forced")
-            return two_phase(state, cost, slack_offset)
+            return two_phase(state)
 
         monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
         monkeypatch.setattr(solver, "_two_phase", broken_after_root)
@@ -657,15 +674,15 @@ class TestBranchAndBound:
         dual, two_phase, node = solver._Simplex.dual, solver._two_phase, solver._Node
         events = []
 
-        def broken_once(state, cost):
+        def broken_once(state):
             events.append(("dual", None))
             # the first up branch's dual, while only the root LP was solved cold
             if np.any(state.lb[:3] > 0) and sum(e[0] == "cold" for e in events) == 1:
                 raise solver.SolverBreakdown("forced")
-            return dual(state, cost)
+            return dual(state)
 
-        def cold(state, cost, slack_offset):
-            st = two_phase(state, cost, slack_offset)
+        def cold(state):
+            st = two_phase(state)
             events.append(("cold", state.basis.copy()))
             return st
 
@@ -713,10 +730,10 @@ class TestBranchAndBound:
         in_root = [False]
         outside = []
 
-        def root(state, cost, slack_offset):
+        def root(state):
             in_root[0] = True
             try:
-                return two_phase(state, cost, slack_offset)
+                return two_phase(state)
             finally:
                 in_root[0] = False
 
@@ -747,8 +764,8 @@ class TestBranchAndBound:
         assert clean.nodes == 1 and clean.iterations > 0
         two_phase = solver._two_phase
 
-        def broken(state, cost, slack_offset):
-            two_phase(state, cost, slack_offset)
+        def broken(state):
+            two_phase(state)
             raise solver.SolverBreakdown("forced")
 
         monkeypatch.setattr(solver, "_two_phase", broken)
@@ -762,8 +779,8 @@ class TestBranchAndBound:
         assert solve_milp(m).status == "optimal"
         two_phase = solver._two_phase
 
-        def corrupting(state, cost, slack_offset):
-            st = two_phase(state, cost, slack_offset)
+        def corrupting(state):
+            st = two_phase(state)
             state.x[1] += 1.0  # y leaves its box and breaks the row
             return st
 
@@ -914,7 +931,7 @@ class TestNodeLogAndLimits:
         root = solve_milp(m, BnbConfig(node_limit=1))
         assert root.status == "limit" and root.iterations > 0
         if not warm:
-            def broken_dual(state, cost):
+            def broken_dual(state):
                 raise solver.SolverBreakdown("forced")
 
             monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
@@ -1047,11 +1064,12 @@ class TestDualCycling:
     def _hm_dual(self):
         m, n = self.HM_A.shape
         A = csc_array(np.hstack([self.HM_A, np.eye(m)]))
-        state = solver._Simplex(A, A.T, self.HM_B, np.zeros(n + m), np.full(n + m, INF))
+        state = solver._Simplex(A, self.HM_B, np.zeros(n + m), np.zeros(n + m),
+                                np.full(n + m, INF))
         state.basis = np.arange(n, n + m)  # slacks: dual feasible at y = 0
         state.status[state.basis] = solver.BASIC
         state.refactor()
-        return state.dual(np.zeros(n + m))
+        return state.dual()
 
     def test_dual_bland_switch_ends_degenerate_cycle(self, monkeypatch):
         ref = linprog(np.zeros(2), A_ub=self.HM_A, b_ub=self.HM_B,
@@ -1101,17 +1119,18 @@ class TestPhaseOne:
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
         m = lp_from_dense(A, ["=", "="], [1.0, 2.0], [1.0, 0.0], [0.0, 0.0],
                           [INF, INF])
-        prob = solver._problem_from_form(m.to_standard_form())
-        st, state = cold_solve(prob)
-        assert state.A is prob.A and state.AT is prob.AT
-        assert state.n == prob.A.shape[1] == 4
+        state = solver._problem_from_form(m.to_standard_form())
+        A_in, AT_in = state.A, state.AT
+        st = solver._two_phase(state)
+        assert state.A is A_in and state.AT is AT_in
+        assert state.n == A_in.shape[1] == 4
         assert state.status.size == state.x.size == state.lb.size == 4
         # the equality rows' slacks are fixed at 0, so no pivot enters one:
         # a basic slack is one phase 1 left basic on its bound
         assert np.any(state.basis >= 2)
         ref = linprog([1.0, 0.0], A_eq=A, b_eq=[1.0, 2.0], method="highs")
         assert st == "optimal"
-        assert prob.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
+        assert state.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
         np.testing.assert_allclose(state.x[:2], ref.x, atol=1e-9)
 
     def test_slacks_reaching_their_bounds_together(self):
@@ -1122,13 +1141,12 @@ class TestPhaseOne:
         A = np.array([[1.0, 1.0], [1.0, 0.0]])
         m = lp_from_dense(A, ["=", ">="], [1.0, 1.0], [0.0, -1.0], [0.0, 0.0],
                           [INF, INF])
-        prob = solver._problem_from_form(m.to_standard_form())
-        st, state = cold_solve(prob)
-        assert state.n == prob.A.shape[1] == 4
+        st, state = cold_solve(m.to_standard_form())
+        assert state.n == state.A.shape[1] == 4
         ref = linprog([0.0, -1.0], A_ub=[[-1.0, 0.0]], b_ub=[-1.0], A_eq=[[1.0, 1.0]],
                       b_eq=[1.0], method="highs")
         assert st == "optimal"
-        assert prob.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
+        assert state.c @ state.x == pytest.approx(ref.fun, abs=1e-9)
         np.testing.assert_allclose(state.x[:2], ref.x, atol=1e-9)
 
     @pytest.mark.parametrize("floors", [(1.0, 2.0), (2.0, 1.0)])
@@ -1150,7 +1168,7 @@ class TestPhaseOne:
         res = solve_lp(m.to_standard_form())
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0, abs=1e-12)
-        assert res.x[0] == pytest.approx(2.0, abs=1e-12)
+        assert res.values[0] == pytest.approx(2.0, abs=1e-12)
         # two phase-1 runs (cost -1 on each relaxed slack), then phase 2
         assert [list(c) for c in runs] == [
             [0.0, -1.0, -1.0], [0.0] + [-float(f == 2.0) for f in floors],
@@ -1195,7 +1213,7 @@ class TestPhaseOne:
                 continue
             assert res.status == "optimal" and ref.status == 0, f"trial {trial}"
             assert res.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
-            assert sf.violated_rows(res.x)[0].size == 0, f"trial {trial}"
+            assert sf.violated_rows(res.values)[0].size == 0, f"trial {trial}"
         assert verdicts == {"optimal", "infeasible"}
         assert above[0] >= 20
 
@@ -1207,12 +1225,13 @@ class TestPhaseOne:
         and the state's bounds are exactly the ones it was given."""
         A = [[1.0], [-1.0]] if senses[0] == "<=" else [[1.0], [2.0]]
         m = lp_from_dense(A, senses, rhs, [1.0], [0.0], [1.0])
-        prob = solver._problem_from_form(m.to_standard_form())
-        st, state = cold_solve(prob)
+        state = solver._problem_from_form(m.to_standard_form())
+        A_in, lb, ub = state.A, state.lb.copy(), state.ub.copy()
+        st = solver._two_phase(state)
         assert st == "infeasible"
-        assert state.A is prob.A and state.n == prob.A.shape[1]
-        np.testing.assert_array_equal(state.lb, prob.lb)
-        np.testing.assert_array_equal(state.ub, prob.ub)
+        assert state.A is A_in and state.n == A_in.shape[1]
+        np.testing.assert_array_equal(state.lb, lb)
+        np.testing.assert_array_equal(state.ub, ub)
 
 
 def ladder_scenario(tmp_path, horizon: int, width: int) -> Path:
@@ -1300,6 +1319,24 @@ class TestFactorSharing:
         sol = cli.run_pipeline(cli.build_parser().parse_args(argv)).solution
         assert (sol.status, sol.nodes, sol.iterations, float.hex(sol.objective)) == \
             ("optimal", nodes, iterations, objective)
+
+    def test_one_state_per_solve(self, monkeypatch, net0):
+        """`solve_milp` builds one simplex state, and every node of a tree
+        that branches (H8/W3, NN closure of seed 0: 51 nodes) runs on it, so
+        its iteration count is the solve's."""
+        init = solver._Simplex.__init__
+        states = []
+
+        def counted(state, *args):
+            states.append(state)
+            init(state, *args)
+
+        monkeypatch.setattr(solver._Simplex, "__init__", counted)
+        model = assemble(load_scenario(json.dumps(ladder_doc(8, 3))), net0)[0]
+        sol = solve_milp(model)
+        assert sol.status == "optimal" and sol.nodes == 51
+        assert len(states) == 1
+        assert states[0].iterations == sol.iterations
 
     def test_siblings_share_one_factorization(self, tmp_path, monkeypatch):
         """Both children of a branched node start from its basis, factored
