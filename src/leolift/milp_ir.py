@@ -116,6 +116,7 @@ class MilpModel:
         self.constraints: list[LinearConstraint] = []
         self.objective: dict[int, float] = {}
         self._frozen = False
+        self._form: StandardForm | None = None  # compiled once frozen
 
     # -- construction ------------------------------------------------------
 
@@ -207,7 +208,13 @@ class MilpModel:
     # -- conversions -------------------------------------------------------
 
     def to_standard_form(self) -> StandardForm:
-        """Compile the model: one CSR row per constraint, ranged row bounds."""
+        """Compile the model: one CSR row per constraint, ranged row bounds.
+
+        A frozen model compiles once: every call returns the same form, its
+        arrays read-only, so the solver, `evaluate` and `export_mps` share
+        it."""
+        if self._form is not None:
+            return self._form
         n, m = len(self.variables), len(self.constraints)
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.fromiter((len(con.terms) for con in self.constraints),
@@ -226,7 +233,13 @@ class MilpModel:
         lb = np.fromiter((v.lower for v in self.variables), dtype=float, count=n)
         ub = np.fromiter((v.upper for v in self.variables), dtype=float, count=n)
         is_int = np.array([v.kind != "continuous" for v in self.variables], dtype=bool)
-        return StandardForm(A, row_lo, row_hi, c, lb, ub, is_int)
+        sf = StandardForm(A, row_lo, row_hi, c, lb, ub, is_int)
+        if self._frozen:
+            for arr in (A.data, A.indices, A.indptr, row_lo, row_hi, c, lb, ub,
+                        is_int):
+                arr.flags.writeable = False
+            self._form = sf
+        return sf
 
     # -- export ------------------------------------------------------------
 
@@ -247,6 +260,10 @@ class MilpModel:
         sf = self.to_standard_form()
         cols = sf.A.tocsc()
         cols.sort_indices()
+        # walked as Python numbers, far faster than numpy scalars
+        indptr, rows, coeffs = (cols.indptr.tolist(), cols.indices.tolist(),
+                                cols.data.tolist())
+        costs = sf.c.tolist()
 
         def num(x: float) -> str:
             return repr(float(x))
@@ -270,16 +287,16 @@ class MilpModel:
                 marker_n += 1
                 in_int = False
             entries = []
-            if sf.c[v.id] != 0.0:
-                entries.append(("OBJ", sf.c[v.id]))
-            span = slice(cols.indptr[v.id], cols.indptr[v.id + 1])
-            for i, coeff in zip(cols.indices[span], cols.data[span]):
+            if costs[v.id] != 0.0:
+                entries.append(("OBJ", costs[v.id]))
+            span = slice(indptr[v.id], indptr[v.id + 1])
+            for i, coeff in zip(rows[span], coeffs[span]):
                 if coeff != 0.0:
                     entries.append((row_names[i], coeff))
             if not entries:
                 entries.append(("OBJ", 0.0))  # keep empty columns visible
             for row_name, coeff in entries:
-                lines.append(f"    {v.name}  {row_name}  {num(coeff)}")
+                lines.append(f"    {v.name}  {row_name}  {coeff!r}")
         if in_int:
             lines.append(f"    MARKER{marker_n:02d}  'MARKER'                 'INTEND'")
 
@@ -323,11 +340,12 @@ def _check_names(kind: str, names: list[str]):
 def read_mps(path: str) -> MilpModel:
     """Minimal free MPS reader covering what `export_mps` emits.
 
-    Raises ModelError on the first entry it would drop or misread: a section
-    other than NAME, ROWS, COLUMNS, RHS, BOUNDS and ENDATA, a row type other
-    than L, G and E after the one N (objective) row, an RHS on that row, a
-    bound type other than UP, LO, FX, MI, PL and BV, or a row or column ROWS
-    or COLUMNS does not declare."""
+    Raises ModelError, naming the line, on the first entry it would drop or
+    misread: a section other than NAME, ROWS, COLUMNS, RHS, BOUNDS and
+    ENDATA, a row type other than L, G and E after the one N (objective)
+    row, an RHS on that row, a bound type other than UP, LO, FX, MI, PL and
+    BV, a row or column ROWS or COLUMNS does not declare, or an entry with
+    a token missing, left over or not a number."""
     model = MilpModel()
     section = None
     row_sense: dict[str, str] = {}
@@ -341,56 +359,71 @@ def read_mps(path: str) -> MilpModel:
     integer_mode = False
 
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("*"):
                 continue
-            if not line[0].isspace():
-                section = line.split()[0].upper()
-                if section not in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS",
-                                   "ENDATA"):
-                    raise ModelError(f"MPS section {section} is not read")
-                if section == "NAME":
-                    parts = line.split(None, 1)
-                    model.name = parts[1].strip() if len(parts) > 1 else "model"
-                continue
-            tok = line.split()
-            if section == "ROWS":
-                code, rname = tok[0].upper(), tok[1]
-                if code == "N" and obj_row is None:
-                    obj_row = rname
-                elif code in ("L", "G", "E"):
-                    row_sense[rname] = {"L": "<=", "G": ">=", "E": "="}[code]
-                    row_terms[rname] = []
-                else:
-                    raise ModelError(f"MPS row {rname!r} of type {code!r} is not read")
-            elif section == "COLUMNS":
-                if len(tok) >= 3 and tok[1] == "'MARKER'":
-                    integer_mode = tok[2] == "'INTORG'"
+            try:
+                if not line[0].isspace():
+                    section = line.split()[0].upper()
+                    if section not in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS",
+                                       "ENDATA"):
+                        raise ModelError(f"section {section} is not read")
+                    if section == "NAME":
+                        parts = line.split(None, 1)
+                        model.name = parts[1].strip() if len(parts) > 1 else "model"
                     continue
-                cname = tok[0]
-                if cname not in col_ids:
-                    col_ids[cname] = len(col_ids)
-                    col_kind[cname] = "integer" if integer_mode else "continuous"
-                    entries[cname] = []
-                for j in range(1, len(tok) - 1, 2):
-                    _declared("row", tok[j], row_terms, obj_row)
-                    entries[cname].append((tok[j], float(tok[j + 1])))
-            elif section == "RHS":
-                for j in range(1, len(tok) - 1, 2):
-                    if tok[j] == obj_row:
-                        raise ModelError(f"MPS RHS on objective row {obj_row!r} is not read")
-                    _declared("row", tok[j], row_terms)
-                    rhs[tok[j]] = float(tok[j + 1])
-            elif section == "BOUNDS":
-                btype, cname = tok[0].upper(), tok[2]
-                if btype not in ("UP", "LO", "FX", "MI", "PL", "BV"):
-                    raise ModelError(f"MPS bound {btype} on column {cname!r} is not read")
-                _declared("column", cname, col_ids)
-                val = float(tok[3]) if len(tok) > 3 else None
-                bounds.setdefault(cname, []).append((btype, val))
-            elif section == "ENDATA":
-                break
+                tok = line.split()
+                if section == "ROWS":
+                    if len(tok) != 2:
+                        raise ModelError("a row needs a type and a name")
+                    code, rname = tok[0].upper(), tok[1]
+                    if code == "N" and obj_row is None:
+                        obj_row = rname
+                    elif code in ("L", "G", "E"):
+                        row_sense[rname] = {"L": "<=", "G": ">=", "E": "="}[code]
+                        row_terms[rname] = []
+                    else:
+                        raise ModelError(f"row {rname!r} of type {code!r} is not read")
+                elif section == "COLUMNS":
+                    if len(tok) >= 3 and tok[1] == "'MARKER'":
+                        integer_mode = tok[2] == "'INTORG'"
+                        continue
+                    cname = tok[0]
+                    if cname not in col_ids:
+                        col_ids[cname] = len(col_ids)
+                        col_kind[cname] = "integer" if integer_mode else "continuous"
+                        entries[cname] = []
+                    for rname, val in _row_values(tok):
+                        _declared("row", rname, row_terms, obj_row)
+                        entries[cname].append((rname, val))
+                elif section == "RHS":
+                    for rname, val in _row_values(tok):
+                        if rname == obj_row:
+                            raise ModelError(
+                                f"RHS on objective row {obj_row!r} is not read")
+                        _declared("row", rname, row_terms)
+                        rhs[rname] = val
+                elif section == "BOUNDS":
+                    if len(tok) < 3:
+                        raise ModelError(
+                            "a bound needs a type, a set name and a column")
+                    btype, cname = tok[0].upper(), tok[2]
+                    if btype not in ("UP", "LO", "FX", "MI", "PL", "BV"):
+                        raise ModelError(
+                            f"bound {btype} on column {cname!r} is not read")
+                    _declared("column", cname, col_ids)
+                    valued = btype in ("UP", "LO", "FX")
+                    if len(tok) != 3 + valued:
+                        raise ModelError(f"bound {btype} takes "
+                                         + ("a value" if valued else "no value"))
+                    val = _number(tok[3]) if valued else None
+                    bounds.setdefault(cname, []).append((btype, val))
+                elif section == "ENDATA":
+                    break
+            except ModelError as exc:
+                raise ModelError(
+                    f"MPS line {lineno} ({line.strip()!r}): {exc}") from None
 
     for cname, cid in col_ids.items():
         lo, up = 0.0, INF
@@ -427,4 +460,19 @@ def read_mps(path: str) -> MilpModel:
 
 def _declared(kind: str, name: str, declared, obj_row: str | None = None):
     if name != obj_row and name not in declared:
-        raise ModelError(f"MPS file names undeclared {kind} {name!r}")
+        raise ModelError(f"undeclared {kind} {name!r}")
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ModelError(f"{text!r} is not a number") from None
+
+
+def _row_values(tok: list[str]) -> list[tuple[str, float]]:
+    """The (row, value) pairs of a COLUMNS or RHS entry, after its column or
+    set name."""
+    if len(tok) < 3 or len(tok) % 2 == 0:
+        raise ModelError("an entry needs a name, then row and value pairs")
+    return [(tok[j], _number(tok[j + 1])) for j in range(1, len(tok), 2)]

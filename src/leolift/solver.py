@@ -4,18 +4,27 @@ LP relaxations are solved by a revised simplex over bounded variables on a
 sparse constraint matrix. The basis is never inverted: it is held as a sparse
 LU factorization (SuperLU, through `scipy.sparse.linalg.splu`) plus a
 product-form eta file with one eta per pivot, and refactored from scratch
-every `REFACTOR_EVERY` pivots. The eta file is held in arrays and applied as
-one unit lower-triangular block, so `ftran` and `btran` solve with B and its
-transpose by the LU solve plus a fixed number of BLAS calls, however many
-pivots it holds. Every simplex state, phase 1 included, works on the
-problem's own structural and slack columns: phase 1 starts from the all-slack
-basis and minimizes the slacks' bound violations, so a state never changes
-shape. A model without rows gets one empty equality row, so every basis has a
-row. Dantzig pricing switches to Bland's rule when the objective stalls. The
-primal ratio test lets a row block only if its pivot element exceeds
-`STABLE_PIVOT` in magnitude, the threshold the dual's stability test uses.
-An iteration is a pivot or a bound flip. The primal and the dual simplex make
-every pivot through one routine, `_Simplex._pivot`.
+every `REFACTOR_EVERY` pivots. A basis that is the identity, as the
+all-slack start is, takes a unit factor instead of an LU, so the cold root
+LP's first `REFACTOR_EVERY` pivots run on the eta file alone. The eta file is
+held in arrays and applied as one unit lower-triangular block, so `ftran` and
+`btran` solve with B and its transpose by the LU solve plus a fixed number of
+BLAS calls, however many pivots it holds. Every simplex state, phase 1
+included, works on the problem's own structural and slack columns: phase 1
+starts from the all-slack basis and minimizes the slacks' bound violations,
+so a state never changes shape. A model without rows gets one empty equality
+row, so every basis has a row.
+
+One sign table over the bound statuses, `_SIGN`, says which columns may
+enter: a reduced cost times -1 at a lower bound and +1 at an upper one (its
+magnitude when free, 0 when basic or fixed) is the objective's fall per unit
+move. Dantzig pricing takes the first largest, and switches to Bland's rule
+(the first above `DJ_TOL`) when the objective stalls; the dual's eligible
+columns along a pivot row come from the same table. The primal ratio test
+lets a row block only if its pivot element exceeds `STABLE_PIVOT` in
+magnitude, the threshold the dual's stability test uses. An iteration is a
+pivot or a bound flip. The primal and the dual simplex make every pivot
+through one routine, `_Simplex._pivot`.
 
 Branch-and-bound explores nodes best-bound-first on one simplex state per
 solve. The state holds the problem itself (A, Aᵀ, b, the costs and the
@@ -68,6 +77,10 @@ STALL_LIMIT = 50
 MAX_ITER = 50000  # per primal or dual call; beyond it, SolverBreakdown
 
 BASIC, AT_LO, AT_UP, NB_FREE = 0, 1, 2, 3
+# by status: the sign that turns a reduced cost d into the objective's fall
+# per unit move of a nonbasic column (-d at its lower bound, d at its upper
+# one), 0 for a basic column; a free column takes |d| instead
+_SIGN = np.array([0.0, -1.0, 1.0, 1.0])
 
 
 class SolverBreakdown(RuntimeError):
@@ -76,6 +89,15 @@ class SolverBreakdown(RuntimeError):
 
 class _TimeUp(Exception):
     """A simplex loop passed its state's deadline."""
+
+
+class _UnitFactor:
+    """The factor of B = I. A solve returns a float copy of its right-hand
+    side, which is bit for bit what SuperLU's factor of I returns."""
+
+    @staticmethod
+    def solve(v: np.ndarray, trans: str = "N") -> np.ndarray:
+        return np.array(v, dtype=float)
 
 
 @dataclass
@@ -175,12 +197,18 @@ class _Simplex:
 
     def refactor(self):
         """Factor B = A[:, basis] afresh, its CSC arrays gathered straight
-        from A's. SuperLU raises on an exactly singular B; a non-finite
-        entry is refused before it reaches the factorization."""
+        from A's. When B is the identity, as at the all-slack start, it
+        takes the `_UnitFactor` and no LU is made. SuperLU raises on an
+        exactly singular B; a non-finite entry is refused before it reaches
+        the factorization."""
         self._n_etas = 0
         A, cols = self.A, self.basis
         start = A.indptr[cols]
         counts = A.indptr[cols + 1] - start
+        if np.all(counts == 1) and np.array_equal(A.indices[start], np.arange(self.m)) \
+                and np.all(A.data[start] == 1.0):
+            self._lu = _UnitFactor
+            return
         indptr = np.zeros(self.m + 1, dtype=A.indptr.dtype)
         np.cumsum(counts, out=indptr[1:])
         take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
@@ -240,15 +268,60 @@ class _Simplex:
         """Reduced costs cost - Aᵀy, with y = B⁻ᵀcost_B, over every column."""
         return cost - self.AT @ self.btran(cost[self.basis])
 
+    def held(self) -> tuple[np.ndarray, bool]:
+        """What holds through one simplex call, read at its start: the fixed
+        columns (ub not above lb; a call never changes a bound), and whether
+        any column is nonbasic free (a call takes that status away, never
+        gives it)."""
+        return (np.flatnonzero(~(self.ub > self.lb)),
+                bool(np.any(self.status == NB_FREE)))
+
+    def signed(self, v: np.ndarray, table: np.ndarray,
+               held: tuple[np.ndarray, bool]) -> np.ndarray:
+        """table[status]·v over every column, but |v| for a nonbasic free
+        column and 0 for a fixed one (`held` is from `held()`). One table,
+        `_SIGN`, decides which columns may enter in both loops."""
+        fixed, free = held
+        s = table[self.status] * v
+        if free:
+            np.abs(s, out=s, where=self.status == NB_FREE)
+        s[fixed] = 0.0
+        return s
+
     def improving(self, d: np.ndarray) -> np.ndarray:
-        """Mask of the nonbasic columns whose reduced cost d lets the
-        objective fall: the ones the primal simplex may enter."""
-        movable = self.ub > self.lb
-        return movable & (
-            ((self.status == AT_LO) & (d < -DJ_TOL))
-            | ((self.status == AT_UP) & (d > DJ_TOL))
-            | ((self.status == NB_FREE) & (np.abs(d) > DJ_TOL))
-        )
+        """Mask of the columns whose reduced cost d lets the objective fall
+        by more than `DJ_TOL` per unit move: the ones the primal simplex may
+        enter. A NaN reduced cost never enters."""
+        return self.signed(d, _SIGN, self.held()) > DJ_TOL
+
+    def entering(self, d: np.ndarray, bland: bool,
+                 held: tuple[np.ndarray, bool]) -> int:
+        """The primal's entering column for reduced costs d, or -1 when no
+        column is `improving`: under Bland's rule the first such column,
+        else the first with the largest |d|."""
+        gain = self.signed(d, _SIGN, held)
+        if bland:
+            above = gain > DJ_TOL
+            j = int(np.argmax(above))
+            return j if above[j] else -1
+        j = int(np.argmax(gain))  # the first NaN, if there is one
+        if gain[j] > DJ_TOL:
+            return j
+        if not np.isnan(gain[j]):
+            return -1
+        idx = np.flatnonzero(gain > DJ_TOL)
+        return int(idx[np.argmax(gain[idx])]) if idx.size else -1
+
+    def dual_candidates(self, w: np.ndarray, below: bool,
+                        held: tuple[np.ndarray, bool]) -> np.ndarray:
+        """The columns the dual may enter along pivot row w: those whose
+        move off their bound, in the direction their reduced cost allows,
+        drives the leaving variable toward the bound it violates, with
+        |w| above `PIVOT_TOL`. Off a lower bound that is w < 0 when it must
+        rise (`below`), w > 0 when it must fall; off an upper bound the
+        opposite; a free column goes either way."""
+        return np.flatnonzero(self.signed(w, _SIGN if below else -_SIGN, held)
+                              > PIVOT_TOL)
 
     def recompute_x(self):
         xn = self.nonbasic_values()
@@ -295,19 +368,16 @@ class _Simplex:
         recomputed from the factorization on entry and on return."""
         bland = False
         stall = 0
+        held = self.held()
         self.recompute_x()
         for _ in range(MAX_ITER):
             if time.monotonic() > self.deadline:
                 raise _TimeUp
             d = self.price(cost)
-            idx = np.nonzero(self.improving(d))[0]
-            if idx.size == 0:
+            j = self.entering(d, bland, held)
+            if j < 0:
                 self.recompute_x()
                 return "optimal"
-            if bland:
-                j = int(idx[0])
-            else:
-                j = int(idx[np.argmax(np.abs(d[idx]))])
             direction = 1.0
             if self.status[j] == AT_UP or (self.status[j] == NB_FREE and d[j] > 0):
                 direction = -1.0
@@ -354,6 +424,7 @@ class _Simplex:
         refactored and priced again. On a fresh factorization that is a
         `SolverBreakdown`.
         """
+        held = self.held()
         self.recompute_x()
         self.d = self.price(self.c)
         bland = False
@@ -380,14 +451,7 @@ class _Simplex:
 
             d = self.d
             w = self.tableau_row(r)
-            movable = (self.status != BASIC) & (self.ub > self.lb)
-            at_lo = movable & ((self.status == AT_LO) | (self.status == NB_FREE))
-            at_up = movable & ((self.status == AT_UP) | (self.status == NB_FREE))
-            if below:  # basic variable must increase
-                elig = (at_lo & (w < -PIVOT_TOL)) | (at_up & (w > PIVOT_TOL))
-            else:
-                elig = (at_lo & (w > PIVOT_TOL)) | (at_up & (w < -PIVOT_TOL))
-            cand = np.nonzero(elig)[0]
+            cand = self.dual_candidates(w, below, held)
             if cand.size == 0:
                 if fresh:
                     return "infeasible"

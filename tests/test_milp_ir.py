@@ -331,18 +331,38 @@ class TestReadMps:
         (BOUNDS, "BOUNDS\n SC BND  x  3.0\n", "bound SC on column 'x'"),
         (ROWS, ROWS + " X  r2\n", "row 'r2' of type 'X'"),
         (ROWS, ROWS + " N  free\n", "row 'free' of type 'N'"),
+        (ROWS, ROWS + " L\n", "MPS line 5 ('L'): a row needs a type and a name"),
+        (BOUNDS, "BOUNDS\n MI BND  x  0.0\n", "bound MI takes no value"),
     ], ids=["objective-constant", "ranges", "objsense-section", "objsense-line",
-            "sc-bound", "row-type-x", "second-objective-row"])
+            "sc-bound", "row-type-x", "second-objective-row", "row-without-name",
+            "valued-mi-bound"])
     def test_unread_entry_is_refused(self, tmp_path, old, new, entry):
         """What the reader would drop or misread is refused, naming it: the
         objective constant (the file would solve to 1.0, not 6.0), a range,
         a maximization (read as a minimization), a semicontinuous bound, an
-        unknown row type, and a second N row (a free row MPS ignores)."""
+        unknown row type, a second N row (a free row MPS ignores), a row
+        without its name, and a value on a bound that takes none."""
         path = tmp_path / "hand.mps"
         text = self.ROWS + self.COLUMNS + self.RHS + self.BOUNDS + "ENDATA\n"
         path.write_text(text.replace(old, new))
         with pytest.raises(ModelError, match=re.escape(entry)):
             read_mps(str(path))
+
+    @pytest.mark.parametrize("columns, rhs, bounds, line, entry", [
+        ("    y  r1\n", "", "", 7, "y  r1"),
+        ("    x  r1  1.0  OBJ\n", "", "", 7, "x  r1  1.0  OBJ"),
+        ("", "    RHS  r1\n", "", 9, "RHS  r1"),
+        ("", "", " UP BND\n", 11, "UP BND"),
+        ("    x  r1  abc\n", "", "", 7, "x  r1  abc"),
+    ], ids=["column-without-value", "column-trailing-row", "rhs-without-value",
+            "bound-without-column", "value-not-a-number"])
+    def test_incomplete_entry_is_refused(self, tmp_path, columns, rhs, bounds,
+                                         line, entry):
+        """An entry with a token missing, left over or not a number is
+        refused, naming its line, rather than dropped or raised as a bare
+        IndexError or ValueError."""
+        with pytest.raises(ModelError, match=re.escape(f"MPS line {line} ({entry!r})")):
+            self.read(tmp_path, columns, rhs, bounds)
 
 
 def hand_built_model() -> MilpModel:
@@ -374,6 +394,21 @@ class TestFreezeAndTags:
             m.add_variable("y")
         with pytest.raises(ModelError):
             m.add_constraint([(x, 1.0)], "<=", 1.0)
+
+    def test_frozen_model_compiles_once(self, tmp_path):
+        """A frozen model's form is compiled once and shared, its arrays
+        read-only, so export, solve and evaluate read one compile; an open
+        model compiles afresh, since rows may still be added."""
+        m = hand_built_model()
+        assert m.to_standard_form() is not m.to_standard_form()
+        m.freeze()
+        sf = m.to_standard_form()
+        m.export_mps(str(tmp_path / "m.mps"))
+        m.evaluate(np.zeros(m.num_variables()))
+        assert m.to_standard_form() is sf
+        for arr in (sf.A.data, sf.A.indices, sf.A.indptr, sf.row_lo, sf.row_hi,
+                    sf.c, sf.lb, sf.ub, sf.is_int):
+            assert not arr.flags.writeable
 
     def test_assembled_model_tags_partition(self, lunar, net0):
         model, _ = assemble(lunar, net0)

@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csc_array, csr_array, eye_array, hstack
 from scipy.sparse import random_array as sparse_random
+from scipy.sparse.linalg import splu
 
 import leolift
 from leolift import solver
@@ -234,6 +235,71 @@ def ratio_test_loop(a, xb, lb_b, ub_b, t_best):
     return block, t_best
 
 
+def may_enter_loop(state, d):
+    """Per column, whether the primal simplex may enter it, as pricing
+    decided before the sign table."""
+    ok = np.zeros(state.n, dtype=bool)
+    for j in range(state.n):
+        if not state.ub[j] > state.lb[j]:
+            continue
+        s = state.status[j]
+        ok[j] = (s == solver.AT_LO and d[j] < -solver.DJ_TOL) or \
+            (s == solver.AT_UP and d[j] > solver.DJ_TOL) or \
+            (s == solver.NB_FREE and abs(d[j]) > solver.DJ_TOL)
+    return ok
+
+
+def entering_loop(state, d, bland):
+    """The primal's entering column by a pass over the columns: the first
+    that may enter under Bland's rule, else the first largest |d|; -1 when
+    none may."""
+    best, best_abs = -1, 0.0
+    for j in np.flatnonzero(may_enter_loop(state, d)):
+        if bland:
+            return int(j)
+        if abs(d[j]) > best_abs:
+            best, best_abs = int(j), abs(d[j])
+    return best
+
+
+def dual_candidates_loop(state, w, below):
+    """Per column, the dual's eligibility test as it stood before the sign
+    table: nonbasic and movable, with |w| above PIVOT_TOL on the side that
+    drives the leaving variable toward its violated bound."""
+    cand = []
+    for j in range(state.n):
+        s = state.status[j]
+        if s == solver.BASIC or not state.ub[j] > state.lb[j]:
+            continue
+        lo_side = s in (solver.AT_LO, solver.NB_FREE)
+        up_side = s in (solver.AT_UP, solver.NB_FREE)
+        neg, pos = w[j] < -solver.PIVOT_TOL, w[j] > solver.PIVOT_TOL
+        if (lo_side and (neg if below else pos)) or \
+                (up_side and (pos if below else neg)):
+            cand.append(j)
+    return np.array(cand, dtype=np.intp)
+
+
+def random_statuses(rng, n):
+    """A state over n columns with every status, fixed, free, one-sided and
+    boxed bounds, for the pricing scans; A is never read."""
+    lb = rng.choice([-INF, 0.0, 1.0], n)
+    ub = np.where(rng.random(n) < 0.3, lb, rng.choice([1.0, 2.0, INF], n))
+    ub = np.maximum(ub, lb)
+    state = solver._Simplex(csc_array((1, n)), np.zeros(1), np.zeros(n), lb, ub)
+    state.status = rng.choice(np.array([solver.BASIC, solver.AT_LO, solver.AT_UP,
+                                        solver.NB_FREE], dtype=np.int8), n)
+    return state
+
+
+def scan_values(rng, n):
+    """Few distinct values, so entries tie exactly; some NaN and infinite."""
+    v = rng.choice([-2.0, -1.0, -1e-7, -1e-9, -0.0, 0.0, 1e-9, 1e-7, 1.0, 2.0], n)
+    v[rng.random(n) < 0.05] = math.nan
+    v[rng.random(n) < 0.03] = rng.choice([-INF, INF])
+    return v
+
+
 def phase_one_start_loop(state, slack_offset):
     """Per column and per row, the start `_two_phase` makes: every column on
     a bound (or free at 0), every slack basic at b - A·x_N, and each slack
@@ -325,6 +391,101 @@ class TestVectorizedScans:
             got = solver._ratio_test(a, xb, lb_b, ub_b, t0)
             assert got == ratio_test_loop(a, xb, lb_b, ub_b, t0), f"trial {trial}"
 
+    # a basic column's infinite value times its table entry 0 reads NaN,
+    # which never enters
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_entering_matches_column_loop(self):
+        """The sign-table pick equals the per-column reference, Dantzig and
+        Bland, over basic, fixed, free and bounded columns, exact ties and
+        NaN or infinite reduced costs; `improving` equals its mask."""
+        rng = np.random.default_rng(41)
+        picked = nan_seen = 0
+        for trial in range(600):
+            n = int(rng.integers(1, 25))
+            state = random_statuses(rng, n)
+            d = scan_values(rng, n)
+            np.testing.assert_array_equal(state.improving(d),
+                                          may_enter_loop(state, d))
+            for bland in (False, True):
+                got = state.entering(d, bland, state.held())
+                assert got == entering_loop(state, d, bland), f"trial {trial}"
+                picked += got >= 0
+            nan_seen += np.isnan(d).any()
+        assert picked > 500 and nan_seen > 100
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_dual_candidates_match_column_loop(self):
+        """The dual's eligible set from the sign table equals the per-column
+        reference, for a leaving variable below and above its bounds."""
+        rng = np.random.default_rng(43)
+        found = 0
+        for trial in range(600):
+            n = int(rng.integers(1, 25))
+            state = random_statuses(rng, n)
+            w = scan_values(rng, n)
+            for below in (False, True):
+                got = state.dual_candidates(w, below, state.held())
+                np.testing.assert_array_equal(
+                    got, dual_candidates_loop(state, w, below), f"trial {trial}")
+                found += got.size
+        assert found > 1000
+
+
+class TestUnitFactor:
+    def test_solves_equal_superlu_of_identity(self):
+        """The unit factor's solves equal SuperLU's factor of I bit for bit,
+        both transposes, with signed zeros, infinities and NaN among the
+        entries; each returns a new array."""
+        rng = np.random.default_rng(47)
+        for m in [1, 2, 3, 5, 8, 13, 39, 93, 195]:
+            lu = splu(eye_array(m, format="csc"))
+            for _ in range(6):
+                v = rng.normal(size=m) * 10.0 ** rng.integers(-300, 300, m)
+                k = rng.integers(0, m, m // 3 + 1)
+                v[k] = rng.choice([0.0, -0.0, INF, -INF, math.nan], k.size)
+                for trans in ("N", "T"):
+                    got = solver._UnitFactor.solve(v, trans=trans)
+                    assert got is not v
+                    assert got.tobytes() == lu.solve(v, trans=trans).tobytes()
+
+    @pytest.mark.parametrize("basis, unit", [
+        ([3, 4, 5], True), ([0, 4, 5], True), ([4, 3, 5], False),
+        ([2, 4, 5], False)])
+    def test_refactor_takes_it_only_for_the_identity(self, basis, unit):
+        """B = I takes the unit factor, whichever unit columns make it: the
+        slacks in row order, or column 0 (e_0) in row 0. The slacks out of
+        order, or column 2, take an LU."""
+        A = csc_array(np.hstack([[[1.0, 0.0, 2.0], [0.0, 0.0, 1.0],
+                                  [0.0, 3.0, 0.0]], np.eye(3)]))
+        state = solver._Simplex(A, np.zeros(3), np.zeros(6), np.zeros(6),
+                                np.ones(6))
+        state.basis = np.array(basis)
+        state.refactor()
+        assert (state._lu is solver._UnitFactor) == unit
+
+    def test_cold_solve_makes_no_lu_at_the_slack_start(self, monkeypatch,
+                                                       linreg51):
+        """The cold root LP of ladder rung H8/W3 (linreg closure) refactors
+        three times, at the slack start and after 50 and 100 pivots, but
+        calls SuperLU only for the last two."""
+        calls = {"splu": 0, "refactor": 0}
+        splu_orig, refactor = solver.splu, solver._Simplex.refactor
+
+        def counted_splu(*args, **kwargs):
+            calls["splu"] += 1
+            return splu_orig(*args, **kwargs)
+
+        def counted_refactor(state):
+            calls["refactor"] += 1
+            refactor(state)
+
+        monkeypatch.setattr(solver, "splu", counted_splu)
+        monkeypatch.setattr(solver._Simplex, "refactor", counted_refactor)
+        model = assemble(load_scenario(json.dumps(ladder_doc(8, 3))), linreg51)[0]
+        res = solve_lp(model.to_standard_form())
+        assert (res.status, res.iterations) == ("optimal", 105)
+        assert calls == {"splu": 2, "refactor": 3}
+
 
 class TestProblemFromForm:
     @pytest.mark.parametrize("which", ["rowless", "lunar-linreg", "lunar-nn0",
@@ -345,7 +506,7 @@ class TestProblemFromForm:
         sf = model.to_standard_form()
         A = solver._problem_from_form(sf).A
         rows = sf.A if sf.A.shape[0] else csc_array((1, sf.A.shape[1]))
-        folded = rows.tocsr()
+        folded = rows.tocsr(copy=True)  # the compiled form is read-only
         if sf.A.shape[0]:
             folded.data *= np.repeat(np.where(np.isfinite(sf.row_hi), 1.0, -1.0),
                                      np.diff(folded.indptr))
@@ -1319,6 +1480,41 @@ class TestFactorSharing:
         sol = cli.run_pipeline(cli.build_parser().parse_args(argv)).solution
         assert (sol.status, sol.nodes, sol.iterations, float.hex(sol.objective)) == \
             ("optimal", nodes, iterations, objective)
+
+    # per training seed 0-19 of the NN study: nodes, iterations, objective
+    NN_STUDY_TREES = [
+        (17, 98, "0x1.5022fadbd1460p+15"), (17, 96, "0x1.5098a0638b094p+15"),
+        (5, 69, "0x1.5886cd7344d76p+15"), (9, 90, "0x1.53d88db4d9c61p+15"),
+        (7, 76, "0x1.5842c165e5a4cp+15"), (13, 79, "0x1.5fda009407ae7p+15"),
+        (9, 63, "0x1.4ff13bf809548p+15"), (7, 72, "0x1.561cad76811d2p+15"),
+        (11, 77, "0x1.568826fd66a6ep+15"), (7, 65, "0x1.4ddf34993a07ap+15"),
+        (11, 89, "0x1.5226c0c3df5ffp+15"), (5, 58, "0x1.4defb41db2729p+15"),
+        (7, 73, "0x1.547848073a29ap+15"), (7, 68, "0x1.5170f786b47a3p+15"),
+        (11, 81, "0x1.54b7704b855f6p+15"), (9, 65, "0x1.563ca296eda8ep+15"),
+        (3, 56, "0x1.5693810759524p+15"), (13, 80, "0x1.54ec580a67029p+15"),
+        (9, 66, "0x1.58a0ad0b9942cp+15"), (11, 79, "0x1.5416f6ed9c8c0p+15"),
+    ]
+
+    def test_nn_study_trees_are_pinned(self, monkeypatch):
+        """The paper's 20-trial NN study on the bundled campaign, tree by
+        tree: 188 nodes and 1,500 iterations in all, each objective to the
+        bit."""
+        from leolift import cli
+
+        sols = []
+        solve = cli.solve_milp
+
+        def capture(model, cfg=None, node_log=None):
+            sols.append(solve(model, cfg, node_log))
+            return sols[-1]
+
+        monkeypatch.setattr(cli, "solve_milp", capture)
+        cli.run_seed_study(cli.build_parser().parse_args(
+            ["--surrogate", "nn", "--seed", "0", "--trials", "20"]))
+        got = [(s.nodes, s.iterations, float.hex(s.objective)) for s in sols]
+        assert all(s.status == "optimal" for s in sols)
+        assert got == self.NN_STUDY_TREES
+        assert sum(t[0] for t in got) == 188 and sum(t[1] for t in got) == 1500
 
     def test_one_state_per_solve(self, monkeypatch, net0):
         """`solve_milp` builds one simplex state, and every node of a tree
