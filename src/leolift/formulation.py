@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .milp_ir import MilpModel, Solution
+from .milp_ir import FEAS_TOL, MilpModel, Solution
 from .scenario import Scenario, TimeExpandedNetwork, expand_time_network
 from .spacecraft import SizingParams
 from .surrogate import LinearSurrogate, ReluNetwork, embed_network
@@ -333,16 +333,13 @@ def build_sizing(model: MilpModel, fv: FlowVariables, closure):
         elif isinstance(cl, FixedDesign):
             model.add_constraint([(m_d, 1.0)], "=", cl.m_d, tag=f"sizing:{v}")
         elif isinstance(cl, LinearSurrogate):
-            if cl.beta.size != 1:
-                raise FormulationError("linear sizing surrogate must have a "
-                                       "single regressor (fuel capacity)")
             model.add_constraint(
-                [(m_d, 1.0), (m_p, -PAYLOAD_SIZING_COEFF), (m_f, -float(cl.beta[0]))],
+                [(m_d, 1.0), (m_p, -PAYLOAD_SIZING_COEFF), (m_f, -cl.slope)],
                 "=", cl.intercept, tag=f"sizing:{v}")
         elif isinstance(cl, ReluNetwork):
             f_id = model.add_variable(f"F[{v}]", lower=-math.inf, upper=math.inf)
             fv.design[(v, "F")] = f_id
-            embed_network(model, cl, [m_f], f_id, tag=f"ml[{v}]")
+            embed_network(model, cl, m_f, f_id, f"ml[{v}]")
             model.add_constraint(
                 [(m_d, 1.0), (m_p, -PAYLOAD_SIZING_COEFF), (f_id, -1.0)],
                 "=", 0.0, tag=f"sizing:{v}")
@@ -490,18 +487,18 @@ def net_inflow(fv: FlowVariables, sol: Solution, label: str, node: str,
     return total
 
 
-def solution_flows(fv: FlowVariables, sol: Solution, tol: float = 1e-6) -> list[dict]:
-    """Nonzero departures on flights, for reporting."""
+def solution_flows(fv: FlowVariables, sol: Solution) -> list[dict]:
+    """Departures on flights above `FEAS_TOL`, for reporting."""
     rows = []
     for idx, arc in enumerate(fv.network.arcs):
         for c in fv.commodities:
             amt = float(sol.values[fv.x_plus[(idx, c)]])
-            if amt > tol:
+            if amt > FEAS_TOL:
                 rows.append({"vehicle": arc.vehicle, "from": arc.src,
                              "to": arc.dst, "depart": arc.depart,
                              "commodity": c, "amount_kg": amt})
         amt = float(sol.values[fv.z_struct[idx]])
-        if amt > tol:
+        if amt > FEAS_TOL:
             rows.append({"vehicle": arc.vehicle, "from": arc.src, "to": arc.dst,
                          "depart": arc.depart, "commodity": STRUCT,
                          "amount_kg": amt})

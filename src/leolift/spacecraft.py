@@ -99,12 +99,12 @@ def solve_exact_oracle(p: SizingParams, payload: float,
     until the burn residual m_f - phi*T is below `TOL` kg.
     IMLEO = m_d + m_p + m_f.
     """
-    if payload < 0:
-        raise ValueError(f"payload must be nonnegative, got {payload}")
+    if not (math.isfinite(payload) and payload >= 0):
+        raise ValueError(f"payload must be finite and nonnegative, got {payload}")
     if not delta_vs:
         raise ValueError("delta_vs must be nonempty")
-    if any(dv < 0 for dv in delta_vs):
-        raise ValueError(f"delta_vs must be nonnegative, got {delta_vs}")
+    if not all(math.isfinite(dv) and dv >= 0 for dv in delta_vs):
+        raise ValueError(f"delta_vs must be finite and nonnegative, got {delta_vs}")
 
     m_p = float(payload)
     if m_p == 0.0:

@@ -5,11 +5,13 @@ targets standardized internally with the affine scaling folded back into the
 first and last layers, so the stored network maps raw kg to raw kg).
 Networks that differ only in their seed train together in one Adam loop
 over stacked parameters (`train_relu_networks`); a single network is the
-one-member case, and each member ends bitwise equal to its single run. A
-trained network has one input, so it is a piecewise-linear function of it:
-`breakpoints` finds its breakpoints on the input box, and `embed_network`
-writes it into a `MilpModel` exactly by the incremental method, with one
-binary per inner breakpoint.
+one-member case, and each member ends bitwise equal to its single run.
+Every surrogate is a function F(m_f) of one input; a network checks that,
+its shapes and its one finite input box once, when it is built. It is then
+a piecewise-linear function of m_f: `breakpoints` finds its breakpoints on
+the box, and `embed_network` writes it into a `MilpModel` exactly by the
+incremental method, with one binary per inner breakpoint. The file format
+keeps a linear slope as the one-element list `beta`.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ class DegenerateDataError(ValueError):
     """Training data carries no usable signal (all inputs identical)."""
 
 
-class RankDeficiencyError(ValueError):
-    """Regression design matrix is rank deficient."""
-
-
 @dataclass
 class TrainConfig:
     hidden_layers: int = 1
@@ -54,8 +52,10 @@ class TrainConfig:
 class ReluNetwork:
     """Affine + ReLU stack in raw units; identity output activation.
 
-    `weights[s]` has shape (layer_sizes[s+1], layer_sizes[s]). When
-    `clamp_output` is set the modeled function is max(0, network output).
+    `layer_sizes` starts and ends with 1, `weights[s]` has shape
+    (layer_sizes[s+1], layer_sizes[s]), `biases[s]` shape (layer_sizes[s+1],)
+    and `input_box` is one finite (lo, hi) with lo <= hi: checked when built.
+    When `clamp_output` is set the modeled function is max(0, network output).
     """
 
     layer_sizes: tuple[int, ...]
@@ -68,41 +68,45 @@ class ReluNetwork:
     test_r2: float = float("nan")
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2 or len(self.weights) != len(self.layer_sizes) - 1:
-            raise ValueError(f"layer_sizes {self.layer_sizes} need one weight per layer")
-        for s, W in enumerate(self.weights):
-            want = (self.layer_sizes[s + 1], self.layer_sizes[s])
-            if W.shape != want:
-                raise ValueError(f"layer {s} weight shape {W.shape} != {want}")
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(self.biases[s]))):
+        sizes = self.layer_sizes
+        if len(sizes) < 2 or not len(self.weights) == len(self.biases) == len(sizes) - 1:
+            raise ValueError(f"layer_sizes {sizes} need one weight per layer "
+                             "and one bias per layer")
+        if sizes[0] != 1 or sizes[-1] != 1:
+            raise ValueError(f"layer_sizes {sizes} must start and end with 1: "
+                             "a sizing surrogate maps m_f to one output")
+        for s, (W, b) in enumerate(zip(self.weights, self.biases)):
+            want = (sizes[s + 1], sizes[s])
+            if W.shape != want or b.shape != want[:1]:
+                raise ValueError(f"layer {s} weight and bias shapes {W.shape}, "
+                                 f"{b.shape} != {want}, {want[:1]}")
+            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {s} has non-finite parameters")
+        box = self.input_box
+        if not (len(box) == 1 and math.isfinite(box[0][0]) and math.isfinite(box[0][1])
+                and box[0][0] <= box[0][1]):
+            raise ValueError(f"input box {box} must be one finite (lo, hi), lo <= hi")
 
 
 @dataclass
 class LinearSurrogate:
-    beta: np.ndarray
+    """F(m_f) = slope * m_f + intercept."""
+
+    slope: float
     intercept: float
 
 
 def forward(net: ReluNetwork, x):
-    """Evaluate the network; scalar in, scalar out (or 1-d array elementwise
-    for single-input networks)."""
-    scalar = np.ndim(x) == 0
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    if net.layer_sizes[0] == 1:
-        a = a.reshape(-1, 1)
-    else:
-        a = a.reshape(-1, net.layer_sizes[0])
-    if a.shape[1] != net.layer_sizes[0]:
-        raise ValueError(f"input dimension {a.shape[1]} != {net.layer_sizes[0]}")
+    """Evaluate the network at m_f = x; scalar in, scalar out, or a 1-d
+    array elementwise."""
+    a = np.asarray(x, dtype=float).reshape(-1, 1)
     for s, (W, b) in enumerate(zip(net.weights, net.biases)):
         a = a @ W.T + b
         if s < len(net.weights) - 1:
             a = np.maximum(a, 0.0)
     if net.clamp_output:
         a = np.maximum(a, 0.0)
-    out = a[:, 0] if net.layer_sizes[-1] == 1 else a
-    return float(out[0]) if scalar else out
+    return float(a[0, 0]) if np.ndim(x) == 0 else a[:, 0]
 
 
 def _stacked_adam_loop(members, Xs, Ys, cfg: TrainConfig) -> list:
@@ -234,13 +238,7 @@ def train_relu_networks(data, cfgs, target_fn=None) -> list:
     if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
         raise ValueError("stacked training configs may differ only in seed")
     cfg = cfgs[0]
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("data must be (n, 2) pairs of (input, target)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("training data must be finite")
-    if arr.shape[0] < 2 or np.unique(arr[:, 0]).size < 2:
-        raise DegenerateDataError("need at least 2 distinct inputs")
+    arr = _training_pairs(data)
     x, yv = arr[:, :1], arr[:, 1:]
 
     mx, sx = x.mean(), x.std()
@@ -279,6 +277,19 @@ def train_relu_networks(data, cfgs, target_fn=None) -> list:
     return out
 
 
+def _training_pairs(data) -> np.ndarray:
+    """`data` as an (n, 2) float array of finite (m_f, target) pairs with at
+    least 2 distinct m_f, the input both trainers take."""
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("data must be (n, 2) pairs of (input, target)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("training data must be finite")
+    if arr.shape[0] < 2 or np.unique(arr[:, 0]).size < 2:
+        raise DegenerateDataError("need at least 2 distinct inputs")
+    return arr
+
+
 def _glorot_init(sizes, rng):
     """Glorot-uniform weights and zero biases, drawn layer by layer."""
     Ws, bs = [], []
@@ -293,7 +304,7 @@ def holdout_r2(sur, target_fn, box: tuple[float, float], rng) -> float:
     """R^2 against `target_fn` on 100 points drawn from `box` by `rng`."""
     xs = rng.uniform(box[0], box[1], 100)
     truth = np.array([target_fn(v) for v in xs])
-    pred = (xs * float(sur.beta[0]) + sur.intercept if isinstance(sur, LinearSurrogate)
+    pred = (xs * sur.slope + sur.intercept if isinstance(sur, LinearSurrogate)
             else forward(sur, xs))
     return _r_squared(pred, truth)
 
@@ -306,23 +317,17 @@ def _r_squared(pred, truth) -> float:
 
 
 def fit_linear_regression(data) -> LinearSurrogate:
-    """Exact least squares; columns of `data` are regressors then target."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ValueError("data must be (n, k+1) with the target last")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("training data must be finite")
-    X = np.hstack([arr[:, :-1], np.ones((arr.shape[0], 1))])
-    yv = arr[:, -1]
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise RankDeficiencyError("design matrix is rank deficient")
-    coef, *_ = np.linalg.lstsq(X, yv, rcond=None)
-    return LinearSurrogate(beta=coef[:-1], intercept=float(coef[-1]))
+    """Exact least squares of the target on [m_f, 1], over the (m_f, target)
+    pairs `train_relu_networks` takes."""
+    arr = _training_pairs(data)
+    X = np.hstack([arr[:, :1], np.ones((arr.shape[0], 1))])
+    coef, *_ = np.linalg.lstsq(X, arr[:, 1], rcond=None)
+    return LinearSurrogate(slope=float(coef[0]), intercept=float(coef[1]))
 
 
 def breakpoints(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints `xs` of the single-input network over its input box, and
-    its values `fs = forward(net, xs)`.
+    """Breakpoints `xs` of the network over its input box, and its values
+    `fs = forward(net, xs)`.
 
     Starting from the box ends, each hidden layer in turn (and the output
     clamp, when set) adds the zero crossings of its pre-activations between
@@ -330,14 +335,7 @@ def breakpoints(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
     points, so its pre-activations are too and each crossing is exact; the
     network then equals the linear interpolation of (xs, fs) on the box.
     """
-    if net.layer_sizes[0] != 1 or net.layer_sizes[-1] != 1 or len(net.input_box) != 1:
-        raise ValueError("breakpoints need a network with one input and one output")
-    (lo, hi), = net.input_box
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"input box [{lo}, {hi}] must be finite")
-    if lo > hi:
-        raise ValueError(f"input box [{lo}, {hi}] has lo > hi")
-    xs = np.unique([lo, hi])
+    xs = np.unique(net.input_box[0])
     for s in range(len(net.weights) - 1 + net.clamp_output):
         a = xs[:, None]
         for W, b in zip(net.weights[:s], net.biases[:s]):
@@ -349,8 +347,8 @@ def breakpoints(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
     return xs, forward(net, xs)
 
 
-def embed_network(model: MilpModel, net: ReluNetwork, input_vars: list[int],
-                  output_var: int, tag: str = "relu"):
+def embed_network(model: MilpModel, net: ReluNetwork, input_var: int,
+                  output_var: int, tag: str):
     """Encode the network exactly into the model, as the piecewise-linear
     function it is over its input box.
 
@@ -361,12 +359,8 @@ def embed_network(model: MilpModel, net: ReluNetwork, input_vars: list[int],
     the output F. Its LP relaxation is locally ideal (Vielma, Ahmed &
     Nemhauser 2010). The input variable's bounds must lie inside the box.
     """
-    if len(input_vars) != net.layer_sizes[0]:
-        raise ValueError("input variable count mismatch")
     xs, fs = breakpoints(net)
-    x = model.variables[input_vars[0]]
-    if not (math.isfinite(x.lower) and math.isfinite(x.upper)):
-        raise ValueError(f"input variable {x.name!r} must carry finite bounds")
+    x = model.variables[input_var]
     if x.lower < xs[0] - 1e-9 or x.upper > xs[-1] + 1e-9:
         raise ValueError(
             f"input variable {x.name!r} bounds [{x.lower}, {x.upper}] exceed "
@@ -379,7 +373,7 @@ def embed_network(model: MilpModel, net: ReluNetwork, input_vars: list[int],
                              tag=f"{tag}:fill{k}_a")
         model.add_constraint([(fill[k], 1.0), (w, -1.0)], "<=", 0.0,
                              tag=f"{tag}:fill{k}_b")
-    for vid, pts, name in ((input_vars[0], xs, "in"), (output_var, fs, "out")):
+    for vid, pts, name in ((input_var, xs, "in"), (output_var, fs, "out")):
         model.add_constraint([(vid, 1.0)] + [(d, -float(c)) for d, c in
                                              zip(fill, np.diff(pts))],
                              "=", float(pts[0]), tag=f"{tag}:{name}")
@@ -399,7 +393,7 @@ def _tighten(model: MilpModel, vid: int, lo: float, hi: float):
 
 def surrogate_to_dict(net) -> dict:
     if isinstance(net, LinearSurrogate):
-        return {"beta": list(map(float, net.beta)), "intercept": net.intercept}
+        return {"beta": [net.slope], "intercept": net.intercept}
     return {
         "layer_sizes": list(net.layer_sizes),
         "weights": [[float(v) for v in W.ravel()] for W in net.weights],
@@ -413,8 +407,9 @@ def surrogate_to_dict(net) -> dict:
 
 
 def surrogate_from_dict(doc: dict):
-    """Inverse of `surrogate_to_dict`; a missing or ill-typed field, or a
-    non-finite linear coefficient, raises ValueError naming it."""
+    """Inverse of `surrogate_to_dict`; a missing or ill-typed field, a
+    non-finite linear coefficient or a broken network rule raises ValueError
+    naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"a surrogate must be a JSON object, not {type(doc).__name__}")
 
@@ -436,14 +431,18 @@ def surrogate_from_dict(doc: dict):
             raise TypeError(f"expected an integer or null, got {v!r}")
         return v
 
+    def one_number(v):
+        if not isinstance(v, list) or len(v) != 1:
+            raise TypeError(f"expected a list of one number, the slope, got {v!r}")
+        return float(v[0])
+
     if "layer_sizes" not in doc:
-        # reshape rejects an empty or nested list: the CLI predicts with beta[0]
-        beta = get("beta", lambda v: np.asarray(v, dtype=float).reshape(max(1, len(v))))
+        slope = get("beta", one_number)
         intercept = get("intercept", float)
-        for name, v in (("beta", beta), ("intercept", intercept)):
-            if not np.all(np.isfinite(v)):
+        for name, v in (("beta", slope), ("intercept", intercept)):
+            if not math.isfinite(v):
                 raise ValueError(f"surrogate field {name!r} must be finite, got {v}")
-        return LinearSurrogate(beta=beta, intercept=intercept)
+        return LinearSurrogate(slope=slope, intercept=intercept)
     sizes = get("layer_sizes", lambda v: tuple(int(n) for n in v))
     shapes = list(zip(sizes[1:], sizes[:-1]))
     return ReluNetwork(

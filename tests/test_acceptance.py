@@ -121,7 +121,7 @@ def test_criterion_5_encoding_exactness(verdict):
                 m = MilpModel()
                 xin = m.add_variable("xin", lower=float(x0), upper=float(x0))
                 out = m.add_variable("out", lower=-math.inf, upper=math.inf)
-                embed_network(m, net, [xin], out)
+                embed_network(m, net, xin, out, "relu")
                 m.add_objective_term(out, direction)
                 sol = solve_milp(m)
                 assert sol.status == "optimal"

@@ -63,7 +63,10 @@ class TestArgumentHandling:
         ({**TINY_MODEL, "input_box": [[math.nan, 50000.0]]}, "input box"),
         ({**TINY_MODEL, "input_box": [[50000.0, 0.0]]}, "input box"),
         ({**TINY_MODEL, "layer_sizes": [2, 2, 1], "weights": [[1, 2, 3, 4], [3, 4]],
-          "input_box": [[0.0, 50000.0]] * 2}, "input variable count"),
+          "input_box": [[0.0, 50000.0]] * 2}, "layer_sizes"),
+        ({**TINY_MODEL, "layer_sizes": [1, 2, 2], "weights": [[1, 2], [1, 2, 3, 4]],
+          "biases": [[0.0, 0.0], [0.0, 0.0]]}, "layer_sizes"),
+        ({"beta": [1.0, 2.0], "intercept": 0.0}, "'beta'"),
     ])
     def test_malformed_model_exits_1(self, tmp_path, capsys, monkeypatch, doc, field):
         monkeypatch.setattr(cli, "solve_milp",

@@ -382,7 +382,7 @@ class TestSizingClosures:
         terms = dict(con.terms)
         assert terms[fv.design[("spacecraft", "m_p")]] == -PAYLOAD_SIZING_COEFF
         assert terms[fv.design[("spacecraft", "m_f")]] == pytest.approx(
-            -float(linreg51.beta[0]))
+            -linreg51.slope)
         assert con.rhs == pytest.approx(linreg51.intercept)
 
     def test_relu_closure_adds_embedding(self, lunar, net0):

@@ -113,6 +113,14 @@ class TestExactOracle:
         assert res.imleo == pytest.approx(res.m_d + res.m_p + res.m_f, abs=1e-6)
         assert abs(res.residual) < 1e-6
 
+    @pytest.mark.parametrize("payload, delta_vs, name", [
+        (math.nan, LUNAR_DVS, "payload"), (math.inf, LUNAR_DVS, "payload"),
+        (1000.0, [math.nan], "delta_vs"), (1000.0, [3000.0, math.inf], "delta_vs"),
+    ])
+    def test_non_finite_input_rejected(self, params, payload, delta_vs, name):
+        with pytest.raises(ValueError, match=name):
+            solve_exact_oracle(params, payload, delta_vs)
+
     def test_result_invariants(self, params):
         res = solve_exact_oracle(params, 500.0, [3000.0])
         assert isinstance(res, OracleResult)

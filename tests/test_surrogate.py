@@ -9,8 +9,8 @@ from leolift import surrogate
 from leolift.milp_ir import MilpModel
 from leolift.solver import BnbConfig, solve_milp
 from leolift.spacecraft import surrogate_target
-from leolift.surrogate import (DegenerateDataError, RankDeficiencyError,
-                               ReluNetwork, TrainConfig, TrainingDivergence,
+from leolift.surrogate import (DegenerateDataError, ReluNetwork,
+                               TrainConfig, TrainingDivergence,
                                _glorot_init, _layer_views, _mse_and_grads,
                                _stacked_adam_loop, breakpoints,
                                embed_network, fit_linear_regression, forward,
@@ -34,7 +34,7 @@ def embedded_extremum(net, x0: float | None, maximize: bool) -> float:
     m = MilpModel("fix")
     xin = m.add_variable("xin", lower=lo, upper=hi)
     out = m.add_variable("out", lower=-math.inf, upper=math.inf)
-    embed_network(m, net, [xin], out)
+    embed_network(m, net, xin, out, "relu")
     m.add_objective_term(out, -1.0 if maximize else 1.0)
     sol = solve_milp(m, BnbConfig())
     assert sol.status == "optimal"
@@ -265,17 +265,37 @@ class TestForward:
         net = tiny_net([[2.0]], [0.0], [[1.0]], [0.0], (0.0, 10.0))
         np.testing.assert_allclose(forward(net, np.array([1.0, 2.0])), [2.0, 4.0])
 
-    def test_dimension_mismatch(self):
-        net = ReluNetwork((2, 2, 1),
-                          [np.eye(2), np.ones((1, 2))],
-                          [np.zeros(2), np.zeros(1)],
-                          ((0, 1), (0, 1)))
-        with pytest.raises(ValueError):
-            forward(net, np.ones((3, 3)))
+
+class TestConstruction:
+    """A network is checked once, when it is built: shapes, one input and one
+    output, one finite box."""
 
     def test_shape_validation_on_construction(self):
         with pytest.raises(ValueError):
             tiny_net([[1.0, 2.0]], [0.0], [[1.0]], [0.0], (0, 1))
+
+    def test_broadcasting_bias_rejected(self):
+        # a (1,) bias on a 3-neuron layer would broadcast in forward
+        with pytest.raises(ValueError, match=r"layer 0 .*\(1,\) != \(3, 1\), \(3,\)"):
+            ReluNetwork((1, 3, 1), [np.ones((3, 1)), np.ones((1, 3))],
+                        [np.array([0.5]), np.zeros(1)], ((0.0, 1.0),))
+
+    def test_missing_bias_rejected(self):
+        with pytest.raises(ValueError, match="one bias per layer"):
+            ReluNetwork((1, 3, 1), [np.ones((3, 1)), np.ones((1, 3))],
+                        [np.zeros(3)], ((0.0, 1.0),))
+
+    @pytest.mark.parametrize("box", [((0.0, math.inf),), ((math.nan, 1.0),),
+                                     ((3.0, -2.0),), ((0.0, 1.0), (0.0, 1.0))])
+    def test_bad_box_rejected(self, box):
+        with pytest.raises(ValueError, match="input box"):
+            replace(random_deep_net(True), input_box=box)
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 1), (1, 2, 2)])
+    def test_multi_input_or_output_network_rejected(self, sizes):
+        with pytest.raises(ValueError, match="must start and end with 1"):
+            ReluNetwork(sizes, [np.ones((2, sizes[0])), np.ones((sizes[2], 2))],
+                        [np.zeros(2), np.zeros(sizes[2])], ((0.0, 1.0),))
 
 
 class TestGradients:
@@ -316,17 +336,22 @@ class TestGradients:
 class TestLinearRegression:
     def test_two_point_line(self):
         fit = fit_linear_regression([(0.0, 1.0), (1.0, 3.0)])
-        assert fit.beta[0] == pytest.approx(2.0, abs=1e-12)
+        assert fit.slope == pytest.approx(2.0, abs=1e-12)
         assert fit.intercept == pytest.approx(1.0, abs=1e-12)
 
     def test_sizing_dataset_coefficients(self, linreg51):
         # frozen values of the exact least-squares fit on the default grid
-        assert linreg51.beta[0] == pytest.approx(0.0906333125354867, rel=1e-12)
+        assert linreg51.slope == pytest.approx(0.0906333125354867, rel=1e-12)
         assert linreg51.intercept == pytest.approx(222.1261647230117, rel=1e-12)
 
-    def test_duplicated_column_rank_deficient(self):
-        rows = [(float(x), float(x), 3.0 * x + 1.0) for x in range(5)]
-        with pytest.raises(RankDeficiencyError):
+    @pytest.mark.parametrize("rows", [[(1.0, 2.0), (1.0, 3.0)], [(1.0, 2.0)]])
+    def test_identical_inputs_rejected(self, rows):
+        with pytest.raises(DegenerateDataError):
+            fit_linear_regression(rows)
+
+    def test_more_than_one_regressor_rejected(self):
+        rows = [(float(x), float(x) ** 2, 3.0 * x + 1.0) for x in range(5)]
+        with pytest.raises(ValueError, match="pairs of"):
             fit_linear_regression(rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -339,14 +364,14 @@ class TestLinearRegression:
     def test_residuals_orthogonal_to_regressors(self, dataset51, linreg51):
         X = np.array([[x, 1.0] for x, _ in dataset51])
         y = np.array([t for _, t in dataset51])
-        resid = y - X @ np.array([linreg51.beta[0], linreg51.intercept])
+        resid = y - X @ np.array([linreg51.slope, linreg51.intercept])
         dots = X.T @ resid
         assert np.max(np.abs(dots)) / (np.linalg.norm(y) * len(y)) < 1e-8
 
     def test_perturbing_coefficients_never_helps(self, dataset51, linreg51):
         X = np.array([[x, 1.0] for x, _ in dataset51])
         y = np.array([t for _, t in dataset51])
-        base = np.array([linreg51.beta[0], linreg51.intercept])
+        base = np.array([linreg51.slope, linreg51.intercept])
         best = np.sum((y - X @ base) ** 2)
         for k in range(2):
             for sign in (-1.0, 1.0):
@@ -390,17 +415,6 @@ class TestBreakpoints:
         assert list(xs) == [0.5] and list(fs) == [forward(net, 0.5)]
         assert embedded_extremum(net, 0.5, maximize=True) == fs[0]
 
-    @pytest.mark.parametrize("box", [(0.0, math.inf), (math.nan, 1.0), (3.0, -2.0)])
-    def test_bad_box_rejected(self, box):
-        with pytest.raises(ValueError, match="input box"):
-            breakpoints(replace(random_deep_net(True), input_box=(box,)))
-
-    def test_multi_input_network_rejected(self):
-        net = ReluNetwork((2, 2, 1), [np.ones((2, 2)), np.ones((1, 2))],
-                          [np.zeros(2), np.zeros(1)], ((0.0, 1.0), (0.0, 1.0)))
-        with pytest.raises(ValueError, match="one input"):
-            breakpoints(net)
-
 
 class TestEmbedding:
     def test_affine_network_needs_no_binary(self):
@@ -408,7 +422,7 @@ class TestEmbedding:
         m = MilpModel()
         xin = m.add_variable("x", lower=0.0, upper=10.0)
         out = m.add_variable("o", lower=-math.inf, upper=math.inf)
-        embed_network(m, net, [xin], out)
+        embed_network(m, net, xin, out, "relu")
         assert list(breakpoints(net)[0]) == [0.0, 10.0]
         assert m.num_integer() == 0
 
@@ -418,14 +432,14 @@ class TestEmbedding:
         m = MilpModel()
         xin = m.add_variable("x", lower=-2.0, upper=3.0)
         out = m.add_variable("o", lower=-math.inf, upper=math.inf)
-        embed_network(m, net, [xin], out)
+        embed_network(m, net, xin, out, "relu")
         assert m.num_integer() == len(breakpoints(net)[0]) - 2 > 0
 
     def test_trained_net_one_binary_per_inner_breakpoint(self, net0):
         m = MilpModel()
         xin = m.add_variable("x", lower=0.0, upper=50000.0)
         out = m.add_variable("o", lower=-math.inf, upper=math.inf)
-        embed_network(m, net0, [xin], out)
+        embed_network(m, net0, xin, out, "relu")
         assert m.num_integer() == len(breakpoints(net0)[0]) - 2 > 0
 
     @pytest.mark.parametrize("clamp", [False, True])
@@ -445,14 +459,14 @@ class TestEmbedding:
         xin = m.add_variable("x", lower=0.0, upper=math.inf)
         out = m.add_variable("o")
         with pytest.raises(ValueError):
-            embed_network(m, net0, [xin], out)
+            embed_network(m, net0, xin, out, "relu")
 
     def test_input_outside_training_box_rejected(self, net0):
         m = MilpModel()
         xin = m.add_variable("x", lower=0.0, upper=60000.0)
         out = m.add_variable("o")
         with pytest.raises(ValueError):
-            embed_network(m, net0, [xin], out)
+            embed_network(m, net0, xin, out, "relu")
 
     def test_clamp_zeroes_negative_region(self):
         # raw output is negative on the low end of the box
@@ -466,6 +480,12 @@ class TestEmbedding:
 # a valid serialized network, for one field at a time to be spoiled
 TINY_DOC = {"layer_sizes": [1, 2, 1], "weights": [[1.0, 2.0], [3.0, 4.0]],
             "biases": [[0.0, 0.0], [0.0]], "input_box": [[0.0, 1.0]]}
+
+# files in the on-disk format, every field as `save_surrogate` writes it
+NETWORK_FILE = {"layer_sizes": [1, 2, 1], "weights": [[1.0, -2.0], [3.0, 4.0]],
+                "biases": [[0.5, 1.0], [-0.25]], "input_box": [[0.0, 50000.0]],
+                "clamp_output": False, "seed": 7, "train_r2": 0.875, "test_r2": 0.5}
+LINREG_FILE = {"beta": [0.0906333125354867], "intercept": 222.1261647230117}
 
 
 class TestSerialization:
@@ -497,7 +517,13 @@ class TestSerialization:
         ({"layer_sizes": [1], "weights": [], "biases": [], "input_box": [[0.0, 1.0]]},
          "one weight per layer"),
         ({"beta": [], "intercept": 1.0}, "'beta' is ill-typed"),
+        ({"beta": [1.0, 2.0], "intercept": 1.0}, "'beta' is ill-typed"),
+        ({"beta": [[1.0]], "intercept": 1.0}, "'beta' is ill-typed"),
         ({"beta": [1.0]}, "'intercept' is missing"),
+        ({"layer_sizes": [1, 2, 2], "weights": [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+          "biases": [[0.0, 0.0], [0.0, 0.0]], "input_box": [[0.0, 1.0]]},
+         "must start and end with 1"),
+        ({**TINY_DOC, "input_box": [[0.0, 1.0], [0.0, 1.0]]}, "input box"),
         ({**TINY_DOC, "clamp_output": "false"}, "'clamp_output' is ill-typed"),
         ({**TINY_DOC, "clamp_output": 0}, "'clamp_output' is ill-typed"),
         ({**TINY_DOC, "seed": "abc"}, "'seed' is ill-typed"),
@@ -518,5 +544,16 @@ class TestSerialization:
         path = tmp_path / "lin.json"
         save_surrogate(linreg51, str(path))
         again = load_surrogate(str(path))
-        assert again.beta[0] == linreg51.beta[0]
+        assert again.slope == linreg51.slope
         assert again.intercept == linreg51.intercept
+
+    @pytest.mark.parametrize("doc", [NETWORK_FILE, LINREG_FILE], ids=["nn", "linreg"])
+    def test_file_format_is_pinned(self, tmp_path, doc):
+        """A file in the on-disk format loads, and is written back unchanged."""
+        text = json.dumps(doc, indent=1)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        again = load_surrogate(str(path))
+        assert surrogate_to_dict(again) == doc
+        save_surrogate(again, str(path))
+        assert path.read_text() == text
