@@ -1,5 +1,6 @@
 """Formulation tests: balance rows, burn arithmetic, linearization, assembly."""
 
+import hashlib
 import json
 import math
 
@@ -689,3 +690,26 @@ class TestNetworkCuts:
         ref = highs_milp(bare)
         assert ref.status == 0, ref.message
         assert model.evaluate(point(ref.x), tol=FEAS_TOL) == []
+
+
+class TestModelFingerprint:
+    """The sha256 of the `export_mps` text of four models: a refactor of the
+    assembly that means to change nothing must leave every digest as it is.
+    The rungs use the linreg closure, the bundled campaign the seed-0 net."""
+
+    @pytest.mark.parametrize("which, digest", [
+        ("H8/W3", "4e1561f9b6b080c396f63d49a7f4cfe7fd1e3726805f90d5a50a8102d23b1130"),
+        ("H10/W5", "331df2d23c439c9f655d5f1f374cdab2693ece60a740e416131bdec3bb80c9f3"),
+        ("H40/W2", "87d1bd1beadb35807bb06cd1a593341a0b5d6cac49b6a0d5325276e0e1e3374a"),
+        ("lunar-nn0", "869992089810b699be6c44cb4bd87dd87effd8032c786a2400f13f5f437a84c0"),
+    ])
+    def test_mps_text_is_pinned(self, tmp_path, which, digest, lunar, linreg51,
+                                net0):
+        if which == "lunar-nn0":
+            model, _ = assemble(lunar, net0)
+        else:
+            h, w = (int(k) for k in which[1:].split("/W"))
+            model, _ = assemble(load_scenario(json.dumps(ladder_doc(h, w))), linreg51)
+        path = tmp_path / "model.mps"
+        model.export_mps(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
