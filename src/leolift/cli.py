@@ -151,14 +151,13 @@ def _params_for(scenario: Scenario) -> SizingParams:
     if not scenario.vehicles:
         raise ScenarioError(f"scenario {scenario.name!r} has no vehicles; "
                             "the surrogate sizes a vehicle, so at least one is needed")
-    params = [SizingParams(alpha=v.alpha, isp=v.isp, burn_time=v.burn_time,
-                           m_ub=v.m_ub) for v in scenario.vehicles]
-    if any(p != params[0] for p in params[1:]):
+    params = scenario.vehicles[0].sizing
+    if any(v.sizing != params for v in scenario.vehicles[1:]):
         ids = ", ".join(v.id for v in scenario.vehicles)
         raise ScenarioError(f"scenario {scenario.name!r}: vehicles {ids} differ in "
                             "alpha, isp, burn time or m_ub; one surrogate sizes "
                             "every vehicle, so they must share these values")
-    return params[0]
+    return params
 
 
 def _scenario_and_params(args) -> tuple[Scenario, SizingParams]:

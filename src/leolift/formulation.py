@@ -7,7 +7,8 @@ holdover variable. The bilinear products
 design_mass * indicator are linearized exactly with big-M rows, propellant
 burn is a constant-fraction transformation per arc, and the design triple
 (m_d, m_p, m_f) is closed either by a linear structural ratio or by an
-embedded sizing surrogate.
+embedded sizing surrogate. The burn fraction and the closure's payload
+coefficient come from `spacecraft`, where the oracle reads them too.
 
 Constraint tags follow a fixed grammar so solutions can be audited row by
 row: `eq2:<node>:<t>:<commodity>` mass balance, `eq3:<v>:<arc>:propellant`
@@ -28,14 +29,11 @@ from dataclasses import dataclass, field
 
 from .milp_ir import FEAS_TOL, MilpModel, Solution
 from .scenario import Scenario, TimeExpandedNetwork, expand_time_network
-from .spacecraft import SizingParams
+from .spacecraft import PAYLOAD_COEFF, compute_propellant_fraction
 from .surrogate import LinearSurrogate, ReluNetwork, embed_network
 
 PROPELLANT = "propellant"
 STRUCT = "structure"
-
-# dry-mass contribution per kg of payload capacity in the sizing closure
-PAYLOAD_SIZING_COEFF = SizingParams.payload_coeff
 
 
 class FormulationError(ValueError):
@@ -86,15 +84,6 @@ class FlowVariables:
     design: dict = field(default_factory=dict)     # (vehicle_id, field) -> vid
 
 
-def compute_propellant_fraction(delta_v: float, isp: float) -> float:
-    """Fraction of departing wet mass burned to achieve delta_v."""
-    if delta_v < 0:
-        raise ValueError(f"delta_v must be nonnegative, got {delta_v}")
-    if isp <= 0:
-        raise ValueError("isp must be positive")
-    return 1.0 - math.exp(-delta_v / (isp * SizingParams.g0))
-
-
 def create_flow_variables(model: MilpModel, scenario: Scenario,
                           network: TimeExpandedNetwork) -> FlowVariables:
     """Add the design triples, the holdovers and each flight's variables.
@@ -133,7 +122,7 @@ def create_flow_variables(model: MilpModel, scenario: Scenario,
                     if label in fleet_ub else model.add_variable(name))
     for idx, arc in enumerate(network.arcs):
         v, key = arc.vehicle, arc.key
-        phi = (compute_propellant_fraction(arc.delta_v, scenario.vehicle(v).isp)
+        phi = (compute_propellant_fraction(arc.delta_v, scenario.vehicle(v).sizing.isp)
                if arc.kind == "transport" else 0.0)
         if phi > 0.0 and PROPELLANT in commodities:  # one test for xm and eq3
             fv.burn[idx] = phi
@@ -319,7 +308,7 @@ def build_sizing(model: MilpModel, fv: FlowVariables, closure):
     F(m_f) is embedded over the network's input box as the piecewise-linear
     function it is (`embed_network`: a fill variable per segment between
     breakpoints, a binary per inner breakpoint) and closes
-    m_d = PAYLOAD_SIZING_COEFF * m_p + F.
+    m_d = PAYLOAD_COEFF * m_p + F.
     """
     for v in fv.vehicle_ids:
         cl = closure[v] if isinstance(closure, dict) else closure
@@ -334,14 +323,14 @@ def build_sizing(model: MilpModel, fv: FlowVariables, closure):
             model.add_constraint([(m_d, 1.0)], "=", cl.m_d, tag=f"sizing:{v}")
         elif isinstance(cl, LinearSurrogate):
             model.add_constraint(
-                [(m_d, 1.0), (m_p, -PAYLOAD_SIZING_COEFF), (m_f, -cl.slope)],
+                [(m_d, 1.0), (m_p, -PAYLOAD_COEFF), (m_f, -cl.slope)],
                 "=", cl.intercept, tag=f"sizing:{v}")
         elif isinstance(cl, ReluNetwork):
             f_id = model.add_variable(f"F[{v}]", lower=-math.inf, upper=math.inf)
             fv.design[(v, "F")] = f_id
             embed_network(model, cl, m_f, f_id, f"ml[{v}]")
             model.add_constraint(
-                [(m_d, 1.0), (m_p, -PAYLOAD_SIZING_COEFF), (f_id, -1.0)],
+                [(m_d, 1.0), (m_p, -PAYLOAD_COEFF), (f_id, -1.0)],
                 "=", 0.0, tag=f"sizing:{v}")
         else:
             raise FormulationError(f"unknown sizing closure {cl!r}")
@@ -443,12 +432,11 @@ def _has_cycle(legs) -> bool:
 def build_objective(model: MilpModel, fv: FlowVariables, scenario: Scenario):
     for entry in scenario.objective:
         costs = dict(entry.commodity_cost)
-        star = costs.pop("*", None)
         for idx, arc in enumerate(fv.network.arcs):
             if (arc.src, arc.dst) != (entry.src, entry.dst):
                 continue
             for c in fv.commodities:
-                w = costs.get(c, star if star is not None else 0.0)
+                w = costs.get(c, 0.0)
                 if w:
                     model.add_objective_term(fv.x_plus[(idx, c)], w)
             if entry.vehicle_cost:

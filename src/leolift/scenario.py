@@ -2,10 +2,12 @@
 
 A scenario is a JSON document describing locations, transport arcs with
 delta-v / time-of-flight / departure windows, commodities, vehicles, supply
-and demand entries, and per-arc objective weights. `expand_time_network`
-unrolls it into the flights (launch and transport arcs) over the discrete
-day grid; staying at a node from one day to the next is the formulation's
-holdover, not an arc.
+and demand entries, and per-arc objective weights. A loaded vehicle carries
+its sizing constants as one `SizingParams`, and an objective entry one cost
+per commodity (a scalar `commodity_cost` applies to every commodity).
+`expand_time_network` unrolls it into the flights (launch and transport
+arcs) over the discrete day grid; staying at a node from one day to the next
+is the formulation's holdover, not an arc.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+from .spacecraft import SizingParams
 
 NODE_KINDS = ("body-surface", "orbit")
 BUILTIN_COMMODITIES = ("payload", "propellant")
@@ -66,10 +70,7 @@ class DemandEntry:
 @dataclass(frozen=True)
 class VehicleSpec:
     id: str
-    isp: float
-    burn_time: float
-    alpha: float
-    m_ub: float
+    sizing: SizingParams
     # design variable ranges keyed "m_p"/"m_f" (and optionally "m_d")
     design_bounds: tuple[tuple[str, tuple[float, float]], ...] = ()
 
@@ -84,7 +85,7 @@ class VehicleSpec:
 class ObjectiveEntry:
     src: str
     dst: str
-    commodity_cost: tuple[tuple[str, float], ...]  # ("*", c) means every commodity
+    commodity_cost: tuple[tuple[str, float], ...]  # (commodity id, cost), sorted by id
     vehicle_cost: float
 
 
@@ -246,11 +247,11 @@ def load_scenario(text: str) -> Scenario:
         if vid in seen or vid in commodity_ids:
             raise ScenarioDomainError(f"duplicate id {vid!r} (vehicle ids share the commodity namespace)")
         seen.add(vid)
-        isp, burn, m_ub = (
-            _number(_expect(vd, key, (int, float), path), f"{path}.{key}", 0, strict=True)
-            for key in ("isp_s", "burn_time_s", "m_ub_kg"))
-        alpha = _number(_expect(vd, "alpha", (int, float), path), f"{path}.alpha", 0, 1,
-                        strict=True)
+        isp, burn, m_ub, alpha = (
+            _number(_expect(vd, key, (int, float), path), f"{path}.{key}", 0, hi, strict=True)
+            for key, hi in (("isp_s", math.inf), ("burn_time_s", math.inf),
+                            ("m_ub_kg", math.inf), ("alpha", 1)))
+        sizing = SizingParams(alpha=alpha, isp=isp, burn_time=burn, m_ub=m_ub)
         db = []
         for key, rng in _expect(vd, "design_bounds", dict, path, default={}).items():
             if key not in ("m_p", "m_f", "m_d"):
@@ -260,7 +261,7 @@ def load_scenario(text: str) -> Scenario:
             lo = _number(rng[0], f"{path}.design_bounds.{key}[0]", 0)
             hi = _number(rng[1], f"{path}.design_bounds.{key}[1]", lo)
             db.append((key, (lo, hi)))
-        vehicles.append(VehicleSpec(vid, isp, burn, alpha, m_ub, tuple(db)))
+        vehicles.append(VehicleSpec(vid, sizing, tuple(db)))
     vehicle_ids = seen
 
     demands = []
@@ -298,9 +299,10 @@ def load_scenario(text: str) -> Scenario:
                 if cid not in commodity_ids:
                     raise ScenarioReferenceError(f"{path}.commodity_cost names unknown commodity {cid!r}")
                 cc.append((cid, _number(cost, f"{path}.commodity_cost.{cid}")))
-            cc = tuple(sorted(cc))
         else:
-            cc = (("*", _number(raw, f"{path}.commodity_cost")),)
+            cost = _number(raw, f"{path}.commodity_cost")
+            cc = [(cid, cost) for cid in commodity_ids]
+        cc = tuple(sorted(cc))
         vc = _number(_expect(od, "vehicle_cost", (int, float), path, default=0.0),
                      f"{path}.vehicle_cost")
         objective.append(ObjectiveEntry(src, dst, cc, vc))

@@ -426,9 +426,9 @@ def surrogate_from_dict(doc: dict):
             raise TypeError(f"expected true or false, got {v!r}")
         return v
 
-    def int_or_null(v):
-        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
-            raise TypeError(f"expected an integer or null, got {v!r}")
+    def integer(v):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"expected an integer, got {v!r}")
         return v
 
     def one_number(v):
@@ -443,7 +443,7 @@ def surrogate_from_dict(doc: dict):
             if not math.isfinite(v):
                 raise ValueError(f"surrogate field {name!r} must be finite, got {v}")
         return LinearSurrogate(slope=slope, intercept=intercept)
-    sizes = get("layer_sizes", lambda v: tuple(int(n) for n in v))
+    sizes = get("layer_sizes", lambda v: tuple(integer(n) for n in v))
     shapes = list(zip(sizes[1:], sizes[:-1]))
     return ReluNetwork(
         sizes,
@@ -453,7 +453,7 @@ def surrogate_from_dict(doc: dict):
                                  for shape, a in zip(shapes, v, strict=True)]),
         get("input_box", lambda v: tuple((float(lo), float(hi)) for lo, hi in v)),
         clamp_output=get("clamp_output", boolean, True),
-        seed=get("seed", int_or_null, None),
+        seed=get("seed", lambda v: None if v is None else integer(v), None),
         train_r2=get("train_r2", float, math.nan),
         test_r2=get("test_r2", float, math.nan),
     )

@@ -172,6 +172,15 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error:") and "differ" in err
 
+    @pytest.mark.parametrize("surrogate", ["nn", "linreg"])
+    def test_train_range_whose_step_does_not_divide_solves(self, capsys, surrogate):
+        """The grid ends at HI, so the network's trained box covers the
+        design bounds [0, 50000] and the run solves like linreg's."""
+        code, out, err = run_main(capsys, ["--surrogate", surrogate, "--report", "json",
+                                           "--train-range", "0:50000:3000"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["milp"]["status"] == "optimal"
+
     def test_parse_train_range(self):
         assert _parse_train_range("0:50000:1000") == (0.0, 50000.0, 1000.0)
         for bad in ("1:2", "2:1:1", "0:10:0", "a:b:c"):

@@ -9,23 +9,25 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from leolift.formulation import (FixedDesign, FormulationError, LinearEpsilon,
-                                 PAYLOAD_SIZING_COEFF, assemble,
-                                 build_concurrency, build_mass_balance,
-                                 build_sizing, build_transformation,
-                                 compute_propellant_fraction,
-                                 create_flow_variables, net_inflow,
-                                 reachable_node_days, solution_flows)
+                                 assemble, build_concurrency,
+                                 build_mass_balance, build_sizing,
+                                 build_transformation, create_flow_variables,
+                                 net_inflow, reachable_node_days,
+                                 solution_flows)
 from leolift.milp_ir import FEAS_TOL, MilpModel
 from leolift.scenario import (Arc, Commodity, DemandEntry, Node,
                               ObjectiveEntry, Scenario, VehicleSpec,
                               expand_time_network, load_scenario)
 from leolift.solver import solve_lp, solve_milp
-from leolift.spacecraft import SizingParams, solve_exact_oracle, surrogate_target
+from leolift.spacecraft import (PAYLOAD_COEFF, SizingParams,
+                                compute_propellant_fraction,
+                                solve_exact_oracle, surrogate_target)
 from leolift.surrogate import TrainConfig, train_relu_network
 
 from helpers import assemble_without_cuts, highs_milp, ladder_doc
 
 INF = math.inf
+TUG_SIZING = SizingParams(alpha=0.1, isp=300.0, burn_time=60.0, m_ub=50000.0)
 
 
 def make_scenario(**kw):
@@ -35,8 +37,7 @@ def make_scenario(**kw):
         nodes=(Node("A", "orbit"), Node("B", "orbit")),
         arcs=(Arc("A", "B", 0.0, 1, (0,)),),
         commodities=(Commodity("water"),),
-        vehicles=(VehicleSpec("tug", isp=300.0, burn_time=60.0, alpha=0.1,
-                              m_ub=50000.0,
+        vehicles=(VehicleSpec("tug", TUG_SIZING,
                               design_bounds=(("m_p", (0.0, 50000.0)),
                                              ("m_f", (0.0, 50000.0)))),),
         demands=(DemandEntry("tug", "A", 0, 1.0),
@@ -79,31 +80,6 @@ def net19(params, dataset51):
     clamp is an always-active ReLU written as one `=` row."""
     return train_relu_network(dataset51, TrainConfig(seed=19),
                               target_fn=lambda v: surrogate_target(params, v))
-
-
-class TestPropellantFraction:
-    def test_zero_delta_v_burns_nothing(self):
-        assert compute_propellant_fraction(0.0, 330.0) == 0.0
-
-    def test_lunar_injection_fraction(self):
-        assert compute_propellant_fraction(4040.0, 330.0) == pytest.approx(
-            0.71327, abs=1e-5)
-
-    def test_descent_fraction_frozen(self):
-        assert compute_propellant_fraction(1870.0, 330.0) == pytest.approx(
-            0.4391104607150276, rel=1e-12)
-
-    def test_negative_delta_v_rejected(self):
-        with pytest.raises(ValueError):
-            compute_propellant_fraction(-1.0, 330.0)
-        with pytest.raises(ValueError):
-            compute_propellant_fraction(100.0, 0.0)
-
-    def test_monotone_in_delta_v(self):
-        vals = [compute_propellant_fraction(dv, 450.0)
-                for dv in (0.0, 500.0, 2000.0, 9000.0)]
-        assert vals == sorted(vals)
-        assert all(0.0 <= v < 1.0 for v in vals)
 
 
 class TestMassBalance:
@@ -165,8 +141,7 @@ class TestMassBalance:
     def test_unreachable_holdover_is_absent(self, lunar):
         """No holdover where no supply of its label can be: B before the
         tug's flight lands, and anything of a vehicle nothing supplies."""
-        idle = VehicleSpec("idle", isp=300.0, burn_time=60.0, alpha=0.1,
-                           m_ub=50000.0, design_bounds=(("m_p", (0.0, 1.0)),
+        idle = VehicleSpec("idle", TUG_SIZING, design_bounds=(("m_p", (0.0, 1.0)),
                                                         ("m_f", (0.0, 1.0))))
         sc = make_scenario(horizon=4, vehicles=make_scenario().vehicles + (idle,))
         model, fv = assemble(sc, FixedDesign(100.0))
@@ -291,7 +266,7 @@ class TestTransformation:
             wet += sol.values[fv.z_struct[idx]]
             burned = (sol.values[fv.x_plus[(idx, "propellant")]]
                       - sol.values[fv.x_minus[(idx, "propellant")]])
-            phi = compute_propellant_fraction(4040.0, lunar.vehicle("spacecraft").isp)
+            phi = compute_propellant_fraction(4040.0, lunar.vehicle("spacecraft").sizing.isp)
             assert wet == pytest.approx(sol.objective, rel=1e-9)
             assert burned == pytest.approx(phi * wet, rel=1e-9)
 
@@ -362,8 +337,7 @@ class TestConcurrency:
 
     def test_infinite_design_bound_rejected(self):
         sc = make_scenario(
-            vehicles=(VehicleSpec("tug", isp=300.0, burn_time=60.0, alpha=0.1,
-                                  m_ub=50000.0,
+            vehicles=(VehicleSpec("tug", TUG_SIZING,
                                   design_bounds=(("m_p", (0.0, INF)),)),))
         with pytest.raises(FormulationError, match="must be finite"):
             assemble(sc, FixedDesign(100.0))
@@ -381,7 +355,7 @@ class TestSizingClosures:
         model, fv = assemble(lunar, linreg51)
         con = constraint_by_tag(model, "sizing:spacecraft")
         terms = dict(con.terms)
-        assert terms[fv.design[("spacecraft", "m_p")]] == -PAYLOAD_SIZING_COEFF
+        assert terms[fv.design[("spacecraft", "m_p")]] == -PAYLOAD_COEFF
         assert terms[fv.design[("spacecraft", "m_f")]] == pytest.approx(
             -linreg51.slope)
         assert con.rhs == pytest.approx(linreg51.intercept)
@@ -473,16 +447,19 @@ class TestIdentifierRules:
 
 
 class TestObjective:
-    def test_wildcard_and_override_coefficients(self):
+    def test_per_commodity_coefficients(self):
+        """Each commodity costs what its entry says; one without an entry
+        costs nothing."""
         sc = make_scenario(
-            commodities=(Commodity("water"), Commodity("fuel")),
+            commodities=(Commodity("water"), Commodity("fuel"), Commodity("ice")),
             demands=(DemandEntry("tug", "A", 0, 1.0),),
             objective=(ObjectiveEntry("A", "B",
-                                      (("*", 2.0), ("water", 5.0)), 3.0),))
+                                      (("fuel", 2.0), ("water", 5.0)), 3.0),))
         model, fv = assemble(sc, FixedDesign(100.0))
         (idx, _), = enumerate(fv.network.arcs)
         assert model.objective[fv.x_plus[(idx, "water")]] == 5.0
         assert model.objective[fv.x_plus[(idx, "fuel")]] == 2.0
+        assert fv.x_plus[(idx, "ice")] not in model.objective
         assert model.objective[fv.z_struct[idx]] == 3.0
 
     def test_non_matching_arcs_cost_nothing(self, lunar):

@@ -8,8 +8,7 @@ import pytest
 from leolift.formulation import FixedDesign, assemble
 from leolift.milp_ir import MilpModel, ModelError, read_mps
 from leolift.scenario import load_scenario
-from leolift.spacecraft import solve_exact_oracle
-from leolift.formulation import compute_propellant_fraction
+from leolift.spacecraft import compute_propellant_fraction, solve_exact_oracle
 
 from helpers import ladder_doc, model_from_dense, with_parallel_leg
 
@@ -138,7 +137,7 @@ class TestEvaluate:
             values[fv.z_propellant[i]] = orc.m_f
             values[fv.z_struct[i]] = orc.m_d
             if arc.kind == "transport":
-                phi = compute_propellant_fraction(arc.delta_v, veh.isp)
+                phi = compute_propellant_fraction(arc.delta_v, veh.sizing.isp)
                 prop = max(0.0, prop - phi * (pay + prop + orc.m_d))
             values[fv.x_minus[(i, "payload")]] = pay
             values[fv.x_minus[(i, "propellant")]] = prop

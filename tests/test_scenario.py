@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from leolift.scenario import (ScenarioDomainError, ScenarioError,
                               ScenarioParseError, ScenarioReferenceError,
                               expand_time_network, load_scenario)
+from leolift.spacecraft import SizingParams
 
 
 def doc(**overrides) -> str:
@@ -155,6 +156,12 @@ class TestLoadScenario:
                                         "time": 0, "amount": 1}]))
         assert s.demands[0].commodity == "tug"
 
+    def test_scalar_commodity_cost_applies_to_every_commodity(self):
+        s = load_scenario(doc(commodities=[{"id": "water"}], objective=[
+            {"from": "A", "to": "B", "commodity_cost": 2.0}]))
+        assert s.objective[0].commodity_cost == (
+            ("payload", 2.0), ("propellant", 2.0), ("water", 2.0))
+
     def test_alpha_range_enforced(self):
         bad = doc(vehicles=[{"id": "tug", "isp_s": 330, "burn_time_s": 120,
                              "alpha": 1.5, "m_ub_kg": 500000}])
@@ -166,11 +173,13 @@ class TestLoadScenario:
         assert (s.horizon, s.arcs[0].delta_v, s.arcs[0].tof, s.arcs[0].window) == (
             3, 100.0, 1, (0, 1))
         v = s.vehicles[0]
-        assert (v.isp, v.burn_time, v.alpha, v.m_ub) == (330.0, 120.0, 0.045, 500000.0)
+        assert v.sizing == SizingParams(alpha=0.045, isp=330.0, burn_time=120.0,
+                                        m_ub=500000.0)
         assert v.design_bounds == (("m_p", (0.0, 50000.0)),)
         assert (s.demands[0].time, s.demands[0].amount) == (2, -5.0)
         assert [(o.commodity_cost, o.vehicle_cost) for o in s.objective] == [
-            ((("*", 1.0),), 2.0), ((("payload", 1.5),), 0.0)]
+            ((("payload", 1.0), ("propellant", 1.0)), 2.0),
+            ((("payload", 1.5),), 0.0)]
         assert load_scenario(doc(horizon_days=3.0)).horizon == 3
 
     @pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leolift.spacecraft import (OracleResult, SizingParams, evaluate_sizing,
+from leolift.spacecraft import (G0, PAYLOAD_COEFF, OracleResult, SizingParams,
+                                compute_propellant_fraction, evaluate_sizing,
                                 generate_dataset, solve_exact_oracle,
                                 surrogate_target)
 
@@ -52,8 +53,33 @@ class TestSurrogateTarget:
     def test_splits_payload_term_exactly(self, m_p, m_f):
         p = SizingParams()
         whole = evaluate_sizing(p, m_p, m_f)
-        assert surrogate_target(p, m_f) + p.payload_coeff * m_p == pytest.approx(
+        assert surrogate_target(p, m_f) + PAYLOAD_COEFF * m_p == pytest.approx(
             whole, rel=1e-12, abs=1e-9)
+
+
+class TestPropellantFraction:
+    def test_zero_delta_v_burns_nothing(self):
+        assert compute_propellant_fraction(0.0, 330.0) == 0.0
+
+    def test_lunar_injection_fraction(self):
+        assert compute_propellant_fraction(4040.0, 330.0) == pytest.approx(
+            0.71327, abs=1e-5)
+
+    def test_descent_fraction_frozen(self):
+        assert compute_propellant_fraction(1870.0, 330.0) == pytest.approx(
+            0.4391104607150276, rel=1e-12)
+
+    def test_negative_delta_v_rejected(self):
+        with pytest.raises(ValueError):
+            compute_propellant_fraction(-1.0, 330.0)
+        with pytest.raises(ValueError):
+            compute_propellant_fraction(100.0, 0.0)
+
+    def test_monotone_in_delta_v(self):
+        vals = [compute_propellant_fraction(dv, 450.0)
+                for dv in (0.0, 500.0, 2000.0, 9000.0)]
+        assert vals == sorted(vals)
+        assert all(0.0 <= v < 1.0 for v in vals)
 
 
 class TestGenerateDataset:
@@ -68,6 +94,19 @@ class TestGenerateDataset:
     def test_three_points(self, params):
         pts = generate_dataset(params, 0, 2000, 1000)
         assert [x for x, _ in pts] == [0.0, 1000.0, 2000.0]
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.0, 50000.0, 3000.0), (0.0, 1.0, 0.3), (5.0, 12.0, 2.5)])
+    def test_grid_ends_at_hi_when_the_step_does_not_divide(self, params, lo, hi, step):
+        xs = [x for x, _ in generate_dataset(params, lo, hi, step)]
+        assert xs[0] == lo and xs[-1] == hi
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+        assert xs[:-1] == [lo + k * step for k in range(len(xs) - 1)]
+
+    def test_a_step_that_divides_up_to_rounding_adds_no_point(self, params):
+        # 2.1 / 0.7 rounds to just above 3, and 3 * 0.7 to just below 2.1
+        xs = [x for x, _ in generate_dataset(params, 0.0, 2.1, 0.7)]
+        assert xs == [0.0, 0.7, 1.4, 2.1]
 
     def test_bad_grid_rejected(self, params):
         with pytest.raises(ValueError):
@@ -106,7 +145,7 @@ class TestExactOracle:
         """The reported masses must satisfy both closure equations."""
         res = solve_exact_oracle(params, 1000.0, LUNAR_DVS)
         sizing_residual = res.m_d - evaluate_sizing(params, res.m_p, res.m_f)
-        phi = 1.0 - math.exp(-sum(LUNAR_DVS) / (params.isp * params.g0))
+        phi = 1.0 - math.exp(-sum(LUNAR_DVS) / (params.isp * G0))
         burn_residual = res.m_f - phi * (res.m_d + res.m_p + res.m_f)
         assert abs(sizing_residual) < 1e-6
         assert abs(burn_residual) < 1e-6
@@ -132,7 +171,7 @@ class TestExactOracle:
     def test_residual_always_small(self, payload, dv):
         p = SizingParams()
         res = solve_exact_oracle(p, payload, [dv])
-        phi = 1.0 - math.exp(-dv / (p.isp * p.g0))
+        phi = 1.0 - math.exp(-dv / (p.isp * G0))
         assert res.m_f == pytest.approx(phi * res.imleo, abs=1e-5)
         assert res.m_d == pytest.approx(evaluate_sizing(p, payload, res.m_f), abs=1e-5)
 
@@ -143,7 +182,7 @@ def test_sequential_burns_compose_like_one(dv1, dv2):
     """Surviving mass fraction multiplies across burns: burning dv1 then dv2
     leaves the same mass as one combined dv1+dv2 burn."""
     p = SizingParams()
-    k = p.isp * p.g0
+    k = p.isp * G0
     keep1 = math.exp(-dv1 / k)
     keep2 = math.exp(-dv2 / k)
     keep12 = math.exp(-(dv1 + dv2) / k)

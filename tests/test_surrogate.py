@@ -529,6 +529,8 @@ class TestSerialization:
         ({**TINY_DOC, "seed": "abc"}, "'seed' is ill-typed"),
         ({**TINY_DOC, "seed": 1.5}, "'seed' is ill-typed"),
         ({**TINY_DOC, "seed": True}, "'seed' is ill-typed"),
+        ({**TINY_DOC, "layer_sizes": [1, 2.9, 1.2]}, "'layer_sizes' is ill-typed"),
+        ({**TINY_DOC, "layer_sizes": [True, 2, "1"]}, "'layer_sizes' is ill-typed"),
     ])
     def test_malformed_dict_names_the_field(self, doc, match):
         with pytest.raises(ValueError, match=match):
