@@ -69,6 +69,7 @@ class RunReport:
                 "gap": _num(self.solution.gap),
                 "nodes": self.solution.nodes,
                 "iterations": self.solution.iterations,
+                "cuts": self.solution.cuts,
                 "seconds": round(self.solution.seconds, 6),
             },
             "oracle": None if self.oracle is None else {
@@ -319,6 +320,7 @@ def _render_report(rep: RunReport, fmt: str) -> str:
            f"objective     {sol.objective:.3f} kg" if math.isfinite(sol.objective)
            else "objective     n/a",
            f"nodes         {sol.nodes}",
+           f"cuts          {sol.cuts}",
            f"seconds       {sol.seconds:.3f}"]
     for name, val in sorted(rep.design.items()):
         out.append(f"design        {name} = {val:.3f} kg")

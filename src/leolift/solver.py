@@ -12,8 +12,9 @@ held in arrays and applied as one unit lower-triangular block, so `ftran` and
 BLAS calls, however many pivots it holds. Every simplex state, phase 1
 included, works on the problem's own structural and slack columns: phase 1
 starts from the all-slack basis and minimizes the slacks' bound violations,
-so a state never changes shape. A model without rows gets one empty equality
-row, so every basis has a row.
+so no simplex loop changes a state's shape; only the root's cut rows widen
+it. A model without rows gets one empty equality row, so every basis has a
+row.
 
 One sign table over the bound statuses, `_SIGN`, says which columns may
 enter: a reduced cost times -1 at a lower bound and +1 at an upper one (its
@@ -47,6 +48,21 @@ lowest-index min-ratio column enters) until a pivot makes progress. A
 breakdown the cold solve cannot recover, or an incumbent that fails the final
 check against the model's rows, bounds and integrality, ends the solve with
 the `numerical` status.
+
+Before it branches, the root runs up to `CUT_ROUNDS` rounds of Gomory
+mixed-integer cuts read from its optimal tableau (`_gmi_cuts`). The cuts
+live only in the simplex state: `_Simplex.add_rows` appends them as rows
+C@x >= lo with basic slacks, which keeps the basis dual feasible, and the
+warm dual re-solves from there. They never enter the model, so the final
+check, the values and the exported model are the model's own; every later
+node, and the cold fallback, runs on the widened state, so m is fixed
+after the root. A candidate row is built into a cut only if its lift, the
+bound gain of its first dual pivot alone, exceeds `GAP_TOL`: a row that
+touches a nonbasic column at zero reduced cost has lift 0, so a root whose
+optimum is dual degenerate there keeps no cut and its tree is unchanged. A
+round that ends infeasible, in a `SolverBreakdown` or past the time limit
+is undone, rows and all, and ends the loop; the limit is also read before
+each round, so the cut loop is the first thing it stops.
 """
 
 from __future__ import annotations
@@ -57,7 +73,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtrsm, dtrsv
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
@@ -75,6 +91,15 @@ GAP_TOL = 1e-6
 REFACTOR_EVERY = 50
 STALL_LIMIT = 50
 MAX_ITER = 50000  # per primal or dual call; beyond it, SolverBreakdown
+# root cuts: rounds at most; a basic integer gives a cut only with its
+# fractional part in [CUT_AWAY, 1 - CUT_AWAY]; a tableau entry below
+# CUT_ZERO, or a cut coefficient within CUT_ZERO of the magnitude of the
+# terms it sums, is 0; a kept cut's largest coefficient is at most
+# CUT_DYNAMISM times its smallest
+CUT_ROUNDS = 5
+CUT_AWAY = 1e-2
+CUT_ZERO = 1e-9
+CUT_DYNAMISM = 1e6
 
 BASIC, AT_LO, AT_UP, NB_FREE = 0, 1, 2, 3
 # by status: the sign that turns a reduced cost d into the objective's fall
@@ -193,6 +218,65 @@ class _Simplex:
         self._lu = start.lu  # a refactor replaces the factor, never mutates it
         self._n_etas = 0
 
+    def add_rows(self, C: np.ndarray, lo: np.ndarray):
+        """Append the rows C@x >= lo over the structural columns, each as
+        -C@x + s = -lo with its slack s in [0, inf) basic, and refactor.
+
+        The slack of new row i is column n_struct + m + i, so every old
+        column keeps its index. With y_new = 0 the old duals still solve
+        Bᵀy = c_B, so the reduced costs d are unchanged and the new slacks'
+        are 0: the basis stays dual feasible, and a violated row only makes
+        its slack primal infeasible, the start the warm dual takes. The
+        problem arrays are replaced, never mutated, so a `snapshot` taken
+        before stays whole."""
+        k, ns, (m, n) = len(lo), self.n_struct, self.A.shape
+        A = self.A
+        cj, ci = np.nonzero(C.T)  # by structural column, then by row
+        len_a, len_c = np.diff(A.indptr), np.bincount(cj, minlength=ns)
+        counts = np.concatenate([len_a, np.ones(k, dtype=len_a.dtype)])
+        counts[:ns] += len_c
+        indptr = np.zeros(n + k + 1, dtype=A.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=A.indices.dtype)
+        # each column's old entries first, then its new rows' (-C), then the
+        # new slacks' unit entries
+        pos = np.arange(A.nnz) + np.repeat(indptr[:n] - A.indptr[:n], len_a)
+        data[pos], indices[pos] = A.data, A.indices
+        c_start = np.concatenate([[0], np.cumsum(len_c)[:-1]])
+        pos = np.arange(cj.size) + np.repeat(indptr[:ns] + len_a[:ns] - c_start,
+                                             len_c)
+        data[pos], indices[pos] = -C[ci, cj], m + ci
+        data[indptr[n]:], indices[indptr[n]:] = 1.0, m + np.arange(k)
+        self.A = csc_array((data, indices, indptr), shape=(m + k, n + k))
+        self.AT = self.A.T
+        self.b = np.concatenate([self.b, -lo])
+        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.lb = np.concatenate([self.lb, np.zeros(k)])
+        self.ub = np.concatenate([self.ub, np.full(k, INF)])
+        self.basis = np.concatenate([self.basis, n + np.arange(k)])
+        self.status = np.concatenate([self.status, np.full(k, BASIC, np.int8)])
+        self.x = np.concatenate([self.x, C @ self.x[:ns] - lo])
+        self.d = np.concatenate([self.d, np.zeros(k)])
+        self.m, self.n = m + k, n + k
+        self._G = np.empty((REFACTOR_EVERY, self.m))
+        self.refactor()
+
+    def snapshot(self) -> tuple:
+        """What `restore` needs to undo later `add_rows` and pivots: the
+        problem arrays, and copies of the basis, statuses, x and d."""
+        return (self.A, self.AT, self.b, self.c, self.lb, self.ub, self._G,
+                self.basis.copy(), self.status.copy(), self.x.copy(),
+                self.d.copy())
+
+    def restore(self, snap: tuple):
+        """Put back the state `snap` was taken of, and refactor its basis.
+        The iterations made since stay counted."""
+        (self.A, self.AT, self.b, self.c, self.lb, self.ub, self._G,
+         self.basis, self.status, self.x, self.d) = snap
+        self.m, self.n = self.A.shape
+        self.refactor()
+
     # -- linear algebra ----------------------------------------------------
 
     def refactor(self):
@@ -234,13 +318,15 @@ class _Simplex:
         return z
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        """B⁻ᵀv: the eta file as one block, then the transposed LU solve.
-        Eta j, applied newest first, adds t_j = G[j]·w to w[R[j]]; so
-        Lᵀ·t = G·v, and t is added into v at R, where a row may repeat."""
+        """B⁻ᵀv, for a vector v or each column of a matrix v: the eta file
+        as one block, then the transposed LU solve. Eta j, applied newest
+        first, adds t_j = G[j]·w to w[R[j]]; so Lᵀ·t = G·v, and t is added
+        into v at R, where a row may repeat."""
         k = self._n_etas
         if k:
-            t = dtrsv(self._L[:k, :k], self._G[:k] @ v, lower=1, trans=1,
-                      diag=1, overwrite_x=1)
+            L, t = self._L[:k, :k], self._G[:k] @ v
+            t = (dtrsv(L, t, lower=1, trans=1, diag=1, overwrite_x=1)
+                 if v.ndim == 1 else dtrsm(1.0, L, t, lower=1, trans_a=1, diag=1))
             v = v.copy()
             np.add.at(v, self._R[:k], t)
         return self._lu.solve(v, trans="T")
@@ -603,14 +689,144 @@ def _solve_node(state: _Simplex, start: _Start | None) -> str:
     if start is not None:
         try:
             state.load(start)
-            if state.dual() == "infeasible":
-                return "infeasible"
-            if not state.improving(state.d).any():
-                return "optimal"
-            return state.primal(state.c)
+            return _warm(state)
         except SolverBreakdown:
             pass
     return _two_phase(state)
+
+
+def _warm(state: _Simplex) -> str:
+    """Re-solve from the state's dual-feasible basis: the dual simplex, then
+    primal pivots if its optimum still prices a column in."""
+    if state.dual() == "infeasible":
+        return "infeasible"
+    if not state.improving(state.d).any():
+        return "optimal"
+    return state.primal(state.c)
+
+
+def _gmi_cuts(state: _Simplex, is_int: np.ndarray,
+              z: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gomory mixed-integer cuts C@x >= lo over the structural columns, read
+    from the optimal tableau of the state's LP (value z), or None when no
+    cut is worth adding. `is_int` marks the integer structural columns.
+
+    Each basic integer column with a fractional value gives a candidate
+    row x_B + sum_j a_j x'_j = x_B's value, over the nonbasic columns moved
+    to x'_j >= 0 (x_j - lb_j at a lower bound, ub_j - x_j at an upper one;
+    fixed columns drop out, and a row with a free nonbasic column is
+    skipped). Its GMI cut is sum_j pi_j x'_j >= 1 (Balas, Ceria, Cornuéjols
+    & Natraj 1996). Every candidate's tableau row comes from one
+    multi-right-hand-side `btran` and one Aᵀ product. Before a cut is built,
+    its lift, the bound gain of its first dual pivot alone, min over pi_j > 0
+    of d'_j / pi_j with d'_j >= 0 the reduced cost of x'_j, must exceed
+    `GAP_TOL` relative to z (Wesselmann & Suhl 2012). A built cut has its
+    slacks substituted out and is tidied by `_tidy_cuts`; it is kept if it
+    still cuts the LP optimum off by more than `FEAS_TOL`.
+    """
+    ns, st = state.n_struct, state.status
+    xb = state.x[state.basis]
+    f0 = xb - np.floor(xb)
+    rows = np.flatnonzero((state.basis < ns) & (f0 >= CUT_AWAY)
+                          & (f0 <= 1.0 - CUT_AWAY))
+    rows = rows[is_int[state.basis[rows]]]
+    if rows.size == 0:
+        return None
+    unit = np.zeros((state.m, rows.size))
+    unit[rows, np.arange(rows.size)] = 1.0
+    T = (state.AT @ state.btran(unit)).T
+    T[np.abs(T) < CUT_ZERO] = 0.0
+    free = np.flatnonzero(st == NB_FREE)
+    if free.size:
+        keep = ~T[:, free].any(axis=1)
+        rows, T = rows[keep], T[keep]
+    nb = np.flatnonzero(((st == AT_LO) | (st == AT_UP)) & (state.ub > state.lb))
+    sigma = np.where(st[nb] == AT_UP, -1.0, 1.0)
+    bound = state.nonbasic_values()
+    int_nb = np.zeros(state.n, dtype=bool)
+    int_nb[:ns] = is_int
+    int_nb = int_nb[nb] & (bound[nb] == np.floor(bound[nb]))
+    d = np.maximum(-_SIGN[st[nb]] * state.price(state.c)[nb], 0.0)
+    a = T[:, nb] * sigma
+    # pi_j > 0 where a_j is fractional (integer x'_j) or nonzero (continuous);
+    # a row with such a column at zero reduced cost has lift 0
+    fj = np.where(int_nb, np.maximum(a - np.floor(a + CUT_ZERO), 0.0), a)
+    live = ~((fj != 0.0) & (d == 0.0)).any(axis=1)
+    if not live.any():
+        return None
+    rows, a, fj = rows[live], a[live], fj[live]
+    f = f0[rows, None]
+    pi = np.where(int_nb, np.where(fj <= f, fj / f, (1.0 - fj) / (1.0 - f)),
+                  np.where(a >= 0.0, a / f, -a / (1.0 - f)))
+    ratio = np.full(pi.shape, INF)
+    np.divide(d, pi, out=ratio, where=pi > 0.0)
+    lift = ratio.min(axis=1, initial=INF)
+    lift[lift == INF] = 0.0  # no column to pivot on: not a cut to add
+    keep = lift > GAP_TOL * max(1.0, abs(z))
+    if not keep.any():
+        return None
+    # sum_j pi_j x'_j >= 1 with x'_j = sigma_j (x_j - bound_j), then each
+    # slack s_i = b_i - A_i x over the structural columns
+    g = np.zeros((keep.sum(), state.n))
+    g[:, nb] = pi[keep] * sigma
+    C = g[:, :ns] - (state.AT @ g[:, ns:].T)[:ns].T
+    lo = 1.0 + g @ bound - g[:, ns:] @ state.b
+    C[np.abs(C) <= CUT_ZERO * (np.abs(g[:, :ns])
+                               + (abs(state.AT) @ np.abs(g[:, ns:]).T)[:ns].T)] = 0.0
+    C, lo = _tidy_cuts(C, lo, state.lb[:ns], state.ub[:ns])
+    cut_off = lo - C @ state.x[:ns] > FEAS_TOL
+    return (C[cut_off], lo[cut_off]) if cut_off.any() else None
+
+
+def _tidy_cuts(C: np.ndarray, lo: np.ndarray, lb: np.ndarray,
+               ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts C@x >= lo scaled to a largest |coefficient| of 1, each
+    coefficient below 1/`CUT_DYNAMISM` dropped by lowering lo by the most
+    its term can add over lb <= x <= ub. A cut that would need an infinite
+    bound for that, or has no coefficient left, is dropped."""
+    big = np.abs(C).max(axis=1)
+    live = big > 0.0
+    C, lo = C[live] / big[live, None], lo[live] / big[live]
+    tiny = (C != 0.0) & (np.abs(C) < 1.0 / CUT_DYNAMISM)
+    with np.errstate(invalid="ignore"):  # 0·inf off the tiny entries
+        most = np.where(tiny, C * np.where(C > 0.0, ub, lb), 0.0)
+    C[tiny] = 0.0
+    lo = lo - most.sum(axis=1)
+    ok = np.isfinite(lo)
+    return C[ok], lo[ok]
+
+
+def _root_cuts(state: _Simplex, is_int: np.ndarray) -> int:
+    """Rounds of `_gmi_cuts` on the state at its root LP optimum, each added
+    by `add_rows` and re-solved by `_warm`; returns the number of rows kept.
+
+    The loop stops after `CUT_ROUNDS` rounds, when no cut is worth adding,
+    when a round raises the bound by no more than `GAP_TOL` (relative), or
+    once the state's deadline has passed. A round that ends infeasible, in a
+    `SolverBreakdown` or past the deadline is undone, rows and all, and ends
+    the loop."""
+    kept = 0
+    z = float(state.c @ state.x)
+    for _ in range(CUT_ROUNDS):
+        if time.monotonic() > state.deadline:
+            break
+        cuts = _gmi_cuts(state, is_int, z)
+        if cuts is None:
+            break
+        snap = state.snapshot()
+        try:
+            state.add_rows(*cuts)
+            st = _warm(state)
+        except (SolverBreakdown, _TimeUp):
+            st = None
+        if st != "optimal":
+            state.restore(snap)
+            break
+        kept += len(cuts[1])
+        z, before = float(state.c @ state.x), z
+        if z - before <= GAP_TOL * max(1.0, abs(z)):
+            break
+    return kept
 
 
 @dataclass(order=True)
@@ -634,10 +850,13 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     Branches on the most fractional variable, ties to the lowest index. A
     node is pruned when its bound is within `GAP_TOL` (relative) of the
     incumbent; a variable within `INT_TOL` of an integer counts as integral.
-    `_solve_node` solves each node's LP. The limits apply from node 1 on,
-    so the root (node 0) is always solved: the node limit between nodes,
-    the time limit at every simplex iteration. A node the time limit stops
-    stays open and counts in `nodes`. A `SolverBreakdown`
+    `_solve_node` solves each node's LP. An optimal root LP then takes
+    `_root_cuts`, and its bound and values are those after the cuts;
+    `Solution.cuts` counts the rows kept. The limits apply from node 1 on,
+    so the root LP (node 0) is always solved: the node limit between nodes,
+    the time limit before each cut round and at every simplex iteration. A
+    node the time limit stops stays open and counts in `nodes`. A
+    `SolverBreakdown`
     the cold solve cannot recover ends the search with status `numerical`,
     as does an incumbent that fails `_certified`; the values are then the
     incumbent's, if there is one. An unbounded LP ends it as `unbounded`,
@@ -657,6 +876,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     best_bound = -INF
     closed = INF  # smallest bound of a node the gap test dropped
     nodes_done = 0
+    cuts = 0
     seq = 1
 
     def pick_branch(x):
@@ -690,6 +910,9 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             heapq.heappush(heap, node)  # still open: its bound counts
             break
 
+        if st == "optimal" and nodes_done == 1:
+            state.deadline = t0 + cfg.time_limit
+            cuts = _root_cuts(state, sf.is_int)
         lp_obj = (float(state.c @ state.x) if st == "optimal"
                   else INF if st == "infeasible" else -INF)
         if node_log is not None:
@@ -701,7 +924,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         if st == "unbounded":
             return Solution(np.zeros(n_struct), -INF, st, nodes=nodes_done,
                             iterations=state.iterations, seconds=time.monotonic() - t0,
-                            best_bound=-INF)
+                            best_bound=-INF, cuts=cuts)
         if incumbent is not None and lp_obj >= incumbent_obj - GAP_TOL * max(
                 1.0, abs(incumbent_obj)):
             closed = min(closed, lp_obj)
@@ -735,12 +958,12 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         final = "infeasible" if status == "optimal" else status
         return Solution(np.zeros(n_struct), INF, final, nodes=nodes_done,
                         iterations=state.iterations, seconds=elapsed,
-                        best_bound=bound)
+                        best_bound=bound, cuts=cuts)
     if status == "optimal" and not _certified(sf, incumbent):
         status = "numerical"
     return Solution(incumbent, float(incumbent_obj), status, nodes=nodes_done,
                     iterations=state.iterations, seconds=elapsed, best_bound=bound,
-                    gap=_rel_gap(incumbent_obj, bound))
+                    gap=_rel_gap(incumbent_obj, bound), cuts=cuts)
 
 
 def _certified(sf: StandardForm, x: np.ndarray) -> bool:

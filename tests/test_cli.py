@@ -203,7 +203,7 @@ class TestSingleRunReports:
                             "gap_pct", "flows"}
         assert set(rep["surrogate"]) == {"kind", "seed", "test_r2"}
         assert set(rep["milp"]) == {"objective_kg", "status", "best_bound", "gap",
-                                    "nodes", "iterations", "seconds"}
+                                    "nodes", "iterations", "cuts", "seconds"}
         assert set(rep["oracle"]) == {"imleo_kg", "m_d", "m_p", "m_f"}
         assert rep["surrogate"]["kind"] == "linreg"
         assert rep["surrogate"]["seed"] is None
@@ -221,6 +221,18 @@ class TestSingleRunReports:
         rep1["milp"].pop("seconds")
         rep2["milp"].pop("seconds")
         assert rep1 == rep2
+
+    def test_cuts_count_the_rows_the_root_loop_kept(self, capsys):
+        """The bundled linreg root passes no cut, its NN root (seed 0)
+        keeps some; the JSON and the text report both say how many."""
+        _, out, _ = run_main(capsys, LINREG_JSON)
+        assert json.loads(out)["milp"]["cuts"] == 0
+        _, out, _ = run_main(capsys, ["--surrogate", "nn", "--seed", "0",
+                                      "--report", "json"])
+        cuts = json.loads(out)["milp"]["cuts"]
+        assert cuts > 0
+        _, out, _ = run_main(capsys, ["--surrogate", "nn", "--seed", "0"])
+        assert f"cuts          {cuts}" in out.splitlines()
 
     def test_gap_is_relative_to_oracle(self, capsys):
         _, out, _ = run_main(capsys, LINREG_JSON)

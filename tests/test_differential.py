@@ -8,8 +8,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from leolift import solver
 from leolift.formulation import LinearEpsilon, assemble
-from leolift.solver import solve_milp
+from leolift.milp_ir import FEAS_TOL
+from leolift.solver import BnbConfig, solve_milp
 
 from helpers import assemble_without_cuts, campaign, highs_milp
 
@@ -58,3 +62,39 @@ def test_cut_model_agrees_with_highs_on_the_bare_model(request, closure, s):
     assert ref.status == HIGHS_STATUS[sol.status], (sol.status, ref.message)
     if sol.status == "optimal":
         assert sol.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("closure", ["net0", "linreg51"])
+@settings(max_examples=8, deadline=timedelta(seconds=20), derandomize=True,
+          database=None, suppress_health_check=[HealthCheck.too_slow,
+                                                HealthCheck.function_scoped_fixture])
+@given(s=specs())
+@example(s=spec())
+@example(s=spec(twin=True, width=2))
+@example(s=spec(second=300.0, horizon=10, width=5))
+def test_root_cuts_are_valid(request, monkeypatch, closure, s):
+    """Every row the root cut loop adds holds at HiGHS's optimum of the same
+    model, to `FEAS_TOL` scaled by the row's activity, and the bound after
+    the cuts stays at or below that optimum. The NN closure on every draw,
+    the linreg one on twin draws."""
+    if closure == "linreg51" and not s["twin"]:
+        return
+    model, _ = assemble(campaign(**s), request.getfixturevalue(closure))
+    added = []
+    add_rows = solver._Simplex.add_rows
+
+    def recorded(state, C, lo):
+        added.append((C.copy(), lo.copy()))
+        add_rows(state, C, lo)
+
+    monkeypatch.setattr(solver._Simplex, "add_rows", recorded)
+    sol = solve_milp(model, BnbConfig(node_limit=1))
+    ref = highs_milp(model)
+    if ref.status != 0:
+        assert ref.status == 2 and sol.status in ("infeasible", "limit")
+        return
+    for C, lo in added:
+        act = C @ ref.x
+        scale = np.maximum(1.0, np.abs(C) @ np.abs(ref.x))
+        assert np.all(act >= lo - FEAS_TOL * scale), (act - lo).min()
+    assert sol.best_bound <= ref.fun + 1e-6 * abs(ref.fun)

@@ -41,6 +41,29 @@ def cold_solve(sf):
     return solver._two_phase(state), state
 
 
+def solved_random_lp(seed, M, N):
+    """A random sparse LP with M `<=` rows over N boxed columns, feasible by
+    construction, solved cold to optimality; returns (model, final state,
+    the rng that drew it)."""
+    rng = np.random.default_rng(seed)
+    A = np.where(rng.random((M, N)) < 0.4, rng.normal(size=(M, N)).round(3), 0.0)
+    b = A @ rng.uniform(0.0, 2.0, N) + rng.uniform(0.0, 2.0, M)
+    c = rng.normal(size=N).round(3)
+    m = lp_from_dense(A, ["<="] * M, b, c, np.zeros(N),
+                      rng.uniform(2.0, 6.0, N).round(3))
+    st, state = cold_solve(m.to_standard_form())
+    assert st == "optimal"
+    return m, state, rng
+
+
+@pytest.fixture(scope="module")
+def twins_linreg(linreg51):
+    """Linreg twins H8/W2: two vehicles with equal constants. No root cut
+    passes the lift filter, and the tree takes 123 nodes."""
+    return assemble(campaign(8, 2, None, False, 0.0, None, twin=True),
+                    linreg51)[0]
+
+
 class TestSimplexToy:
     def test_single_bound_row(self):
         # min -x  s.t.  x <= 4
@@ -618,15 +641,7 @@ class TestWarmDualState:
         cut every basic structural variable off its optimal value, as
         branching does: the basis stays dual feasible but turns primal
         infeasible."""
-        rng = np.random.default_rng(seed)
-        A = np.where(rng.random((self.M, self.N)) < 0.4,
-                     rng.normal(size=(self.M, self.N)).round(3), 0.0)
-        b = A @ rng.uniform(0.0, 2.0, self.N) + rng.uniform(0.0, 2.0, self.M)
-        c = rng.normal(size=self.N).round(3)
-        m = lp_from_dense(A, ["<="] * self.M, b, c, np.zeros(self.N),
-                          rng.uniform(2.0, 6.0, self.N).round(3))
-        st, root = cold_solve(m.to_standard_form())
-        assert st == "optimal"
+        _, root, rng = solved_random_lp(seed, self.M, self.N)
         lb, ub = root.lb.copy(), root.ub.copy()
         for j in root.basis[root.basis < self.N]:
             if rng.random() < 0.5:
@@ -764,6 +779,189 @@ class TestWarmDualState:
         np.testing.assert_array_equal(root.basis, basis)
 
 
+class TestRootCuts:
+    """The state that takes new rows, and the root cut loop on it."""
+
+    M, N = 12, 20
+
+    def _solved(self, seed):
+        """A random bounded LP solved cold, pivots left in its eta file."""
+        m, state, rng = solved_random_lp(seed, self.M, self.N)
+        assert state._n_etas
+        return m, state, rng
+
+    @staticmethod
+    def _rows(state, rng, k=3):
+        """k random rows over the structural columns, one of them cutting
+        the current point off, and a zero column in C."""
+        C = np.where(rng.random((k, state.n_struct)) < 0.5,
+                     rng.normal(size=(k, state.n_struct)).round(3), 0.0)
+        C[:, 0] = 0.0
+        lo = C @ state.x[:state.n_struct] - rng.uniform(0.0, 1.0, k)
+        lo[0] += 2.0
+        return C, lo
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_add_rows_widens_the_state(self, seed):
+        """After `add_rows`: ftran and btran (a vector and a matrix) match
+        dense solves with the widened basis, d is unchanged on the old
+        columns and 0 on the new slacks, the new slacks are basic at
+        C@x - lo, and the slack of row i is column n_struct + i."""
+        _, state, rng = self._solved(seed)
+        m, n, ns = state.m, state.n, state.n_struct
+        d = state.price(state.c)
+        x, basis, old = state.x.copy(), state.basis.copy(), state.A.toarray()
+        C, lo = self._rows(state, rng)
+        state.add_rows(C, lo)
+        k = len(lo)
+        assert state.A.shape == (m + k, n + k) and (state.m, state.n) == (m + k, n + k)
+        assert state.AT.shape == (n + k, m + k) and state._G.shape[1] == m + k
+        dense = state.A.toarray()
+        np.testing.assert_array_equal(dense[:m, :n], old)
+        np.testing.assert_array_equal(dense[m:, :ns], -C)
+        np.testing.assert_array_equal(dense[:, ns:], np.eye(m + k))
+        np.testing.assert_array_equal(state.AT.toarray(), dense.T)
+        np.testing.assert_array_equal(state.basis, np.concatenate(
+            [basis, n + np.arange(k)]))
+        assert np.all(state.status[n:] == solver.BASIC)
+        np.testing.assert_array_equal(state.x[:n], x)
+        np.testing.assert_allclose(state.x[n:], C @ x[:ns] - lo, rtol=1e-12,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(state.b[m:], -lo)
+        assert np.all(state.lb[n:] == 0.0) and np.all(state.ub[n:] == INF)
+        B = dense[:, state.basis]
+        v = rng.normal(size=(m + k, 3))
+        np.testing.assert_allclose(state.ftran(v[:, 0]), np.linalg.solve(B, v[:, 0]),
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(state.btran(v[:, 0]),
+                                   np.linalg.solve(B.T, v[:, 0]), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(state.btran(v), np.linalg.solve(B.T, v),
+                                   rtol=1e-9, atol=1e-9)
+        d2 = state.price(state.c)
+        np.testing.assert_allclose(d2[:n], d, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(d2[n:], 0.0, atol=1e-9)
+
+    def test_matrix_btran_with_etas_matches_each_column(self):
+        _, state, rng = self._solved(7)
+        V = rng.normal(size=(state.m, 4))
+        np.testing.assert_allclose(
+            state.btran(V), np.column_stack([state.btran(V[:, i]) for i in range(4)]),
+            rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_dual_after_add_rows_matches_a_cold_solve(self, seed):
+        """The old basis plus the new slacks is dual feasible: the warm dual
+        from it reaches the optimum of the LP with the rows added, as a cold
+        solve of that LP does."""
+        model, state, rng = self._solved(seed)
+        C, lo = self._rows(state, rng)
+        state.add_rows(C, lo)
+        assert solver._warm(state) == "optimal"
+        ids = list(range(self.N))
+        for i in range(len(lo)):
+            model.add_constraint([(j, C[i, j]) for j in ids if C[i, j] != 0.0],
+                                 ">=", lo[i], tag=f"cut{i}")
+        ref = solve_lp(model.to_standard_form())
+        assert ref.status == "optimal"
+        assert float(state.c @ state.x) == pytest.approx(ref.objective, rel=1e-9,
+                                                          abs=1e-9)
+
+    @pytest.mark.parametrize("stop", [solver.SolverBreakdown, solver._TimeUp])
+    def test_undone_round_restores_the_state(self, monkeypatch, lunar, net0, stop):
+        """A cut round whose warm dual breaks down (or passes the deadline)
+        is undone: basis, statuses, x and the shape are exactly those before
+        the round, no row is kept, and the tree is the uncut one."""
+        model = assemble(lunar, net0)[0]
+        seen = {}
+        root_cuts = solver._root_cuts
+
+        def watched(state, is_int):
+            seen["before"] = (state.basis.copy(), state.status.copy(),
+                              state.x.copy(), state.A.shape, state.m, state.n)
+            kept = root_cuts(state, is_int)
+            seen["after"] = (state.basis, state.status, state.x, state.A.shape,
+                             state.m, state.n)
+            seen["kept"] = kept
+            return kept
+
+        def broken_dual(state):
+            raise stop("forced")
+
+        add_rows = solver._Simplex.add_rows
+        rounds = []
+
+        def counted(state, C, lo):
+            rounds.append(len(lo))
+            add_rows(state, C, lo)
+
+        monkeypatch.setattr(solver, "_root_cuts", watched)
+        monkeypatch.setattr(solver._Simplex, "add_rows", counted)
+        cut = solve_milp(model)
+        assert cut.cuts > 0 and rounds
+        rounds.clear()
+        monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
+        sol = solve_milp(model, BnbConfig(node_limit=1))
+        assert rounds  # the round was tried, then undone
+        assert seen["kept"] == 0 and sol.cuts == 0
+        for was, now in zip(seen["before"], seen["after"]):
+            np.testing.assert_array_equal(now, was)
+
+    def test_tidy_cuts_relaxes_only_against_finite_bounds(self):
+        """A cut is scaled to a largest |coefficient| of 1; a coefficient
+        below 1/`CUT_DYNAMISM` is dropped by lowering lo by the most its
+        term adds over the box, so every point of the box that met the cut
+        still does. A cut that needs an infinite bound for that, or has no
+        coefficient, is dropped."""
+        lb = np.array([0.0, 0.0, -1.0])
+        ub = np.array([3.0, INF, 2.0])
+        C = np.array([[1e-8, 2.0, -1e-8], [4.0, 1e-9, 0.0], [0.0, 0.0, 0.0],
+                      [-1.0, 0.5, 0.25]])
+        lo = np.array([1.0, 2.0, -1.0, -0.5])
+        got_C, got_lo = solver._tidy_cuts(C, lo, lb, ub)
+        np.testing.assert_array_equal(got_C, [[0.0, 1.0, 0.0], [-1.0, 0.5, 0.25]])
+        np.testing.assert_allclose(got_lo, [0.5 - 5e-9 * 3.0 - 5e-9, -0.5],
+                                   rtol=1e-15)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(lb, np.minimum(ub, 10.0), size=(2000, 3))
+        met = x @ C[0] >= lo[0]
+        assert met.any() and np.all(x[met] @ got_C[0] >= got_lo[0])
+
+    def test_lift_filter_keeps_linreg_ladder_uncut(self, tmp_path, monkeypatch):
+        """On linreg rungs H8/W3, H10/W5 and H40/W2 every candidate row
+        touches a nonbasic column at zero reduced cost, so no cut passes the
+        lift filter and no row is added: the trees are the uncut ones."""
+        from leolift import cli
+
+        monkeypatch.setattr(solver._Simplex, "add_rows",
+                            lambda *args: pytest.fail("a row was added"))
+        for h, w, nodes, iterations in ((8, 3, 3, 110), (10, 5, 3, 177),
+                                        (40, 2, 3, 108)):
+            sol = cli.run_pipeline(cli.build_parser().parse_args(
+                ["--surrogate", "linreg", "--scenario",
+                 str(ladder_scenario(tmp_path, h, w))])).solution
+            assert (sol.status, sol.cuts, sol.nodes, sol.iterations) == \
+                ("optimal", 0, nodes, iterations)
+
+    def test_cut_rounds_stop_at_the_time_limit(self, monkeypatch, lunar, net0):
+        """The cut loop reads the time limit before each round: with the
+        clock past it when the root LP is done, no round runs, where without
+        a limit the bundled NN root (seed 0) keeps cuts."""
+        model = assemble(lunar, net0)[0]
+        assert solve_milp(model).cuts > 0
+        now = [0.0]
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        solve_node = solver._solve_node
+
+        def jumping(*args):
+            st = solve_node(*args)
+            now[0] = 100.0  # once the root LP is solved
+            return st
+
+        monkeypatch.setattr(solver, "_solve_node", jumping)
+        sol = solve_milp(model, BnbConfig(time_limit=50.0))
+        assert (sol.status, sol.cuts) == ("limit", 0)
+
+
 class TestBranchAndBound:
     def test_knapsack_toy(self):
         # max 5a + 4b + 3c  s.t. 2a + 3b + c <= 5, binary  -> take a and b
@@ -822,15 +1020,15 @@ class TestBranchAndBound:
         assert sol.status == "numerical"
         assert sol.objective == INF
 
-    def test_rescued_node_passes_its_basis_to_children(self, monkeypatch):
+    def test_rescued_node_passes_its_basis_to_children(self, monkeypatch,
+                                                        twins_linreg):
         """A node whose warm dual breaks down is solved cold; its children
-        warm start from that cold basis, not from the root's. Here the root
-        LP starts feasible on its slack basis and the rescued node (an up
-        branch) needs phase 1."""
-        A = np.array([[3.0, -2.0, 2.0], [3.0, -3.0, -1.0]])
-        m = model_from_dense(A, ["<=", "<="], np.array([8.0, 2.0]),
-                             np.array([-2.0, -2.0, -3.0]), [0.0] * 3, [6.0] * 3,
-                             ["integer"] * 3)
+        warm start from that cold basis, not from the root's. Here on linreg
+        twins H8/W2, a tree no root cut changes, the rescued node is the
+        first up branch."""
+        m = twins_linreg
+        root_lb = m.to_standard_form().lb
+        n = root_lb.size
         clean = solve_milp(m)
         dual, two_phase, node = solver._Simplex.dual, solver._two_phase, solver._Node
         events = []
@@ -838,7 +1036,8 @@ class TestBranchAndBound:
         def broken_once(state):
             events.append(("dual", None))
             # the first up branch's dual, while only the root LP was solved cold
-            if np.any(state.lb[:3] > 0) and sum(e[0] == "cold" for e in events) == 1:
+            if np.any(state.lb[:n] > root_lb) and \
+                    sum(e[0] == "cold" for e in events) == 1:
                 raise solver.SolverBreakdown("forced")
             return dual(state)
 
@@ -1080,15 +1279,17 @@ class TestNodeLogAndLimits:
         assert sol.status == "limit"
 
     @pytest.mark.parametrize("warm", [True, False])
-    def test_time_limit_stops_a_node_mid_solve(self, monkeypatch, warm):
+    def test_time_limit_stops_a_node_mid_solve(self, monkeypatch, warm,
+                                               twins_linreg):
         """From node 1 on the time limit is read at every iteration of both
         simplex loops, and nowhere else. A clock that jumps past it as node 1
         starts stops that node's LP (the warm dual, or the cold primal after
         a breakdown) before its first iteration; the node stays open, so its
         bound counts, and the search ends with `limit`. The root's LP is
         exempt: a jump as it starts still lets it finish, and node 1 is
-        stopped in the same way."""
-        m = self._logged_model()
+        stopped in the same way. The tree is linreg twins H8/W2, whose root
+        no cut changes, so the root's iterations are the root LP's."""
+        m = twins_linreg
         root = solve_milp(m, BnbConfig(node_limit=1))
         assert root.status == "limit" and root.iterations > 0
         if not warm:
@@ -1465,13 +1666,14 @@ class TestFactorSharing:
     @pytest.mark.parametrize("rung, surrogate, nodes, iterations, objective", [
         (None, "linreg", 1, 32, "0x1.4d34a9215cb6ap+15"),
         ((8, 3), "linreg", 3, 110, "0x1.4d34a9215cb4bp+15"),
-        ((8, 3), "nn", 51, 360, "0x1.5022fadbd146fp+15"),
-        (None, "nn", 17, 98, "0x1.5022fadbd1460p+15"),
+        ((8, 3), "nn", 5, 177, "0x1.5022fadbd1481p+15"),
+        (None, "nn", 1, 61, "0x1.5022fadbd1465p+15"),
     ])
     def test_trees_are_pinned(self, tmp_path, rung, surrogate, nodes,
                               iterations, objective):
         """The search trees to the bit: bundled campaign and ladder rung
-        H8/W3 (linreg closure), and both with the NN closure of seed 0."""
+        H8/W3 (linreg closure), and both with the NN closure of seed 0, whose
+        root cuts close (bundled) or nearly close (H8/W3) the root gap."""
         from leolift import cli
 
         argv = ["--surrogate", surrogate]
@@ -1483,22 +1685,23 @@ class TestFactorSharing:
 
     # per training seed 0-19 of the NN study: nodes, iterations, objective
     NN_STUDY_TREES = [
-        (17, 98, "0x1.5022fadbd1460p+15"), (17, 96, "0x1.5098a0638b094p+15"),
-        (5, 69, "0x1.5886cd7344d76p+15"), (9, 90, "0x1.53d88db4d9c61p+15"),
-        (7, 76, "0x1.5842c165e5a4cp+15"), (13, 79, "0x1.5fda009407ae7p+15"),
-        (9, 63, "0x1.4ff13bf809548p+15"), (7, 72, "0x1.561cad76811d2p+15"),
-        (11, 77, "0x1.568826fd66a6ep+15"), (7, 65, "0x1.4ddf34993a07ap+15"),
-        (11, 89, "0x1.5226c0c3df5ffp+15"), (5, 58, "0x1.4defb41db2729p+15"),
-        (7, 73, "0x1.547848073a29ap+15"), (7, 68, "0x1.5170f786b47a3p+15"),
-        (11, 81, "0x1.54b7704b855f6p+15"), (9, 65, "0x1.563ca296eda8ep+15"),
-        (3, 56, "0x1.5693810759524p+15"), (13, 80, "0x1.54ec580a67029p+15"),
-        (9, 66, "0x1.58a0ad0b9942cp+15"), (11, 79, "0x1.5416f6ed9c8c0p+15"),
+        (1, 61, "0x1.5022fadbd1465p+15"), (1, 61, "0x1.5098a0638b093p+15"),
+        (1, 70, "0x1.5886cd7344d7cp+15"), (1, 78, "0x1.53d88db4d9c5ep+15"),
+        (1, 72, "0x1.5842c165e5a52p+15"), (1, 62, "0x1.5fda009407aedp+15"),
+        (1, 55, "0x1.4ff13bf80954dp+15"), (1, 63, "0x1.561cad76811d0p+15"),
+        (1, 57, "0x1.568826fd66a4bp+15"), (1, 60, "0x1.4ddf34993a07bp+15"),
+        (1, 66, "0x1.5226c0c3df5f6p+15"), (1, 54, "0x1.4defb41db272fp+15"),
+        (1, 61, "0x1.547848073a2a8p+15"), (1, 59, "0x1.5170f786b47a9p+15"),
+        (1, 67, "0x1.54b7704b8547cp+15"), (1, 59, "0x1.563ca296eda90p+15"),
+        (1, 56, "0x1.5693810759528p+15"), (1, 68, "0x1.54ec580a6702cp+15"),
+        (1, 61, "0x1.58a0ad0b9942dp+15"), (1, 68, "0x1.5416f6ed9c8c6p+15"),
     ]
 
     def test_nn_study_trees_are_pinned(self, monkeypatch):
         """The paper's 20-trial NN study on the bundled campaign, tree by
-        tree: 188 nodes and 1,500 iterations in all, each objective to the
-        bit."""
+        tree: the root cuts close every root, so 20 nodes and 1,258
+        iterations in all (188 and 1,500 without cuts), each objective to
+        the bit."""
         from leolift import cli
 
         sols = []
@@ -1514,12 +1717,12 @@ class TestFactorSharing:
         got = [(s.nodes, s.iterations, float.hex(s.objective)) for s in sols]
         assert all(s.status == "optimal" for s in sols)
         assert got == self.NN_STUDY_TREES
-        assert sum(t[0] for t in got) == 188 and sum(t[1] for t in got) == 1500
+        assert sum(t[0] for t in got) == 20 and sum(t[1] for t in got) == 1258
 
-    def test_one_state_per_solve(self, monkeypatch, net0):
+    def test_one_state_per_solve(self, monkeypatch, twins_linreg):
         """`solve_milp` builds one simplex state, and every node of a tree
-        that branches (H8/W3, NN closure of seed 0: 51 nodes) runs on it, so
-        its iteration count is the solve's."""
+        that branches (linreg twins H8/W2: 123 nodes) runs on it, so its
+        iteration count is the solve's."""
         init = solver._Simplex.__init__
         states = []
 
@@ -1528,18 +1731,15 @@ class TestFactorSharing:
             init(state, *args)
 
         monkeypatch.setattr(solver._Simplex, "__init__", counted)
-        model = assemble(load_scenario(json.dumps(ladder_doc(8, 3))), net0)[0]
-        sol = solve_milp(model)
-        assert sol.status == "optimal" and sol.nodes == 51
+        sol = solve_milp(twins_linreg)
+        assert sol.status == "optimal" and sol.nodes == 123
         assert len(states) == 1
         assert states[0].iterations == sol.iterations
 
-    def test_siblings_share_one_factorization(self, tmp_path, monkeypatch):
+    def test_siblings_share_one_factorization(self, monkeypatch, twins_linreg):
         """Both children of a branched node start from its basis, factored
-        once: fewer `splu` calls than nodes on a tree that branches (H8/W3,
-        NN closure of seed 0: 51 nodes)."""
-        from leolift import cli
-
+        once: fewer `splu` calls than nodes on a tree that branches (linreg
+        twins H8/W2: 123 nodes)."""
         calls = []
         splu = solver.splu
 
@@ -1548,8 +1748,6 @@ class TestFactorSharing:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(solver, "splu", counted)
-        sol = cli.run_pipeline(cli.build_parser().parse_args(
-            ["--surrogate", "nn", "--scenario",
-             str(ladder_scenario(tmp_path, 8, 3))])).solution
-        assert sol.status == "optimal" and sol.nodes == 51
+        sol = solve_milp(twins_linreg)
+        assert sol.status == "optimal" and sol.nodes == 123
         assert len(calls) < sol.nodes
