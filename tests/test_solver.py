@@ -942,8 +942,9 @@ class TestRootCuts:
             assert (sol.status, sol.cuts, sol.nodes, sol.iterations) == \
                 ("optimal", 0, nodes, iterations)
 
-    def test_cut_rounds_stop_at_the_time_limit(self, monkeypatch, lunar, net0):
-        """The cut loop reads the time limit before each round: with the
+    def test_cut_round_is_skipped_past_the_time_limit(self, monkeypatch,
+                                                      lunar, net0):
+        """The cut round reads the time limit before it starts: with the
         clock past it when the root LP is done, no round runs, where without
         a limit the bundled NN root (seed 0) keeps cuts."""
         model = assemble(lunar, net0)[0]
@@ -1281,14 +1282,16 @@ class TestNodeLogAndLimits:
     @pytest.mark.parametrize("warm", [True, False])
     def test_time_limit_stops_a_node_mid_solve(self, monkeypatch, warm,
                                                twins_linreg):
-        """From node 1 on the time limit is read at every iteration of both
-        simplex loops, and nowhere else. A clock that jumps past it as node 1
-        starts stops that node's LP (the warm dual, or the cold primal after
-        a breakdown) before its first iteration; the node stays open, so its
-        bound counts, and the search ends with `limit`. The root's LP is
-        exempt: a jump as it starts still lets it finish, and node 1 is
-        stopped in the same way. The tree is linreg twins H8/W2, whose root
-        no cut changes, so the root's iterations are the root LP's."""
+        """The time limit is read at every iteration of both simplex loops
+        from node 1 on, and before the root's cut round. A clock that jumps
+        past it as node 1 starts stops that node's LP (the warm dual, or the
+        cold primal after a breakdown) before its first iteration; the node
+        stays open, so its bound counts, and the search ends with `limit`.
+        The root's LP is exempt: a jump as it starts still lets it finish,
+        and node 1 is stopped in the same way. The tree is linreg twins
+        H8/W2, whose root no cut changes, so a jump during the root LP
+        leaves its bound and iterations as they are; on a root the cuts do
+        change, it drops the cuts (`test_a_jump_during_the_root_lp_drops_the_cuts`)."""
         m = twins_linreg
         root = solve_milp(m, BnbConfig(node_limit=1))
         assert root.status == "limit" and root.iterations > 0
@@ -1314,6 +1317,38 @@ class TestNodeLogAndLimits:
             assert (sol.status, sol.nodes, sol.iterations) == \
                 ("limit", 2, root.iterations)
             assert sol.best_bound == root.best_bound
+
+    def test_a_jump_during_the_root_lp_drops_the_cuts(self, monkeypatch):
+        """On this knapsack the cut round closes part of the root gap. A
+        clock that jumps past the time limit during the root LP keeps the
+        LP but skips the cut round, so the search stops with the uncut
+        root's bound and iterations; a jump as node 1 starts keeps the
+        cuts."""
+        m = self._logged_model()
+        root = solve_milp(m, BnbConfig(node_limit=1))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_root_cuts", lambda state, is_int: 0)
+            uncut = solve_milp(m, BnbConfig(node_limit=1))
+        assert (root.cuts, uncut.cuts) != (0, 0)
+        assert (uncut.iterations, root.iterations) == (6, 8)
+        assert uncut.best_bound < root.best_bound
+        now = [0.0]
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        solve_node = solver._solve_node
+        for jump_at, want in ((1, uncut), (2, root)):
+            now[0], calls = 0.0, []
+
+            def jumping(*args):
+                calls.append(1)
+                if len(calls) == jump_at:
+                    now[0] = 100.0
+                return solve_node(*args)
+
+            monkeypatch.setattr(solver, "_solve_node", jumping)
+            sol = solve_milp(m, BnbConfig(time_limit=50.0))
+            assert (sol.status, sol.nodes, sol.iterations, sol.cuts) == \
+                ("limit", 2, want.iterations, want.cuts)
+            assert sol.best_bound == want.best_bound
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
