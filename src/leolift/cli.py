@@ -4,7 +4,8 @@ solve it, compare against the nonlinear sizing oracle, and report.
 Single runs emit a text/json/csv report; `--trials N` runs a seed study
 (seeds base..base+N-1) and reports per-trial rows plus mean/median gap. An
 NN study trains all of its networks in one stacked run first, then solves
-one trial per seed.
+one trial per seed; every trial after the first starts its root LP from the
+last trial's root basis.
 Exit codes: 0 solved to optimality, 1 any stage failure, 2 scenario file
 not found.
 """
@@ -26,7 +27,7 @@ from .formulation import assemble, solution_flows
 from .milp_ir import Solution
 from .scenario import Scenario, ScenarioError, TimeExpandedNetwork, \
     load_scenario
-from .solver import BnbConfig, solve_milp
+from .solver import BnbConfig, RootBasis, solve_milp
 from .spacecraft import OracleResult, SizingParams, generate_dataset, \
     solve_exact_oracle, surrogate_target
 from .surrogate import ReluNetwork, TrainConfig, TrainingDivergence, \
@@ -121,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-clamp", action="store_true",
                    help="drop the output clamp stage from the NN embedding")
     p.add_argument("--time-limit", type=float, default=math.inf, metavar="SECS")
+    # no flag: a seed study hands its trials one record of the root basis
+    p.set_defaults(root_basis=None)
     return p
 
 
@@ -234,7 +237,8 @@ def run_pipeline(args, seed: int | None = None) -> RunReport:
     model, fv = assemble(scenario, closure)
     if args.export_mps:
         model.export_mps(args.export_mps)
-    sol = solve_milp(model, BnbConfig(time_limit=args.time_limit))
+    sol = solve_milp(model, BnbConfig(time_limit=args.time_limit,
+                                      root_basis=args.root_basis))
 
     oracle = _oracle_for(scenario, params, fv.network)
     gap = None
@@ -267,13 +271,16 @@ def run_seed_study(args) -> SeedStudySummary:
     failures = 0
     excluded = []
     eligible_gaps = []
+    # each trial's root LP starts from the last trial's root basis: the
+    # trials' models share every flow row
+    root_basis = RootBasis() if args.trials > 1 else None
     for seed, net in zip(seeds, nets):
         try:
             if isinstance(net, TrainingDivergence):
                 raise net
-            trial_args = args
+            trial_args = copy.copy(args)
+            trial_args.root_basis = root_basis
             if net is not None:
-                trial_args = copy.copy(args)
                 trial_args.model = net
             rep = run_pipeline(trial_args, seed=seed)
         except TrainingDivergence:

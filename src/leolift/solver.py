@@ -11,10 +11,10 @@ held in arrays and applied as one unit lower-triangular block, so `ftran` and
 `btran` solve with B and its transpose by the LU solve plus a fixed number of
 BLAS calls, however many pivots it holds. Every simplex state, phase 1
 included, works on the problem's own structural and slack columns: phase 1
-starts from the all-slack basis and minimizes the slacks' bound violations,
-so no simplex loop changes a state's shape; only the root's cut rows widen
-it. A model without rows gets one empty equality row, so every basis has a
-row.
+starts from the state's basis, the all-slack one when cold, and minimizes
+the basic columns' bound violations, so no simplex loop changes a state's
+shape; only the root's cut rows widen it. A model without rows gets one
+empty equality row, so every basis has a row.
 
 One sign table over the bound statuses, `_SIGN`, says which columns may
 enter: a reduced cost times -1 at a lower bound and +1 at an upper one (its
@@ -30,7 +30,7 @@ through one routine, `_Simplex._pivot`.
 Branch-and-bound explores nodes best-bound-first on one simplex state per
 solve. The state holds the problem itself (A, Aᵀ, b, the costs and the
 bounds); each node writes its structural bounds into it and loads its start.
-The root has no start and is solved cold by the two-phase primal of
+The root has no start and is solved by the two-phase primal of
 `_two_phase`; every other node warm starts a bounded dual simplex from its
 `_Start`, the parent's final basis. Both children of a branched node hold one
 start: whichever is solved first factors the basis into it, and the other
@@ -64,6 +64,19 @@ The round is skipped once the time limit has passed, and a round that ends
 infeasible, in a `SolverBreakdown` or past the time limit is undone, rows
 and all. One round suffices here: on every instance measured, a second
 round kept no cut.
+
+A root LP is solved cold from the all-slack basis, unless the solve is
+given a `RootBasis`, the record a seed study hands from trial to trial:
+then it starts from the statuses the last trial's optimal root basis left,
+mapped onto this model by variable name and row tag (`_map_root`), and
+writes its own back before the cut round. A mapped basis is checked before
+SuperLU sees it, since a failed factorization costs memory SuperLU never
+gives back: m columns pass when the dense LU of the column-scaled B has no
+pivot near 0; any other set is repaired (`_repair`) by a pivoted QR that
+drops the dependent columns to a bound and makes the slacks of the rows
+left uncovered basic (Suhl & Suhl 1990). The same repair meets a refactor
+that SuperLU finds exactly singular inside `_two_phase`, once; a mapped root
+that still breaks down is solved cold.
 """
 
 from __future__ import annotations
@@ -74,7 +87,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.linalg.blas import dtrsm, dtrsv
+from scipy.linalg.lapack import dgetrf
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
@@ -112,6 +127,10 @@ class SolverBreakdown(RuntimeError):
     """Singular basis beyond refactorization recovery."""
 
 
+class SingularBasis(SolverBreakdown):
+    """SuperLU found the basis exactly singular."""
+
+
 class _TimeUp(Exception):
     """A simplex loop passed its state's deadline."""
 
@@ -126,9 +145,22 @@ class _UnitFactor:
 
 
 @dataclass
+class RootBasis:
+    """The bound statuses of a root LP's optimal basis, keyed by variable
+    name and by row tag (the status of the row's slack). A `solve_milp`
+    given one in its `BnbConfig` starts its root LP from the statuses
+    recorded there and records its own in their place, so a seed study
+    hands one record from trial to trial. Empty until a root is recorded."""
+
+    columns: dict[str, int] = field(default_factory=dict)
+    rows: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
 class BnbConfig:
     node_limit: int = 100000
     time_limit: float = INF
+    root_basis: RootBasis | None = None
 
     def __post_init__(self):
         if not (self.node_limit > 0 and self.time_limit > 0):  # NaN too
@@ -176,9 +208,9 @@ class _Simplex:
 
     The state is the whole problem too: A@x == b over structural and slack
     columns, the costs c and the bounds. Slack of row i sits at column
-    n_struct + i, the last m columns. One state serves a whole
-    branch-and-bound solve: each node writes its structural bounds into it
-    and `load`s its start.
+    n_struct + i, the last m columns. A new state is at the cold start
+    (`slack_start`). One state serves a whole branch-and-bound solve: each
+    node writes its structural bounds into it and `load`s its start.
     """
 
     def __init__(self, A: csc_array, b, c, lb, ub):
@@ -191,7 +223,8 @@ class _Simplex:
         self.m, self.n = A.shape
         self.n_struct = self.n - self.m
         self.basis = np.zeros(self.m, dtype=int)
-        self.status = np.full(self.n, AT_LO, dtype=np.int8)
+        self.status = np.empty(self.n, dtype=np.int8)
+        self.slack_start()
         self.x = np.zeros(self.n)
         self.d = np.zeros(self.n)  # reduced costs, kept by the dual simplex
         self.iterations = 0
@@ -204,6 +237,13 @@ class _Simplex:
         self._R = np.zeros(REFACTOR_EVERY, dtype=np.intp)
         self._G = np.empty((REFACTOR_EVERY, self.m))
         self._L = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY), order="F")
+
+    def slack_start(self):
+        """Put in the cold start: the all-slack basis (B = I), every other
+        column at its `_bound_status`. Makes no factor."""
+        self.status[:] = _bound_status(self.lb, self.ub)
+        self.basis[:] = self.n_struct + np.arange(self.m)
+        self.status[self.basis] = BASIC
 
     def load(self, start: _Start):
         """Take a node's start: its basis, statuses and factor, which this
@@ -283,8 +323,8 @@ class _Simplex:
         """Factor B = A[:, basis] afresh, its CSC arrays gathered straight
         from A's. When B is the identity, as at the all-slack start, it
         takes the `_UnitFactor` and no LU is made. SuperLU raises on an
-        exactly singular B; a non-finite entry is refused before it reaches
-        the factorization."""
+        exactly singular B, which is a `SingularBasis`; a non-finite entry
+        is refused before it reaches the factorization."""
         self._n_etas = 0
         A, cols = self.A, self.basis
         start = A.indptr[cols]
@@ -303,7 +343,7 @@ class _Simplex:
             self._lu = splu(csc_array((data, A.indices[take], indptr),
                                       shape=(self.m, self.m)))
         except RuntimeError as exc:
-            raise SolverBreakdown(f"singular basis: {exc}") from exc
+            raise SingularBasis(f"singular basis: {exc}") from exc
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         """B⁻¹v: the LU solve z = LU⁻¹v, then the eta file as one block.
@@ -604,48 +644,150 @@ def _ratio_test(a: np.ndarray, xb: np.ndarray, lb_b: np.ndarray,
     return block, t_best
 
 
-def _two_phase(state: _Simplex) -> str:
-    """Two-phase primal simplex from the all-slack basis (B = I), every
-    structural column on a bound or free at 0; phase 2 minimizes the state's
-    costs c.
+def _bound_status(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The cold start's status of a nonbasic column: at its lower bound,
+    else at its upper one, else free at 0."""
+    return np.where(lb > -INF, AT_LO, np.where(ub < INF, AT_UP, NB_FREE))
 
-    Phase 1 minimizes the slacks' bound violations: a slack above its upper
-    bound costs +1 over [that bound, +inf), one below its lower bound -1
-    over (-inf, that bound]. After each primal run, a relaxed slack on the
-    bound it violated gets its own bounds and cost 0 back, and phase 1 goes
-    on; when none is, the convex sum of violations is at its minimum, above
-    0, and the LP is infeasible. Every exit leaves the slacks' own bounds.
+
+def _two_phase(state: _Simplex) -> str:
+    """Two-phase primal simplex from the state's basis and bound statuses;
+    phase 2 minimizes the state's costs c. From the cold start
+    (`_Simplex.slack_start`) only slacks are basic.
+
+    Phase 1 minimizes the bound violations of the basic columns: one above
+    its upper bound costs +1 over [that bound, +inf), one below its lower
+    bound -1 over (-inf, that bound]. After each primal run, a relaxed
+    column on the bound it violated gets its own bounds and cost 0 back, and
+    phase 1 goes on; when none is, the convex sum of violations is at its
+    minimum, above 0, and the LP is infeasible. Every exit leaves the
+    columns' own bounds. A refactor that finds the basis exactly singular
+    is met once: `_repair` mends the basis and both phases start again from
+    it; a second `SingularBasis` is the caller's.
     """
-    slacks = state.n_struct + np.arange(state.m)
-    lo, hi = state.lb[slacks], state.ub[slacks]
-    state.status[:] = np.where(state.lb > -INF, AT_LO,
-                               np.where(state.ub < INF, AT_UP, NB_FREE))
-    state.status[slacks] = BASIC
-    state.basis[:] = slacks
+    try:
+        return _phases(state)
+    except SingularBasis:
+        _repair(state, state.basis)
+    return _phases(state)
+
+
+def _phases(state: _Simplex) -> str:
+    """Phase 1, then phase 2, of `_two_phase`."""
+    cols = state.basis.copy()
+    lo, hi = state.lb[cols], state.ub[cols]
     state.refactor()
     state.recompute_x()
-    above = state.x[slacks] > hi + FEAS_TOL
-    below = state.x[slacks] < lo - FEAS_TOL
+    above = state.x[cols] > hi + FEAS_TOL
+    below = state.x[cols] < lo - FEAS_TOL
     phase1 = np.zeros(state.n)
     try:
         while np.any(above | below):
-            phase1[slacks] = np.where(above, 1.0, np.where(below, -1.0, 0.0))
-            state.lb[slacks] = np.where(above, hi, np.where(below, -INF, lo))
-            state.ub[slacks] = np.where(above, INF, np.where(below, lo, hi))
+            phase1[cols] = np.where(above, 1.0, np.where(below, -1.0, 0.0))
+            state.lb[cols] = np.where(above, hi, np.where(below, -INF, lo))
+            state.ub[cols] = np.where(above, INF, np.where(below, lo, hi))
             if state.primal(phase1) == "unbounded":
                 raise SolverBreakdown("phase 1 reported unbounded")
-            s = state.x[slacks]
+            s = state.x[cols]
             viol = np.where(above, s - hi, np.where(below, lo - s, INF))
             back = viol <= 1e-7
             if not back.any():
                 return "infeasible"
-            flip = back & (state.status[slacks] != BASIC)
-            state.status[slacks[flip]] = np.where(above[flip], AT_UP, AT_LO)
+            flip = back & (state.status[cols] != BASIC)
+            state.status[cols[flip]] = np.where(above[flip], AT_UP, AT_LO)
             above &= ~back
             below &= ~back
     finally:
-        state.lb[slacks], state.ub[slacks] = lo, hi
+        state.lb[cols], state.ub[cols] = lo, hi
     return state.primal(state.c)
+
+
+def _checked_basis(state: _Simplex, cols: np.ndarray):
+    """Make `cols`, any number of candidate basic columns, the state's
+    basis, checked before SuperLU sees it: m columns whose column-scaled
+    dense LU has no pivot within `PIVOT_TOL` of 0 are taken as they are,
+    anything else goes through `_repair`. Makes no factor."""
+    if cols.size == state.m:
+        lu, _, info = dgetrf(_scaled_columns(state, cols))
+        if info == 0 and np.abs(np.diagonal(lu)).min() > PIVOT_TOL:
+            state.basis = cols.copy()
+            _fit_statuses(state)
+            return
+    _repair(state, cols)
+
+
+def _scaled_columns(state: _Simplex, cols: np.ndarray) -> np.ndarray:
+    """The columns `cols` of A, dense, each scaled to a largest |entry| of
+    1 (an empty column stays 0)."""
+    B = state.A[:, cols].toarray()
+    big = np.abs(B).max(axis=0, initial=0.0)
+    return B / np.where(big > 0.0, big, 1.0)
+
+
+def _repair(state: _Simplex, cols: np.ndarray):
+    """Replace the candidate basic columns `cols` by a basis that is not
+    singular (Suhl & Suhl 1990): a pivoted QR of the column-scaled columns
+    keeps the independent ones, those whose R pivot exceeds `PIVOT_TOL`;
+    every other one goes to its `_bound_status`. A pivoted QR of the kept
+    columns' transpose then finds rows they cover, and the slacks of the
+    rows left over become basic, filling the basis to m columns. Then
+    `_fit_statuses`. Makes no factor."""
+    B = _scaled_columns(state, cols)
+    R, order = qr(B, mode="r", pivoting=True, check_finite=False)
+    rank = int(np.count_nonzero(np.abs(np.diagonal(R)) > PIVOT_TOL))
+    keep = np.sort(order[:rank])
+    uncovered = np.arange(state.m)
+    if rank:
+        uncovered = np.sort(qr(B[:, keep].T, mode="r", pivoting=True,
+                               check_finite=False)[1][rank:])
+    state.status[cols] = _bound_status(state.lb[cols], state.ub[cols])
+    state.basis = np.concatenate([cols[keep], state.n_struct + uncovered])
+    state.status[state.basis] = BASIC
+    _fit_statuses(state)
+
+
+def _fit_statuses(state: _Simplex):
+    """Give each nonbasic column whose status its bounds do not allow (at
+    an infinite bound, or free with a finite one) its `_bound_status`."""
+    st, lb, ub = state.status, state.lb, state.ub
+    cold = _bound_status(lb, ub)
+    bad = ~((st == BASIC) | (st == cold) | ((st == AT_LO) & (lb > -INF))
+            | ((st == AT_UP) & (ub < INF)))
+    st[bad] = cold[bad]
+
+
+def _once(names: list[str]) -> dict[str, int]:
+    """The position of each name that occurs once in `names`."""
+    pos: dict[str, int] = {}
+    for i, name in enumerate(names):
+        pos[name] = -1 if name in pos else i
+    return {name: i for name, i in pos.items() if i >= 0}
+
+
+def _record_root(state: _Simplex, model: MilpModel, memo: RootBasis):
+    """Write the state's statuses into `memo` by variable name and row tag,
+    a name that repeats left out."""
+    st, ns = state.status.tolist(), state.n_struct
+    memo.columns = {name: st[i] for name, i in
+                    _once([v.name for v in model.variables]).items()}
+    memo.rows = {tag: st[ns + i] for tag, i in
+                 _once([con.tag for con in model.constraints]).items()}
+
+
+def _map_root(state: _Simplex, model: MilpModel, memo: RootBasis) -> bool:
+    """Put the statuses `memo` records onto the state, at its cold start,
+    by variable name and row tag, and make their basic columns its basis
+    by `_checked_basis`; returns whether `memo` held any. A name the model
+    repeats, or `memo` lacks, keeps the cold start's status."""
+    if not memo.columns and not memo.rows:
+        return False
+    st, ns = state.status, state.n_struct
+    for name, i in _once([v.name for v in model.variables]).items():
+        st[i] = memo.columns.get(name, st[i])
+    for tag, i in _once([con.tag for con in model.constraints]).items():
+        st[ns + i] = memo.rows.get(tag, st[ns + i])
+    _checked_basis(state, np.flatnonzero(st == BASIC))
+    return True
 
 
 def solve_lp(sf: StandardForm) -> Solution:
@@ -654,12 +796,17 @@ def solve_lp(sf: StandardForm) -> Solution:
     Cold, by `_two_phase` from the all-slack basis. A problem without rows
     takes the same path: its one empty row's slack, fixed at 0, is the basis,
     so the primal simplex only moves variables between their bounds. The
-    status is optimal, infeasible or unbounded; `best_bound` equals the
-    objective, and `gap` is 0 when optimal.
+    status is optimal, infeasible, unbounded, or numerical when the solve
+    breaks down; `best_bound` equals the objective (-inf when numerical),
+    and `gap` is 0 when optimal.
     """
     state = _problem_from_form(sf)
     n = state.n_struct
-    status = _two_phase(state)
+    try:
+        status = _two_phase(state)
+    except SolverBreakdown:
+        return Solution(np.zeros(n), INF, "numerical",
+                        iterations=state.iterations)
     if status == "optimal":
         obj = float(state.c @ state.x)
         return Solution(state.x[:n].copy(), obj, status,
@@ -680,18 +827,23 @@ class _Start:
     lu: object = None
 
 
-def _solve_node(state: _Simplex, start: _Start | None) -> str:
+def _solve_node(state: _Simplex, start: _Start | None,
+                mapped: bool = False) -> str:
     """A node's LP, on the state holding its bounds. From a start: the warm
     dual simplex, then primal pivots if its optimum still prices a column
-    in. Without one (the root), or when the warm solve breaks down: cold by
+    in. Without one (the root): `_two_phase` from the state's basis, the
+    cold start unless `mapped`, when `_map_root` put a recorded root basis
+    there. A warm or mapped solve that breaks down is solved cold, by
     `_two_phase` from the all-slack basis, the abandoned pivots still
     counted in the state's iterations."""
-    if start is not None:
-        try:
+    try:
+        if start is not None:
             state.load(start)
             return _warm(state)
-        except SolverBreakdown:
-            pass
+        if mapped:
+            return _two_phase(state)
+    except SolverBreakdown:
+        state.slack_start()
     return _two_phase(state)
 
 
@@ -835,7 +987,9 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     Branches on the most fractional variable, ties to the lowest index. A
     node is pruned when its bound is within `GAP_TOL` (relative) of the
     incumbent; a variable within `INT_TOL` of an integer counts as integral.
-    `_solve_node` solves each node's LP. An optimal root LP then takes
+    `_solve_node` solves each node's LP. Given `cfg.root_basis`, the root
+    LP starts from the basis recorded there (`_map_root`), and an optimal
+    root LP records its own basis there. An optimal root LP then takes
     `_root_cuts`, and its bound and values are those after the cuts;
     `Solution.cuts` counts the rows kept. The limits apply from node 1 on,
     so the root LP (node 0) is always solved: the node limit between nodes,
@@ -853,6 +1007,8 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     sf = model.to_standard_form()
     state = _problem_from_form(sf)
     n_struct = state.n_struct
+    memo = cfg.root_basis
+    mapped = memo is not None and _map_root(state, model, memo)
     int_ids = np.nonzero(sf.is_int)[0]
 
     incumbent = None
@@ -888,13 +1044,15 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
         state.lb[:n_struct], state.ub[:n_struct] = node.lb, node.ub
         state.deadline = t0 + cfg.time_limit if nodes_done > 1 else INF
         try:
-            st = _solve_node(state, node.start)
+            st = _solve_node(state, node.start, mapped and nodes_done == 1)
         except (SolverBreakdown, _TimeUp) as exc:
             status = "limit" if isinstance(exc, _TimeUp) else "numerical"
             heapq.heappush(heap, node)  # still open: its bound counts
             break
 
         if st == "optimal" and nodes_done == 1:
+            if memo is not None:
+                _record_root(state, model, memo)
             state.deadline = t0 + cfg.time_limit
             cuts = _root_cuts(state, sf.is_int)
         lp_obj = (float(state.c @ state.x) if st == "optimal"

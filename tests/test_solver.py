@@ -618,15 +618,158 @@ class TestFactoredBasis:
     @pytest.mark.parametrize("second", [[2.0, 4.0, 0.0], [0.0, 0.0, 0.0],
                                         [INF, 1.0, 0.0]])
     def test_singular_basis_raises_breakdown(self, second):
-        # column 1 is a multiple of column 0 or zero, which SuperLU rejects,
-        # or infinite, which it factors with an infinite pivot on U
+        # column 1 is a multiple of column 0 or zero, which SuperLU rejects
+        # as exactly singular, or infinite, which it would factor with an
+        # infinite pivot on U and is refused before
         A = csc_array(np.array([[1.0, second[0], 0.0],
                                 [2.0, second[1], 0.0],
                                 [0.0, second[2], 1.0]]))
         state = solver._Simplex(A, np.zeros(3), np.zeros(3), np.zeros(3), np.ones(3))
         state.basis = np.array([0, 1, 2])
-        with pytest.raises(solver.SolverBreakdown):
+        with pytest.raises(solver.SolverBreakdown) as exc:
             state.refactor()
+        assert isinstance(exc.value, solver.SingularBasis) == \
+            math.isfinite(second[0])
+
+
+class TestBasisRepair:
+    """`_checked_basis` and `_repair`: candidate basic columns made into a
+    basis SuperLU can factor, before it sees them."""
+
+    @staticmethod
+    def _state():
+        # columns 0 and 1 are equal, column 2 is independent of them; the
+        # slacks of rows 0-2 are columns 3-5
+        S = np.array([[1.0, 1.0, 0.0],
+                      [2.0, 2.0, 1.0],
+                      [0.0, 0.0, 3.0]])
+        lb = np.array([0.0, -INF, -INF, 0.0, 0.0, 0.0])
+        ub = np.array([5.0, 4.0, INF, INF, INF, INF])
+        return solver._Simplex(csc_array(np.hstack([S, np.eye(3)])), np.ones(3),
+                               np.zeros(6), lb, ub)
+
+    @staticmethod
+    def _no_splu(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check must not reach SuperLU")
+        monkeypatch.setattr(solver, "splu", refuse)
+
+    @staticmethod
+    def _check_basis(state):
+        """m distinct basic columns, marked basic and making a nonsingular
+        B, and every other column on a finite bound or free."""
+        basis = state.basis
+        assert basis.size == state.m == np.unique(basis).size
+        assert np.all(state.status[basis] == solver.BASIC)
+        assert np.count_nonzero(state.status == solver.BASIC) == state.m
+        assert np.linalg.matrix_rank(state.A[:, basis].toarray()) == state.m
+        x = state.nonbasic_values()
+        assert np.all(np.isfinite(x))
+        state.refactor()
+
+    def test_equal_columns_are_repaired(self, monkeypatch):
+        """Basis {0, 1, 2} with columns 0 and 1 equal: one of them goes to
+        a bound and the slack of a row the others leave uncovered becomes
+        basic, before any factorization."""
+        state = self._state()
+        state.status[:3] = solver.BASIC
+        state.status[3:] = solver.AT_LO
+        with monkeypatch.context() as patch:
+            self._no_splu(patch)
+            solver._checked_basis(state, np.arange(3))
+        basis = set(state.basis.tolist())
+        dropped = {0, 1} - basis
+        assert len(dropped) == 1 and 2 in basis
+        j = dropped.pop()
+        assert state.status[j] == (solver.AT_LO if j == 0 else solver.AT_UP)
+        assert len(basis - {0, 1, 2}) == 1  # one slack
+        self._check_basis(state)
+
+    def test_full_rank_basis_is_kept(self, monkeypatch):
+        """A basis the dense LU finds full rank is taken as it is, in its
+        order and with its statuses; `_repair` keeps its columns too."""
+        state = self._state()
+        state.status[[0, 2, 4]] = solver.BASIC
+        state.status[[1, 3, 5]] = [solver.AT_UP, solver.AT_LO, solver.AT_LO]
+        status = state.status.copy()
+        with monkeypatch.context() as patch:
+            self._no_splu(patch)
+            solver._checked_basis(state, np.array([4, 0, 2]))
+        np.testing.assert_array_equal(state.basis, [4, 0, 2])
+        np.testing.assert_array_equal(state.status, status)
+        solver._repair(state, np.array([4, 0, 2]))
+        assert set(state.basis.tolist()) == {0, 2, 4}
+        np.testing.assert_array_equal(state.status, status)
+
+    @pytest.mark.parametrize("cols", [[], [1], [0, 2], [0, 1, 2, 3, 4, 5]])
+    def test_any_number_of_candidates_gives_m_columns(self, cols):
+        """Too few candidates are padded with slacks; too many are cut down
+        to independent ones."""
+        state = self._state()
+        state.status[:] = solver.AT_LO
+        state.status[[1, 2]] = [solver.AT_UP, solver.NB_FREE]
+        state.status[cols] = solver.BASIC
+        solver._checked_basis(state, np.array(cols, dtype=int))
+        self._check_basis(state)
+        assert set(state.basis.tolist()) <= set(cols) | {3, 4, 5}
+
+    def test_nonbasic_statuses_are_fitted_to_the_bounds(self):
+        """A status at an infinite bound, or free with a finite bound, is
+        replaced by the cold start's."""
+        state = self._state()
+        state.status[:] = [solver.NB_FREE, solver.AT_LO, solver.AT_UP,
+                           solver.BASIC, solver.BASIC, solver.BASIC]
+        solver._checked_basis(state, np.arange(3, 6))
+        np.testing.assert_array_equal(
+            state.status, [solver.AT_LO, solver.AT_UP, solver.NB_FREE,
+                           solver.BASIC, solver.BASIC, solver.BASIC])
+
+    @staticmethod
+    def _count_repairs(monkeypatch) -> list:
+        repairs = []
+        repair = solver._repair
+
+        def counted(state, cols):
+            repairs.append(1)
+            repair(state, cols)
+
+        monkeypatch.setattr(solver, "_repair", counted)
+        return repairs
+
+    def test_singular_refactor_in_phase_one_is_repaired(self, monkeypatch,
+                                                       params, dataset51):
+        """The twin campaign H9/W1 with an unmeetable delivery, NN closure
+        of training seed 2: phase 1's refactor after 100 pivots finds the
+        basis exactly singular. `_repair` mends it, phase 1 starts again
+        from it, and the LP and the MILP end infeasible, as HiGHS says;
+        they used to end `numerical`, and `solve_lp` raised."""
+        from leolift.spacecraft import surrogate_target
+        from leolift.surrogate import TrainConfig, train_relu_network
+
+        net = train_relu_network(dataset51, TrainConfig(seed=2),
+                                 target_fn=lambda v: surrogate_target(params, v))
+        model = assemble(campaign(horizon=9, width=1, supply=1000.0,
+                                  return_leg=False, second=300.0,
+                                  unmeetable="huge", twin=True), net)[0]
+        repairs = self._count_repairs(monkeypatch)
+        lp = solve_lp(model.to_standard_form())
+        assert (lp.status, len(repairs)) == ("infeasible", 1)
+        assert solve_milp(model).status == "infeasible"
+        assert highs_milp(model).status == 2  # infeasible
+
+    def test_a_second_singular_refactor_ends_numerical(self, monkeypatch):
+        """A basis still singular after its repair is a breakdown: `solve_lp`
+        reports `numerical` and lets no `SolverBreakdown` escape."""
+        m = lp_from_dense([[1.0, 1.0]], ["<="], [1.0], [-1.0, -1.0],
+                          [0.0, 0.0], [INF, INF])
+        def singular(state):
+            raise solver.SingularBasis("forced")
+
+        repairs = self._count_repairs(monkeypatch)
+        monkeypatch.setattr(solver._Simplex, "refactor", singular)
+        lp = solve_lp(m.to_standard_form())
+        assert (lp.status, lp.objective, lp.best_bound) == ("numerical", INF, -INF)
+        assert len(repairs) == 1
 
 
 class TestWarmDualState:
@@ -1720,23 +1863,24 @@ class TestFactorSharing:
 
     # per training seed 0-19 of the NN study: nodes, iterations, objective
     NN_STUDY_TREES = [
-        (1, 61, "0x1.5022fadbd1465p+15"), (1, 61, "0x1.5098a0638b093p+15"),
-        (1, 70, "0x1.5886cd7344d7cp+15"), (1, 78, "0x1.53d88db4d9c5ep+15"),
-        (1, 72, "0x1.5842c165e5a52p+15"), (1, 62, "0x1.5fda009407aedp+15"),
-        (1, 55, "0x1.4ff13bf80954dp+15"), (1, 63, "0x1.561cad76811d0p+15"),
-        (1, 57, "0x1.568826fd66a4bp+15"), (1, 60, "0x1.4ddf34993a07bp+15"),
-        (1, 66, "0x1.5226c0c3df5f6p+15"), (1, 54, "0x1.4defb41db272fp+15"),
-        (1, 61, "0x1.547848073a2a8p+15"), (1, 59, "0x1.5170f786b47a9p+15"),
-        (1, 67, "0x1.54b7704b8547cp+15"), (1, 59, "0x1.563ca296eda90p+15"),
-        (1, 56, "0x1.5693810759528p+15"), (1, 68, "0x1.54ec580a6702cp+15"),
-        (1, 61, "0x1.58a0ad0b9942dp+15"), (1, 68, "0x1.5416f6ed9c8c6p+15"),
+        (1, 61, "0x1.5022fadbd1465p+15"), (1, 5, "0x1.5098a0638b094p+15"),
+        (1, 7, "0x1.5886cd7344d7fp+15"), (1, 8, "0x1.53d88db4d9c63p+15"),
+        (1, 5, "0x1.5842c165e5a4ep+15"), (1, 9, "0x1.5fda009407aebp+15"),
+        (1, 5, "0x1.4ff13bf80954dp+15"), (1, 17, "0x1.561cad76811d6p+15"),
+        (1, 7, "0x1.568826fd66a6cp+15"), (1, 18, "0x1.4ddf34993a07cp+15"),
+        (1, 12, "0x1.5226c0c3df602p+15"), (1, 4, "0x1.4defb41db272dp+15"),
+        (1, 5, "0x1.547848073a2a0p+15"), (1, 5, "0x1.5170f786b47a7p+15"),
+        (1, 6, "0x1.54b7704b855f7p+15"), (1, 8, "0x1.563ca296eda8ep+15"),
+        (1, 5, "0x1.5693810759527p+15"), (1, 6, "0x1.54ec580a6702ap+15"),
+        (1, 11, "0x1.58a0ad0b9942cp+15"), (1, 4, "0x1.5416f6ed9c8c6p+15"),
     ]
 
     def test_nn_study_trees_are_pinned(self, monkeypatch):
         """The paper's 20-trial NN study on the bundled campaign, tree by
-        tree: the root cuts close every root, so 20 nodes and 1,258
-        iterations in all (188 and 1,500 without cuts), each objective to
-        the bit."""
+        tree: the root cuts close every root, and every trial after the
+        first starts its root LP from the last trial's root basis, so 20
+        nodes and 208 iterations in all (1,258 with every root LP cold,
+        1,500 without cuts either), each objective to the bit."""
         from leolift import cli
 
         sols = []
@@ -1752,7 +1896,7 @@ class TestFactorSharing:
         got = [(s.nodes, s.iterations, float.hex(s.objective)) for s in sols]
         assert all(s.status == "optimal" for s in sols)
         assert got == self.NN_STUDY_TREES
-        assert sum(t[0] for t in got) == 20 and sum(t[1] for t in got) == 1258
+        assert sum(t[0] for t in got) == 20 and sum(t[1] for t in got) == 208
 
     def test_one_state_per_solve(self, monkeypatch, twins_linreg):
         """`solve_milp` builds one simplex state, and every node of a tree
@@ -1786,3 +1930,136 @@ class TestFactorSharing:
         sol = solve_milp(twins_linreg)
         assert sol.status == "optimal" and sol.nodes == 123
         assert len(calls) < sol.nodes
+
+
+def root_iterations(monkeypatch) -> list[int]:
+    """Patch `_two_phase` to record the iterations of each call, the root
+    LPs of the solves that follow; returns that record."""
+    counts = []
+    two_phase = solver._two_phase
+
+    def counted(state):
+        before = state.iterations
+        try:
+            return two_phase(state)
+        finally:
+            counts.append(state.iterations - before)
+
+    monkeypatch.setattr(solver, "_two_phase", counted)
+    return counts
+
+
+class TestRootBasisMemo:
+    """A seed study's trials start their root LPs from the last trial's
+    root basis, mapped by variable name and row tag."""
+
+    @staticmethod
+    def _model(names, tags, rows):
+        """min -x0 - x1 - x2 over [0, 4] boxes with `<=` rows given as
+        (coefficients, rhs), under the given names and tags."""
+        m = MilpModel()
+        ids = [m.add_variable(name, upper=4.0) for name in names]
+        for tag, (coeffs, rhs) in zip(tags, rows):
+            m.add_constraint(list(zip(ids, coeffs)), "<=", rhs, tag=tag)
+        for vid in ids:
+            m.add_objective_term(vid, -1.0)
+        m.freeze()
+        return m
+
+    def test_statuses_map_by_name(self):
+        """A name the new model lacks is dropped, one it repeats and one
+        the record lacks keep the cold start, and a status the new bounds do
+        not allow takes the cold start's; the mapped start then solves to
+        the cold optimum."""
+        rows = [([1.0, 1.0, 0.0], 5.0), ([0.0, 1.0, 1.0], 6.0),
+                ([1.0, 0.0, 1.0], 7.0)]
+        old = self._model(["x", "y", "gone"], ["r0", "r1", "r2"], rows)
+        memo = solver.RootBasis()
+        solve_milp(old, BnbConfig(root_basis=memo))
+        assert set(memo.columns) == {"x", "y", "gone"}
+        assert set(memo.rows) == {"r0", "r1", "r2"}
+        memo.columns["x"] = solver.AT_UP
+        new = MilpModel()
+        x = new.add_variable("x")  # no upper bound: AT_UP is not allowed
+        y = new.add_variable("y", upper=4.0)
+        z = new.add_variable("z", upper=4.0)
+        for tag, (coeffs, rhs) in zip(["r0", "dup", "dup"], rows):
+            new.add_constraint(list(zip([x, y, z], coeffs)), "<=", rhs, tag=tag)
+        for vid in (x, y, z):
+            new.add_objective_term(vid, -1.0)
+        new.freeze()
+        state = solver._problem_from_form(new.to_standard_form())
+        assert solver._map_root(state, new, memo)
+        assert state.status[x] == solver.AT_LO
+        assert state.status[y] == memo.columns["y"]
+        assert state.status[z] == solver.AT_LO
+        assert state.status[3] == memo.rows["r0"]
+        assert state.status[4] == state.status[5] == solver.BASIC
+        assert solver._two_phase(state) == "optimal"
+        cold = solve_lp(new.to_standard_form())
+        assert state.c @ state.x == pytest.approx(cold.objective, abs=1e-9)
+
+    def test_empty_record_leaves_the_cold_start(self):
+        m = self._model(["x", "y", "z"], ["r0"], [([1.0, 1.0, 1.0], 5.0)])
+        state = solver._problem_from_form(m.to_standard_form())
+        basis, status = state.basis.copy(), state.status.copy()
+        assert not solver._map_root(state, m, solver.RootBasis())
+        np.testing.assert_array_equal(state.basis, basis)
+        np.testing.assert_array_equal(state.status, status)
+
+    def test_identical_trials_take_no_root_iterations(self, monkeypatch):
+        """A 3-trial linreg study solves one model three times: trials 2
+        and 3 start from trial 1's optimal root basis, and their root LPs
+        take no iteration."""
+        from leolift import cli
+
+        roots = root_iterations(monkeypatch)
+        study = cli.run_seed_study(cli.build_parser().parse_args(
+            ["--surrogate", "linreg", "--trials", "3"]))
+        assert [r["status"] for r in study.rows] == ["optimal"] * 3
+        assert roots[0] > 0 and roots[1:] == [0, 0]
+        objs = [r["objective_kg"] for r in study.rows]
+        assert objs[1] == pytest.approx(objs[0], rel=1e-12)
+        assert objs[2] == pytest.approx(objs[0], rel=1e-12)
+
+    def test_single_runs_map_and_record_nothing(self, monkeypatch):
+        """A single run, and a study of one trial, pass no record: no name
+        is mapped or recorded, and the root is solved cold."""
+        from leolift import cli
+
+        def refuse(*args):
+            raise AssertionError("a single run keeps no root basis")
+
+        monkeypatch.setattr(solver, "_map_root", refuse)
+        monkeypatch.setattr(solver, "_record_root", refuse)
+        argv = ["--surrogate", "linreg"]
+        rep = cli.run_pipeline(cli.build_parser().parse_args(argv))
+        study = cli.run_seed_study(cli.build_parser().parse_args(
+            argv + ["--trials", "1"]))
+        assert rep.solution.status == study.rows[0]["status"] == "optimal"
+
+    def test_nn_study_matches_cold_runs(self, monkeypatch):
+        """The 20-trial NN study: no mapped basis reaches SuperLU singular,
+        and every trial is optimal at its own cold `run_pipeline`
+        objective to 1e-9 relative."""
+        from leolift import cli
+
+        failures = []
+        splu = solver.splu
+
+        def counted(*args, **kwargs):
+            try:
+                return splu(*args, **kwargs)
+            except RuntimeError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(solver, "splu", counted)
+        args = cli.build_parser().parse_args(
+            ["--surrogate", "nn", "--seed", "0", "--trials", "20"])
+        study = cli.run_seed_study(args)
+        assert not failures
+        for row in study.rows:
+            assert row["status"] == "optimal"
+            cold = cli.run_pipeline(args, seed=row["seed"]).solution
+            assert row["objective_kg"] == pytest.approx(cold.objective, rel=1e-9)
