@@ -72,7 +72,7 @@ class Solution:
     seconds: float = 0.0
     best_bound: float = -INF
     gap: float = INF
-    cuts: int = 0  # rows the root cut loop added to the solver's LP
+    cuts: int = 0  # rows the root's cut round kept in the solver's LP
 
 
 @dataclass

@@ -12,9 +12,10 @@ held in arrays and applied as one unit lower-triangular block, so `ftran` and
 BLAS calls, however many pivots it holds. Every simplex state, phase 1
 included, works on the problem's own structural and slack columns: phase 1
 starts from the state's basis, the all-slack one when cold, and minimizes
-the basic columns' bound violations, so no simplex loop changes a state's
-shape; only the root's cut rows widen it. A model without rows gets one
-empty equality row, so every basis has a row.
+the basic columns' bound violations. A state keeps the shape it is built
+with: one function, `_problem_from_form`, folds a form's rows into slack
+form, and a form with more rows gets a new state. A model without rows gets
+one empty equality row, so every basis has a row.
 
 One sign table over the bound statuses, `_SIGN`, says which columns may
 enter: a reduced cost times -1 at a lower bound and +1 at an upper one (its
@@ -27,9 +28,10 @@ magnitude, the threshold the dual's stability test uses. An iteration is a
 pivot or a bound flip. The primal and the dual simplex make every pivot
 through one routine, `_Simplex._pivot`.
 
-Branch-and-bound explores nodes best-bound-first on one simplex state per
-solve. The state holds the problem itself (A, Aᵀ, b, the costs and the
-bounds); each node writes its structural bounds into it and loads its start.
+Branch-and-bound explores nodes best-bound-first on the root's simplex
+state, or on the cut state once the root keeps cuts. A state holds the
+problem itself (A, Aᵀ, b, the costs and the bounds); each node writes its
+structural bounds into it and loads its start.
 The root has no start and is solved by the two-phase primal of
 `_two_phase`; every other node warm starts a bounded dual simplex from its
 `_Start`, the parent's final basis. Both children of a branched node hold one
@@ -49,21 +51,21 @@ breakdown the cold solve cannot recover, or an incumbent that fails the final
 check against the model's rows, bounds and integrality, ends the solve with
 the `numerical` status.
 
-Before it branches, the root runs one round of Gomory mixed-integer
-cuts read from its optimal tableau (`_gmi_cuts`). The cuts
-live only in the simplex state: `_Simplex.add_rows` appends them as rows
-C@x >= lo with basic slacks, which keeps the basis dual feasible, and the
-warm dual re-solves from there. They never enter the model, so the final
-check, the values and the exported model are the model's own; every later
-node, and the cold fallback, runs on the widened state, so m is fixed
-after the root. A candidate row is built into a cut only if its lift, the
-bound gain of its first dual pivot alone, exceeds `GAP_TOL`: a row that
-touches a nonbasic column at zero reduced cost has lift 0, so a root whose
-optimum is dual degenerate there keeps no cut and its tree is unchanged.
-The round is skipped once the time limit has passed, and a round that ends
-infeasible, in a `SolverBreakdown` or past the time limit is undone, rows
-and all. One round suffices here: on every instance measured, a second
-round kept no cut.
+Before it branches, the root runs one round of Gomory mixed-integer cuts
+read from its optimal tableau (`_gmi_cuts`). `_root_cuts` appends them to
+the root's standard form as rows C@x >= lo and builds that form's state,
+started from the root's basis with the cuts' slacks basic, which is dual
+feasible; the warm dual re-solves from there. The cuts never enter the
+model, so the final check, the values and the exported model are the
+model's own; every later node, and the cold fallback, runs on the cut
+state. A candidate row is built into a cut only if its lift, the bound gain
+of its first dual pivot alone, exceeds `GAP_TOL`: a row that touches a
+nonbasic column at zero reduced cost has lift 0, so a root whose optimum is
+dual degenerate there keeps no cut and its tree is unchanged. The round is
+skipped once the time limit has passed, and dropped, the search going on
+with the root's state, when it ends infeasible, in a `SolverBreakdown` or
+past the time limit. One round suffices here: on every instance measured,
+a second round kept no cut.
 
 A root LP is solved cold from the all-slack basis, unless the solve is
 given a `RootBasis`, the record a seed study hands from trial to trial:
@@ -209,8 +211,9 @@ class _Simplex:
     The state is the whole problem too: A@x == b over structural and slack
     columns, the costs c and the bounds. Slack of row i sits at column
     n_struct + i, the last m columns. A new state is at the cold start
-    (`slack_start`). One state serves a whole branch-and-bound solve: each
-    node writes its structural bounds into it and `load`s its start.
+    (`slack_start`), and its shape never changes. Each branch-and-bound
+    node writes its structural bounds into the state it runs on and
+    `load`s its start.
     """
 
     def __init__(self, A: csc_array, b, c, lb, ub):
@@ -257,65 +260,6 @@ class _Simplex:
             return
         self._lu = start.lu  # a refactor replaces the factor, never mutates it
         self._n_etas = 0
-
-    def add_rows(self, C: np.ndarray, lo: np.ndarray):
-        """Append the rows C@x >= lo over the structural columns, each as
-        -C@x + s = -lo with its slack s in [0, inf) basic, and refactor.
-
-        The slack of new row i is column n_struct + m + i, so every old
-        column keeps its index. With y_new = 0 the old duals still solve
-        Bᵀy = c_B, so the reduced costs d are unchanged and the new slacks'
-        are 0: the basis stays dual feasible, and a violated row only makes
-        its slack primal infeasible, the start the warm dual takes. The
-        problem arrays are replaced, never mutated, so a `snapshot` taken
-        before stays whole."""
-        k, ns, (m, n) = len(lo), self.n_struct, self.A.shape
-        A = self.A
-        cj, ci = np.nonzero(C.T)  # by structural column, then by row
-        len_a, len_c = np.diff(A.indptr), np.bincount(cj, minlength=ns)
-        counts = np.concatenate([len_a, np.ones(k, dtype=len_a.dtype)])
-        counts[:ns] += len_c
-        indptr = np.zeros(n + k + 1, dtype=A.indptr.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=A.indices.dtype)
-        # each column's old entries first, then its new rows' (-C), then the
-        # new slacks' unit entries
-        pos = np.arange(A.nnz) + np.repeat(indptr[:n] - A.indptr[:n], len_a)
-        data[pos], indices[pos] = A.data, A.indices
-        c_start = np.concatenate([[0], np.cumsum(len_c)[:-1]])
-        pos = np.arange(cj.size) + np.repeat(indptr[:ns] + len_a[:ns] - c_start,
-                                             len_c)
-        data[pos], indices[pos] = -C[ci, cj], m + ci
-        data[indptr[n]:], indices[indptr[n]:] = 1.0, m + np.arange(k)
-        self.A = csc_array((data, indices, indptr), shape=(m + k, n + k))
-        self.AT = self.A.T
-        self.b = np.concatenate([self.b, -lo])
-        self.c = np.concatenate([self.c, np.zeros(k)])
-        self.lb = np.concatenate([self.lb, np.zeros(k)])
-        self.ub = np.concatenate([self.ub, np.full(k, INF)])
-        self.basis = np.concatenate([self.basis, n + np.arange(k)])
-        self.status = np.concatenate([self.status, np.full(k, BASIC, np.int8)])
-        self.x = np.concatenate([self.x, C @ self.x[:ns] - lo])
-        self.d = np.concatenate([self.d, np.zeros(k)])
-        self.m, self.n = m + k, n + k
-        self._G = np.empty((REFACTOR_EVERY, self.m))
-        self.refactor()
-
-    def snapshot(self) -> tuple:
-        """What `restore` needs to undo later `add_rows` and pivots: the
-        problem arrays, and copies of the basis, statuses, x and d."""
-        return (self.A, self.AT, self.b, self.c, self.lb, self.ub, self._G,
-                self.basis.copy(), self.status.copy(), self.x.copy(),
-                self.d.copy())
-
-    def restore(self, snap: tuple):
-        """Put back the state `snap` was taken of, and refactor its basis.
-        The iterations made since stay counted."""
-        (self.A, self.AT, self.b, self.c, self.lb, self.ub, self._G,
-         self.basis, self.status, self.x, self.d) = snap
-        self.m, self.n = self.A.shape
-        self.refactor()
 
     # -- linear algebra ----------------------------------------------------
 
@@ -942,28 +886,43 @@ def _tidy_cuts(C: np.ndarray, lo: np.ndarray, lb: np.ndarray,
     return C[ok], lo[ok]
 
 
-def _root_cuts(state: _Simplex, is_int: np.ndarray) -> int:
-    """One round of `_gmi_cuts` on the state at its root LP optimum, added
-    by `add_rows` and re-solved by `_warm`; returns the number of rows kept.
+def _root_cuts(state: _Simplex, sf: StandardForm) -> tuple[_Simplex, int]:
+    """One round of `_gmi_cuts` on the state at the root LP optimum of `sf`;
+    returns the state the search goes on with and the number of rows kept.
 
-    No round runs once the state's deadline has passed. A round that ends
-    infeasible, in a `SolverBreakdown` or past the deadline is undone, rows
-    and all, and keeps nothing."""
+    The cuts C@x >= lo are appended to `sf`, and `_problem_from_form` makes
+    the wider form's state, where cut i's slack is column n_struct + m + i.
+    It starts from the root's basis with the new slacks basic, which the old
+    duals price at 0, so it is dual feasible, and `_warm` re-solves. No round
+    runs past the deadline; one that ends infeasible, in a `SolverBreakdown`
+    or past the deadline returns the root's state, untouched but for the
+    round's iterations, and keeps nothing."""
     if time.monotonic() > state.deadline:
-        return 0
-    cuts = _gmi_cuts(state, is_int, float(state.c @ state.x))
+        return state, 0
+    cuts = _gmi_cuts(state, sf.is_int, float(state.c @ state.x))
     if cuts is None:
-        return 0
-    snap = state.snapshot()
+        return state, 0
+    (C, lo), A = cuts, sf.A
+    k = len(lo)
+    ci, cj = np.nonzero(C)
+    rows = csr_array((np.concatenate([A.data, C[ci, cj]]),
+                      np.concatenate([A.indices, cj.astype(A.indices.dtype)]),
+                      np.concatenate([A.indptr, A.indptr[-1] + np.cumsum(
+                          np.count_nonzero(C, axis=1), dtype=A.indptr.dtype)])),
+                     shape=(A.shape[0] + k, A.shape[1]))
+    cut = _problem_from_form(replace(sf, A=rows, row_lo=np.concatenate([sf.row_lo, lo]),
+                                     row_hi=np.concatenate([sf.row_hi, np.full(k, INF)])))
+    cut.deadline, cut.iterations = state.deadline, state.iterations
     try:
-        state.add_rows(*cuts)
-        st = _warm(state)
+        cut.load(_Start(np.concatenate([state.basis, state.n + np.arange(k)]),
+                        np.concatenate([state.status, np.full(k, BASIC, np.int8)])))
+        st = _warm(cut)
     except (SolverBreakdown, _TimeUp):
         st = None
     if st != "optimal":
-        state.restore(snap)
-        return 0
-    return len(cuts[1])
+        state.iterations = cut.iterations
+        return state, 0
+    return cut, k
 
 
 @dataclass(order=True)
@@ -990,17 +949,18 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     `_solve_node` solves each node's LP. Given `cfg.root_basis`, the root
     LP starts from the basis recorded there (`_map_root`), and an optimal
     root LP records its own basis there. An optimal root LP then takes
-    `_root_cuts`, and its bound and values are those after the cuts;
-    `Solution.cuts` counts the rows kept. The limits apply from node 1 on,
-    so the root LP (node 0) is always solved: the node limit between nodes,
-    the time limit before the cut round and at every simplex iteration. A
-    node the time limit stops stays open and counts in `nodes`. A
-    `SolverBreakdown` the cold solve cannot recover ends the search with status `numerical`,
-    as does an incumbent that fails `_certified`; the values are then the
-    incumbent's, if there is one. An unbounded LP ends it as `unbounded`,
-    with objective and bound -inf. Every other stop reports `best_bound`,
-    the smallest of the incumbent and the bounds of the open nodes and of
-    the nodes the gap test dropped, and the `gap` to it.
+    `_root_cuts`, and its bound and values are those after the cuts; every
+    later node runs on the state that returns. `Solution.cuts` counts the
+    rows kept. The limits apply from node 1 on, so the root LP (node 0) is
+    always solved: the node limit between nodes, the time limit before the
+    cut round and at every simplex iteration. A node the time limit stops
+    stays open and counts in `nodes`. A `SolverBreakdown` the cold solve
+    cannot recover ends the search with status `numerical`, as does an
+    incumbent that fails `_certified`; the values are then the incumbent's,
+    if there is one. An unbounded LP ends it as `unbounded`, with objective
+    and bound -inf. Every other stop reports `best_bound`, the smallest of
+    the incumbent and the bounds of the open nodes and of the nodes the gap
+    test dropped, and the `gap` to it.
     """
     cfg = cfg or BnbConfig()
     t0 = time.monotonic()
@@ -1054,7 +1014,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
             if memo is not None:
                 _record_root(state, model, memo)
             state.deadline = t0 + cfg.time_limit
-            cuts = _root_cuts(state, sf.is_int)
+            state, cuts = _root_cuts(state, sf)
         lp_obj = (float(state.c @ state.x) if st == "optimal"
                   else INF if st == "infeasible" else -INF)
         if node_log is not None:

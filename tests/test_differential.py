@@ -73,7 +73,7 @@ def test_cut_model_agrees_with_highs_on_the_bare_model(request, closure, s):
 @example(s=spec(twin=True, width=2))
 @example(s=spec(second=300.0, horizon=10, width=5))
 def test_root_cuts_are_valid(request, monkeypatch, closure, s):
-    """Every row the root cut loop adds holds at HiGHS's optimum of the same
+    """Every row the root cut round adds holds at HiGHS's optimum of the same
     model, to `FEAS_TOL` scaled by the row's activity, and the bound after
     the cuts stays at or below that optimum. The NN closure on every draw,
     the linreg one on twin draws."""
@@ -81,13 +81,15 @@ def test_root_cuts_are_valid(request, monkeypatch, closure, s):
         return
     model, _ = assemble(campaign(**s), request.getfixturevalue(closure))
     added = []
-    add_rows = solver._Simplex.add_rows
+    gmi = solver._gmi_cuts
 
-    def recorded(state, C, lo):
-        added.append((C.copy(), lo.copy()))
-        add_rows(state, C, lo)
+    def recorded(*args):
+        cuts = gmi(*args)
+        if cuts is not None:
+            added.append(cuts)
+        return cuts
 
-    monkeypatch.setattr(solver._Simplex, "add_rows", recorded)
+    monkeypatch.setattr(solver, "_gmi_cuts", recorded)
     sol = solve_milp(model, BnbConfig(node_limit=1))
     ref = highs_milp(model)
     if ref.status != 0:

@@ -599,6 +599,14 @@ class TestFactoredBasis:
         np.testing.assert_array_equal(state._R[:state._n_etas], rows)
         self._check_solves(state, rng)
 
+    def test_matrix_btran_with_etas_matches_each_column(self):
+        _, state, rng = solved_random_lp(7, 12, 20)
+        assert state._n_etas
+        V = rng.normal(size=(state.m, 4))
+        np.testing.assert_allclose(
+            state.btran(V), np.column_stack([state.btran(V[:, i]) for i in range(4)]),
+            rtol=1e-12, atol=1e-12)
+
     def test_sibling_loads_the_shared_factor_with_no_etas(self):
         """Two siblings hold one start. The first to load it factors it; the
         second loads that factor after the first has pivoted past it, and
@@ -923,7 +931,8 @@ class TestWarmDualState:
 
 
 class TestRootCuts:
-    """The state that takes new rows, and the root cut loop on it."""
+    """The root cut round: the state a kept round builds, and the round on
+    the solve."""
 
     M, N = 12, 20
 
@@ -944,108 +953,199 @@ class TestRootCuts:
         lo[0] += 2.0
         return C, lo
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_add_rows_widens_the_state(self, seed):
-        """After `add_rows`: ftran and btran (a vector and a matrix) match
-        dense solves with the widened basis, d is unchanged on the old
-        columns and 0 on the new slacks, the new slacks are basic at
-        C@x - lo, and the slack of row i is column n_struct + i."""
-        _, state, rng = self._solved(seed)
+    @staticmethod
+    def _with_rows(model, C, lo):
+        """A copy of `model`, not frozen, with the rows C@x >= lo added."""
+        twin = MilpModel(model.name)
+        for v in model.variables:
+            twin.add_variable(v.name, v.kind, v.lower, v.upper)
+        for con in model.constraints:
+            twin.add_constraint(con.terms, con.sense, con.rhs, con.tag)
+        for vid, coeff in model.objective.items():
+            twin.add_objective_term(vid, coeff)
+        for i in range(len(lo)):
+            twin.add_constraint([(j, C[i, j]) for j in np.flatnonzero(C[i])],
+                                ">=", lo[i], tag=f"cut{i}")
+        return twin
+
+    @staticmethod
+    def _round(monkeypatch, state, sf, rows=None):
+        """`_root_cuts` on the state, its cuts `rows` when given, else those
+        `_gmi_cuts` reads. Returns the state and row count `_root_cuts`
+        returns, and what was seen: the cuts ("cuts"); the cut state as
+        `_warm` starts on it, a copy of its basis and its reduced costs
+        ("start"); and `_warm`'s verdict ("warm")."""
+        seen = {}
+        gmi, warm = solver._gmi_cuts, solver._warm
+
+        def cuts(*args):
+            seen["cuts"] = gmi(*args) if rows is None else rows
+            return seen["cuts"]
+
+        def watched(cut):
+            seen["start"] = (cut, cut.basis.copy(), cut.price(cut.c))
+            seen["warm"] = warm(cut)
+            return seen["warm"]
+
+        monkeypatch.setattr(solver, "_gmi_cuts", cuts)
+        monkeypatch.setattr(solver, "_warm", watched)
+        got, kept = solver._root_cuts(state, sf)
+        return got, kept, seen
+
+    @pytest.mark.parametrize("seed", [*range(4), "nn0"])
+    def test_kept_round_builds_the_state_of_the_cut_form(self, monkeypatch, seed,
+                                                         lunar, net0):
+        """The state a kept round returns is, bit for bit (A, Aᵀ, b, c and
+        the bounds), the `_problem_from_form` of the model with the kept cuts
+        added as `>=` rows, each cut's slack at column n_struct + m + i. The
+        warm dual starts it from the root's basis followed by those slacks,
+        on which ftran and btran (a vector and a matrix) match dense solves,
+        the new slacks sit at C@x - lo, and the root's reduced costs are
+        unchanged on the old columns and 0 on the new slacks: dual feasible.
+        Random LPs with random rows, and the bundled NN root (seed 0) with
+        its own cuts."""
+        if seed == "nn0":
+            model = assemble(lunar, net0)[0]
+            state = solver._problem_from_form(model.to_standard_form())
+            assert solver._two_phase(state) == "optimal"
+            rng, rows = np.random.default_rng(0), None
+        else:
+            model, state, rng = self._solved(seed)
+            rows = self._rows(state, rng)
         m, n, ns = state.m, state.n, state.n_struct
-        d = state.price(state.c)
-        x, basis, old = state.x.copy(), state.basis.copy(), state.A.toarray()
-        C, lo = self._rows(state, rng)
-        state.add_rows(C, lo)
+        d, x, basis, old = (state.price(state.c), state.x.copy(),
+                            state.basis.copy(), state.A.toarray())
+        got, kept, seen = self._round(monkeypatch, state, model.to_standard_form(),
+                                      rows)
+        C, lo = seen["cuts"]
         k = len(lo)
-        assert state.A.shape == (m + k, n + k) and (state.m, state.n) == (m + k, n + k)
-        assert state.AT.shape == (n + k, m + k) and state._G.shape[1] == m + k
-        dense = state.A.toarray()
+        assert seen["warm"] == "optimal" and kept == k > 0
+        cut, start, d2 = seen["start"]
+        assert got is cut and cut is not state
+        ref = solver._problem_from_form(self._with_rows(model, C, lo).to_standard_form())
+        assert cut.A.shape == (m + k, n + k) and (cut.m, cut.n) == (m + k, n + k)
+        assert cut._G.shape[1] == m + k
+        for mat in ("A", "AT"):
+            got_m, want_m = getattr(cut, mat), getattr(ref, mat)
+            assert got_m.format == want_m.format and got_m.shape == want_m.shape
+            for a, b in ((got_m.indptr, want_m.indptr),
+                         (got_m.indices, want_m.indices), (got_m.data, want_m.data)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        for vec in ("b", "c", "lb", "ub"):
+            np.testing.assert_array_equal(getattr(cut, vec), getattr(ref, vec))
+        dense = cut.A.toarray()
         np.testing.assert_array_equal(dense[:m, :n], old)
         np.testing.assert_array_equal(dense[m:, :ns], -C)
         np.testing.assert_array_equal(dense[:, ns:], np.eye(m + k))
-        np.testing.assert_array_equal(state.AT.toarray(), dense.T)
-        np.testing.assert_array_equal(state.basis, np.concatenate(
-            [basis, n + np.arange(k)]))
-        assert np.all(state.status[n:] == solver.BASIC)
-        np.testing.assert_array_equal(state.x[:n], x)
-        np.testing.assert_allclose(state.x[n:], C @ x[:ns] - lo, rtol=1e-12,
-                                   atol=1e-12)
-        np.testing.assert_array_equal(state.b[m:], -lo)
-        assert np.all(state.lb[n:] == 0.0) and np.all(state.ub[n:] == INF)
-        B = dense[:, state.basis]
-        v = rng.normal(size=(m + k, 3))
-        np.testing.assert_allclose(state.ftran(v[:, 0]), np.linalg.solve(B, v[:, 0]),
-                                   rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(state.btran(v[:, 0]),
-                                   np.linalg.solve(B.T, v[:, 0]), rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(state.btran(v), np.linalg.solve(B.T, v),
-                                   rtol=1e-9, atol=1e-9)
-        d2 = state.price(state.c)
+        np.testing.assert_array_equal(cut.AT.toarray(), dense.T)
+        np.testing.assert_array_equal(cut.b[m:], -lo)
+        assert np.all(cut.lb[n:] == 0.0) and np.all(cut.ub[n:] == INF)
+        np.testing.assert_array_equal(start, np.concatenate([basis, n + np.arange(k)]))
         np.testing.assert_allclose(d2[:n], d, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(d2[n:], 0.0, atol=1e-9)
-
-    def test_matrix_btran_with_etas_matches_each_column(self):
-        _, state, rng = self._solved(7)
-        V = rng.normal(size=(state.m, 4))
-        np.testing.assert_allclose(
-            state.btran(V), np.column_stack([state.btran(V[:, i]) for i in range(4)]),
-            rtol=1e-12, atol=1e-12)
+        # the start again, to check its factor and basic values
+        cut.load(solver._Start(start, np.concatenate(
+            [state.status, np.full(k, solver.BASIC, np.int8)])))
+        assert np.all(cut.status[n:] == solver.BASIC)
+        cut.recompute_x()
+        np.testing.assert_allclose(cut.x[:n], x, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(cut.x[n:], C @ x[:ns] - lo, rtol=1e-9, atol=1e-9)
+        B = dense[:, cut.basis]
+        v = rng.normal(size=(m + k, 3))
+        np.testing.assert_allclose(cut.ftran(v[:, 0]), np.linalg.solve(B, v[:, 0]),
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(cut.btran(v[:, 0]),
+                                   np.linalg.solve(B.T, v[:, 0]), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(cut.btran(v), np.linalg.solve(B.T, v),
+                                   rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_warm_dual_after_add_rows_matches_a_cold_solve(self, seed):
+    def test_warm_dual_on_the_cut_state_matches_a_cold_solve(self, monkeypatch,
+                                                             seed):
         """The old basis plus the new slacks is dual feasible: the warm dual
         from it reaches the optimum of the LP with the rows added, as a cold
         solve of that LP does."""
         model, state, rng = self._solved(seed)
         C, lo = self._rows(state, rng)
-        state.add_rows(C, lo)
-        assert solver._warm(state) == "optimal"
-        ids = list(range(self.N))
-        for i in range(len(lo)):
-            model.add_constraint([(j, C[i, j]) for j in ids if C[i, j] != 0.0],
-                                 ">=", lo[i], tag=f"cut{i}")
-        ref = solve_lp(model.to_standard_form())
+        cut, kept, seen = self._round(monkeypatch, state, model.to_standard_form(),
+                                      (C, lo))
+        assert seen["warm"] == "optimal" and kept == len(lo)
+        ref = solve_lp(self._with_rows(model, C, lo).to_standard_form())
         assert ref.status == "optimal"
-        assert float(state.c @ state.x) == pytest.approx(ref.objective, rel=1e-9,
-                                                          abs=1e-9)
+        assert float(cut.c @ cut.x) == pytest.approx(ref.objective, rel=1e-9,
+                                                      abs=1e-9)
+
+    def test_each_state_keeps_its_shape(self, monkeypatch, lunar, net0):
+        """A simplex state keeps the (m, n) it is built with through a whole
+        solve: on the bundled NN root (seed 0), which keeps cuts, the root's
+        state and the cut state each show one shape at every refactor, and
+        A, Aᵀ, the eta rows, the basis and the statuses all fit it."""
+        model = assemble(lunar, net0)[0]
+        shapes = {}
+        refactor = solver._Simplex.refactor
+
+        def recorded(state):
+            shapes.setdefault(id(state), (state, set()))[1].add(
+                (state.m, state.n, state.A.shape, state.AT.shape[::-1],
+                 state._G.shape[1], state.basis.size, state.status.size,
+                 state.x.size))
+            refactor(state)
+
+        monkeypatch.setattr(solver._Simplex, "refactor", recorded)
+        sol = solve_milp(model)
+        assert sol.cuts > 0 and len(shapes) == 2
+        for state, seen in shapes.values():
+            m, n = state.A.shape
+            assert seen == {(m, n, (m, n), (m, n), m, m, n, n)}
+        sizes = sorted(state.m for state, _ in shapes.values())
+        assert sizes[1] == sizes[0] + sol.cuts
 
     @pytest.mark.parametrize("stop", [solver.SolverBreakdown, solver._TimeUp])
-    def test_undone_round_restores_the_state(self, monkeypatch, lunar, net0, stop):
+    def test_dropped_round_returns_the_root_state(self, monkeypatch, lunar, net0,
+                                                  stop):
         """A cut round whose warm dual breaks down (or passes the deadline)
-        is undone: basis, statuses, x and the shape are exactly those before
-        the round, no row is kept, and the tree is the uncut one."""
+        is dropped: `_root_cuts` returns the root's state object itself, its
+        basis, statuses, x, factor and shape exactly those before the round,
+        its iterations those plus the abandoned round's, no row is kept,
+        and the tree is the uncut one."""
         model = assemble(lunar, net0)[0]
         seen = {}
-        root_cuts = solver._root_cuts
-
-        def watched(state, is_int):
-            seen["before"] = (state.basis.copy(), state.status.copy(),
-                              state.x.copy(), state.A.shape, state.m, state.n)
-            kept = root_cuts(state, is_int)
-            seen["after"] = (state.basis, state.status, state.x, state.A.shape,
-                             state.m, state.n)
-            seen["kept"] = kept
-            return kept
-
-        def broken_dual(state):
-            raise stop("forced")
-
-        add_rows = solver._Simplex.add_rows
+        root_cuts, gmi = solver._root_cuts, solver._gmi_cuts
         rounds = []
 
-        def counted(state, C, lo):
-            rounds.append(len(lo))
-            add_rows(state, C, lo)
+        def watched(state, sf):
+            seen["before"] = (state.basis.copy(), state.status.copy(),
+                              state.x.copy(), state.A.shape, state.m, state.n)
+            seen["state"], seen["lu"] = state, state._lu
+            seen["iterations"] = state.iterations
+            got, kept = root_cuts(state, sf)
+            seen["got"], seen["kept"] = got, kept
+            seen["after"] = (got.basis, got.status, got.x, got.A.shape,
+                             got.m, got.n)
+            return got, kept
+
+        def counted(*args):
+            cuts = gmi(*args)
+            if cuts is not None:
+                rounds.append(len(cuts[1]))
+            return cuts
+
+        def broken_dual(state):
+            state.iterations += 3  # pivots the abandoned round made
+            raise stop("forced")
 
         monkeypatch.setattr(solver, "_root_cuts", watched)
-        monkeypatch.setattr(solver._Simplex, "add_rows", counted)
+        monkeypatch.setattr(solver, "_gmi_cuts", counted)
         cut = solve_milp(model)
         assert cut.cuts > 0 and rounds
         rounds.clear()
         monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
         sol = solve_milp(model, BnbConfig(node_limit=1))
-        assert rounds  # the round was tried, then undone
+        assert rounds  # the round was tried, then dropped
         assert seen["kept"] == 0 and sol.cuts == 0
+        assert seen["got"] is seen["state"] and seen["got"]._lu is seen["lu"]
+        assert sol.iterations == seen["got"].iterations == seen["iterations"] + 3
         for was, now in zip(seen["before"], seen["after"]):
             np.testing.assert_array_equal(now, was)
 
@@ -1075,8 +1175,14 @@ class TestRootCuts:
         lift filter and no row is added: the trees are the uncut ones."""
         from leolift import cli
 
-        monkeypatch.setattr(solver._Simplex, "add_rows",
-                            lambda *args: pytest.fail("a row was added"))
+        gmi, rounds = solver._gmi_cuts, []
+
+        def uncut(*args):
+            rounds.append(1)
+            if gmi(*args) is not None:
+                pytest.fail("a row was added")
+
+        monkeypatch.setattr(solver, "_gmi_cuts", uncut)
         for h, w, nodes, iterations in ((8, 3, 3, 110), (10, 5, 3, 177),
                                         (40, 2, 3, 108)):
             sol = cli.run_pipeline(cli.build_parser().parse_args(
@@ -1084,6 +1190,7 @@ class TestRootCuts:
                  str(ladder_scenario(tmp_path, h, w))])).solution
             assert (sol.status, sol.cuts, sol.nodes, sol.iterations) == \
                 ("optimal", 0, nodes, iterations)
+        assert len(rounds) == 3
 
     def test_cut_round_is_skipped_past_the_time_limit(self, monkeypatch,
                                                       lunar, net0):
@@ -1470,7 +1577,7 @@ class TestNodeLogAndLimits:
         m = self._logged_model()
         root = solve_milp(m, BnbConfig(node_limit=1))
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_root_cuts", lambda state, is_int: 0)
+            patch.setattr(solver, "_root_cuts", lambda state, sf: (state, 0))
             uncut = solve_milp(m, BnbConfig(node_limit=1))
         assert (root.cuts, uncut.cuts) != (0, 0)
         assert (uncut.iterations, root.iterations) == (6, 8)
