@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["text", "json", "csv"], default="text")
     p.add_argument("--train-range", default="0:50000:1000", metavar="LO:HI:STEP",
                    help="fuel-capacity grid for surrogate training data")
-    p.add_argument("--no-clamp", action="store_true",
-                   help="drop the output clamp stage from the NN embedding")
     p.add_argument("--time-limit", type=float, default=math.inf, metavar="SECS")
     # no flag: a seed study hands its trials one record of the root basis
     p.set_defaults(root_basis=None)
@@ -193,8 +191,6 @@ def _prepare_surrogate(args, params: SizingParams, seed: int):
         sur = (fit_linear_regression(data) if args.surrogate == "linreg" else
                train_relu_network(data, TrainConfig(seed=seed), target_fn=target))
     if isinstance(sur, ReluNetwork):
-        if args.no_clamp:
-            sur.clamp_output = False
         return sur, "nn", sur.seed, sur.test_r2
     return sur, "linreg", None, holdout_r2(sur, target, box,
                                            np.random.default_rng(seed))

@@ -459,22 +459,6 @@ def assemble(scenario: Scenario, closure) -> tuple[MilpModel, FlowVariables]:
     return model, fv
 
 
-def net_inflow(fv: FlowVariables, sol: Solution, label: str, node: str,
-               t: int) -> float:
-    """Delivered amount of a label at (node, t): inflow minus outflow."""
-    def amount(vid):
-        return 0.0 if vid is None else sol.values[vid]
-
-    total = (amount(fv.hold.get((node, t - 1, label)))
-             - amount(fv.hold.get((node, t, label))))
-    for idx, arc in enumerate(fv.network.arcs):
-        if arc.dst == node and arc.arrive == t:
-            total += amount(_arc_amount_var(fv, idx, label, departing=False))
-        if arc.src == node and arc.depart == t:
-            total -= amount(_arc_amount_var(fv, idx, label, departing=True))
-    return total
-
-
 def solution_flows(fv: FlowVariables, sol: Solution) -> list[dict]:
     """Departures on flights above `FEAS_TOL`, for reporting."""
     rows = []

@@ -3,9 +3,8 @@
 All formulation and surrogate-embedding passes accumulate into a `MilpModel`.
 The model compiles to one ranged-row sparse form that the solver, the row
 audit and the MPS writer all read. The writer emits free-format MPS under
-the model's own variable names and row tags, and a small reader takes such
-a file back, so exported files round-trip and can be handed to other
-solvers.
+the model's own variable names and row tags, so exported files can be
+handed to other solvers. The package writes MPS but does not read it.
 """
 
 from __future__ import annotations
@@ -248,8 +247,8 @@ class MilpModel:
         """Write the model as free-format MPS.
 
         Each column is named by its variable's name and each row by its tag,
-        so `read_mps` reads the model back exactly. Numbers are written in
-        their shortest exact decimal form. Raises ModelError, before the file
+        and numbers are written in their shortest exact decimal form, so the
+        file holds the model exactly. Raises ModelError, before the file
         is opened, when a name is empty, holds whitespace or repeats within
         its kind, or a row is named OBJ (the objective row).
         """
@@ -336,144 +335,3 @@ def _check_names(kind: str, names: list[str]):
         if name in seen:
             raise ModelError(f"{kind} name {name!r} is not unique")
         seen.add(name)
-
-
-def read_mps(path: str) -> MilpModel:
-    """Minimal free MPS reader covering what `export_mps` emits.
-
-    Raises ModelError, naming the line, on the first entry it would drop or
-    misread: a section other than NAME, ROWS, COLUMNS, RHS, BOUNDS and
-    ENDATA, a row type other than L, G and E after the one N (objective)
-    row, an RHS on that row, a bound type other than UP, LO, FX, MI, PL and
-    BV, a row or column ROWS or COLUMNS does not declare, or an entry with
-    a token missing, left over or not a number."""
-    model = MilpModel()
-    section = None
-    row_sense: dict[str, str] = {}
-    row_terms: dict[str, list[tuple[int, float]]] = {}
-    obj_row = None
-    col_ids: dict[str, int] = {}
-    col_kind: dict[str, str] = {}
-    entries: dict[str, list[tuple[str, float]]] = {}
-    rhs: dict[str, float] = {}
-    bounds: dict[str, list] = {}
-    integer_mode = False
-
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("*"):
-                continue
-            try:
-                if not line[0].isspace():
-                    section = line.split()[0].upper()
-                    if section not in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS",
-                                       "ENDATA"):
-                        raise ModelError(f"section {section} is not read")
-                    if section == "NAME":
-                        parts = line.split(None, 1)
-                        model.name = parts[1].strip() if len(parts) > 1 else "model"
-                    continue
-                tok = line.split()
-                if section == "ROWS":
-                    if len(tok) != 2:
-                        raise ModelError("a row needs a type and a name")
-                    code, rname = tok[0].upper(), tok[1]
-                    if code == "N" and obj_row is None:
-                        obj_row = rname
-                    elif code in ("L", "G", "E"):
-                        row_sense[rname] = {"L": "<=", "G": ">=", "E": "="}[code]
-                        row_terms[rname] = []
-                    else:
-                        raise ModelError(f"row {rname!r} of type {code!r} is not read")
-                elif section == "COLUMNS":
-                    if len(tok) >= 3 and tok[1] == "'MARKER'":
-                        integer_mode = tok[2] == "'INTORG'"
-                        continue
-                    cname = tok[0]
-                    if cname not in col_ids:
-                        col_ids[cname] = len(col_ids)
-                        col_kind[cname] = "integer" if integer_mode else "continuous"
-                        entries[cname] = []
-                    for rname, val in _row_values(tok):
-                        _declared("row", rname, row_terms, obj_row)
-                        entries[cname].append((rname, val))
-                elif section == "RHS":
-                    for rname, val in _row_values(tok):
-                        if rname == obj_row:
-                            raise ModelError(
-                                f"RHS on objective row {obj_row!r} is not read")
-                        _declared("row", rname, row_terms)
-                        rhs[rname] = val
-                elif section == "BOUNDS":
-                    if len(tok) < 3:
-                        raise ModelError(
-                            "a bound needs a type, a set name and a column")
-                    btype, cname = tok[0].upper(), tok[2]
-                    if btype not in ("UP", "LO", "FX", "MI", "PL", "BV"):
-                        raise ModelError(
-                            f"bound {btype} on column {cname!r} is not read")
-                    _declared("column", cname, col_ids)
-                    valued = btype in ("UP", "LO", "FX")
-                    if len(tok) != 3 + valued:
-                        raise ModelError(f"bound {btype} takes "
-                                         + ("a value" if valued else "no value"))
-                    val = _number(tok[3]) if valued else None
-                    bounds.setdefault(cname, []).append((btype, val))
-                elif section == "ENDATA":
-                    break
-            except ModelError as exc:
-                raise ModelError(
-                    f"MPS line {lineno} ({line.strip()!r}): {exc}") from None
-
-    for cname, cid in col_ids.items():
-        lo, up = 0.0, INF
-        for btype, val in bounds.get(cname, []):
-            if btype == "UP":
-                up = val
-            elif btype == "LO":
-                lo = val
-            elif btype == "FX":
-                lo = up = val
-            elif btype == "MI":
-                lo = -INF
-            elif btype == "PL":
-                up = INF
-            elif btype == "BV":
-                lo, up = 0.0, 1.0
-        kind = col_kind[cname]
-        if kind == "integer" and lo == 0.0 and up == 1.0:
-            kind = "binary"
-        vid = model.add_variable(cname, kind, lo, up)
-        assert vid == cid
-        for rname, coeff in entries[cname]:
-            if rname == obj_row:
-                if coeff != 0.0:
-                    model.add_objective_term(vid, coeff)
-            else:
-                row_terms[rname].append((vid, coeff))
-
-    for rname, terms in row_terms.items():
-        model.add_constraint(terms, row_sense[rname], rhs.get(rname, 0.0),
-                             tag=rname)
-    return model
-
-
-def _declared(kind: str, name: str, declared, obj_row: str | None = None):
-    if name != obj_row and name not in declared:
-        raise ModelError(f"undeclared {kind} {name!r}")
-
-
-def _number(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ModelError(f"{text!r} is not a number") from None
-
-
-def _row_values(tok: list[str]) -> list[tuple[str, float]]:
-    """The (row, value) pairs of a COLUMNS or RHS entry, after its column or
-    set name."""
-    if len(tok) < 3 or len(tok) % 2 == 0:
-        raise ModelError("an entry needs a name, then row and value pairs")
-    return [(tok[j], _number(tok[j + 1])) for j in range(1, len(tok), 2)]

@@ -14,15 +14,16 @@ from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
 from leolift.cli import build_parser, run_pipeline, run_seed_study
-from leolift.formulation import LinearEpsilon, assemble, net_inflow
-from leolift.milp_ir import MilpModel, read_mps
+from leolift.formulation import LinearEpsilon, assemble
+from leolift.milp_ir import MilpModel
 from leolift.solver import solve_lp, solve_milp
 from leolift.spacecraft import (SizingParams, generate_dataset,
                                 solve_exact_oracle, surrogate_target)
 from leolift.surrogate import (TrainConfig, embed_network, forward,
                                train_relu_network)
 
-from helpers import exhaustive_milp_min, random_box_lp, vertex_enumeration_min
+from helpers import (exhaustive_milp_min, net_inflow, random_box_lp, read_mps,
+                     vertex_enumeration_min)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: reports, exit codes, studies, model files."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -16,11 +17,10 @@ import leolift
 from leolift import cli
 from leolift.cli import (R2_EXCLUSION, _parse_train_range, build_parser, main,
                          run_pipeline, run_seed_study)
-from leolift.milp_ir import read_mps
 from leolift.spacecraft import generate_dataset
 from leolift.surrogate import ReluNetwork, fit_linear_regression, save_surrogate
 
-from helpers import with_parallel_leg
+from helpers import read_mps, with_parallel_leg
 
 LINREG_JSON = ["--surrogate", "linreg", "--report", "json"]
 # a loadable network over the CLI's default training box
@@ -309,9 +309,14 @@ class TestModelFiles:
             43025.48995832425, rel=1e-6)
 
     def test_no_clamp_still_solves(self, tmp_path, capsys, net0):
+        """A network saved with `"clamp_output": false` loads and solves
+        without the clamp stage; there is no flag that drops it."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--no-clamp"])
         path = tmp_path / "net0.json"
-        save_surrogate(net0, str(path))
-        code, out, _ = run_main(capsys, ["--model", str(path), "--no-clamp",
+        save_surrogate(dataclasses.replace(net0, clamp_output=False), str(path))
+        assert json.loads(path.read_text())["clamp_output"] is False
+        code, out, _ = run_main(capsys, ["--model", str(path),
                                          "--report", "json"])
         assert code == 0
         assert json.loads(out)["milp"]["status"] == "optimal"

@@ -12,8 +12,7 @@ from leolift.formulation import (FixedDesign, FormulationError, LinearEpsilon,
                                  assemble, build_concurrency,
                                  build_mass_balance, build_sizing,
                                  build_transformation, create_flow_variables,
-                                 net_inflow, reachable_node_days,
-                                 solution_flows)
+                                 reachable_node_days, solution_flows)
 from leolift.milp_ir import FEAS_TOL, MilpModel
 from leolift.scenario import (Arc, Commodity, DemandEntry, Node,
                               ObjectiveEntry, Scenario, VehicleSpec,
@@ -24,7 +23,7 @@ from leolift.spacecraft import (PAYLOAD_COEFF, SizingParams,
                                 solve_exact_oracle, surrogate_target)
 from leolift.surrogate import TrainConfig, train_relu_network
 
-from helpers import assemble_without_cuts, highs_milp, ladder_doc
+from helpers import assemble_without_cuts, highs_milp, ladder_doc, net_inflow
 
 INF = math.inf
 TUG_SIZING = SizingParams(alpha=0.1, isp=300.0, burn_time=60.0, m_ub=50000.0)

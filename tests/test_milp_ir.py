@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from leolift.formulation import FixedDesign, assemble
-from leolift.milp_ir import MilpModel, ModelError, read_mps
+from leolift.milp_ir import MilpModel, ModelError
 from leolift.scenario import load_scenario
 from leolift.spacecraft import compute_propellant_fraction, solve_exact_oracle
 
-from helpers import ladder_doc, model_from_dense, with_parallel_leg
+from helpers import (campaign, ladder_doc, model_from_dense, read_mps,
+                     with_parallel_leg)
 
 
 class TestAddVariable:
@@ -215,7 +216,8 @@ class TestMpsExport:
 
     @pytest.mark.parametrize("which", ["hand-built", "lunar-linreg",
                                        "lunar-nn0", "lunar-parallel-leg",
-                                       "H8/W3", "H10/W5", "H40/W2"])
+                                       "H8/W3", "H10/W5", "H40/W2",
+                                       "H8/W2-twin"])
     def test_roundtrip_reproduces_model_exactly(self, tmp_path, which, lunar,
                                                 lunar_text, linreg51, net0):
         """`read_mps` gives back every name, kind, bound, row, term and
@@ -227,12 +229,17 @@ class TestMpsExport:
             model, _ = assemble(load_scenario(json.dumps(doc)), linreg51)
         elif which.startswith("lunar"):
             model, _ = assemble(lunar, net0 if which == "lunar-nn0" else linreg51)
+        elif which == "H8/W2-twin":
+            model, _ = assemble(campaign(8, 2, None, False, None, None, True),
+                                linreg51)
         else:
             h, w = (int(k) for k in which[1:].split("/W"))
             model, _ = assemble(load_scenario(json.dumps(ladder_doc(h, w))), linreg51)
         if which == "lunar-nn0":
             names = {v.name for v in model.variables}
             assert {"ml[spacecraft]:d0", "ml[spacecraft]:w1"} <= names
+        if which == "H8/W2-twin":
+            assert "m_f[spacecraft2]" in {v.name for v in model.variables}
 
         def kind(v):  # MPS has no binary kind: a 0/1 integer reads back binary
             if v.kind == "integer" and (v.lower, v.upper) == (0.0, 1.0):
