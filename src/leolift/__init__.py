@@ -14,7 +14,7 @@ from .milp_ir import MilpModel, Solution
 from .scenario import Scenario, load_scenario, expand_time_network
 from .spacecraft import SizingParams, OracleResult, evaluate_sizing, solve_exact_oracle
 from .solver import BnbConfig, solve_lp, solve_milp
-from .surrogate import ReluNetwork, TrainConfig, train_relu_network, train_relu_networks, \
+from .surrogate import ReluNetwork, train_relu_network, train_relu_networks, \
     fit_linear_regression
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "SizingParams", "OracleResult", "evaluate_sizing", "solve_exact_oracle",
     "BnbConfig", "solve_lp", "solve_milp",
     "LinearEpsilon", "assemble",
-    "ReluNetwork", "TrainConfig", "train_relu_network", "train_relu_networks",
+    "ReluNetwork", "train_relu_network", "train_relu_networks",
     "fit_linear_regression",
     "__version__",
 ]

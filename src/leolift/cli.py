@@ -30,9 +30,8 @@ from .scenario import Scenario, ScenarioError, TimeExpandedNetwork, \
 from .solver import BnbConfig, RootBasis, solve_milp
 from .spacecraft import OracleResult, SizingParams, generate_dataset, \
     solve_exact_oracle, surrogate_target
-from .surrogate import ReluNetwork, TrainConfig, TrainingDivergence, \
-    fit_linear_regression, holdout_r2, load_surrogate, train_relu_network, \
-    train_relu_networks
+from .surrogate import ReluNetwork, TrainingDivergence, fit_linear_regression, \
+    holdout_r2, load_surrogate, train_relu_network, train_relu_networks
 
 # held-out fit below this is treated as a poorly trained instance in studies
 R2_EXCLUSION = 0.98
@@ -80,6 +79,7 @@ class RunReport:
                 "m_f": self.oracle.m_f,
             },
             "gap_pct": _num(self.gap_pct),
+            "design": self.design,
             "flows": self.flows,
         }
 
@@ -189,7 +189,7 @@ def _prepare_surrogate(args, params: SizingParams, seed: int):
     else:
         box, data = _training_data(args, params)
         sur = (fit_linear_regression(data) if args.surrogate == "linreg" else
-               train_relu_network(data, TrainConfig(seed=seed), target_fn=target))
+               train_relu_network(data, seed, target_fn=target))
     if isinstance(sur, ReluNetwork):
         return sur, "nn", sur.seed, sur.test_r2
     return sur, "linreg", None, holdout_r2(sur, target, box,
@@ -261,7 +261,7 @@ def run_seed_study(args) -> SeedStudySummary:
         # every network in one stacked run, and hand each trial its own
         params = _scenario_and_params(args)[1]
         _, data = _training_data(args, params)
-        nets = train_relu_networks(data, [TrainConfig(seed=s) for s in seeds],
+        nets = train_relu_networks(data, seeds,
                                    target_fn=lambda v: surrogate_target(params, v))
     rows = []
     failures = 0
@@ -271,19 +271,16 @@ def run_seed_study(args) -> SeedStudySummary:
     # trials' models share every flow row
     root_basis = RootBasis() if args.trials > 1 else None
     for seed, net in zip(seeds, nets):
-        try:
-            if isinstance(net, TrainingDivergence):
-                raise net
-            trial_args = copy.copy(args)
-            trial_args.root_basis = root_basis
-            if net is not None:
-                trial_args.model = net
-            rep = run_pipeline(trial_args, seed=seed)
-        except TrainingDivergence:
+        if isinstance(net, TrainingDivergence):
             failures += 1
             rows.append({"seed": seed, "test_r2": None, "objective_kg": None,
                          "gap_pct": None, "status": "train-failed"})
             continue
+        trial_args = copy.copy(args)
+        trial_args.root_basis = root_basis
+        if net is not None:
+            trial_args.model = net
+        rep = run_pipeline(trial_args, seed=seed)
         rows.append({"seed": seed, "test_r2": _num(rep.test_r2),
                      "objective_kg": _num(rep.solution.objective),
                      "gap_pct": _num(rep.gap_pct),
@@ -322,7 +319,12 @@ def _render_report(rep: RunReport, fmt: str) -> str:
            f"status        {sol.status}",
            f"objective     {sol.objective:.3f} kg" if math.isfinite(sol.objective)
            else "objective     n/a",
+           f"best bound    {sol.best_bound:.3f} kg" if math.isfinite(sol.best_bound)
+           else "best bound    n/a",
+           f"bound gap     {sol.gap:.3e}" if math.isfinite(sol.gap)
+           else "bound gap     n/a",
            f"nodes         {sol.nodes}",
+           f"iterations    {sol.iterations}",
            f"cuts          {sol.cuts}",
            f"seconds       {sol.seconds:.3f}"]
     for name, val in sorted(rep.design.items()):

@@ -259,7 +259,7 @@ def build_transformation(model: MilpModel, fv: FlowVariables):
                              tag=f"eq3:{arc.vehicle}:{arc.key}:{PROPELLANT}")
 
 
-def build_concurrency(model: MilpModel, fv: FlowVariables, scenario: Scenario):
+def build_concurrency(model: MilpModel, fv: FlowVariables):
     """Capacity rows plus exact big-M linearization of z = m * y.
 
     Payload-like flow (every commodity except propellant) is limited by
@@ -451,7 +451,7 @@ def assemble(scenario: Scenario, closure) -> tuple[MilpModel, FlowVariables]:
     fv = create_flow_variables(model, scenario, network)
     build_mass_balance(model, fv, scenario.demands)
     build_transformation(model, fv)
-    build_concurrency(model, fv, scenario)
+    build_concurrency(model, fv)
     build_sizing(model, fv, closure)
     build_network_cuts(model, fv, scenario)
     build_objective(model, fv, scenario)

@@ -109,6 +109,7 @@ GAP_TOL = 1e-6
 REFACTOR_EVERY = 50
 STALL_LIMIT = 50
 MAX_ITER = 50000  # per primal or dual call; beyond it, SolverBreakdown
+NODE_LIMIT = 100000  # per solve; beyond it, status limit
 # root cuts: a basic integer gives a cut only with its fractional part in
 # [CUT_AWAY, 1 - CUT_AWAY]; a tableau entry below CUT_ZERO, or a cut
 # coefficient within CUT_ZERO of the magnitude of the terms it sums, is 0;
@@ -160,13 +161,12 @@ class RootBasis:
 
 @dataclass
 class BnbConfig:
-    node_limit: int = 100000
     time_limit: float = INF
     root_basis: RootBasis | None = None
 
     def __post_init__(self):
-        if not (self.node_limit > 0 and self.time_limit > 0):  # NaN too
-            raise ValueError("BnbConfig limits must be positive")
+        if not self.time_limit > 0:  # NaN too
+            raise ValueError("BnbConfig time_limit must be positive")
 
 
 def _problem_from_form(sf: StandardForm) -> _Simplex:
@@ -952,7 +952,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     `_root_cuts`, and its bound and values are those after the cuts; every
     later node runs on the state that returns. `Solution.cuts` counts the
     rows kept. The limits apply from node 1 on, so the root LP (node 0) is
-    always solved: the node limit between nodes, the time limit before the
+    always solved: `NODE_LIMIT` between nodes, the time limit before the
     cut round and at every simplex iteration. A node the time limit stops
     stays open and counts in `nodes`. A `SolverBreakdown` the cold solve
     cannot recover ends the search with status `numerical`, as does an
@@ -990,7 +990,7 @@ def solve_milp(model: MilpModel, cfg: BnbConfig | None = None,
     heap = [_Node(-INF, 0, sf.lb, sf.ub, None)]
     status = "optimal"
     while heap:
-        if nodes_done >= cfg.node_limit:
+        if nodes_done >= NODE_LIMIT:
             status = "limit"
             break
         node = heapq.heappop(heap)

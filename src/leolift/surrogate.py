@@ -3,9 +3,11 @@
 Networks are trained from scratch (full-batch Adam on MSE, inputs and
 targets standardized internally with the affine scaling folded back into the
 first and last layers, so the stored network maps raw kg to raw kg).
-Networks that differ only in their seed train together in one Adam loop
-over stacked parameters (`train_relu_networks`); a single network is the
-one-member case, and each member ends bitwise equal to its single run.
+Every network has one shape and one training budget, the module constants
+below, so networks differ only in their seed; several train together in
+one Adam loop over stacked parameters (`train_relu_networks`), a single
+network is the one-member case, and each member ends bitwise equal to its
+single run.
 Every surrogate is a function F(m_f) of one input; a network checks that,
 its shapes and its one finite input box once, when it is built. It is then
 a piecewise-linear function of m_f: `breakpoints` finds its breakpoints on
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +35,11 @@ class DegenerateDataError(ValueError):
     """Training data carries no usable signal (all inputs identical)."""
 
 
-@dataclass
-class TrainConfig:
-    hidden_layers: int = 1
-    hidden_neurons: int = 10
-    max_iter: int = 1000
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.hidden_layers < 1 or self.hidden_neurons < 1 or self.max_iter < 1:
-            raise ValueError("TrainConfig sizes must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("TrainConfig learning_rate must be positive")
+# every network has this shape and trains this long: only its seed varies
+HIDDEN_LAYERS = 1
+HIDDEN_NEURONS = 10
+ADAM_STEPS = 1000
+LEARNING_RATE = 1e-3
 
 
 @dataclass
@@ -109,9 +103,10 @@ def forward(net: ReluNetwork, x):
     return float(a[0, 0]) if np.ndim(x) == 0 else a[:, 0]
 
 
-def _stacked_adam_loop(members, Xs, Ys, cfg: TrainConfig) -> list:
-    """Full-batch Adam for cfg.max_iter iterations on several networks of one
-    shape at once, updating each member's `(Ws, bs)` in place.
+def _stacked_adam_loop(members, Xs, Ys) -> list:
+    """Full-batch Adam for `ADAM_STEPS` iterations at `LEARNING_RATE` on
+    several networks of one shape at once, updating each member's `(Ws, bs)`
+    in place.
 
     The members' parameters are the rows of one (S, P) array `theta`, with
     one first and second moment and one gradient of the same shape; layer s
@@ -135,7 +130,7 @@ def _stacked_adam_loop(members, Xs, Ys, cfg: TrainConfig) -> list:
     step = np.empty_like(theta)
     diverged = [None] * len(members)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, ADAM_STEPS + 1):
         loss = _mse_and_grads(Ws, WTs, bs, X, Ys, gWs, gbs)
         # a finite sum means every member's loss is finite
         if not math.isfinite(np.add.reduce(loss)):
@@ -153,7 +148,7 @@ def _stacked_adam_loop(members, Xs, Ys, cfg: TrainConfig) -> list:
         v *= beta2
         v += np.multiply(np.square(grad, out=grad), 1 - beta2, out=grad)
         np.divide(m, c1, out=step)
-        step *= cfg.learning_rate
+        step *= LEARNING_RATE
         np.divide(v, c2, out=grad)
         np.sqrt(grad, out=grad)
         grad += eps
@@ -207,21 +202,21 @@ def _mse_and_grads(Ws, WTs, bs, X, Y, gWs, gbs):
     return loss
 
 
-def train_relu_network(data, cfg: TrainConfig, target_fn=None) -> ReluNetwork:
+def train_relu_network(data, seed: int, target_fn=None) -> ReluNetwork:
     """Fit a ReLU MLP to (input, target) pairs by full-batch Adam.
 
     The one-member case of `train_relu_networks`: raises the member's
     `TrainingDivergence` when its loss turns non-finite.
     """
-    net, = train_relu_networks(data, [cfg], target_fn)
+    net, = train_relu_networks(data, [seed], target_fn)
     if isinstance(net, TrainingDivergence):
         raise net
     return net
 
 
-def train_relu_networks(data, cfgs, target_fn=None) -> list:
-    """Fit one ReLU MLP per config to the same (input, target) pairs, all in
-    one stacked Adam run; the configs must differ only in `seed`.
+def train_relu_networks(data, seeds, target_fn=None) -> list:
+    """Fit one ReLU MLP per seed to the same (input, target) pairs, all in
+    one stacked Adam run.
 
     Deterministic per seed, and each member equal to the network trained
     alone: Glorot-uniform init from `default_rng(seed)`, fixed iteration
@@ -229,15 +224,12 @@ def train_relu_networks(data, cfgs, target_fn=None) -> list:
     into the first and last layers. When `target_fn` is given, `holdout_r2`
     over the input range (drawn from the member's generator after init) is
     stored on its network; training R^2 is always stored (NaN when the
-    target is constant, where R^2 is undefined). Returns, per config, the
+    target is constant, where R^2 is undefined). Returns, per seed, the
     trained `ReluNetwork` or the `TrainingDivergence` its loss ran into.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise ValueError("train_relu_networks needs at least one config")
-    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
-        raise ValueError("stacked training configs may differ only in seed")
-    cfg = cfgs[0]
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("train_relu_networks needs at least one seed")
     arr = _training_pairs(data)
     x, yv = arr[:, :1], arr[:, 1:]
 
@@ -247,18 +239,18 @@ def train_relu_networks(data, cfgs, target_fn=None) -> list:
     Xs = (x - mx) / sx
     Ys = (yv - my) / sy_eff
 
-    sizes = [1] + [cfg.hidden_neurons] * cfg.hidden_layers + [1]
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    sizes = [1] + [HIDDEN_NEURONS] * HIDDEN_LAYERS + [1]
+    rngs = [np.random.default_rng(s) for s in seeds]
     members = [_glorot_init(sizes, rng) for rng in rngs]
 
     # overflow inside the loop is not an error by itself: divergence is
     # detected through the finiteness check on each member's loss
     with np.errstate(over="ignore", invalid="ignore"):
-        diverged = _stacked_adam_loop(members, Xs, Ys, cfg)
+        diverged = _stacked_adam_loop(members, Xs, Ys)
 
     lo, hi = float(x.min()), float(x.max())
     out = []
-    for c, rng, (Ws, bs), err in zip(cfgs, rngs, members, diverged):
+    for seed, rng, (Ws, bs), err in zip(seeds, rngs, members, diverged):
         if err is not None:
             out.append(err)
             continue
@@ -269,7 +261,7 @@ def train_relu_networks(data, cfgs, target_fn=None) -> list:
         Ws[-1] = Ws[-1] * sy_eff
         bs[-1] = bs[-1] * sy_eff + my
         net = ReluNetwork(tuple(sizes), Ws, bs, ((lo, hi),), clamp_output=True,
-                          seed=c.seed)
+                          seed=seed)
         net.train_r2 = _r_squared(forward(net, x[:, 0]), yv[:, 0])
         if target_fn is not None:
             net.test_r2 = holdout_r2(net, target_fn, (lo, hi), rng)

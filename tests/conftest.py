@@ -3,7 +3,7 @@ from importlib import resources
 
 from leolift.scenario import load_scenario
 from leolift.spacecraft import SizingParams, generate_dataset, surrogate_target
-from leolift.surrogate import TrainConfig, fit_linear_regression, train_relu_network
+from leolift.surrogate import fit_linear_regression, train_relu_network
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def dataset51(params):
 @pytest.fixture(scope="session")
 def net0(params, dataset51):
     """Reference network trained with seed 0 on the default grid."""
-    return train_relu_network(dataset51, TrainConfig(seed=0),
+    return train_relu_network(dataset51, 0,
                               target_fn=lambda v: surrogate_target(params, v))
 
 

@@ -97,7 +97,7 @@ def assemble_without_cuts(scenario, closure):
         fv = create_flow_variables(model, scenario, expand_time_network(scenario))
     build_mass_balance(model, fv, scenario.demands)
     build_transformation(model, fv)
-    build_concurrency(model, fv, scenario)
+    build_concurrency(model, fv)
     build_sizing(model, fv, closure)
     build_objective(model, fv, scenario)
     model.freeze()

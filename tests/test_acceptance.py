@@ -19,8 +19,7 @@ from leolift.milp_ir import MilpModel
 from leolift.solver import solve_lp, solve_milp
 from leolift.spacecraft import (SizingParams, generate_dataset,
                                 solve_exact_oracle, surrogate_target)
-from leolift.surrogate import (TrainConfig, embed_network, forward,
-                               train_relu_network)
+from leolift.surrogate import embed_network, forward, train_relu_network
 
 from helpers import (exhaustive_milp_min, net_inflow, random_box_lp, read_mps,
                      vertex_enumeration_min)
@@ -115,7 +114,7 @@ def test_criterion_5_encoding_exactness(verdict):
     rng = np.random.default_rng(2024)
     worst = 0.0
     for seed in range(100, 110):
-        net = train_relu_network(data, TrainConfig(seed=seed), target_fn=target)
+        net = train_relu_network(data, seed, target_fn=target)
         for x0 in rng.uniform(0.0, 50000.0, 50):
             want = forward(net, float(x0))
             for direction in (1.0, -1.0):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -200,11 +201,13 @@ class TestSingleRunReports:
         assert code == 0
         rep = json.loads(out)
         assert set(rep) == {"scenario", "surrogate", "milp", "oracle",
-                            "gap_pct", "flows"}
+                            "gap_pct", "design", "flows"}
         assert set(rep["surrogate"]) == {"kind", "seed", "test_r2"}
         assert set(rep["milp"]) == {"objective_kg", "status", "best_bound", "gap",
                                     "nodes", "iterations", "cuts", "seconds"}
         assert set(rep["oracle"]) == {"imleo_kg", "m_d", "m_p", "m_f"}
+        assert set(rep["design"]) == {"m_d[spacecraft]", "m_p[spacecraft]",
+                                      "m_f[spacecraft]"}
         assert rep["surrogate"]["kind"] == "linreg"
         assert rep["surrogate"]["seed"] is None
         assert rep["milp"]["status"] == "optimal"
@@ -294,6 +297,27 @@ class TestSingleRunReports:
                                          "--time-limit", "1e-9"])
         assert code == 1
         assert "limit" in out
+
+    @pytest.mark.parametrize("argv", [["--surrogate", "linreg"],
+                                      ["--surrogate", "nn", "--time-limit", "1e-9"]])
+    def test_text_report_states_what_the_json_report_does(self, capsys, argv):
+        """Best bound, bound gap, iterations and the design masses appear in
+        both reports, the text one saying n/a where the JSON one says null;
+        the `limit` stop has a bound but no incumbent, so no gap and no
+        design."""
+        _, text, _ = run_main(capsys, argv)
+        _, out, _ = run_main(capsys, argv + ["--report", "json"])
+        rep = json.loads(out)
+        lines = text.splitlines()
+        bound, gap = rep["milp"]["best_bound"], rep["milp"]["gap"]
+        assert bound is not None
+        assert f"best bound    {bound:.3f} kg" in lines
+        assert (f"bound gap     {gap:.3e}" if gap is not None
+                else "bound gap     n/a") in lines
+        assert f"iterations    {rep['milp']['iterations']}" in lines
+        assert [l for l in lines if l.startswith("design")] == [
+            f"design        {k} = {v:.3f} kg" for k, v in sorted(rep["design"].items())]
+        assert (rep["milp"]["status"] == "optimal") == bool(rep["design"])
 
 
 class TestModelFiles:
@@ -517,6 +541,32 @@ class TestNnSeedStudy:
         assert study.failures == 1
         assert [r["status"] for r in study.rows] == [
             "optimal", "train-failed", "optimal"]
+
+
+class TestBenchmarkContract:
+    """The benchmark harness (`perfbench/`) patches and calls package
+    functions by name; these are the names and calls it makes."""
+
+    PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+    @pytest.fixture(scope="class")
+    def tracing(self):
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", self.PATH)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_layer_call_resolves_to_a_callable(self, tracing):
+        assert tracing.LAYER_CALLS
+        for owner, attr, name, _ in tracing.LAYER_CALLS:
+            assert callable(getattr(tracing.resolve(owner), attr, None)), \
+                f"{owner}.{attr} ({name})"
+
+    def test_the_harness_calls_bind(self):
+        args = build_parser().parse_args([])
+        inspect.signature(cli.run_pipeline).bind(args, 0)
+        inspect.signature(cli.solve_milp).bind(leolift.MilpModel("m"),
+                                               leolift.BnbConfig(), None)
 
 
 class TestConsoleScript:

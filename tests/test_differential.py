@@ -13,7 +13,7 @@ import numpy as np
 from leolift import solver
 from leolift.formulation import LinearEpsilon, assemble
 from leolift.milp_ir import FEAS_TOL
-from leolift.solver import BnbConfig, solve_milp
+from leolift.solver import solve_milp
 
 from helpers import assemble_without_cuts, campaign, highs_milp
 
@@ -90,7 +90,8 @@ def test_root_cuts_are_valid(request, monkeypatch, closure, s):
         return cuts
 
     monkeypatch.setattr(solver, "_gmi_cuts", recorded)
-    sol = solve_milp(model, BnbConfig(node_limit=1))
+    monkeypatch.setattr(solver, "NODE_LIMIT", 1)
+    sol = solve_milp(model)
     ref = highs_milp(model)
     if ref.status != 0:
         assert ref.status == 2 and sol.status in ("infeasible", "limit")

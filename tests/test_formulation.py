@@ -21,7 +21,7 @@ from leolift.solver import solve_lp, solve_milp
 from leolift.spacecraft import (PAYLOAD_COEFF, SizingParams,
                                 compute_propellant_fraction,
                                 solve_exact_oracle, surrogate_target)
-from leolift.surrogate import TrainConfig, train_relu_network
+from leolift.surrogate import train_relu_network
 
 from helpers import assemble_without_cuts, highs_milp, ladder_doc, net_inflow
 
@@ -77,7 +77,7 @@ def redundant_rows(model):
 def net19(params, dataset51):
     """Training seed 19's raw output is positive over the whole box, so its
     clamp is an always-active ReLU written as one `=` row."""
-    return train_relu_network(dataset51, TrainConfig(seed=19),
+    return train_relu_network(dataset51, 19,
                               target_fn=lambda v: surrogate_target(params, v))
 
 
@@ -286,7 +286,7 @@ class TestConcurrency:
         fv = create_flow_variables(model, sc, net)
         build_mass_balance(model, fv, sc.demands)
         build_transformation(model, fv)
-        build_concurrency(model, fv, sc)
+        build_concurrency(model, fv)
         build_sizing(model, fv, FixedDesign(100.0))
         (idx, _), = enumerate(fv.network.arcs)
         model.add_constraint([(fv.use[idx], 1.0)], "=", pin_use, tag="pin:y")
@@ -315,7 +315,7 @@ class TestConcurrency:
         net = expand_time_network(sc)
         model = MilpModel("relax")
         fv = create_flow_variables(model, sc, net)
-        build_concurrency(model, fv, sc)
+        build_concurrency(model, fv)
         (idx, _), = enumerate(fv.network.arcs)
         vals = {vid: 0.0 for vid in range(len(model.variables))}
         z = fv.z_payload[idx]

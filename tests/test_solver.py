@@ -752,9 +752,9 @@ class TestBasisRepair:
         from it, and the LP and the MILP end infeasible, as HiGHS says;
         they used to end `numerical`, and `solve_lp` raised."""
         from leolift.spacecraft import surrogate_target
-        from leolift.surrogate import TrainConfig, train_relu_network
+        from leolift.surrogate import train_relu_network
 
-        net = train_relu_network(dataset51, TrainConfig(seed=2),
+        net = train_relu_network(dataset51, 2,
                                  target_fn=lambda v: surrogate_target(params, v))
         model = assemble(campaign(horizon=9, width=1, supply=1000.0,
                                   return_leg=False, second=300.0,
@@ -1141,7 +1141,8 @@ class TestRootCuts:
         assert cut.cuts > 0 and rounds
         rounds.clear()
         monkeypatch.setattr(solver._Simplex, "dual", broken_dual)
-        sol = solve_milp(model, BnbConfig(node_limit=1))
+        monkeypatch.setattr(solver, "NODE_LIMIT", 1)
+        sol = solve_milp(model)
         assert rounds  # the round was tried, then dropped
         assert seen["kept"] == 0 and sol.cuts == 0
         assert seen["got"] is seen["state"] and seen["got"]._lu is seen["lu"]
@@ -1519,8 +1520,9 @@ class TestNodeLogAndLimits:
         for earlier, later in zip(incs, incs[1:]):
             assert later <= earlier + 1e-9
 
-    def test_node_limit_returns_limit_status(self):
-        sol = solve_milp(self._logged_model(), BnbConfig(node_limit=1))
+    def test_node_limit_returns_limit_status(self, monkeypatch):
+        monkeypatch.setattr(solver, "NODE_LIMIT", 1)
+        sol = solve_milp(self._logged_model())
         assert sol.status in ("limit", "optimal")
         # with a single node no branching can have proven optimality here
         assert sol.nodes <= 1
@@ -1543,7 +1545,9 @@ class TestNodeLogAndLimits:
         leaves its bound and iterations as they are; on a root the cuts do
         change, it drops the cuts (`test_a_jump_during_the_root_lp_drops_the_cuts`)."""
         m = twins_linreg
-        root = solve_milp(m, BnbConfig(node_limit=1))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "NODE_LIMIT", 1)
+            root = solve_milp(m)
         assert root.status == "limit" and root.iterations > 0
         if not warm:
             def broken_dual(state):
@@ -1575,10 +1579,11 @@ class TestNodeLogAndLimits:
         root's bound and iterations; a jump as node 1 starts keeps the
         cuts."""
         m = self._logged_model()
-        root = solve_milp(m, BnbConfig(node_limit=1))
         with monkeypatch.context() as patch:
+            patch.setattr(solver, "NODE_LIMIT", 1)
+            root = solve_milp(m)
             patch.setattr(solver, "_root_cuts", lambda state, sf: (state, 0))
-            uncut = solve_milp(m, BnbConfig(node_limit=1))
+            uncut = solve_milp(m)
         assert (root.cuts, uncut.cuts) != (0, 0)
         assert (uncut.iterations, root.iterations) == (6, 8)
         assert uncut.best_bound < root.best_bound
@@ -1602,13 +1607,9 @@ class TestNodeLogAndLimits:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BnbConfig(node_limit=0)
-        with pytest.raises(ValueError):
             BnbConfig(time_limit=0.0)
         with pytest.raises(ValueError):
             BnbConfig(time_limit=math.nan)
-        with pytest.raises(ValueError):
-            BnbConfig(node_limit=math.nan)
 
 
 class TestBoundAndGap:
@@ -1616,10 +1617,12 @@ class TestBoundAndGap:
         return assemble(load_scenario(json.dumps(ladder_doc(8, 3))), net0)[0]
 
     @pytest.mark.parametrize("node_limit", [1, 10, 40])
-    def test_node_limited_solve_reports_a_valid_bound(self, net0, node_limit):
+    def test_node_limited_solve_reports_a_valid_bound(self, monkeypatch, net0,
+                                                      node_limit):
         # NN seed-0 twins on H8/W2 branch for hundreds of nodes
         model = assemble(campaign(8, 2, None, False, 0.0, None, twin=True), net0)[0]
-        sol = solve_milp(model, BnbConfig(node_limit=node_limit))
+        monkeypatch.setattr(solver, "NODE_LIMIT", node_limit)
+        sol = solve_milp(model)
         assert sol.status == "limit" and sol.nodes == node_limit
         ref = highs_milp(model)
         assert ref.status == 0, ref.message

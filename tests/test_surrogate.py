@@ -10,7 +10,7 @@ from leolift.milp_ir import MilpModel
 from leolift.solver import BnbConfig, solve_milp
 from leolift.spacecraft import surrogate_target
 from leolift.surrogate import (DegenerateDataError, ReluNetwork,
-                               TrainConfig, TrainingDivergence,
+                               TrainingDivergence,
                                _glorot_init, _layer_views, _mse_and_grads,
                                _stacked_adam_loop, breakpoints,
                                embed_network, fit_linear_regression, forward,
@@ -78,15 +78,17 @@ def stacked_mse_and_grads(Ws, bs, X, Y):
     return float(loss[0]), [g[0] for g in gWs], [g[0, 0] for g in gbs]
 
 
-def per_layer_adam_loop(Ws, bs, Xs, Ys, cfg: TrainConfig):
+def per_layer_adam_loop(Ws, bs, Xs, Ys):
     """Reference Adam loop for one network: one first and second moment per
-    weight and bias array, each array updated on its own."""
+    weight and bias array, each array updated on its own, for the module's
+    `ADAM_STEPS` at its `LEARNING_RATE`."""
+    lr = surrogate.LEARNING_RATE
     mW = [np.zeros_like(W) for W in Ws]
     vW = [np.zeros_like(W) for W in Ws]
     mb = [np.zeros_like(b) for b in bs]
     vb = [np.zeros_like(b) for b in bs]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, surrogate.ADAM_STEPS + 1):
         loss, gWs, gbs = per_layer_mse_and_grads(Ws, bs, Xs, Ys)
         if not math.isfinite(loss):
             raise TrainingDivergence(f"loss non-finite at iteration {it}")
@@ -95,19 +97,19 @@ def per_layer_adam_loop(Ws, bs, Xs, Ys, cfg: TrainConfig):
         for s in range(len(Ws)):
             mW[s] = beta1 * mW[s] + (1 - beta1) * gWs[s]
             vW[s] = beta2 * vW[s] + (1 - beta2) * gWs[s] ** 2
-            Ws[s] -= cfg.learning_rate * (mW[s] / c1) / (np.sqrt(vW[s] / c2) + eps)
+            Ws[s] -= lr * (mW[s] / c1) / (np.sqrt(vW[s] / c2) + eps)
             mb[s] = beta1 * mb[s] + (1 - beta1) * gbs[s]
             vb[s] = beta2 * vb[s] + (1 - beta2) * gbs[s] ** 2
-            bs[s] -= cfg.learning_rate * (mb[s] / c1) / (np.sqrt(vb[s] / c2) + eps)
+            bs[s] -= lr * (mb[s] / c1) / (np.sqrt(vb[s] / c2) + eps)
 
 
-def solo_adam_loops(members, Xs, Ys, cfg: TrainConfig) -> list:
+def solo_adam_loops(members, Xs, Ys) -> list:
     """Stand-in for `_stacked_adam_loop`: each member trained alone by
     `per_layer_adam_loop`, with the stacked loop's return contract."""
     out = []
     for Ws, bs in members:
         try:
-            per_layer_adam_loop(Ws, bs, Xs, Ys, cfg)
+            per_layer_adam_loop(Ws, bs, Xs, Ys)
             out.append(None)
         except TrainingDivergence as exc:
             out.append(exc)
@@ -126,30 +128,33 @@ def assert_no_shared_memory(arrays):
 
 
 class TestTraining:
-    def test_linear_target_is_learned(self):
+    def test_linear_target_is_learned(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "HIDDEN_NEURONS", 1)
+        monkeypatch.setattr(surrogate, "ADAM_STEPS", 3000)
         data = [(float(x), 2.0 * x) for x in range(0, 11)]
-        net = train_relu_network(data, TrainConfig(hidden_neurons=1, seed=1, max_iter=3000))
+        net = train_relu_network(data, 1)
         assert net.train_r2 >= 0.999
 
     def test_constant_target_flagged(self):
         data = [(float(x), 7.0) for x in range(0, 6)]
-        net = train_relu_network(data, TrainConfig(seed=0))
+        net = train_relu_network(data, 0)
         assert math.isnan(net.train_r2)
         for x in (0.0, 2.5, 5.0):
             assert forward(net, x) == pytest.approx(7.0, abs=1e-2)
 
     def test_identical_inputs_rejected(self):
         with pytest.raises(DegenerateDataError):
-            train_relu_network([(1.0, 2.0), (1.0, 3.0)], TrainConfig(seed=0))
+            train_relu_network([(1.0, 2.0), (1.0, 3.0)], 0)
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "LEARNING_RATE", 1e160)
         data = [(float(x), float(x) ** 2) for x in range(20)]
         with pytest.raises(TrainingDivergence):
-            train_relu_network(data, TrainConfig(seed=0, learning_rate=1e160))
+            train_relu_network(data, 0)
 
     def test_seed_determinism_bit_identical(self, dataset51):
-        a = train_relu_network(dataset51, TrainConfig(seed=12))
-        b = train_relu_network(dataset51, TrainConfig(seed=12))
+        a = train_relu_network(dataset51, 12)
+        b = train_relu_network(dataset51, 12)
         for Wa, Wb in zip(a.weights, b.weights):
             assert np.array_equal(Wa, Wb)
         for ba, bb in zip(a.biases, b.biases):
@@ -161,10 +166,10 @@ class TestTraining:
                                               hidden_layers, seed):
         """Training on one flat parameter vector gives every weight and bias
         bitwise equal to the per-array loop, in arrays of their own."""
-        cfg = TrainConfig(hidden_layers=hidden_layers, seed=seed)
-        net = train_relu_network(dataset51, cfg)
+        monkeypatch.setattr(surrogate, "HIDDEN_LAYERS", hidden_layers)
+        net = train_relu_network(dataset51, seed)
         monkeypatch.setattr(surrogate, "_stacked_adam_loop", solo_adam_loops)
-        ref = train_relu_network(dataset51, cfg)
+        ref = train_relu_network(dataset51, seed)
         arrays = net.weights + net.biases
         for got, want in zip(arrays, ref.weights + ref.biases, strict=True):
             assert np.array_equal(got, want)
@@ -173,12 +178,6 @@ class TestTraining:
     def test_sizing_fit_quality(self, net0):
         assert net0.train_r2 >= 0.98
         assert net0.test_r2 >= 0.98
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(hidden_neurons=0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
 
 
 class TestStackedTraining:
@@ -189,12 +188,12 @@ class TestStackedTraining:
         """Each member of a stack is bitwise the network trained alone by the
         per-array loop, with the same fit statistics, and no returned array
         shares memory with another."""
+        monkeypatch.setattr(surrogate, "HIDDEN_LAYERS", hidden_layers)
         target = lambda v: surrogate_target(params, v)
-        cfgs = [TrainConfig(hidden_layers=hidden_layers, seed=s)
-                for s in range(members)]
-        nets = train_relu_networks(dataset51, cfgs, target_fn=target)
+        seeds = range(members)
+        nets = train_relu_networks(dataset51, seeds, target_fn=target)
         monkeypatch.setattr(surrogate, "_stacked_adam_loop", solo_adam_loops)
-        refs = [train_relu_network(dataset51, c, target_fn=target) for c in cfgs]
+        refs = [train_relu_network(dataset51, s, target_fn=target) for s in seeds]
         assert len(nets) == members
         for net, ref in zip(nets, refs, strict=True):
             assert net.seed == ref.seed
@@ -207,21 +206,21 @@ class TestStackedTraining:
                                  for a in net.weights + net.biases])
 
     @pytest.mark.parametrize("hidden_layers", [1, 2])
-    def test_diverged_member_leaves_the_others_alone(self, dataset51,
+    def test_diverged_member_leaves_the_others_alone(self, monkeypatch, dataset51,
                                                      hidden_layers):
         """A member whose initial weights are scaled to 1e200 reports its own
         divergence, at the iteration its solo run raises at; the members
         beside it end bitwise equal to their solo runs."""
+        monkeypatch.setattr(surrogate, "ADAM_STEPS", 200)
         Xs, Ys = standardized(dataset51)
-        cfg = TrainConfig(hidden_layers=hidden_layers, max_iter=200)
-        sizes = [1] + [cfg.hidden_neurons] * hidden_layers + [1]
+        sizes = [1] + [surrogate.HIDDEN_NEURONS] * hidden_layers + [1]
         members = [_glorot_init(sizes, np.random.default_rng(s)) for s in range(3)]
         members[1] = ([W * 1e200 for W in members[1][0]], members[1][1])
         solo = [([W.copy() for W in Ws], [b.copy() for b in bs])
                 for Ws, bs in members]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _stacked_adam_loop(members, Xs, Ys, cfg)
-            want = solo_adam_loops(solo, Xs, Ys, cfg)
+            got = _stacked_adam_loop(members, Xs, Ys)
+            want = solo_adam_loops(solo, Xs, Ys)
         assert got[0] is None and got[2] is None
         assert isinstance(got[1], TrainingDivergence)
         assert str(got[1]) == str(want[1]) == "loss non-finite at iteration 1"
@@ -230,21 +229,15 @@ class TestStackedTraining:
                             solo[k][0] + solo[k][1], strict=True):
                 assert np.array_equal(a, b)
 
-    def test_every_member_diverging_is_returned_not_raised(self):
+    def test_every_member_diverging_is_returned_not_raised(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "LEARNING_RATE", 1e160)
         data = [(float(x), float(x) ** 2) for x in range(20)]
-        cfgs = [TrainConfig(seed=s, learning_rate=1e160) for s in range(2)]
-        out = train_relu_networks(data, cfgs)
+        out = train_relu_networks(data, range(2))
         assert all(isinstance(r, TrainingDivergence) for r in out)
 
-    @pytest.mark.parametrize("cfgs", [
-        [],
-        [TrainConfig(seed=0), TrainConfig(seed=1, hidden_neurons=5)],
-        [TrainConfig(seed=0), TrainConfig(seed=1, max_iter=10)],
-        [TrainConfig(seed=0), TrainConfig(seed=0, learning_rate=1e-2)],
-    ])
-    def test_configs_must_differ_only_in_seed(self, dataset51, cfgs):
-        with pytest.raises(ValueError):
-            train_relu_networks(dataset51, cfgs)
+    def test_no_seeds_is_refused(self, dataset51):
+        with pytest.raises(ValueError, match="at least one seed"):
+            train_relu_networks(dataset51, [])
 
 
 class TestForward:
