@@ -25,8 +25,8 @@ import numpy as np
 
 from .formulation import assemble, solution_flows
 from .milp_ir import Solution
-from .scenario import Scenario, ScenarioError, TimeExpandedNetwork, \
-    load_scenario
+from .scenario import ObjectiveEntry, Scenario, ScenarioError, \
+    TimeExpandedNetwork, load_scenario
 from .solver import BnbConfig, RootBasis, solve_milp
 from .spacecraft import OracleResult, SizingParams, generate_dataset, \
     solve_exact_oracle, surrogate_target
@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-mps", metavar="PATH",
                    help="write the assembled model in MPS format")
     p.add_argument("--report", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--train-range", default="0:50000:1000", metavar="LO:HI:STEP",
-                   help="fuel-capacity grid for surrogate training data")
     p.add_argument("--time-limit", type=float, default=math.inf, metavar="SECS")
     # no flag: a seed study hands its trials one record of the root basis
     p.set_defaults(root_basis=None)
@@ -136,17 +134,6 @@ def _resolve_scenario(path: str) -> str | None:
     if ref.is_file():
         return ref.read_text()
     return None
-
-
-def _parse_train_range(spec: str) -> tuple[float, float, float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--train-range must be LO:HI:STEP, got {spec!r}")
-    lo, hi, step = (float(v) for v in parts)
-    if not (lo < hi and 0 < step < math.inf and math.isfinite((hi - lo) / step)):
-        raise ValueError(f"--train-range needs finite lo < hi and step > 0, and "
-                         f"a finite number of grid points, got {spec!r}")
-    return lo, hi, step
 
 
 def _params_for(scenario: Scenario) -> SizingParams:
@@ -170,13 +157,24 @@ def _scenario_and_params(args) -> tuple[Scenario, SizingParams]:
     return scenario, _params_for(scenario)
 
 
-def _training_data(args, params: SizingParams):
-    """(input box, dataset) of the `--train-range` grid."""
-    lo, hi, step = _parse_train_range(args.train_range)
-    return (lo, hi), generate_dataset(params, lo, hi, step)
+def _fuel_range(scenario: Scenario) -> tuple[float, float]:
+    """[0, the largest m_f upper bound among the vehicles]: the range the
+    surrogate is fitted and scored on."""
+    hi = max(v.bound("m_f")[1] for v in scenario.vehicles)
+    if hi <= 0:
+        raise ScenarioError(f"scenario {scenario.name!r}: largest m_f upper bound "
+                            f"{hi} kg leaves no fuel range to fit the surrogate on")
+    return 0.0, hi
 
 
-def _prepare_surrogate(args, params: SizingParams, seed: int):
+def _training_data(scenario: Scenario, params: SizingParams):
+    """(input box, dataset) of the paper's grid: 51 evenly spaced m_f values
+    over the fuel range, 0-50,000 kg by 1,000 kg on the default bounds."""
+    lo, hi = box = _fuel_range(scenario)
+    return box, generate_dataset(params, lo, hi, hi / 50)
+
+
+def _prepare_surrogate(args, scenario: Scenario, params: SizingParams, seed: int):
     """Returns (closure object, kind, seed-or-None, test_r2).
 
     `args.model` is a model file to load or an already trained network,
@@ -185,9 +183,9 @@ def _prepare_surrogate(args, params: SizingParams, seed: int):
     if args.model:
         sur = (args.model if isinstance(args.model, ReluNetwork)
                else load_surrogate(args.model))
-        box = _parse_train_range(args.train_range)[:2]
+        box = _fuel_range(scenario)
     else:
-        box, data = _training_data(args, params)
+        box, data = _training_data(scenario, params)
         sur = (fit_linear_regression(data) if args.surrogate == "linreg" else
                train_relu_network(data, seed, target_fn=target))
     if isinstance(sur, ReluNetwork):
@@ -198,39 +196,40 @@ def _prepare_surrogate(args, params: SizingParams, seed: int):
 
 def _oracle_for(scenario: Scenario, params: SizingParams,
                 network: TimeExpandedNetwork) -> OracleResult | None:
-    """Fixed-point reference, valid only for a single vehicle flying a
-    single delivery chain: the transport arc families left after time
-    expansion must form one path from the launch destination to the
-    delivery node. None when the scenario is out of that scope."""
-    if len(scenario.vehicles) != 1:
-        return None
+    """Fixed-point reference, valid only where its IMLEO is the objective:
+    one vehicle delivers one demand of a commodity other than propellant
+    (pinned as payload m_p), the one objective entry costs the vehicle and
+    every commodity on the launch leg 1, and the transport arc families left
+    after time expansion form one path from the launch destination to the
+    delivery node. None out of that scope."""
     sinks = [d for d in scenario.demands if d.amount < 0]
-    if len(sinks) != 1:
+    ids = sorted(c.id for c in scenario.commodities)
+    launches = {(a.src, a.dst) for a in network.arcs if a.kind == "launch"}
+    if (len(scenario.vehicles) != 1 or len(sinks) != 1 or len(launches) != 1
+            or sinks[0].commodity not in set(ids) - {"propellant"}):
         return None
-    payload = -sinks[0].amount
-    if not math.isfinite(payload):
-        return None
-    starts = {a.dst for a in network.arcs if a.kind == "launch"}
+    (site, start), = launches
+    launch_mass = ObjectiveEntry(site, start, tuple((c, 1.0) for c in ids), 1.0)
     families = {(a.src, a.dst, a.delta_v) for a in network.arcs
                 if a.kind == "transport"}
     legs = {src: (dst, dv) for src, dst, dv in families}
-    if len(starts) != 1 or len(legs) != len(families):
+    if scenario.objective != (launch_mass,) or len(legs) != len(families):
         return None
-    node, delta_vs = starts.pop(), []
+    node, delta_vs = start, []
     while node in legs:
         node, dv = legs.pop(node)
         delta_vs.append(dv)
     if legs or node != sinks[0].node or not delta_vs:
         return None
-    return solve_exact_oracle(params, payload, delta_vs)
+    return solve_exact_oracle(params, -sinks[0].amount, delta_vs)
 
 
 def run_pipeline(args, seed: int | None = None) -> RunReport:
     scenario, params = _scenario_and_params(args)
     seed = args.seed if seed is None else seed
-    closure, kind, used_seed, test_r2 = _prepare_surrogate(args, params, seed)
+    sur, kind, used_seed, test_r2 = _prepare_surrogate(args, scenario, params, seed)
 
-    model, fv = assemble(scenario, closure)
+    model, fv = assemble(scenario, sur)
     if args.export_mps:
         model.export_mps(args.export_mps)
     sol = solve_milp(model, BnbConfig(time_limit=args.time_limit,
@@ -259,8 +258,8 @@ def run_seed_study(args) -> SeedStudySummary:
     if args.surrogate == "nn" and not args.model:
         # the trials share their data and differ only in the seed: train
         # every network in one stacked run, and hand each trial its own
-        params = _scenario_and_params(args)[1]
-        _, data = _training_data(args, params)
+        scenario, params = _scenario_and_params(args)
+        _, data = _training_data(scenario, params)
         nets = train_relu_networks(data, seeds,
                                    target_fn=lambda v: surrogate_target(params, v))
     rows = []

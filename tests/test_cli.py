@@ -16,15 +16,15 @@ import pytest
 
 import leolift
 from leolift import cli
-from leolift.cli import (R2_EXCLUSION, _parse_train_range, build_parser, main,
-                         run_pipeline, run_seed_study)
+from leolift.cli import (R2_EXCLUSION, build_parser, main, run_pipeline,
+                         run_seed_study)
 from leolift.spacecraft import generate_dataset
 from leolift.surrogate import ReluNetwork, fit_linear_regression, save_surrogate
 
 from helpers import read_mps, with_parallel_leg
 
 LINREG_JSON = ["--surrogate", "linreg", "--report", "json"]
-# a loadable network over the CLI's default training box
+# a loadable network over the bundled campaign's fuel range
 TINY_MODEL = {"layer_sizes": [1, 2, 1], "weights": [[1.0, 2.0], [3.0, 4.0]],
               "biases": [[0.0, 0.0], [0.0]], "input_box": [[0.0, 50000.0]]}
 
@@ -33,6 +33,22 @@ def run_main(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def with_fuel_bound(path, lunar_text, hi):
+    """Write the bundled campaign with its vehicle's m_f in [0, hi] to `path`."""
+    doc = json.loads(lunar_text)
+    doc["vehicles"][0]["design_bounds"]["m_f"] = [0, hi]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def fuel60k(tmp_path_factory, lunar_text):
+    """The bundled campaign with m_f up to 60,000 kg, past the 50,000 kg of
+    the default grid."""
+    return with_fuel_bound(tmp_path_factory.mktemp("fuel") / "fuel60k.json",
+                           lunar_text, 60000)
 
 
 class TestArgumentHandling:
@@ -122,24 +138,31 @@ class TestArgumentHandling:
                    if a.option_strings and a.dest != "help"]
         assert documented == options
 
-    def test_bad_train_range_exits_1(self, capsys):
-        code, _, err = run_main(capsys, LINREG_JSON + ["--train-range", "5:1:100"])
-        assert code == 1
-        assert "error:" in err
-
-    @pytest.mark.parametrize("spec", ["0:inf:1000", "-inf:0:1000", "0:1e308:1e-308"])
-    def test_non_finite_train_range_exits_1(self, capsys, spec):
-        code, out, err = run_main(capsys, LINREG_JSON + [f"--train-range={spec}"])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
+    def test_train_range_is_refused(self, capsys):
+        """The training grid comes from the scenario; there is no flag for it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--train-range", "0:1:1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --train-range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("surrogate", ["linreg", "nn"])
-    def test_overflowing_training_data_exits_1(self, capsys, surrogate):
-        # a finite grid whose sizing values overflow to inf
-        code, out, err = run_main(capsys, ["--surrogate", surrogate,
-                                           "--train-range", "0:1e300:1e299"])
+    def test_overflowing_training_data_exits_1(self, tmp_path, capsys, lunar_text,
+                                               surrogate):
+        # a finite fuel range whose sizing values overflow to inf
+        path = with_fuel_bound(tmp_path / "huge.json", lunar_text, 1e300)
+        code, out, err = run_main(capsys, ["--scenario", path,
+                                           "--surrogate", surrogate])
         assert (code, out, err) == (1, "", "error: training data must be finite\n")
+
+    @pytest.mark.parametrize("argv", [["--surrogate", "linreg"], ["--surrogate", "nn"],
+                                      ["--surrogate", "nn", "--trials", "2"]])
+    def test_no_fuel_range_exits_1(self, tmp_path, capsys, lunar_text, argv):
+        """A vehicle that carries no propellant leaves nothing to fit on."""
+        path = with_fuel_bound(tmp_path / "dry.json", lunar_text, 0)
+        code, out, err = run_main(capsys, ["--scenario", path] + argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "m_f upper bound 0.0 kg" in err
+        assert len(err.splitlines()) == 1
 
     def test_nan_time_limit_exits_1(self, capsys):
         code, out, err = run_main(capsys, LINREG_JSON + ["--time-limit", "nan"])
@@ -172,21 +195,6 @@ class TestArgumentHandling:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "differ" in err
-
-    @pytest.mark.parametrize("surrogate", ["nn", "linreg"])
-    def test_train_range_whose_step_does_not_divide_solves(self, capsys, surrogate):
-        """The grid ends at HI, so the network's trained box covers the
-        design bounds [0, 50000] and the run solves like linreg's."""
-        code, out, err = run_main(capsys, ["--surrogate", surrogate, "--report", "json",
-                                           "--train-range", "0:50000:3000"])
-        assert (code, err) == (0, "")
-        assert json.loads(out)["milp"]["status"] == "optimal"
-
-    def test_parse_train_range(self):
-        assert _parse_train_range("0:50000:1000") == (0.0, 50000.0, 1000.0)
-        for bad in ("1:2", "2:1:1", "0:10:0", "a:b:c"):
-            with pytest.raises(ValueError):
-                _parse_train_range(bad)
 
     def test_defaults(self):
         args = build_parser().parse_args([])
@@ -247,19 +255,28 @@ class TestSingleRunReports:
 
     @pytest.mark.parametrize("edit, objective, imleo", [
         # a return leg: the legs no longer form one path
-        (lambda arcs: arcs + [{"from": "LLO", "to": "LEO", "delta_v_mps": 4040.0,
-                               "tof_days": 1, "window": [4]}], 42650.33, None),
+        (lambda doc: doc["arcs"].append({"from": "LLO", "to": "LEO",
+                                         "delta_v_mps": 4040.0, "tof_days": 1,
+                                         "window": [4]}), 42650.33, None),
         # a second LEO->LLO family that never departs expands to no arc
-        (lambda arcs: arcs + [{"from": "LEO", "to": "LLO", "delta_v_mps": 4040.0,
-                               "tof_days": 3, "window": []}],
+        (lambda doc: doc["arcs"].append({"from": "LEO", "to": "LLO",
+                                         "delta_v_mps": 4040.0, "tof_days": 3,
+                                         "window": []}),
          42650.33, 42811.087681331606),
         # launched straight to the delivery node: no burn to size, so the
         # launch carries the payload and the empty vehicle
-        (lambda arcs: [dict(arcs[0], to="LS")], 3615.23, None)])
+        (lambda doc: doc.update(arcs=[dict(doc["arcs"][0], to="LS")]), 3615.23, None),
+        # the oracle pins the delivery as payload m_p: a propellant or a
+        # vehicle delivery is not one
+        (lambda doc: doc["demands"][3].update(commodity="propellant"), 15487.17, None),
+        (lambda doc: doc["demands"][3].update(commodity="spacecraft", amount=-1),
+         2620.51, None),
+        # the objective is no longer the launch mass IMLEO is
+        (lambda doc: doc["objective"][0].update(commodity_cost=2.0), 79441.56, None)])
     def test_oracle_only_for_one_expanded_path(self, tmp_path, capsys, lunar_text,
                                               edit, objective, imleo):
         doc = json.loads(lunar_text)
-        doc["arcs"] = edit(doc["arcs"])
+        edit(doc)
         doc["objective"][0]["to"] = doc["arcs"][0]["to"]  # cost the launch leg
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
@@ -272,6 +289,19 @@ class TestSingleRunReports:
         else:
             assert rep["oracle"]["imleo_kg"] == pytest.approx(imleo, rel=1e-9)
             assert rep["gap_pct"] == pytest.approx(0.3755, abs=1e-4)
+
+    @pytest.mark.parametrize("surrogate, objective", [("nn", 43586.23),
+                                                      ("linreg", 42221.53)])
+    def test_fuel_range_past_the_default_grid_solves(self, capsys, fuel60k,
+                                                     surrogate, objective):
+        """The surrogate is fitted over the scenario's own fuel range, so
+        m_f up to 60,000 kg lies inside the network's trained box."""
+        code, out, err = run_main(capsys, ["--scenario", fuel60k, "--surrogate",
+                                           surrogate, "--report", "json"])
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert rep["milp"]["status"] == "optimal"
+        assert rep["milp"]["objective_kg"] == pytest.approx(objective, abs=0.01)
 
     def test_text_report_mentions_key_fields(self, capsys):
         code, out, _ = run_main(capsys, ["--surrogate", "linreg"])
@@ -345,18 +375,19 @@ class TestModelFiles:
         assert code == 0
         assert json.loads(out)["milp"]["status"] == "optimal"
 
-    def test_loaded_linear_model_scores_on_train_range(self, tmp_path, capsys,
-                                                       params):
-        """A saved linear model, loaded with the `--train-range` it was
-        fitted on, reports the held-out R^2 of the run that fitted it."""
-        grid = ["--train-range", "0:30000:1000", "--seed", "3"]
+    def test_loaded_linear_model_scores_on_fuel_range(self, tmp_path, capsys,
+                                                      params, fuel60k):
+        """A saved linear model fitted on the grid over a scenario's fuel
+        range, loaded on that scenario, reports the held-out R^2 of the run
+        that fitted it."""
+        argv = LINREG_JSON + ["--scenario", fuel60k, "--seed", "3"]
         path = tmp_path / "linreg.json"
         save_surrogate(fit_linear_regression(
-            generate_dataset(params, 0.0, 30000.0, 1000.0)), str(path))
-        code, out, _ = run_main(capsys, LINREG_JSON + grid)
+            generate_dataset(params, 0.0, 60000.0, 1200.0)), str(path))
+        code, out, _ = run_main(capsys, argv)
         assert code == 0
         fitted = json.loads(out)["surrogate"]["test_r2"]
-        code, out, _ = run_main(capsys, LINREG_JSON + grid + ["--model", str(path)])
+        code, out, _ = run_main(capsys, argv + ["--model", str(path)])
         assert code == 0
         assert json.loads(out)["surrogate"]["test_r2"] == fitted
 
@@ -464,15 +495,18 @@ class TestSeedStudy:
 class TestNnSeedStudy:
     ARGV = ["--surrogate", "nn", "--trials", "3", "--seed", "11"]
 
-    def test_rows_match_single_runs(self):
+    @pytest.mark.parametrize("argv", [
+        ARGV, ["--scenario", "{fuel60k}", "--trials", "2", "--seed", "0"]])
+    def test_rows_match_single_runs(self, fuel60k, argv):
         """Networks trained together give each trial the network its own
-        `run_pipeline` call trains, to the last bit (its test R²), and so
-        its optimum. A trial after the first starts its root LP from the
-        last trial's root basis where a single run starts cold, so the
-        optimum agrees to 1e-9 relative, not to the bit."""
-        args = build_parser().parse_args(self.ARGV)
+        `run_pipeline` call trains, on the same grid, to the last bit (its
+        test R²), and so its optimum. A trial after the first starts its
+        root LP from the last trial's root basis where a single run starts
+        cold, so the optimum agrees to 1e-9 relative, not to the bit."""
+        args = build_parser().parse_args([a.format(fuel60k=fuel60k) for a in argv])
         study = run_seed_study(args)
-        assert [r["seed"] for r in study.rows] == [11, 12, 13]
+        assert [r["seed"] for r in study.rows] == list(
+            range(args.seed, args.seed + args.trials))
         for row in study.rows:
             rep = run_pipeline(args, seed=row["seed"])
             assert row["status"] == rep.solution.status == "optimal"
