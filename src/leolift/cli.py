@@ -198,10 +198,11 @@ def _oracle_for(scenario: Scenario, params: SizingParams,
                 network: TimeExpandedNetwork) -> OracleResult | None:
     """Fixed-point reference, valid only where its IMLEO is the objective:
     one vehicle delivers one demand of a commodity other than propellant
-    (pinned as payload m_p), the one objective entry costs the vehicle and
-    every commodity on the launch leg 1, and the transport arc families left
-    after time expansion form one path from the launch destination to the
-    delivery node. None out of that scope."""
+    (pinned as payload m_p), every supply sits at the launch site, the one
+    objective entry costs the vehicle and every commodity on the launch leg
+    1, and the transport arc families left after time expansion form one
+    path from the launch destination to the delivery node. None out of that
+    scope."""
     sinks = [d for d in scenario.demands if d.amount < 0]
     ids = sorted(c.id for c in scenario.commodities)
     launches = {(a.src, a.dst) for a in network.arcs if a.kind == "launch"}
@@ -209,6 +210,8 @@ def _oracle_for(scenario: Scenario, params: SizingParams,
             or sinks[0].commodity not in set(ids) - {"propellant"}):
         return None
     (site, start), = launches
+    if any(d.node != site for d in scenario.demands if d.amount > 0):
+        return None
     launch_mass = ObjectiveEntry(site, start, tuple((c, 1.0) for c in ids), 1.0)
     families = {(a.src, a.dst, a.delta_v) for a in network.arcs
                 if a.kind == "transport"}

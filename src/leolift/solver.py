@@ -182,14 +182,20 @@ def _problem_from_form(sf: StandardForm) -> _Simplex:
                      row_hi=np.zeros(1))
     m, n = sf.A.shape
     keep = np.isfinite(sf.row_hi)
-    cols = sf.A.tocsc()
-    nnz = cols.indptr[-1]
+    # the structural columns: the CSR entries stably sorted by column, so
+    # rows ascend within each column; the same arrays as `tocsc`, built in a
+    # fraction of its time
+    order = np.argsort(sf.A.indices, kind="stable")
+    idx = sf.A.indices.dtype
+    rows = np.repeat(np.arange(m, dtype=idx), np.diff(sf.A.indptr))[order]
+    nnz = len(order)
+    indptr = np.zeros(n + m + 1, dtype=idx)
+    np.cumsum(np.bincount(sf.A.indices, minlength=n), out=indptr[1:n + 1])
+    indptr[n + 1:] = np.arange(nnz + 1, nnz + m + 1)
     A = csc_array(
-        (np.concatenate([cols.data * np.where(keep, 1.0, -1.0)[cols.indices],
+        (np.concatenate([sf.A.data[order] * np.where(keep, 1.0, -1.0)[rows],
                          np.ones(m)]),
-         np.concatenate([cols.indices, np.arange(m, dtype=cols.indices.dtype)]),
-         np.concatenate([cols.indptr, np.arange(nnz + 1, nnz + m + 1,
-                                                dtype=cols.indptr.dtype)])),
+         np.concatenate([rows, np.arange(m, dtype=idx)]), indptr),
         shape=(m, n + m))
     return _Simplex(A, np.where(keep, sf.row_hi, -sf.row_lo),
                     np.concatenate([sf.c, np.zeros(m)]),

@@ -8,6 +8,18 @@ below, so networks differ only in their seed; several train together in
 one Adam loop over stacked parameters (`train_relu_networks`), a single
 network is the one-member case, and each member ends bitwise equal to its
 single run.
+The stack is laid out for numpy's passes over it. The S copies of each
+weight or bias array form one contiguous block, and Adam runs elementwise
+over the flat array of blocks. A hidden layer wider than 1 is stored
+data-major, (n samples, S, width), so each elementwise pass runs over
+S * width contiguous numbers per sample; a width-1 layer, the output
+included, is stored (S, n, 1), each member's column contiguous. Every
+member still rounds as on its own 2-d arrays: products with inner
+dimension 1 are single multiplies, every other product (the weight
+gradients over the n samples, products over a hidden width) is one BLAS
+call per member on unit-stride slices with the same transpose flags, the
+loss and width-1 bias gradients sum pairwise along each member's column,
+and wider bias gradients sum sequentially over the samples.
 Every surrogate is a function F(m_f) of one input; a network checks that,
 its shapes and its one finite input box once, when it is built. It is then
 a piecewise-linear function of m_f: `breakpoints` finds its breakpoints on
@@ -108,30 +120,33 @@ def _stacked_adam_loop(members, Xs, Ys) -> list:
     several networks of one shape at once, updating each member's `(Ws, bs)`
     in place.
 
-    The members' parameters are the rows of one (S, P) array `theta`, with
-    one first and second moment and one gradient of the same shape; layer s
-    is seen through views of shape (S, out, in) for the weights and
-    (S, 1, out) for the biases, and through the transposed weight views, all
-    built once. Every product is batched over the members and every update
-    is elementwise, so no member's numbers mix with another's and each
-    rounds as it would trained alone. Returns, per member, None or the
+    The S members' parameters live in one flat array `theta`, stored block
+    by block (`_layer_views`): the S copies of each weight array form one
+    contiguous (S, out, in) block and those of each bias one (S, 1, out)
+    block. The gradient and both moments share that layout. Adam is
+    elementwise, so it runs on the flat arrays and each member's numbers
+    round as they would trained alone. The step's buffers (`_workspace`)
+    are allocated once per run. Returns, per member, None or the
     `TrainingDivergence` of the first iteration at which that member's loss
     was non-finite; such a member's parameters are left unusable.
     """
+    S = len(members)
     shapes = [W.shape for W in members[0][0]]
-    theta = np.stack([np.concatenate(Ws + bs, axis=None) for Ws, bs in members])
-    Ws, bs = _layer_views(theta, shapes)
+    theta = np.concatenate([np.stack(copies).ravel() for copies
+                            in zip(*(Ws + bs for Ws, bs in members))])
+    Ws, bs = _layer_views(theta, S, shapes)
     WTs = [W.transpose(0, 2, 1) for W in Ws]
     grad = np.empty_like(theta)
-    gWs, gbs = _layer_views(grad, shapes)
-    X = np.broadcast_to(Xs, (len(members),) + Xs.shape)
+    gWs, gbs = _layer_views(grad, S, shapes)
+    X = np.broadcast_to(Xs, (S,) + Xs.shape)
+    work = _workspace(S, Xs.shape[0], shapes)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     step = np.empty_like(theta)
-    diverged = [None] * len(members)
+    diverged = [None] * S
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for it in range(1, ADAM_STEPS + 1):
-        loss = _mse_and_grads(Ws, WTs, bs, X, Ys, gWs, gbs)
+        loss = _mse_and_grads(Ws, WTs, bs, X, Ys, gWs, gbs, work)
         # a finite sum means every member's loss is finite
         if not math.isfinite(np.add.reduce(loss)):
             for k in np.flatnonzero(~np.isfinite(loss)):
@@ -160,45 +175,100 @@ def _stacked_adam_loop(members, Xs, Ys) -> list:
     return diverged
 
 
-def _layer_views(flat, shapes):
-    """Views of an (S, P) array as per-layer (S, out, in) weights followed by
-    (S, 1, out) biases."""
-    S, start = flat.shape[0], 0
-    Ws, bs = [], []
+def _layer_views(flat, S, shapes):
+    """Views of a flat array holding S members' parameters block by block:
+    per layer an (S, out, in) weight block, then per layer an (S, 1, out)
+    bias block, each contiguous."""
+    Ws, bs, start = [], [], 0
     for nout, nin in shapes:
-        Ws.append(flat[:, start:start + nout * nin].reshape(S, nout, nin))
-        start += nout * nin
+        Ws.append(flat[start:start + S * nout * nin].reshape(S, nout, nin))
+        start += S * nout * nin
     for nout, _ in shapes:
-        bs.append(flat[:, start:start + nout].reshape(S, 1, nout))
-        start += nout
+        bs.append(flat[start:start + S * nout].reshape(S, 1, nout))
+        start += S * nout
     return Ws, bs
 
 
-def _mse_and_grads(Ws, WTs, bs, X, Y, gWs, gbs):
+def _workspace(S, n, shapes):
+    """The buffers of one step for S members and n samples, each seen as an
+    (S, n, width) array: per layer its output (the pre-activation, then the
+    activation, ReLU applied in place on a hidden layer) and its
+    backpropagated delta, and per hidden layer its ReLU mask.
+
+    A layer of width 1 is stored (S, n, 1): each member's column is
+    contiguous along n, as a network trained alone holds it. A wider layer
+    is stored data-major, (n, S, width), so an elementwise pass runs over
+    S * width contiguous numbers per sample, not S short rows. Either way a
+    member's (n, width) slice has unit stride along the width, which BLAS
+    needs.
+    """
+    def buffer(width, dtype=float):
+        if width == 1:
+            return np.empty((S, n, 1), dtype)
+        return np.empty((n, S, width), dtype).transpose(1, 0, 2)
+
+    widths = [nout for nout, _ in shapes]
+    return ([buffer(w) for w in widths], [buffer(w, bool) for w in widths[:-1]],
+            [buffer(w) for w in widths])
+
+
+def _product(a, b, out):
+    """`a @ b` into `out`, batched over the members.
+
+    With inner dimension 1 every entry is one product. numpy's matmul forms
+    it as 0 + a*b outside BLAS; einsum over the length-1 axis forms the same
+    number in one pass, where matmul and a broadcast multiply both loop over
+    short rows. Any other product is one BLAS call per member.
+    """
+    if a.shape[-1] == 1:
+        return np.einsum("kio,koj->kij", a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _mse_and_grads(Ws, WTs, bs, X, Y, gWs, gbs, work):
     """Full-batch MSE loss of each stacked member, and its parameter
     gradients by backpropagation.
 
-    `Ws[s]` is (S, out, in), `WTs[s]` its transpose, `bs[s]` (S, 1, out) and
-    X (S, n, in); the gradients are written into `gWs` and `gbs`, of the
-    parameters' shapes. Returns the (S,) losses.
+    `Ws[s]` is (S, out, in), `WTs[s]` its transpose, `bs[s]` (S, 1, out),
+    X (S, n, in) and `work` the buffers of `_workspace`; the gradients are
+    written into `gWs` and `gbs`, of the parameters' shapes. Returns the
+    (S,) losses.
+
+    Each member rounds as the same computation on its own 2-d arrays does:
+    - A product with inner dimension 1 (`X @ W0ᵀ`, and `delta @ W` back
+      through a width-1 layer) is one product per entry (`_product`).
+    - Every other product, the weight gradients `deltaᵀ @ a` over the n
+      samples and any product over a hidden width, is one BLAS call per
+      member on its unit-stride slices, with the 2-d product's transpose
+      flags.
+    - The loss and the bias gradient of a width-1 layer sum each member's
+      contiguous column pairwise, as numpy sums a vector. The bias gradient
+      of a wider layer sums sequentially over n, as numpy sums the rows of
+      a matrix.
     """
     n = X.shape[1]
-    acts = [X]
-    pres = []
+    acts, masks, deltas = work
+    last = len(Ws) - 1
     a = X
     for s, (WT, b) in enumerate(zip(WTs, bs)):
-        z = a @ WT + b
-        pres.append(z)
-        a = np.maximum(z, 0.0) if s < len(Ws) - 1 else z
-        acts.append(a)
-    resid = acts[-1] - Y
-    loss = np.add.reduce(np.square(resid), axis=(1, 2)) / n
-    delta = 2.0 * resid / n
-    for s in range(len(Ws) - 1, -1, -1):
-        np.matmul(delta.transpose(0, 2, 1), acts[s], out=gWs[s])
+        a = _product(a, WT, acts[s])
+        a += b
+        if s < last:
+            np.greater(a, 0.0, out=masks[s])
+            np.maximum(a, 0.0, out=a)
+    # once the residual is taken, the output buffer holds its square
+    resid = np.subtract(a, Y, out=deltas[last])
+    loss = np.add.reduce(np.square(resid, out=a), axis=(1, 2)) / n
+    # delta = 2 resid / n, rounded as written
+    resid *= 2.0
+    resid /= n
+    for s in range(last, -1, -1):
+        delta = deltas[s]
+        np.matmul(delta.transpose(0, 2, 1), acts[s - 1] if s else X, out=gWs[s])
         np.add.reduce(delta, axis=1, keepdims=True, out=gbs[s])
         if s > 0:
-            delta = (delta @ Ws[s]) * (pres[s - 1] > 0)
+            below = _product(delta, Ws[s], deltas[s - 1])
+            below *= masks[s - 1]
     return loss
 
 

@@ -272,7 +272,14 @@ class TestSingleRunReports:
         (lambda doc: doc["demands"][3].update(commodity="spacecraft", amount=-1),
          2620.51, None),
         # the objective is no longer the launch mass IMLEO is
-        (lambda doc: doc["objective"][0].update(commodity_cost=2.0), 79441.56, None)])
+        (lambda doc: doc["objective"][0].update(commodity_cost=2.0), 79441.56, None),
+        # a supply away from the launch site is mass the launch does not carry
+        (lambda doc: doc["demands"].append({"commodity": "propellant", "node": "LLO",
+                                            "time": 4, "amount": "inf"}),
+         16278.94, None),
+        (lambda doc: doc["demands"].append({"commodity": "payload", "node": "LEO",
+                                            "time": 1, "amount": "inf"}),
+         41650.33, None)])
     def test_oracle_only_for_one_expanded_path(self, tmp_path, capsys, lunar_text,
                                               edit, objective, imleo):
         doc = json.loads(lunar_text)

@@ -12,7 +12,7 @@ from leolift.spacecraft import surrogate_target
 from leolift.surrogate import (DegenerateDataError, ReluNetwork,
                                TrainingDivergence,
                                _glorot_init, _layer_views, _mse_and_grads,
-                               _stacked_adam_loop, breakpoints,
+                               _stacked_adam_loop, _workspace, breakpoints,
                                embed_network, fit_linear_regression, forward,
                                load_surrogate, save_surrogate,
                                surrogate_from_dict, surrogate_to_dict,
@@ -69,12 +69,12 @@ def stacked_mse_and_grads(Ws, bs, X, Y):
     """`_mse_and_grads` on a one-member stack built from 2-d arrays; returns
     the loss as a float and the gradients in the arrays' own shapes."""
     shapes = [W.shape for W in Ws]
-    theta = np.concatenate(Ws + bs, axis=None)[None, :]
-    sWs, sbs = _layer_views(theta, shapes)
+    theta = np.concatenate(Ws + bs, axis=None)
+    sWs, sbs = _layer_views(theta, 1, shapes)
     grad = np.empty_like(theta)
-    gWs, gbs = _layer_views(grad, shapes)
+    gWs, gbs = _layer_views(grad, 1, shapes)
     loss = _mse_and_grads(sWs, [W.transpose(0, 2, 1) for W in sWs], sbs,
-                          X[None], Y, gWs, gbs)
+                          X[None], Y, gWs, gbs, _workspace(1, X.shape[0], shapes))
     return float(loss[0]), [g[0] for g in gWs], [g[0, 0] for g in gbs]
 
 
@@ -182,7 +182,7 @@ class TestTraining:
 
 class TestStackedTraining:
     @pytest.mark.parametrize("hidden_layers,members", [
-        (1, 1), (1, 2), (1, 20), (2, 1), (2, 2), (3, 1), (3, 2)])
+        (1, 1), (1, 2), (1, 20), (2, 1), (2, 2), (2, 20), (3, 1), (3, 2)])
     def test_members_match_solo_runs(self, monkeypatch, params, dataset51,
                                      hidden_layers, members):
         """Each member of a stack is bitwise the network trained alone by the
@@ -204,6 +204,17 @@ class TestStackedTraining:
             assert net.test_r2 == ref.test_r2
         assert_no_shared_memory([a for net in nets
                                  for a in net.weights + net.biases])
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    def test_width_one_members_match_solo_runs(self, monkeypatch, params,
+                                               dataset51, hidden_layers):
+        """`test_members_match_solo_runs` for 20 members with one neuron per
+        hidden layer: every product but the weight gradients has inner
+        dimension 1, and a network trained alone sums each bias gradient
+        pairwise down its contiguous column."""
+        monkeypatch.setattr(surrogate, "HIDDEN_NEURONS", 1)
+        self.test_members_match_solo_runs(monkeypatch, params, dataset51,
+                                          hidden_layers, 20)
 
     @pytest.mark.parametrize("hidden_layers", [1, 2])
     def test_diverged_member_leaves_the_others_alone(self, monkeypatch, dataset51,
